@@ -56,7 +56,7 @@ func BenchmarkFig4ErrorMagnitude(b *testing.B) {
 // parallel speedup on top of that.
 func BenchmarkFig5MSECDF(b *testing.B) {
 	p := exp.DefaultFig5Params()
-	p.CDF.Trun = 2e4 // bench-scale budget; cmd/faultmem fig5 uses 1e6
+	p.CDF.Trun = 2e4 // bench-scale budget; faultmem fig5 defaults to DefaultCDFParams().Trun = 2e5
 	var res exp.Fig5Result
 	for i := 0; i < b.N; i++ {
 		res = exp.Fig5(p)

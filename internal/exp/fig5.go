@@ -60,7 +60,8 @@ type Fig5Result struct {
 func Fig5(p Fig5Params) Fig5Result {
 	res, err := Fig5Env(mc.Env{}, p)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
+		// The zero Env's background context never cancels, so only bad
+		// CDF params land here.
 		panic(err)
 	}
 	return res

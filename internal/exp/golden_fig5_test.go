@@ -1,0 +1,36 @@
+package exp
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+
+	"faultmem/internal/yield"
+)
+
+// fig5HistJSONGolden is the SHA-256 of the histogram-mode fig5 result's
+// JSON at seed 7, captured while LogHistogram still binned every
+// observation through math.Log10: the rendered CDF and yield tables must
+// not move when the binning changes implementation.
+const fig5HistJSONGolden = "5db853d5393295b2e731883a5b60b1120a1dfb47656056ef115a6947a7ab5377"
+
+func TestFig5HistogramJSONGolden(t *testing.T) {
+	seed := int64(7)
+	res, err := Run(context.Background(), "fig5", &Runner{
+		Workers: 2, Seed: &seed, Accum: yield.AccumHist,
+		Params: json.RawMessage(`{"CDF":{"Trun":2e6,"MaxPerCount":0}}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != fig5HistJSONGolden {
+		t.Fatalf("histogram-mode fig5 JSON SHA-256 %s, want %s", got, fig5HistJSONGolden)
+	}
+}

@@ -45,7 +45,8 @@ type ParetoRow struct {
 func Pareto(p ParetoParams) []ParetoRow {
 	rows, err := ParetoEnv(mc.Env{}, p)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
+		// The zero Env's background context never cancels, so only bad
+		// CDF params land here.
 		panic(err)
 	}
 	return rows
@@ -54,6 +55,11 @@ func Pareto(p ParetoParams) []ParetoRow {
 // ParetoEnv is Pareto under an execution environment: bit-identical rows
 // when the context stays live, ctx.Err() when cancelled mid-campaign.
 func ParetoEnv(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
+	// The hardware model is sized from the same rows, so bad CDF params
+	// must be refused before it panics on them.
+	if err := p.CDF.Validate(); err != nil {
+		return nil, err
+	}
 	lib := hw.Lib28nm()
 	macro := hw.Macro28nm(p.CDF.Rows)
 	eccOv := hw.ECCOverhead(lib, macro, ecc.H39_32())

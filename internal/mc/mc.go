@@ -162,15 +162,19 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 	}
 	done := env.Done()
 	out := make([]T, shards)
-	var completed atomic.Int64
+	// The count advances under the same lock that serializes the callback,
+	// so OnShard sees done = 1, 2, ..., shards in order even when two
+	// shards finish at once.
+	completed := 0
 	var noteMu sync.Mutex
 	note := func() {
-		n := int(completed.Add(1))
-		if env.OnShard != nil {
-			noteMu.Lock()
-			env.OnShard(n, shards)
-			noteMu.Unlock()
+		if env.OnShard == nil {
+			return
 		}
+		noteMu.Lock()
+		completed++
+		env.OnShard(completed, shards)
+		noteMu.Unlock()
 	}
 	if env.Exec != nil {
 		return runExec(env, ctx, shards, seed, fn, out, note)
@@ -180,9 +184,8 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 		w = shards
 	}
 	if w == 1 {
-		// Fast path: no goroutines, no atomics beyond the progress
-		// counter. Bit-identical to the parallel path by construction
-		// (same per-shard streams).
+		// Fast path: no goroutines and no atomics. Bit-identical to the
+		// parallel path by construction (same per-shard streams).
 		for s := 0; s < shards; s++ {
 			select {
 			case <-done:

@@ -15,6 +15,7 @@ import (
 	"faultmem/internal/mc"
 	"faultmem/internal/serve"
 	"faultmem/internal/sweep"
+	"faultmem/internal/yield"
 )
 
 // sleepExp is a synthetic registry experiment with a controllable shard
@@ -582,5 +583,48 @@ func TestServeWorkerJoinsMidRun(t *testing.T) {
 	}
 	if st := srv.PoolStats(); st.RemoteShards == 0 {
 		t.Errorf("worker joined mid-run but computed no shards: %+v", st)
+	}
+}
+
+// TestServeBadFig5ParamsFailOnlyTheirJob: Fig. 5 params the engine cannot
+// run (a zero Trun, a bin count or row count past its cap, an exact-store
+// budget past its cap) end their own job with an error final, while a good campaign running alongside completes with the
+// bytes of a local run — the server survives them.
+func TestServeBadFig5ParamsFailOnlyTheirJob(t *testing.T) {
+	srv := startServer(t, testConfig(t))
+	c := dial(t, srv, serve.Options{})
+	seed := int64(7)
+	specs := []serve.Campaign{
+		{Experiment: "fig5", Quick: true, Seed: &seed},
+		{Experiment: "fig5", Params: []byte(`{"CDF":{"Trun":0}}`)},
+		{Experiment: "fig5", Quick: true, Accum: yield.AccumHist, Bins: 1 << 30},
+		{Experiment: "pareto", Params: []byte(`{"CDF":{"Rows":0}}`)},
+		{Experiment: "fig5", Quick: true, Params: []byte(`{"CDF":{"Rows":10000000000}}`)},
+		{Experiment: "fig5", Params: []byte(`{"CDF":{"Trun":1e9,"MaxPerCount":0,"Accum":1}}`)},
+	}
+	finals := make([]*serve.FinalResult, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			finals[i] = submitAndWait(t, c, specs[i])
+		}()
+	}
+	wg.Wait()
+	if finals[0].Err != "" {
+		t.Fatalf("good campaign failed: %s", finals[0].Err)
+	}
+	if want := goldenJSON(t, "fig5"); !bytes.Equal(finals[0].Result, want) {
+		t.Errorf("good campaign's served result differs from local run")
+	}
+	for i, f := range finals[1:] {
+		if f.Err == "" {
+			t.Errorf("bad campaign %d (%s %s) finished without an error", i+1, specs[i+1].Experiment, specs[i+1].Params)
+		}
+	}
+	// The server still takes work.
+	if f := submitAndWait(t, c, serve.Campaign{Experiment: "fig2", Quick: true, Seed: &seed}); f.Err != "" {
+		t.Fatalf("campaign after the bad ones failed: %s", f.Err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // This file makes both Accumulator implementations gob-transportable, so
@@ -69,15 +70,23 @@ func (h *LogHistogram) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode replaces the histogram with the encoded state.
+// GobDecode replaces the histogram with the encoded state. It rejects
+// every geometry NewLogHistogram rejects, and bin weights Add could never
+// have produced (negative, NaN or infinite), so a decoded histogram is
+// always safe to query and merge.
 func (h *LogHistogram) GobDecode(b []byte) error {
 	var w histWire
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
-	if w.NBins < 1 || !(w.LogMax > w.LogMin) || len(w.W) != w.NBins+2 {
+	if w.NBins < 1 || w.NBins > MaxLogHistBins || !validLogDomain(w.LogMin, w.LogMax) || len(w.W) != w.NBins+2 {
 		return fmt.Errorf("stats: corrupt LogHistogram encoding: %d bins over [%g, %g) with %d weights",
 			w.NBins, w.LogMin, w.LogMax, len(w.W))
+	}
+	for i, wi := range w.W {
+		if !(wi >= 0) || math.IsInf(wi, 1) {
+			return fmt.Errorf("stats: corrupt LogHistogram encoding: bin %d weight %g", i, wi)
+		}
 	}
 	*h = LogHistogram{
 		logMin: w.LogMin, logMax: w.LogMax, nbins: w.NBins,

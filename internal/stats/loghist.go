@@ -12,6 +12,12 @@ import (
 // any realistic budget.
 const DefaultLogHistBins = 2048
 
+// MaxLogHistBins caps the interior bin count. The count can arrive from
+// outside the process (campaign parameters, wire encodings) and sizes
+// every shard histogram and the shared bin table, so larger values are
+// rejected rather than allocated.
+const MaxLogHistBins = 1 << 16
+
 // LogHistogram is a fixed-bin log10-domain histogram of weighted
 // observations: the O(1)-memory Accumulator for paper-scale Monte-Carlo
 // budgets. The domain [10^logMin, 10^logMax) is divided into bins equal
@@ -36,6 +42,9 @@ type LogHistogram struct {
 	// cum lazily caches prefix sums of w for binary-searched queries.
 	cum   []float64
 	dirty bool
+	// tab is the geometry's shared bin table, fetched on the first Add or
+	// P (never on decode, so shipped shard histograms stay table-free).
+	tab *binTable
 
 	total       float64
 	count       int64
@@ -45,12 +54,15 @@ type LogHistogram struct {
 
 // NewLogHistogram returns an empty histogram with the given interior bin
 // count over the log10 domain [logMin, logMax). bins <= 0 selects
-// DefaultLogHistBins.
+// DefaultLogHistBins; more than MaxLogHistBins panics.
 func NewLogHistogram(bins int, logMin, logMax float64) *LogHistogram {
 	if bins <= 0 {
 		bins = DefaultLogHistBins
 	}
-	if !(logMax > logMin) || math.IsNaN(logMin) || math.IsInf(logMin, 0) || math.IsInf(logMax, 0) {
+	if bins > MaxLogHistBins {
+		panic(fmt.Sprintf("stats: %d histogram bins exceed the cap of %d", bins, MaxLogHistBins))
+	}
+	if !validLogDomain(logMin, logMax) {
 		panic(fmt.Sprintf("stats: bad histogram domain [%g, %g)", logMin, logMax))
 	}
 	return &LogHistogram{
@@ -102,8 +114,40 @@ func (h *LogHistogram) Max() float64 {
 	return h.max
 }
 
-// bucket maps an observation to its bin index in w.
+// validLogDomain reports whether [logMin, logMax) is a usable log10
+// domain: both ends finite and logMax above logMin.
+func validLogDomain(logMin, logMax float64) bool {
+	return logMax > logMin && !math.IsInf(logMin, 0) && !math.IsInf(logMax, 0)
+}
+
+// SameGeometry reports whether o has h's bin count and domain, the
+// condition for Merge.
+func (h *LogHistogram) SameGeometry(o *LogHistogram) bool {
+	return o.nbins == h.nbins && o.logMin == h.logMin && o.logMax == h.logMax
+}
+
+// bucket maps an observation to its bin index in w: the bin bucketLog10
+// defines, read from the geometry's shared threshold table.
 func (h *LogHistogram) bucket(x float64) int {
+	if x <= 0 {
+		return 0
+	}
+	return h.table().bin(x)
+}
+
+// table returns the geometry's shared bin table, attaching it on first
+// use.
+func (h *LogHistogram) table() *binTable {
+	if h.tab == nil {
+		h.tab = sharedBinTable(h)
+	}
+	return h.tab
+}
+
+// bucketLog10 is the definition of the binning: x's log10 position in the
+// domain, truncated to a bin. bucket answers the same from a table; this
+// formula builds the table and is its test oracle.
+func (h *LogHistogram) bucketLog10(x float64) int {
 	if x <= 0 {
 		return 0
 	}
@@ -127,16 +171,22 @@ func (h *LogHistogram) bucket(x float64) int {
 // below zero land in the underflow bin (the MSE domain's exact-zero
 // mass).
 func (h *LogHistogram) Add(x, w float64) {
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+	if !(w >= 0 && w <= math.MaxFloat64) { // negative, NaN or +Inf
 		panic("stats: invalid histogram weight")
 	}
-	if math.IsNaN(x) {
+	if x != x { // NaN
 		panic("stats: NaN histogram observation")
 	}
 	if w == 0 {
 		return
 	}
-	h.w[h.bucket(x)] += w
+	// bucket, spelled out: this is the hot path of every paper-scale
+	// campaign, and bucket itself is too large to inline.
+	b := 0
+	if x > 0 {
+		b = h.table().bin(x)
+	}
+	h.w[b] += w
 	h.total += w
 	h.count++
 	h.sumX += w * x
@@ -163,7 +213,7 @@ func (h *LogHistogram) Merge(o Accumulator) {
 	if oh == nil || oh.count == 0 {
 		return
 	}
-	if oh.nbins != h.nbins || oh.logMin != h.logMin || oh.logMax != h.logMax {
+	if !h.SameGeometry(oh) {
 		panic(fmt.Sprintf("stats: histogram geometry mismatch: %d@[%g,%g) vs %d@[%g,%g)",
 			h.nbins, h.logMin, h.logMax, oh.nbins, oh.logMin, oh.logMax))
 	}

@@ -123,6 +123,49 @@ func DefaultCDFParams() CDFParams {
 // Cells returns the bit-cell count M of the configured memory.
 func (p CDFParams) Cells() int { return p.Rows * p.Width }
 
+// maxCDFSamples bounds a campaign's planned sample count, far above any
+// budget that finishes (Trun = 1e7 plans ~4.8M), so that no Trun can
+// overflow the plan's integer arithmetic.
+const maxCDFSamples = 1 << 40
+
+// maxCDFRows bounds Rows. Every running shard holds a sampler with one
+// 8-byte mask per row, so the row count sizes the campaign's memory; the
+// cap (8 MiB per sampler) is 256 times the paper's 16 KB array, and it
+// keeps Rows*Width far from overflowing.
+const maxCDFRows = 1 << 20
+
+// maxExactSamples bounds the planned sample count of a campaign on the
+// exact store, which keeps 16 bytes per sample and arm, reserved up front
+// in the shard stores and again in the merged one: 64 MiB per arm and
+// copy at the cap, four times the budget at which AccumAuto already
+// switches to the histogram. Larger budgets must use the histogram.
+const maxExactSamples = 1 << 22
+
+// Validate reports why p cannot drive the Fig. 5 engine. Every field it
+// checks can arrive from a client (campaign params, a sweep submission),
+// so a bad value must come back as an error rather than a panic inside a
+// long-lived server. MSECDFAllEnv calls it first; campaigns that size
+// other models from the same params call it before those, too.
+func (p CDFParams) Validate() error {
+	switch {
+	case p.Rows <= 0 || p.Rows > maxCDFRows:
+		return fmt.Errorf("yield: Rows = %d, want 1..%d", p.Rows, maxCDFRows)
+	case p.Width < 1 || p.Width > 64:
+		return fmt.Errorf("yield: Width = %d, want 1..64", p.Width)
+	case !(p.Pcell >= 0 && p.Pcell <= 1):
+		return fmt.Errorf("yield: Pcell = %g, want in [0, 1]", p.Pcell)
+	case !(p.Trun > 0) || math.IsInf(p.Trun, 1):
+		return fmt.Errorf("yield: Trun = %g, want finite and > 0", p.Trun)
+	case p.MaxFailures < 0 || p.MaxFailures > p.Cells():
+		return fmt.Errorf("yield: MaxFailures = %d, want 0..%d (the cell count)", p.MaxFailures, p.Cells())
+	case p.Shards < 0:
+		return fmt.Errorf("yield: Shards = %d, want >= 0", p.Shards)
+	case p.Bins < 0 || p.Bins > stats.MaxLogHistBins:
+		return fmt.Errorf("yield: Bins = %d, want 0..%d", p.Bins, stats.MaxLogHistBins)
+	}
+	return nil
+}
+
 // CDFResult is the outcome of one scheme's Monte-Carlo sweep.
 type CDFResult struct {
 	Scheme string
@@ -154,7 +197,8 @@ type countPlan struct {
 // n = 1..Nmax with positive prior mass, k(n) ~ Pr(N=n)*Trun samples of
 // weight Pr(N=n)/k(n). The flat global sample order (count-major) is what
 // the engine shards, so the layout is independent of workers and shards.
-func (p CDFParams) plan() (plans []countPlan, total, nmax int) {
+// A budget above maxCDFSamples is an error.
+func (p CDFParams) plan() (plans []countPlan, total, nmax int, err error) {
 	m := p.Cells()
 	nmax = p.MaxFailures
 	if nmax == 0 {
@@ -165,10 +209,13 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int) {
 	}
 	for n := 1; n <= nmax; n++ {
 		w := stats.BinomialPMF(m, p.Pcell, n)
-		if w <= 0 {
+		if !(w > 0) {
 			continue
 		}
-		k := int(w*p.Trun + 0.5)
+		k := maxCDFSamples
+		if kf := w*p.Trun + 0.5; kf < maxCDFSamples {
+			k = int(kf)
+		}
 		if k < 1 {
 			k = 1
 		}
@@ -177,8 +224,11 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int) {
 		}
 		plans = append(plans, countPlan{n: n, k: k, per: w / float64(k)})
 		total += k
+		if total > maxCDFSamples {
+			return nil, 0, 0, fmt.Errorf("yield: Trun = %g plans more than %d samples", p.Trun, maxCDFSamples)
+		}
 	}
-	return plans, total, nmax
+	return plans, total, nmax, nil
 }
 
 // cancelPollMask gates how often the per-sample hot loop polls the run's
@@ -199,7 +249,8 @@ const cancelPollMask = 1<<12 - 1
 func MSECDFAll(p CDFParams, schemes []Scheme) []CDFResult {
 	rs, err := MSECDFAllEnv(mc.Env{}, p, schemes)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
+		// The zero Env's background context never cancels, so only bad
+		// params (which MSECDFAllEnv reports as errors) land here.
 		panic(fmt.Sprintf("yield: background CDF run failed: %v", err))
 	}
 	return rs
@@ -212,21 +263,36 @@ func MSECDFAll(p CDFParams, schemes []Scheme) []CDFResult {
 // polled between shards by the engine and every few thousand samples
 // inside each shard, so even single-shard budgets return promptly. The
 // environment's OnShard callback sees each completed shard.
+//
+// Bad params, an exact-store budget above maxExactSamples, and shard
+// results from env.Exec that do not hold one accumulator of the
+// campaign's kind and geometry per scheme are reported as errors.
+//
+// Each die is scored under every scheme in one pass over its faulty rows
+// (armCosts), with every MSE bit-identical to RowSampler.MSE.
 func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error) {
-	if p.Rows <= 0 || p.Width <= 0 || p.Width > 64 || p.Trun <= 0 {
-		panic(fmt.Sprintf("yield: bad CDF params %+v", p))
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	if len(schemes) == 0 {
-		panic("yield: no schemes")
+		return nil, fmt.Errorf("yield: no schemes")
 	}
-	plans, total, nmax := p.plan()
+	plans, total, nmax, err := p.plan()
+	if err != nil {
+		return nil, err
+	}
 	spans := mc.Split(total, p.Shards)
 	cancel := env.Done()
+	costs := newArmCosts(schemes, p.Width)
 
 	// Accumulator factory: exact retention for small budgets (and as the
 	// test oracle), the fixed-bin log-histogram above the auto threshold
 	// or on request — O(bins) per shard regardless of the sample count.
 	useHist := p.Accum == AccumHist || (p.Accum == AccumAuto && total >= HistAutoSamples)
+	if !useHist && total > maxExactSamples {
+		return nil, fmt.Errorf("yield: %d planned samples exceed the exact store's cap of %d; use the histogram accumulator",
+			total, maxExactSamples)
+	}
 	newAcc := func(reserve int) stats.Accumulator {
 		if useHist {
 			return stats.NewLogHistogram(p.Bins, mseLogMin, mseLogMax)
@@ -243,11 +309,12 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 			accs[j] = newAcc(span.End - span.Start)
 		}
 		sampler := NewRowSampler(p.Rows, p.Width)
+		mse := make([]float64, len(schemes))
 		// Locate the span's first (count, sample) pair, then stream
 		// through the count-major global order. Everything below Add is
-		// allocation-free: the sampler reuses its masks and each
-		// accumulator is either pre-reserved to the span size or
-		// fixed-size bins.
+		// allocation-free: the sampler reuses its masks, the arms' MSEs
+		// land in one reused slice, and each accumulator is either
+		// pre-reserved to the span size or fixed-size bins.
 		idx, off := 0, span.Start
 		for idx < len(plans) && off >= plans[idx].k {
 			off -= plans[idx].k
@@ -268,8 +335,10 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 				idx++
 			}
 			sampler.Draw(rng, plans[idx].n)
-			for j, s := range schemes {
-				accs[j].Add(sampler.MSE(s), plans[idx].per)
+			costs.mseAll(sampler, mse)
+			per := plans[idx].per
+			for j, acc := range accs {
+				acc.Add(mse[j], per)
 			}
 			off++
 		}
@@ -278,17 +347,25 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 	if err != nil {
 		return nil, err
 	}
+	merged := make([]stats.Accumulator, len(schemes))
+	for j := range merged {
+		merged[j] = newAcc(total)
+	}
+	for i, shard := range outs {
+		if err := checkShard(i, shard, merged); err != nil {
+			return nil, err
+		}
+	}
 
 	p0 := stats.BinomialPMF(p.Cells(), p.Pcell, 0)
 	results := make([]CDFResult, len(schemes))
 	for j, s := range schemes {
-		acc := newAcc(total)
 		for _, shard := range outs {
-			acc.Merge(shard[j])
+			merged[j].Merge(shard[j])
 		}
 		results[j] = CDFResult{
 			Scheme:           s.Name(),
-			CDF:              acc,
+			CDF:              merged[j],
 			Histogram:        useHist,
 			PZeroFailures:    p0,
 			Samples:          total,
@@ -296,6 +373,32 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		}
 	}
 	return results, nil
+}
+
+// checkShard reports why shard i's accumulators cannot be merged into the
+// campaign's merged ones, one per arm: an executor (possibly on another
+// host) returned the wrong number of them, a nil, another kind, or a
+// histogram of another geometry — each of which would otherwise panic
+// inside the merge.
+func checkShard(i int, accs, merged []stats.Accumulator) error {
+	if len(accs) != len(merged) {
+		return fmt.Errorf("yield: shard %d holds %d accumulators, want %d", i, len(accs), len(merged))
+	}
+	for j, a := range accs {
+		ok := false
+		switch w := merged[j].(type) {
+		case *stats.LogHistogram:
+			h, isHist := a.(*stats.LogHistogram)
+			ok = isHist && h != nil && w.SameGeometry(h)
+		case *stats.WeightedCDF:
+			c, isCDF := a.(*stats.WeightedCDF)
+			ok = isCDF && c != nil
+		}
+		if !ok {
+			return fmt.Errorf("yield: shard %d arm %d holds a %T, want a %T of the campaign's geometry", i, j, a, merged[j])
+		}
+	}
+	return nil
 }
 
 // MSECDF runs the Fig. 5 Monte Carlo for one scheme: for every failure

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"faultmem/internal/core"
 	"faultmem/internal/stats"
 )
 
@@ -109,6 +110,63 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("%s mode: per-sample hot path allocates %.1f times", mode, avg)
+		}
+
+		// The engine's own path: all arms scored in one pass.
+		costs := newArmCosts(schemes, 32)
+		mse := make([]float64, len(schemes))
+		avg = testing.AllocsPerRun(rounds, func() {
+			sampler.Draw(rng, n)
+			costs.mseAll(sampler, mse)
+			for j, acc := range accs {
+				acc.Add(mse[j], 1e-6)
+			}
+			n = n%6 + 1
+		})
+		if avg != 0 {
+			t.Fatalf("%s mode: all-arm hot path allocates %.1f times", mode, avg)
+		}
+	}
+}
+
+func TestArmCostsMatchRowSamplerMSEBitwise(t *testing.T) {
+	// mseAll is the engine's one-pass replacement for calling
+	// RowSampler.MSE once per arm; every value must be the same bits, on
+	// dies dense enough that many rows hold several faults, at
+	// power-of-two and odd row counts and two word widths.
+	wide := append(fig5Schemes(), FullECC{}, PriorityECC{Protected: 8})
+	narrow := []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 16, NFM: 2})}
+	for _, geom := range []struct {
+		rows, width int
+		schemes     []Scheme
+	}{{4096, 32, wide}, {64, 32, wide}, {37, 32, wide}, {16, 16, narrow}} {
+		schemes := geom.schemes
+		costs := newArmCosts(schemes, geom.width)
+		sampler := NewRowSampler(geom.rows, geom.width)
+		rng := stats.NewRand(int64(geom.rows))
+		mse := make([]float64, len(schemes))
+		multi := 0
+		for die := 0; die < 2000; die++ {
+			n := 1 + rng.Intn(4) // the common sparse case
+			if die%2 == 1 {
+				n = 1 + rng.Intn(min(3*geom.rows, 256))
+			}
+			sampler.Draw(rng, n)
+			for _, r := range sampler.Rows() {
+				if m := sampler.Mask(r); m&(m-1) != 0 {
+					multi++
+				}
+			}
+			costs.mseAll(sampler, mse)
+			for j, s := range schemes {
+				if want := sampler.MSE(s); math.Float64bits(mse[j]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d die %d (%d faults) %s: all-arm MSE %v, RowSampler.MSE %v",
+						geom.rows, geom.width, die, n, s.Name(), mse[j], want)
+				}
+			}
+		}
+		if multi == 0 {
+			t.Fatalf("%dx%d: no multi-fault rows exercised", geom.rows, geom.width)
 		}
 	}
 }
@@ -298,6 +356,20 @@ func BenchmarkRowMSEPriorityECC(b *testing.B) {
 func BenchmarkMSECDFAllFig5(b *testing.B) {
 	p := DefaultCDFParams()
 	p.Trun = 2e4
+	schemes := fig5Schemes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = MSECDFAll(p, schemes)
+	}
+}
+
+// BenchmarkMSECDFAllFig5Hist is BenchmarkMSECDFAllFig5 on the
+// log-histogram accumulator, the path paper-scale budgets take (the
+// exact store is what Trun = 2e4 selects by default).
+func BenchmarkMSECDFAllFig5Hist(b *testing.B) {
+	p := DefaultCDFParams()
+	p.Trun = 2e4
+	p.Accum = AccumHist
 	schemes := fig5Schemes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package yield
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"math/rand"
 
 	"faultmem/internal/fault"
@@ -88,6 +89,58 @@ func (s *RowSampler) MSE(sch Scheme) float64 {
 		sum += sch.RowMSE(s.masks[r])
 	}
 	return sum / float64(s.rows)
+}
+
+// armCosts scores a die under several schemes in one pass over its faulty
+// rows. At memory-scale Pcell nearly every faulty row holds one fault
+// (99.99% at Fig. 5's paper budget), so the costs of all single-fault
+// rows are tabulated once per campaign from Scheme.RowMSE and such a row
+// costs one table read per scheme; only multi-fault rows call RowMSE.
+// The table is immutable and shared by every shard of the campaign.
+type armCosts struct {
+	schemes []Scheme
+	// single[c*len(schemes)+j] is schemes[j].RowMSE(1 << c).
+	single []float64
+}
+
+func newArmCosts(schemes []Scheme, width int) *armCosts {
+	n := len(schemes)
+	a := &armCosts{schemes: schemes, single: make([]float64, width*n)}
+	for c := 0; c < width; c++ {
+		for j, sch := range schemes {
+			a.single[c*n+j] = sch.RowMSE(uint64(1) << uint(c))
+		}
+	}
+	return a
+}
+
+// mseAll sets mse[j] to s.MSE(schemes[j]) for the current sample, bit for
+// bit: each arm sums its row costs in the same first-touch row order from
+// zero and divides once by the row count, and RowMSE is a pure function
+// of the mask, so a tabulated cost equals a computed one.
+func (a *armCosts) mseAll(s *RowSampler, mse []float64) {
+	n := len(a.schemes)
+	mse = mse[:n]
+	for j := range mse {
+		mse[j] = 0
+	}
+	for _, r := range s.touched {
+		m := s.masks[r]
+		if m&(m-1) == 0 {
+			c := mbits.TrailingZeros64(m) * n
+			for j, v := range a.single[c : c+n] {
+				mse[j] += v
+			}
+			continue
+		}
+		for j, sch := range a.schemes {
+			mse[j] += sch.RowMSE(m)
+		}
+	}
+	rows := float64(s.rows)
+	for j := range mse {
+		mse[j] /= rows
+	}
 }
 
 // Faults exports the current sample as a fault.Map with the given kind,

@@ -31,6 +31,10 @@ type Scheme interface {
 	// set = column c faulty; Width <= 64 so a row fits one word). It is
 	// the allocation-free equivalent of summing (2^b)^2 over
 	// Residual(cols) and is the Monte-Carlo engine's per-row hot path.
+	//
+	// RowMSE must be a pure function of mask (same mask, same bits, no
+	// state): the engine tabulates it once per campaign for every
+	// single-fault mask and reads the table instead of calling it.
 	RowMSE(mask uint64) float64
 }
 

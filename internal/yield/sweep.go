@@ -39,7 +39,8 @@ func MSECDFSweepMap[T any](base CDFParams, pcells []float64, schemes []Scheme,
 	reduce func(point int, rs []CDFResult) T) []T {
 	out, err := MSECDFSweepMapEnv(mc.Env{}, base, pcells, schemes, reduce)
 	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
+		// The zero Env's background context never cancels, so only bad
+		// params land here.
 		panic(fmt.Sprintf("yield: background sweep failed: %v", err))
 	}
 	return out
