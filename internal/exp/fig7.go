@@ -307,7 +307,14 @@ func (e fig7Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	// later caller mutation corrupt the returned Result.Params.
 	ps = append([]Fig7Params(nil), ps...)
 	res := &Result{Experiment: e.Name()}
+	seen := map[App]bool{}
 	for i := range ps {
+		// Each app is a stage named after it, and stage tags must be
+		// unique within a campaign.
+		if seen[ps[i].App] {
+			return nil, fmt.Errorf("exp: fig7 params: duplicate app %q", strings.ToLower(ps[i].App.String()))
+		}
+		seen[ps[i].App] = true
 		ps[i].Seed = r.seedOr(ps[i].Seed)
 		ps[i].Workers = r.workersOr(ps[i].Workers)
 		if r.quick() && ps[i].Trials > QuickFig7Trials {
@@ -317,6 +324,9 @@ func (e fig7Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	res.Params = ps
 	for i, p := range ps {
 		stage := strings.ToLower(p.App.String())
+		if r.skips(e.Name(), stage) {
+			continue
+		}
 		out, err := Fig7Env(r.env(ctx, e.Name(), stage), p)
 		if err != nil {
 			return nil, err

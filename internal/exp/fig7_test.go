@@ -1,12 +1,15 @@
 package exp
 
 import (
+	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"faultmem/internal/fault"
+	"faultmem/internal/mc"
 	"faultmem/internal/memstore"
 	"faultmem/internal/stats"
 	"faultmem/internal/workload"
@@ -99,6 +102,24 @@ func TestCDFAtEmptyArm(t *testing.T) {
 		}
 	}()
 	arm.QualityAtYield(0.5)
+}
+
+// TestFig7RejectsDuplicateApp: fig7 names each stage after its app, so
+// a repeated app would open two engine runs under one tag, and a sweep
+// worker replaying the second would capture the first's shards. The
+// campaign refuses it, naming the app, before any engine run opens.
+func TestFig7RejectsDuplicateApp(t *testing.T) {
+	r := &Runner{
+		Params: json.RawMessage(`[{"App":2,"Rows":4096,"Pcell":0.001,"Trials":8},{"App":2,"Rows":4096,"Pcell":0.0001,"Trials":8}]`),
+		Exec: func(sj mc.ShardJob) (any, error) {
+			t.Errorf("engine run %q opened", sj.Tag)
+			return sj.Run(), nil
+		},
+	}
+	_, err := Run(context.Background(), "fig7", r)
+	if err == nil || !strings.Contains(err.Error(), `duplicate app "knn"`) {
+		t.Fatalf("repeated app: err = %v, want a duplicate app \"knn\" error", err)
+	}
 }
 
 // TestFig7TrialWarmAllocs pins the workspace payoff end to end: a warm

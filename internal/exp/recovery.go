@@ -324,6 +324,9 @@ func (e recoveryExperiment) Run(ctx context.Context, r *Runner) (*Result, error)
 	res := &Result{Experiment: e.Name(), Params: p}
 	for i, k := range kinds {
 		stage := k.String()
+		if r.skips(e.Name(), stage) {
+			continue
+		}
 		run, err := p.runPolicy(r.env(ctx, e.Name(), stage), inst, out.Workload, k)
 		if err != nil {
 			return nil, err

@@ -128,6 +128,30 @@ func Run(ctx context.Context, name string, r *Runner) (*Result, error) {
 	return e.Run(ctx, r)
 }
 
+// RunStage runs only the engine run that tag names ("experiment" or
+// "experiment/stage", the mc.Env.Tag the runner's Exec sees) inside the
+// named experiment's campaign: the replay a sweep worker makes to
+// compute one shard. Multi-stage experiments skip every other stage
+// (see Runner.skips); single-stage ones run as usual. The campaign's
+// Result would be partial, so it is discarded: the run is observed
+// through r.Exec alone.
+func RunStage(ctx context.Context, name string, r *Runner, tag string) error {
+	e, ok := Lookup(name)
+	if !ok {
+		return &ErrUnknownExperiment{Name: name}
+	}
+	if tag != name && !strings.HasPrefix(tag, name+"/") {
+		return fmt.Errorf("exp: tag %q names no engine run of %s", tag, name)
+	}
+	rs := &Runner{}
+	if r != nil {
+		*rs = *r
+	}
+	rs.stage = tag
+	_, err := e.Run(ctx, rs)
+	return err
+}
+
 // ExperimentError is one campaign's failure inside a RunAll sequence.
 type ExperimentError struct {
 	Name string

@@ -59,6 +59,10 @@ type Runner struct {
 	// one requested shard of a replayed campaign. Leave nil for ordinary
 	// local runs.
 	Exec mc.ExecFunc
+
+	// stage, when non-empty, is the tag of the one engine run a
+	// stage-only run (RunStage) computes; see skips.
+	stage string
 }
 
 // workersOr returns the runner's worker count, falling back to the
@@ -100,16 +104,35 @@ func (r *Runner) binsOr(def int) int {
 // quick reports whether the reduced smoke budgets are selected.
 func (r *Runner) quick() bool { return r != nil && r.Quick }
 
+// stageTag names one engine run of a campaign: "experiment" for a
+// single-stage experiment, "experiment/stage" otherwise.
+func stageTag(experiment, stage string) string {
+	if stage == "" {
+		return experiment
+	}
+	return experiment + "/" + stage
+}
+
+// skips reports whether a stage-only run (RunStage) leaves the named
+// stage out. Multi-stage experiments call it at the top of their stage
+// loop and skip the stage, preparation included, when it answers true.
+// That is sound because each stage is its own engine run over its own
+// params and seed and no stage reads another stage's results: skipping
+// stages 0..k-1 cannot change a bit of stage k. An experiment that
+// breaks this contract must not call skips; a sweep worker then sees
+// the other stages' engine runs and fails the job, and the coordinator
+// computes that tag locally.
+func (r *Runner) skips(experiment, stage string) bool {
+	return r != nil && r.stage != "" && r.stage != stageTag(experiment, stage)
+}
+
 // env builds the engine environment for one stage of the named
 // experiment: the caller's context, a shard-completion bridge into the
 // runner's progress sink, and — for remote execution — the runner's shard
 // executor under a tag that names this engine run uniquely within the
-// campaign ("experiment" or "experiment/stage").
+// campaign (stageTag).
 func (r *Runner) env(ctx context.Context, experiment, stage string) mc.Env {
-	e := mc.Env{Ctx: ctx, Tag: experiment}
-	if stage != "" {
-		e.Tag = experiment + "/" + stage
-	}
+	e := mc.Env{Ctx: ctx, Tag: stageTag(experiment, stage)}
 	if r != nil {
 		e.Exec = r.Exec
 	}

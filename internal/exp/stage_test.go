@@ -1,0 +1,127 @@
+package exp
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"faultmem/internal/mc"
+)
+
+// shardLog is a recording Exec: it computes every shard locally and
+// keeps each shard's wire encoding under its engine-run tag. A shard
+// type gob cannot encode (ablate-transient's) never travels — a worker
+// refuses its jobs and the coordinator computes them locally — so such
+// a shard is kept as its Go syntax instead, which prints every float
+// exactly.
+type shardLog struct {
+	sem chan struct{}
+
+	mu   sync.Mutex
+	runs map[string][][]byte // tag -> encoding per shard
+	dups []string            // "tag#shard" seen twice: a second run under one tag
+}
+
+func newShardLog() *shardLog {
+	return &shardLog{sem: make(chan struct{}, runtime.GOMAXPROCS(0)), runs: map[string][][]byte{}}
+}
+
+func (l *shardLog) exec(sj mc.ShardJob) (any, error) {
+	l.sem <- struct{}{}
+	v := sj.Run()
+	<-l.sem
+	b, err := sj.Encode(v)
+	if err != nil {
+		b = fmt.Appendf(nil, "%#v", v)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	shards, ok := l.runs[sj.Tag]
+	if !ok {
+		shards = make([][]byte, sj.Shards)
+		l.runs[sj.Tag] = shards
+	}
+	if len(shards) != sj.Shards || shards[sj.Shard] != nil {
+		l.dups = append(l.dups, fmt.Sprintf("%s#%d", sj.Tag, sj.Shard))
+		return v, nil
+	}
+	shards[sj.Shard] = b
+	return v, nil
+}
+
+func (l *shardLog) tags() []string {
+	tags := make([]string, 0, len(l.runs))
+	for tag := range l.runs {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	return tags
+}
+
+// TestStageOnlyRunsMatchFullRuns pins the stage contract sweep workers
+// rely on, for every registered experiment at its smoke budget: a full
+// run opens each engine-run tag once, a stage-only run (RunStage) of a
+// tag opens that tag alone, and every shard of it encodes to the same
+// bytes as the full run's shard.
+func TestStageOnlyRunsMatchFullRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment once per engine run")
+	}
+	overrides := smokeParams()
+	for _, name := range Experiments() {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			full := newShardLog()
+			r := &Runner{Quick: true, Params: overrides[name], Exec: full.exec}
+			if _, err := Run(ctx, name, r); err != nil {
+				t.Fatalf("full run: %v", err)
+			}
+			if len(full.dups) > 0 {
+				t.Fatalf("full run opened a tag twice: %v", full.dups)
+			}
+			for _, tag := range full.tags() {
+				if tag != name && !strings.HasPrefix(tag, name+"/") {
+					t.Errorf("tag %q does not name %s", tag, name)
+				}
+				staged := newShardLog()
+				r.Exec = staged.exec
+				if err := RunStage(ctx, name, r, tag); err != nil {
+					t.Fatalf("stage-only run of %q: %v", tag, err)
+				}
+				if got := staged.tags(); len(got) != 1 || got[0] != tag || len(staged.dups) > 0 {
+					t.Fatalf("stage-only run of %q opened %v (repeats %v)", tag, got, staged.dups)
+				}
+				want, got := full.runs[tag], staged.runs[tag]
+				if len(got) != len(want) {
+					t.Fatalf("%q: stage-only run has %d shards, full run %d", tag, len(got), len(want))
+				}
+				for s := range want {
+					if !bytes.Equal(got[s], want[s]) {
+						t.Errorf("%q shard %d: stage-only encoding differs from the full run's", tag, s)
+					}
+				}
+			}
+			t.Logf("%s: %d engine runs %v", name, len(full.runs), full.tags())
+		})
+	}
+}
+
+// TestRunStageRejectsForeignTag: a tag must name an engine run of the
+// experiment it is replayed under.
+func TestRunStageRejectsForeignTag(t *testing.T) {
+	for _, tag := range []string{"", "workloads/rsort", "fig7x/knn"} {
+		if err := RunStage(context.Background(), "fig7", nil, tag); err == nil {
+			t.Errorf("RunStage(fig7, %q) accepted a foreign tag", tag)
+		}
+	}
+	var unknown *ErrUnknownExperiment
+	if err := RunStage(context.Background(), "bogus", nil, "bogus"); !errors.As(err, &unknown) {
+		t.Errorf("RunStage(bogus) = %v, want ErrUnknownExperiment", err)
+	}
+}

@@ -235,6 +235,9 @@ func (e workloadsExperiment) Run(ctx context.Context, r *Runner) (*Result, error
 	out := WorkloadsResult{Params: p}
 	for i, id := range ids {
 		stage := strings.ToLower(id.String())
+		if r.skips(e.Name(), stage) {
+			continue
+		}
 		run, err := p.runOne(r.env(ctx, e.Name(), stage), id)
 		if err != nil {
 			return nil, err

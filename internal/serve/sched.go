@@ -33,10 +33,10 @@ type limiter struct {
 // schedEntry is one campaign's standing in the gate. All fields are
 // guarded by the scheduler's mu after admit.
 type schedEntry struct {
-	weight int     // priority weight, >= 1
-	seq    uint64  // admission order, the pass tie-break
-	stride uint64  // strideScale / weight
-	pass   uint64  // virtual time consumed
+	weight int    // priority weight, >= 1
+	seq    uint64 // admission order, the pass tie-break
+	stride uint64 // strideScale / weight
+	pass   uint64 // virtual time consumed
 	lim    *limiter
 }
 

@@ -76,7 +76,7 @@ func testConfig(t *testing.T) serve.Config {
 	}
 }
 
-func startServer(t *testing.T, cfg serve.Config) *serve.Server {
+func startServer(t testing.TB, cfg serve.Config) *serve.Server {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -87,7 +87,7 @@ func startServer(t *testing.T, cfg serve.Config) *serve.Server {
 	return srv
 }
 
-func dial(t *testing.T, srv *serve.Server, opts serve.Options) *serve.Client {
+func dial(t testing.TB, srv *serve.Server, opts serve.Options) *serve.Client {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -116,7 +116,7 @@ func goldenJSON(t *testing.T, name string) []byte {
 	return j
 }
 
-func submitAndWait(t *testing.T, c *serve.Client, spec serve.Campaign) *serve.FinalResult {
+func submitAndWait(t testing.TB, c *serve.Client, spec serve.Campaign) *serve.FinalResult {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -154,19 +154,7 @@ func TestServeConcurrentCampaignsWithWorker(t *testing.T) {
 	cfg := testConfig(t)
 	srv := startServer(t, cfg)
 
-	wctx, wcancel := context.WithCancel(context.Background())
-	wdone := make(chan struct{})
-	go func() {
-		defer close(wdone)
-		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
-			Heartbeat:    50 * time.Millisecond,
-			ReconnectMin: 10 * time.Millisecond,
-			ReconnectMax: 50 * time.Millisecond,
-			Logf:         t.Logf,
-		})
-	}()
-	t.Cleanup(func() { wcancel(); <-wdone })
-	waitWorkers(t, srv, 1)
+	startWorker(t, srv)
 
 	c := dial(t, srv, serve.Options{})
 	var wg sync.WaitGroup
@@ -193,7 +181,27 @@ func TestServeConcurrentCampaignsWithWorker(t *testing.T) {
 	}
 }
 
-func waitWorkers(t *testing.T, srv *serve.Server, n int) {
+// startWorker attaches one sweep worker with test-scale clocks to the
+// server's pool until test cleanup, and waits for it to join.
+func startWorker(t testing.TB, srv *serve.Server) {
+	t.Helper()
+	want := srv.Workers() + 1
+	wctx, wcancel := context.WithCancel(context.Background())
+	wdone := make(chan struct{})
+	go func() {
+		defer close(wdone)
+		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
+			Heartbeat:    50 * time.Millisecond,
+			ReconnectMin: 10 * time.Millisecond,
+			ReconnectMax: 50 * time.Millisecond,
+			Logf:         t.Logf,
+		})
+	}()
+	t.Cleanup(func() { wcancel(); <-wdone })
+	waitWorkers(t, srv, want)
+}
+
+func waitWorkers(t testing.TB, srv *serve.Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.Workers() < n {
@@ -557,19 +565,7 @@ func TestServeWorkerJoinsMidRun(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	wctx, wcancel := context.WithCancel(context.Background())
-	wdone := make(chan struct{})
-	go func() {
-		defer close(wdone)
-		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
-			Heartbeat:    50 * time.Millisecond,
-			ReconnectMin: 10 * time.Millisecond,
-			ReconnectMax: 50 * time.Millisecond,
-			Logf:         t.Logf,
-		})
-	}()
-	t.Cleanup(func() { wcancel(); <-wdone })
-	waitWorkers(t, srv, 1)
+	startWorker(t, srv)
 
 	f, err := c.Wait(ctx, id)
 	if err != nil {
@@ -626,5 +622,52 @@ func TestServeBadFig5ParamsFailOnlyTheirJob(t *testing.T) {
 	// The server still takes work.
 	if f := submitAndWait(t, c, serve.Campaign{Experiment: "fig2", Quick: true, Seed: &seed}); f.Err != "" {
 		t.Fatalf("campaign after the bad ones failed: %s", f.Err)
+	}
+}
+
+// TestServeDuplicateFig7AppFailsOnlyItsJob: a fig7 campaign naming one
+// app twice would open two engine runs under one tag, and a worker
+// replaying the second would hand back the first's shards. It ends its
+// own job with an error final naming the app, while a multi-stage
+// campaign alongside is computed entirely by a worker replaying one
+// stage per job, and returns the bytes of a local run.
+func TestServeDuplicateFig7AppFailsOnlyItsJob(t *testing.T) {
+	srv := startServer(t, testConfig(t))
+	startWorker(t, srv)
+	c := dial(t, srv, serve.Options{})
+	seed := int64(7)
+	specs := []serve.Campaign{
+		{Experiment: "recovery", Quick: true, Seed: &seed},
+		{Experiment: "fig7", Params: []byte(`[{"App":2,"Rows":4096,"Pcell":0.001,"Trials":8},{"App":2,"Rows":4096,"Pcell":0.0001,"Trials":8}]`)},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	ids := make([]uint64, len(specs))
+	for i, spec := range specs {
+		id, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatalf("submit %s: %v", spec.Experiment, err)
+		}
+		ids[i] = id
+	}
+	finals := make([]*serve.FinalResult, len(specs))
+	for i, id := range ids {
+		f, err := c.Wait(ctx, id)
+		if err != nil {
+			t.Fatalf("wait %s: %v", specs[i].Experiment, err)
+		}
+		finals[i] = f
+	}
+	if finals[0].Err != "" {
+		t.Fatalf("good campaign failed: %s", finals[0].Err)
+	}
+	if want := goldenJSON(t, "recovery"); !bytes.Equal(finals[0].Result, want) {
+		t.Errorf("served recovery differs from local run")
+	}
+	if !strings.Contains(finals[1].Err, `duplicate app "knn"`) {
+		t.Errorf("repeated fig7 app: final error %q, want a duplicate app \"knn\" error", finals[1].Err)
+	}
+	if st := srv.PoolStats(); st.RemoteShards == 0 || st.JobErrors != 0 || st.LocalShards != 0 {
+		t.Errorf("recovery stages must all be computed by the worker: %+v", st)
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"faultmem/internal/exp"
+	"faultmem/internal/mc"
 	"faultmem/internal/sweep"
 	"faultmem/internal/sweep/chaostest"
 )
@@ -583,6 +585,59 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 	}
 	if st.RemoteShards != 0 {
 		t.Fatalf("a worker that failed every job cannot have produced results: %+v", st)
+	}
+}
+
+// twoStageExp is a registry experiment with two engine runs that does
+// not skip the other stage in a stage-only replay — what any experiment
+// outside the registry's own looks like. Its stage b therefore cannot be
+// replayed alone.
+type twoStageExp struct{}
+
+func (twoStageExp) Name() string       { return "twostage" }
+func (twoStageExp) DefaultParams() any { return &struct{}{} }
+
+func (twoStageExp) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) {
+	t := &exp.Table{Title: "twostage", Header: []string{"stage", "sum"}}
+	for i, stage := range []string{"a", "b"} {
+		env := mc.Env{Ctx: ctx, Tag: "twostage/" + stage}
+		if r != nil {
+			env.Exec = r.Exec
+		}
+		out, err := mc.RunEnv(env, 0, 4, int64(i), func(shard int, rng *rand.Rand) int64 { return rng.Int63n(1000) })
+		if err != nil {
+			return nil, err
+		}
+		var sum int64
+		for _, v := range out {
+			sum += v
+		}
+		t.AddRow(stage, fmt.Sprint(sum))
+	}
+	return &exp.Result{Experiment: "twostage", Tables: []*exp.Table{t}}, nil
+}
+
+func init() { exp.Register(twoStageExp{}) }
+
+// TestNonSkippingStageFallsBackToLocal: a worker's replay of stage b of
+// twostage opens stage a first, which a stage-only replay refuses as a
+// JobError, and the coordinator computes that stage locally. Stage a
+// still travels, and the result matches the single-host run.
+func TestNonSkippingStageFallsBackToLocal(t *testing.T) {
+	c := startCoordinator(t)
+	for i := 0; i < 2; i++ {
+		startWorker(t, c.Addr().String())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.AwaitWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := distributedJSON(t, c, "twostage"), goldenJSON(t, "twostage"); !bytes.Equal(got, want) {
+		t.Fatalf("distributed twostage diverged from the single-host run:\n%s\n%s", got, want)
+	}
+	if st := c.Stats(); st.JobErrors == 0 || st.RemoteShards != 4 || st.LocalShards != 4 {
+		t.Fatalf("want stage a remote (4 shards) and stage b local (4 shards) after a JobError: %+v", st)
 	}
 }
 

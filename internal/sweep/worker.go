@@ -425,13 +425,14 @@ func (w *worker) computeJob(ctx context.Context, jm *Job) Message {
 }
 
 // replayShard is the capture half of the distribution model: re-run the
-// campaign the job describes — same experiment, seed, budget tier, and
-// parameter overrides, so every engine plan matches the coordinator's —
-// with an executor that skips every shard except the requested one,
-// computes that one, captures its encoding, and aborts the rest of the
-// replay. Engine runs of the campaign other than the job's (earlier
-// stages of a multi-stage experiment) run in full, because later stages
-// may depend on their results; runs after the capture are cancelled away.
+// engine run the job's Tag names — same experiment, seed, budget tier,
+// and parameter overrides, so the engine plan matches the coordinator's
+// — as a stage-only run (exp.RunStage), which skips every other stage of
+// a multi-stage experiment. Its executor skips every shard except the
+// requested one, computes that one, captures its encoding, and aborts
+// the rest of the replay. An engine run under any other tag means the
+// experiment does not skip its other stages; that fails the job, and
+// the coordinator's JobError handling computes the tag locally.
 func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
 	r := &exp.Runner{
 		Workers: jm.Workers,
@@ -451,32 +452,25 @@ func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
 	var mu sync.Mutex
 	var captured []byte
 	var capErr error
+	fail := func(err error) (any, error) {
+		mu.Lock()
+		if capErr == nil {
+			capErr = err
+		}
+		mu.Unlock()
+		cancel()
+		return nil, err
+	}
 	r.Exec = func(sj mc.ShardJob) (any, error) {
 		if sj.Tag != jm.Tag {
-			// A different engine run of the same campaign — typically an
-			// earlier stage whose results feed the one we were asked for.
-			// Compute it fully (gated by the worker's parallelism cap).
-			select {
-			case w.sem <- struct{}{}:
-			case <-sj.Ctx.Done():
-				return nil, sj.Ctx.Err()
-			}
-			defer func() { <-w.sem }()
-			return sj.Run(), nil
+			return fail(fmt.Errorf("sweep worker: replay of %q opened engine run %q", jm.Tag, sj.Tag))
 		}
 		if sj.Shards != jm.Shards {
 			// The local plan disagrees with the coordinator's: shard
 			// indices would mean different slices of work. Refuse rather
 			// than return a shard of the wrong partition.
-			err := fmt.Errorf("sweep worker: plan mismatch for %q: job wants shard %d of %d, local plan has %d shards",
-				jm.Tag, jm.Shard, jm.Shards, sj.Shards)
-			mu.Lock()
-			if capErr == nil {
-				capErr = err
-			}
-			mu.Unlock()
-			cancel()
-			return nil, err
+			return fail(fmt.Errorf("sweep worker: plan mismatch for %q: job wants shard %d of %d, local plan has %d shards",
+				jm.Tag, jm.Shard, jm.Shards, sj.Shards))
 		}
 		if sj.Shard != jm.Shard {
 			return nil, mc.ErrShardSkipped
@@ -491,22 +485,18 @@ func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
 			return sj.Run()
 		}()
 		b, err := sj.Encode(v)
-		mu.Lock()
 		if err != nil {
-			if capErr == nil {
-				capErr = err
-			}
-		} else {
-			captured = b
+			return fail(err)
 		}
+		mu.Lock()
+		captured = b
 		mu.Unlock()
-		// The requested shard is in hand (or provably unshippable):
-		// abort the rest of the replay instead of computing shards nobody
-		// asked for.
+		// The requested shard is in hand: abort the rest of the replay
+		// instead of computing shards nobody asked for.
 		cancel()
-		return v, err
+		return v, nil
 	}
-	_, runErr := exp.Run(runCtx, jm.Experiment, r)
+	runErr := exp.RunStage(runCtx, jm.Experiment, r, jm.Tag)
 	mu.Lock()
 	defer mu.Unlock()
 	if capErr != nil {
