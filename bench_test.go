@@ -10,11 +10,15 @@
 package faultmem_test
 
 import (
+	"context"
 	"io"
+	"strconv"
 	"testing"
 
 	"faultmem"
 	"faultmem/internal/exp"
+	"faultmem/internal/mc"
+	"faultmem/internal/workload"
 	"faultmem/internal/yield"
 )
 
@@ -25,7 +29,10 @@ func BenchmarkFig2CellFailure(b *testing.B) {
 	p.ISDirections = 8000
 	var rows []exp.Fig2Row
 	for i := 0; i < b.N; i++ {
-		rows = exp.Fig2(p)
+		var err error
+		if rows, err = exp.Fig2Ctx(context.Background(), p); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(rows[len(rows)-1].PcellAnalytic, "Pcell@0.60V")
 	b.ReportMetric(rows[0].PcellAnalytic, "Pcell@1.00V")
@@ -59,7 +66,10 @@ func BenchmarkFig5MSECDF(b *testing.B) {
 	p.CDF.Trun = 2e4 // bench-scale budget; faultmem fig5 defaults to DefaultCDFParams().Trun = 2e5
 	var res exp.Fig5Result
 	for i := 0; i < b.N; i++ {
-		res = exp.Fig5(p)
+		var err error
+		if res, err = exp.Fig5Env(mc.Env{}, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 	var none, s1 yield.CDFResult
 	for i, a := range res.Arms {
@@ -87,37 +97,46 @@ func BenchmarkFig6Overhead(b *testing.B) {
 	b.ReportMetric(res.Relative[0].Area, "nfm1-rel-area")
 }
 
-// benchFig7 runs one Fig. 7 benchmark at bench-scale trial counts and
-// reports the mean normalized quality of the unprotected and nFM=2 arms.
-func benchFig7(b *testing.B, app exp.App) {
+// benchFig7 runs one Fig. 7 benchmark through the experiment registry
+// at bench-scale trial counts and reports the mean normalized quality
+// of the unprotected and nFM=2 arms, read off the summary table.
+func benchFig7(b *testing.B, app workload.ID) {
 	p := exp.DefaultFig7Params(app)
 	p.Trials = 4 // bench-scale; cmd/faultmem fig7 uses 60+
-	var res exp.Fig7Result
+	r := &exp.Runner{Params: []exp.Fig7Params{p}}
+	var res *exp.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.Fig7(p)
-		if err != nil {
+		if res, err = exp.Run(context.Background(), "fig7", r); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, arm := range res.Arms {
-		switch arm.Scheme {
-		case exp.ProtNone:
-			b.ReportMetric(arm.Mean(), "quality-none")
-		case exp.ProtShuffle2:
-			b.ReportMetric(arm.Mean(), "quality-nfm2")
+	for _, row := range res.Tables[1].Rows { // scheme, mean quality, ...
+		var unit string
+		switch row[0] {
+		case exp.ProtNone.String():
+			unit = "quality-none"
+		case exp.ProtShuffle2.String():
+			unit = "quality-nfm2"
+		default:
+			continue
 		}
+		mean, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(mean, unit)
 	}
 }
 
 // BenchmarkFig7Elasticnet regenerates Fig. 7a (wine regression, R²).
-func BenchmarkFig7Elasticnet(b *testing.B) { benchFig7(b, exp.AppElasticnet) }
+func BenchmarkFig7Elasticnet(b *testing.B) { benchFig7(b, workload.ElasticNet) }
 
 // BenchmarkFig7PCA regenerates Fig. 7b (Madelon, explained variance).
-func BenchmarkFig7PCA(b *testing.B) { benchFig7(b, exp.AppPCA) }
+func BenchmarkFig7PCA(b *testing.B) { benchFig7(b, workload.PCA) }
 
 // BenchmarkFig7KNN regenerates Fig. 7c (activity recognition, score).
-func BenchmarkFig7KNN(b *testing.B) { benchFig7(b, exp.AppKNN) }
+func BenchmarkFig7KNN(b *testing.B) { benchFig7(b, workload.KNN) }
 
 // BenchmarkTable1Applications regenerates the Table 1 summary, training
 // all three benchmarks on clean data.

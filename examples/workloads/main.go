@@ -3,7 +3,8 @@
 // two non-ML members (resilient sort and selective-reliability CG) at a
 // small Monte-Carlo budget, and read the resulting CDF and summary
 // tables. The same campaign covers the paper's three ML applications
-// (elastic net, PCA, KNN) — drop the Workloads override to run all five.
+// (elastic net, PCA, KNN) and the restarted CG solve — drop the
+// Workloads override to run all six.
 //
 //	go run ./examples/workloads
 package main

@@ -1,11 +1,13 @@
 package faultmem_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"faultmem"
 	"faultmem/internal/exp"
+	"faultmem/internal/mc"
 )
 
 // TestIntegrationFullPipeline exercises the complete system the way the
@@ -124,8 +126,13 @@ func TestIntegrationRedundancyVsShuffling(t *testing.T) {
 // seeds must regenerate identical exhibit rows across processes (the
 // reproducibility contract of EXPERIMENTS.md).
 func TestIntegrationExpDeterminism(t *testing.T) {
-	a := exp.Fig2(exp.Fig2Params{VMin: 0.7, VMax: 0.8, Step: 0.05, ISDirections: 500, MemoryBytes: 16384, Seed: 4})
-	b := exp.Fig2(exp.Fig2Params{VMin: 0.7, VMax: 0.8, Step: 0.05, ISDirections: 500, MemoryBytes: 16384, Seed: 4})
+	ctx := context.Background()
+	fig2 := exp.Fig2Params{VMin: 0.7, VMax: 0.8, Step: 0.05, ISDirections: 500, MemoryBytes: 16384, Seed: 4}
+	a, errA := exp.Fig2Ctx(ctx, fig2)
+	b, errB := exp.Fig2Ctx(ctx, fig2)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Fig2 row %d differs across runs", i)
@@ -133,8 +140,11 @@ func TestIntegrationExpDeterminism(t *testing.T) {
 	}
 	p := exp.DefaultFig5Params()
 	p.CDF.Trun = 2e3
-	x := exp.Fig5(p)
-	y := exp.Fig5(p)
+	x, errX := exp.Fig5Env(mc.Env{}, p)
+	y, errY := exp.Fig5Env(mc.Env{}, p)
+	if errX != nil || errY != nil {
+		t.Fatal(errX, errY)
+	}
 	for i := range x.CDFs {
 		if math.Abs(x.CDFs[i].MSEAtYield(0.9)-y.CDFs[i].MSEAtYield(0.9)) != 0 {
 			t.Fatalf("Fig5 arm %d differs across runs", i)

@@ -43,26 +43,15 @@ type MultiFaultParams struct {
 // DefaultMultiFaultParams matches the CLI's historical defaults.
 func DefaultMultiFaultParams() MultiFaultParams { return MultiFaultParams{Seed: 5, Trials: 5000} }
 
-// AblationMultiFault runs the policy comparison: for each nFM and
+// AblationMultiFaultEnv runs the policy comparison: for each nFM and
 // faults-per-row count, Monte-Carlo rows with k distinct faulty columns
 // are scored under both policies. Every (nFM, k) point is one shard of
 // the mc engine — its own deterministic RNG stream, evaluated in
-// parallel, assembled in sweep order.
-func AblationMultiFault(seed int64, trials int) []AblationMultiFaultRow {
-	rows, err := AblationMultiFaultEnv(mc.Env{}, MultiFaultParams{Seed: seed, Trials: trials})
-	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
-		panic(err)
-	}
-	return rows
-}
-
-// AblationMultiFaultEnv is AblationMultiFault under an execution
-// environment: identical rows when the context stays live, ctx.Err()
-// when cancelled mid-study.
+// parallel, assembled in sweep order — so the rows are identical while
+// the context stays live, ctx.Err() when cancelled mid-study.
 func AblationMultiFaultEnv(env mc.Env, p MultiFaultParams) ([]AblationMultiFaultRow, error) {
 	if p.Trials < 1 {
-		panic("exp: non-positive trial count")
+		return nil, fmt.Errorf("exp: ablate-multifault params: Trials = %d, want >= 1", p.Trials)
 	}
 	trials := p.Trials
 	type combo struct{ nfm, k int }
@@ -158,19 +147,6 @@ type AblationTransientRow struct {
 	MeanMSE       float64
 }
 
-// AblationTransient runs the functional soft-error study: memories carry
-// a persistent fault map at pcell plus per-read transient flips at each
-// rate; all-zero data is written and re-read, and the observed flip
-// pattern is scored like Eq. (6). Bit-shuffling mitigates only the
-// persistent part (the FM-LUT cannot know where a soft error will
-// strike), while SECDED corrects any single error per word regardless of
-// origin — the boundary of the paper's approach.
-func AblationTransient(seed int64, rows int, pcell float64, rates []float64, readsPerCell int) ([]AblationTransientRow, error) {
-	return AblationTransientEnv(mc.Env{}, TransientParams{
-		Seed: seed, Rows: rows, Pcell: pcell, Rates: rates, Reads: readsPerCell,
-	})
-}
-
 // TransientParams configures the soft-error boundary study.
 type TransientParams struct {
 	// Seed drives the persistent fault map and the per-point streams.
@@ -190,13 +166,18 @@ func DefaultTransientParams() TransientParams {
 	return TransientParams{Seed: 5, Rows: 1024, Pcell: 1e-4, Rates: []float64{0, 1e-5, 1e-4}, Reads: 8}
 }
 
-// AblationTransientEnv is AblationTransient under an execution
-// environment: identical rows when the context stays live, ctx.Err()
-// when cancelled mid-study.
+// AblationTransientEnv runs the functional soft-error study: memories
+// carry a persistent fault map at Pcell plus per-read transient flips at
+// each rate; all-zero data is written and re-read, and the observed flip
+// pattern is scored like Eq. (6). Bit-shuffling mitigates only the
+// persistent part (the FM-LUT cannot know where a soft error will
+// strike), while SECDED corrects any single error per word regardless of
+// origin — the boundary of the paper's approach. The rows are identical
+// while the context stays live, ctx.Err() when cancelled mid-study.
 func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow, error) {
 	seed, rows, pcell, rates, readsPerCell := p.Seed, p.Rows, p.Pcell, p.Rates, p.Reads
 	if rows < 1 || readsPerCell < 1 {
-		return nil, fmt.Errorf("exp: bad transient ablation params")
+		return nil, fmt.Errorf("exp: ablate-transient params: Rows = %d, Reads = %d; want both >= 1", rows, readsPerCell)
 	}
 	arms := []Protection{ProtNone, ProtShuffle5, ProtPECC, ProtECC}
 	// One persistent fault map shared by every arm and rate, so the rows
@@ -345,6 +326,9 @@ func (e lutExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	p, err := runnerParams[LUTParams](r, e)
 	if err != nil {
 		return nil, err
+	}
+	if p.Rows < 1 {
+		return nil, fmt.Errorf("exp: %s params: Rows = %d, want >= 1", e.Name(), p.Rows)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

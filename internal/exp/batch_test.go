@@ -10,6 +10,7 @@ import (
 	"faultmem/internal/memstore"
 	"faultmem/internal/sram"
 	"faultmem/internal/stats"
+	"faultmem/internal/workload"
 )
 
 // mixedFaultMap builds a deterministic fault map cycling through all
@@ -289,7 +290,7 @@ func TestRoundTripCachedMatchesUncachedPerArm(t *testing.T) {
 // set). This is the path the codeword-image cache accelerates; CI
 // records it next to the whole-trial benches.
 func BenchmarkFig7RoundTrip(b *testing.B) {
-	p := DefaultFig7Params(AppElasticnet)
+	p := DefaultFig7Params(workload.ElasticNet)
 	train, _ := dataset.Wine(p.Seed).Split(0.8, p.Seed+1)
 	codec := memstore.DefaultCodec()
 	rng := stats.NewRand(42)

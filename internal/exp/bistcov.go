@@ -37,23 +37,22 @@ type BISTCoverageRow struct {
 	VictimCoverage float64 // fraction of coupling victims located
 }
 
-// BISTCoverage measures detection coverage per algorithm: static faults
-// must always be found (all algorithms read both backgrounds everywhere);
-// coupling-fault coverage separates the cheap tests from the thorough
-// ones, since detection requires a read of the victim between the
-// aggressor's disturbing write and the victim's next rewrite.
-func BISTCoverage(p BISTCoverageParams) []BISTCoverageRow {
-	rows, err := BISTCoverageCtx(context.Background(), p)
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic(err)
-	}
-	return rows
-}
-
-// BISTCoverageCtx is BISTCoverage with cooperative cancellation, polled
-// between Monte-Carlo trials.
+// BISTCoverageCtx measures detection coverage per algorithm, polling
+// ctx between Monte-Carlo trials: static faults must always be found
+// (all algorithms read both backgrounds everywhere); coupling-fault
+// coverage separates the cheap tests from the thorough ones, since
+// detection requires a read of the victim between the aggressor's
+// disturbing write and the victim's next rewrite.
 func BISTCoverageCtx(ctx context.Context, p BISTCoverageParams) ([]BISTCoverageRow, error) {
+	// Every trial places StaticFaults distinct cells and Couplings
+	// distinct victims, each with an aggressor elsewhere in the array.
+	if p.Rows < 1 || p.Width < 1 || p.Width > 64 {
+		return nil, fmt.Errorf("exp: bistcov params: Rows = %d, Width = %d; want Rows >= 1 and Width 1..64", p.Rows, p.Width)
+	}
+	if cells := p.Rows * p.Width; p.StaticFaults < 0 || p.StaticFaults > cells || p.Couplings < 0 || p.Couplings >= cells {
+		return nil, fmt.Errorf("exp: bistcov params: StaticFaults = %d, Couplings = %d; want 0..%d and 0..%d on a %dx%d array",
+			p.StaticFaults, p.Couplings, cells, cells-1, p.Rows, p.Width)
+	}
 	algs := []bist.Algorithm{bist.ZeroOne(), bist.MATSPlus(), bist.MarchCMinus(), bist.MarchB()}
 	rows := make([]BISTCoverageRow, len(algs))
 	for ai, alg := range algs {

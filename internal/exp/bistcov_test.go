@@ -2,13 +2,17 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
 func TestBISTCoverageHierarchy(t *testing.T) {
 	p := DefaultBISTCoverageParams()
 	p.Trials = 25
-	rows := BISTCoverage(p)
+	rows, err := BISTCoverageCtx(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"faultmem/internal/mc"
+	"faultmem/internal/workload"
 )
 
 // waitGoroutines polls until the goroutine count settles back to the
@@ -60,13 +61,13 @@ func TestFig7DeadlineQuickBudget(t *testing.T) {
 		t.Skip("Fig. 7 Monte Carlo is slow")
 	}
 	base := runtime.NumGoroutine()
-	p := DefaultFig7Params(AppPCA)
+	p := DefaultFig7Params(workload.PCA)
 	p.Trials = QuickFig7Trials
 	p.Workers = 1 // serial: the campaign cannot outrun the deadline
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := Fig7Env(mc.Env{Ctx: ctx}, p)
+	_, err := Run(ctx, "fig7", &Runner{Params: []Fig7Params{p}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

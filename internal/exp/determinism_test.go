@@ -4,6 +4,9 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"faultmem/internal/mc"
+	"faultmem/internal/workload"
 )
 
 // TestFig5DeterministicAcrossWorkerCounts is the engine's determinism
@@ -16,7 +19,11 @@ func TestFig5DeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) Fig5Result {
 		q := p
 		q.CDF.Workers = workers
-		return Fig5(q)
+		res, err := Fig5Env(mc.Env{}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	ref := run(1)
 	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
@@ -58,7 +65,11 @@ func TestEnergyStudyWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []EnergyRow {
 		q := p
 		q.Workers = workers
-		return EnergyStudy(q)
+		rows, err := EnergyStudyEnv(mc.Env{}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
 	ref := run(1)
 	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
@@ -81,23 +92,19 @@ func TestFig7WorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 Monte Carlo is slow")
 	}
-	p := DefaultFig7Params(AppKNN)
+	p := DefaultFig7Params(workload.KNN)
 	p.Trials = 4
-	run := func(workers int) Fig7Result {
+	run := func(workers int) qualityRun {
 		q := p
 		q.Workers = workers
-		res, err := Fig7(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return fig7Run(t, q)
 	}
 	ref := run(1)
 	got := run(runtime.GOMAXPROCS(0))
-	for i := range ref.Arms {
-		for j := range ref.Arms[i].Qualities {
-			if ref.Arms[i].Qualities[j] != got.Arms[i].Qualities[j] {
-				t.Fatalf("arm %v trial-order quality %d differs", ref.Arms[i].Scheme, j)
+	for i := range ref.arms {
+		for j := range ref.arms[i].Qualities {
+			if ref.arms[i].Qualities[j] != got.arms[i].Qualities[j] {
+				t.Fatalf("arm %v trial-order quality %d differs", ref.arms[i].Scheme, j)
 			}
 		}
 	}

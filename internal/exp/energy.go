@@ -92,24 +92,15 @@ func (a energyArm) qualifies(s *yield.RowSampler, budget redund.Budget, target f
 	return ok
 }
 
-// EnergyStudy sweeps VDD for every arm and returns the minimum viable
-// voltage and read energy per scheme.
-func EnergyStudy(p EnergyParams) []EnergyRow {
-	rows, err := EnergyStudyEnv(mc.Env{}, p)
-	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
-		panic(err)
-	}
-	return rows
-}
-
-// EnergyStudyEnv is EnergyStudy under an execution environment:
-// bit-identical rows when the context stays live, ctx.Err() when it is
-// cancelled or deadlined mid-sweep. The environment's OnShard counts
-// completed voltage points (the sweep's outer unit of work).
+// EnergyStudyEnv sweeps VDD for every arm and returns the minimum
+// viable voltage and read energy per scheme: bit-identical rows when the
+// context stays live, ctx.Err() when it is cancelled or deadlined
+// mid-sweep. The environment's OnShard counts completed voltage points
+// (the sweep's outer unit of work).
 func EnergyStudyEnv(env mc.Env, p EnergyParams) ([]EnergyRow, error) {
-	if p.Dies < 1 || p.Step <= 0 || p.VMax < p.VMin {
-		panic(fmt.Sprintf("exp: bad energy params %+v", p))
+	if p.Rows < 1 || p.Dies < 1 || !(p.Step > 0) || !(p.VMax >= p.VMin) {
+		return nil, fmt.Errorf("exp: energy params: Rows = %d, Dies = %d, VMin = %g, VMax = %g, Step = %g; want Rows >= 1, Dies >= 1, VMin <= VMax and Step > 0",
+			p.Rows, p.Dies, p.VMin, p.VMax, p.Step)
 	}
 	lib := hw.Lib28nm()
 	macro := hw.Macro28nm(p.Rows)

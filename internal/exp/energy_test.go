@@ -2,16 +2,21 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
+	"faultmem/internal/mc"
 	"faultmem/internal/redund"
 )
 
 func TestEnergyStudyOrdering(t *testing.T) {
 	p := DefaultEnergyParams()
 	p.Dies = 120 // keep the test fast; orderings are robust
-	rows := EnergyStudy(p)
+	rows, err := EnergyStudyEnv(mc.Env{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 7 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -48,8 +53,14 @@ func TestEnergyStudyOrdering(t *testing.T) {
 func TestEnergyStudyDeterministic(t *testing.T) {
 	p := DefaultEnergyParams()
 	p.Dies = 60
-	a := EnergyStudy(p)
-	b := EnergyStudy(p)
+	a, err := EnergyStudyEnv(mc.Env{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EnergyStudyEnv(mc.Env{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if a[i].MinVDD != b[i].MinVDD && !(math.IsNaN(a[i].MinVDD) && math.IsNaN(b[i].MinVDD)) {
 			t.Fatalf("arm %d not deterministic: %v vs %v", i, a[i].MinVDD, b[i].MinVDD)
@@ -61,7 +72,10 @@ func TestRedundancyStudyEconomics(t *testing.T) {
 	p := DefaultRedundancyParams()
 	p.Dies = 60
 	p.VDDs = []float64{0.80, 0.72, 0.66}
-	rows := RedundancyStudy(p)
+	rows, err := RedundancyStudyCtx(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -96,7 +110,10 @@ func TestRedundancyStudyMonotoneInBudget(t *testing.T) {
 		{SpareRows: 4, SpareCols: 4},
 		{SpareRows: 16, SpareCols: 16},
 	}
-	rows := RedundancyStudy(p)
+	rows, err := RedundancyStudyCtx(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rows[0].RepairRate
 	if !(r[0] <= r[1] && r[1] <= r[2]) {
 		t.Errorf("repair rate not monotone in budget: %v", r)

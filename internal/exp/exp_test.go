@@ -2,10 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"faultmem/internal/fault"
+	"faultmem/internal/mc"
+	"faultmem/internal/workload"
 	"faultmem/internal/yield"
 )
 
@@ -84,7 +89,10 @@ func TestTableRendering(t *testing.T) {
 func TestFig2ShapeAndAnchors(t *testing.T) {
 	p := DefaultFig2Params()
 	p.ISDirections = 4000 // keep the test quick
-	rows := Fig2(p)
+	rows, err := Fig2Ctx(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) < 15 {
 		t.Fatalf("only %d sweep points", len(rows))
 	}
@@ -153,7 +161,10 @@ func TestFig4MatchesPaperProfile(t *testing.T) {
 func TestFig5EndToEnd(t *testing.T) {
 	p := DefaultFig5Params()
 	p.CDF.Trun = 1e4 // quick
-	res := Fig5(p)
+	res, err := Fig5Env(mc.Env{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.CDFs) != len(Fig5Arms()) {
 		t.Fatalf("%d CDFs", len(res.CDFs))
 	}
@@ -211,21 +222,24 @@ func TestFig7SmallRunAllApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 Monte Carlo is slow")
 	}
-	for _, app := range []App{AppElasticnet, AppPCA, AppKNN} {
-		p := DefaultFig7Params(app)
-		p.Trials = 6
-		res, err := Fig7(p)
-		if err != nil {
-			t.Fatalf("%v: %v", app, err)
+	suite := DefaultFig7Suite()
+	for i := range suite {
+		suite[i].Trials = 6
+	}
+	runs, err := qualityRuns("fig7", &Runner{Params: suite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		app := run.stage.id
+		if run.clean <= 0 {
+			t.Fatalf("%v: clean metric %g", app, run.clean)
 		}
-		if res.CleanMetric <= 0 {
-			t.Fatalf("%v: clean metric %g", app, res.CleanMetric)
+		if len(run.arms) != len(Fig7Arms()) {
+			t.Fatalf("%v: %d arms", app, len(run.arms))
 		}
-		if len(res.Arms) != len(Fig7Arms()) {
-			t.Fatalf("%v: %d arms", app, len(res.Arms))
-		}
-		for _, arm := range res.Arms {
-			if len(arm.Qualities) != p.Trials {
+		for _, arm := range run.arms {
+			if len(arm.Qualities) != 6 {
 				t.Fatalf("%v %v: %d qualities", app, arm.Scheme, len(arm.Qualities))
 			}
 			for _, q := range arm.Qualities {
@@ -234,13 +248,17 @@ func TestFig7SmallRunAllApps(t *testing.T) {
 				}
 			}
 		}
-		var buf bytes.Buffer
-		if err := res.QualityCDFTable().Render(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.SummaryTable().Render(&buf); err != nil {
-			t.Fatal(err)
-		}
+	}
+	res, err := Run(context.Background(), "fig7", &Runner{Params: suite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tables) != 2*len(suite) {
+		t.Fatalf("%d tables, want a CDF and a summary per app", len(res.Tables))
+	}
+	var buf bytes.Buffer
+	if err := res.Render(&buf); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -251,14 +269,11 @@ func TestFig7ShuffleBeatsNoProtection(t *testing.T) {
 	// The KNN benchmark is the cheapest: verify the central qualitative
 	// claim of Fig. 7 — bit-shuffling preserves far more quality than no
 	// protection under the same fault prior.
-	p := DefaultFig7Params(AppKNN)
+	p := DefaultFig7Params(workload.KNN)
 	p.Trials = 12
-	res, err := Fig7(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byScheme := map[Protection]Fig7Arm{}
-	for _, a := range res.Arms {
+	res := fig7Run(t, p)
+	byScheme := map[Protection]QualityArm{}
+	for _, a := range res.arms {
 		byScheme[a.Scheme] = a
 	}
 	none := byScheme[ProtNone].Mean()
@@ -276,19 +291,12 @@ func TestFig7Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 Monte Carlo is slow")
 	}
-	p := DefaultFig7Params(AppKNN)
+	p := DefaultFig7Params(workload.KNN)
 	p.Trials = 4
-	a, err := Fig7(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig7(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Arms {
-		for j := range a.Arms[i].Qualities {
-			if a.Arms[i].Qualities[j] != b.Arms[i].Qualities[j] {
+	a, b := fig7Run(t, p), fig7Run(t, p)
+	for i := range a.arms {
+		for j := range a.arms[i].Qualities {
+			if a.arms[i].Qualities[j] != b.arms[i].Qualities[j] {
 				t.Fatal("Fig7 not deterministic")
 			}
 		}
@@ -320,17 +328,27 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestAppParsing pins fig7's App field: the wire integers 0, 1 and 2
+// name the elasticnet, PCA and KNN benchmarks (their workload.ID
+// values) and the stages named after them, and fig7 refuses every
+// other ID before any engine run.
 func TestAppParsing(t *testing.T) {
-	for s, want := range map[string]App{"elasticnet": AppElasticnet, "pca": AppPCA, "knn": AppKNN} {
-		got, err := ParseApp(s)
-		if err != nil || got != want {
-			t.Errorf("ParseApp(%q) = %v, %v", s, got, err)
+	ps, stages, err := fig7Experiment{}.plan(&Runner{Params: json.RawMessage(`[{"App":0},{"App":1},{"App":2}]`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"elasticnet", "pca", "knn"} {
+		if ps[i].App.String() != want || stages[i].name != want {
+			t.Errorf("App %d parsed as %v (stage %q), want %s", i, ps[i].App, stages[i].name, want)
 		}
 	}
-	if _, err := ParseApp("svm"); err == nil {
-		t.Error("svm accepted")
-	}
-	if AppPCA.Metric() != "Explained Variance" {
+	if ps[1].App.Metric() != "Explained Variance" {
 		t.Error("metric name wrong")
+	}
+	for _, app := range []int{-1, int(workload.RSort), int(workload.CGSolve), int(workload.CGRestart), 99} {
+		r := &Runner{Params: json.RawMessage(fmt.Sprintf(`[{"App":%d}]`, app))}
+		if _, _, err := (fig7Experiment{}).plan(r); err == nil {
+			t.Errorf("fig7 accepted App %d", app)
+		}
 	}
 }

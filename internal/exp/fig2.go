@@ -38,22 +38,13 @@ type Fig2Row struct {
 	ExpectFailures float64
 }
 
-// Fig2 runs the sweep.
-func Fig2(p Fig2Params) []Fig2Row {
-	rows, err := Fig2Ctx(context.Background(), p)
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic(err)
-	}
-	return rows
-}
-
-// Fig2Ctx is Fig2 with cooperative cancellation, polled between sweep
-// points (each point pays one importance-sampling estimate). Results are
-// identical to Fig2 when the context stays live.
+// Fig2Ctx runs the sweep from VMax down to VMin, polling ctx between
+// sweep points (each point pays one importance-sampling estimate): the
+// rows are deterministic in p while the context stays live, ctx.Err()
+// otherwise.
 func Fig2Ctx(ctx context.Context, p Fig2Params) ([]Fig2Row, error) {
-	if p.Step <= 0 || p.VMax < p.VMin {
-		panic(fmt.Sprintf("exp: bad Fig2 params %+v", p))
+	if !(p.Step > 0) || !(p.VMax >= p.VMin) {
+		return nil, fmt.Errorf("exp: fig2 params: VMin = %g, VMax = %g, Step = %g; want VMin <= VMax and Step > 0", p.VMin, p.VMax, p.Step)
 	}
 	model := sram.Default28nm()
 	sixT := sram.NewSixT()

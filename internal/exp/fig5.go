@@ -51,25 +51,14 @@ type Fig5Result struct {
 	CDFs   []yield.CDFResult
 }
 
-// Fig5 runs the Monte-Carlo MSE CDF for every arm in one pass of the
+// Fig5Env runs the Monte-Carlo MSE CDF for every arm in one pass of the
 // parallel engine: every fault map is drawn once and scored by all seven
 // schemes (common random numbers), so the fault-generation cost is paid
 // once instead of seven times and the between-arm reduction factors of
 // YieldTable see the same samples on both sides. p.CDF.Workers sets the
 // engine's parallelism; results are identical for every worker count.
-func Fig5(p Fig5Params) Fig5Result {
-	res, err := Fig5Env(mc.Env{}, p)
-	if err != nil {
-		// The zero Env's background context never cancels, so only bad
-		// CDF params land here.
-		panic(err)
-	}
-	return res
-}
-
-// Fig5Env is Fig5 under an execution environment: bit-identical CDFs when
-// the context stays live, ctx.Err() when it is cancelled or deadlined
-// mid-campaign. Shard completions reach the environment's OnShard.
+// Bad CDF params return an error; a cancelled or deadlined context
+// returns ctx.Err(). Shard completions reach the environment's OnShard.
 func Fig5Env(env mc.Env, p Fig5Params) (Fig5Result, error) {
 	arms := Fig5Arms()
 	schemes := make([]yield.Scheme, len(arms))

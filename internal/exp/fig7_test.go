@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -15,11 +16,49 @@ import (
 	"faultmem/internal/workload"
 )
 
+// qualityRuns plans the named quality campaign (fig7, workloads or
+// recovery) under r and runs its stages: the raw per-arm samples its
+// tables are rendered from.
+func qualityRuns(name string, r *Runner) ([]qualityRun, error) {
+	var stages []qualityStage
+	var err error
+	switch name {
+	case "fig7":
+		_, stages, err = fig7Experiment{}.plan(r)
+	case "workloads":
+		_, stages, err = workloadsExperiment{}.plan(r)
+	case "recovery":
+		_, stages, err = recoveryExperiment{}.plan(r)
+	default:
+		return nil, fmt.Errorf("%s is not a quality campaign", name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.runQuality(context.Background(), name, "", stages)
+}
+
+// fig7Run runs one Fig. 7 benchmark through the quality engine.
+func fig7Run(t testing.TB, p Fig7Params) qualityRun {
+	t.Helper()
+	runs, err := qualityRuns("fig7", &Runner{Params: []Fig7Params{p}})
+	if err != nil {
+		t.Fatalf("%v: %v", p.App, err)
+	}
+	return runs[0]
+}
+
+// prepareFig7 builds a Fig. 7 benchmark's instance: dataset, 0.8:0.2
+// split, and the fault-free reference metric.
+func prepareFig7(p Fig7Params) (workload.Instance, error) {
+	return workload.PrepareShared(p.App, workload.Params{Seed: p.Seed, MadelonPaperSize: p.MadelonPaperSize})
+}
+
 // newFig7TestRunner builds the per-shard trial runner the Fig. 7 engine
 // uses, for white-box perf tests.
 func newFig7TestRunner(p Fig7Params, inst workload.Instance) *workload.TrialRunner {
 	return workload.NewTrialRunner(inst, workload.Config{
-		Name:  strings.ToLower(p.App.String()),
+		Name:  p.App.String(),
 		Rows:  p.Rows,
 		Pcell: p.Pcell,
 		Arms:  workloadArms(Fig7Arms()),
@@ -31,7 +70,7 @@ func newFig7TestRunner(p Fig7Params, inst workload.Instance) *workload.TrialRunn
 // Pr(quality <= q) >= level, matching stats.WeightedCDF.Quantile — not
 // the sample one position above it.
 func TestQualityAtYieldQuantileConvention(t *testing.T) {
-	arm := Fig7Arm{Qualities: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}}
+	arm := QualityArm{Qualities: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}}
 	cases := []struct {
 		level, want float64
 	}{
@@ -52,7 +91,7 @@ func TestQualityAtYieldQuantileConvention(t *testing.T) {
 	for i := range qs {
 		qs[i] = float64(i + 1)
 	}
-	arm60 := Fig7Arm{Qualities: qs}
+	arm60 := QualityArm{Qualities: qs}
 	if got := arm60.QualityAtYield(0.10); got != 6 {
 		t.Errorf("q10 of 60 trials = sample %g, want 6 (index 5)", got)
 	}
@@ -68,7 +107,7 @@ func TestQualityAtYieldQuantileConvention(t *testing.T) {
 			sample[i] = rng.Float64()
 			cdf.Add(sample[i], 1)
 		}
-		a := Fig7Arm{Qualities: append([]float64(nil), sample...)}
+		a := QualityArm{Qualities: append([]float64(nil), sample...)}
 		sortFloats(a.Qualities)
 		level := rng.Float64()
 		if level == 0 {
@@ -92,7 +131,7 @@ func sortFloats(s []float64) {
 // threshold, so CDFAt reports 0 instead of NaN (QualityAtYield keeps its
 // panic-on-empty contract).
 func TestCDFAtEmptyArm(t *testing.T) {
-	var arm Fig7Arm
+	var arm QualityArm
 	if got := arm.CDFAt(0.5); got != 0 || math.IsNaN(got) {
 		t.Errorf("CDFAt on empty arm = %v, want 0", got)
 	}
@@ -127,8 +166,8 @@ func TestFig7RejectsDuplicateApp(t *testing.T) {
 // run with ~10 allocations, down from several hundred before the
 // reusable memories and ml fit workspaces (>90% fewer).
 func TestFig7TrialWarmAllocs(t *testing.T) {
-	p := DefaultFig7Params(AppElasticnet)
-	w, err := p.prepare()
+	p := DefaultFig7Params(workload.ElasticNet)
+	w, err := prepareFig7(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +200,9 @@ func TestFig7TrialWarmAllocs(t *testing.T) {
 // ML fit workspaces); warm=false rebuilds the memories, the quantized
 // word cache, and the fit buffers every trial — the pre-workspace
 // behaviour — for the before/after allocation comparison.
-func benchFig7Trial(b *testing.B, app App, warm bool) {
+func benchFig7Trial(b *testing.B, app workload.ID, warm bool) {
 	p := DefaultFig7Params(app)
-	w, err := p.prepare()
+	w, err := prepareFig7(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,17 +250,17 @@ func benchFig7Trial(b *testing.B, app App, warm bool) {
 // BenchmarkFig7Trial* pin the per-trial cost of the Fig. 7 engine with
 // warm per-shard workspaces; the *Fresh variants rebuild memories and
 // ml fit buffers per trial for comparison.
-func BenchmarkFig7TrialElasticnet(b *testing.B) { benchFig7Trial(b, AppElasticnet, true) }
-func BenchmarkFig7TrialPCA(b *testing.B)        { benchFig7Trial(b, AppPCA, true) }
-func BenchmarkFig7TrialKNN(b *testing.B)        { benchFig7Trial(b, AppKNN, true) }
+func BenchmarkFig7TrialElasticnet(b *testing.B) { benchFig7Trial(b, workload.ElasticNet, true) }
+func BenchmarkFig7TrialPCA(b *testing.B)        { benchFig7Trial(b, workload.PCA, true) }
+func BenchmarkFig7TrialKNN(b *testing.B)        { benchFig7Trial(b, workload.KNN, true) }
 
 // BenchmarkFig7TrialPCAPaper runs the warm PCA trial at the paper's
 // full 500-feature Madelon geometry — the workload whose O(d^3) Jacobi
 // sweeps motivated the top-k subspace eigensolver.
 func BenchmarkFig7TrialPCAPaper(b *testing.B) {
-	p := DefaultFig7Params(AppPCA)
+	p := DefaultFig7Params(workload.PCA)
 	p.MadelonPaperSize = true
-	w, err := p.prepare()
+	w, err := prepareFig7(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,6 +276,6 @@ func BenchmarkFig7TrialPCAPaper(b *testing.B) {
 	}
 }
 
-func BenchmarkFig7TrialElasticnetFresh(b *testing.B) { benchFig7Trial(b, AppElasticnet, false) }
-func BenchmarkFig7TrialPCAFresh(b *testing.B)        { benchFig7Trial(b, AppPCA, false) }
-func BenchmarkFig7TrialKNNFresh(b *testing.B)        { benchFig7Trial(b, AppKNN, false) }
+func BenchmarkFig7TrialElasticnetFresh(b *testing.B) { benchFig7Trial(b, workload.ElasticNet, false) }
+func BenchmarkFig7TrialPCAFresh(b *testing.B)        { benchFig7Trial(b, workload.PCA, false) }
+func BenchmarkFig7TrialKNNFresh(b *testing.B)        { benchFig7Trial(b, workload.KNN, false) }

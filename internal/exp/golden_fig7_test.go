@@ -3,6 +3,8 @@ package exp
 import (
 	"math"
 	"testing"
+
+	"faultmem/internal/workload"
 )
 
 // fig7Golden holds the quality samples the PRE-refactor fig7 engine
@@ -11,11 +13,11 @@ import (
 // moved into internal/workload. Arm order follows Fig7Arms(): No
 // Correction, H(22,16) P-ECC, nFM=1-Bit, nFM=2-Bit; each arm's
 // qualities are sorted ascending as the engine returns them.
-var fig7Golden = map[App]struct {
+var fig7Golden = map[workload.ID]struct {
 	cleanBits uint64
 	arms      [4][5]uint64
 }{
-	AppElasticnet: {
+	workload.ElasticNet: {
 		cleanBits: 0x3fd05fa52490794e,
 		arms: [4][5]uint64{
 			{0x0, 0x0, 0x0, 0x0, 0x0},
@@ -24,7 +26,7 @@ var fig7Golden = map[App]struct {
 			{0x3feff25060884bac, 0x3fefff39a1d55993, 0x3fefffedaf3b3a98, 0x3ff0000000000000, 0x3ff0000000000000},
 		},
 	},
-	AppPCA: {
+	workload.PCA: {
 		cleanBits: 0x3fea99277525cddd,
 		arms: [4][5]uint64{
 			{0x3f99b80062799467, 0x3fc7c11cca02a9d0, 0x3fcee068f46d178c, 0x3fd134a3f8da502c, 0x3fd9bae9b2f68a18},
@@ -33,7 +35,7 @@ var fig7Golden = map[App]struct {
 			{0x3feffff17541292b, 0x3feffff86a60ee1e, 0x3fefffff9a7c1098, 0x3ff0000000000000, 0x3ff0000000000000},
 		},
 	},
-	AppKNN: {
+	workload.KNN: {
 		cleanBits: 0x3fec0da740da740e,
 		arms: [4][5]uint64{
 			{0x3fee6b127e8a3875, 0x3fee8a3874ce5b7f, 0x3feee7aa579ac49f, 0x3fef06d04ddee7aa, 0x3fef836826ef73d4},
@@ -57,18 +59,15 @@ func TestFig7GoldenEquivalence(t *testing.T) {
 		p.Trials = 5
 		for _, workers := range []int{1, 4, 7} {
 			p.Workers = workers
-			res, err := Fig7(p)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", app, workers, err)
-			}
-			if got := math.Float64bits(res.CleanMetric); got != want.cleanBits {
+			res := fig7Run(t, p)
+			if got := math.Float64bits(res.clean); got != want.cleanBits {
 				t.Errorf("%v workers=%d: clean metric bits %#x, want %#x",
 					app, workers, got, want.cleanBits)
 			}
-			if len(res.Arms) != len(want.arms) {
-				t.Fatalf("%v workers=%d: %d arms, want %d", app, workers, len(res.Arms), len(want.arms))
+			if len(res.arms) != len(want.arms) {
+				t.Fatalf("%v workers=%d: %d arms, want %d", app, workers, len(res.arms), len(want.arms))
 			}
-			for ai, arm := range res.Arms {
+			for ai, arm := range res.arms {
 				if len(arm.Qualities) != len(want.arms[ai]) {
 					t.Fatalf("%v workers=%d arm %v: %d qualities, want %d",
 						app, workers, arm.Scheme, len(arm.Qualities), len(want.arms[ai]))

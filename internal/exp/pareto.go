@@ -40,19 +40,8 @@ type ParetoRow struct {
 	RelArea    float64
 }
 
-// Pareto evaluates every arm's quality (Fig. 5 machinery) and hardware
-// cost (Fig. 6 machinery) on a common scale.
-func Pareto(p ParetoParams) []ParetoRow {
-	rows, err := ParetoEnv(mc.Env{}, p)
-	if err != nil {
-		// The zero Env's background context never cancels, so only bad
-		// CDF params land here.
-		panic(err)
-	}
-	return rows
-}
-
-// ParetoEnv is Pareto under an execution environment: bit-identical rows
+// ParetoEnv evaluates every arm's quality (Fig. 5 machinery) and
+// hardware cost (Fig. 6 machinery) on a common scale: bit-identical rows
 // when the context stays live, ctx.Err() when cancelled mid-campaign.
 func ParetoEnv(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
 	// The hardware model is sized from the same rows, so bad CDF params

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"testing"
 
+	"faultmem/internal/mc"
 	"faultmem/internal/yield"
 )
 
 func TestParetoFrontier(t *testing.T) {
 	p := DefaultParetoParams()
 	p.CDF.Trun = 1e4 // test-scale
-	rows := Pareto(p)
+	rows, err := ParetoEnv(mc.Env{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 1+5+3+1 {
 		t.Fatalf("%d rows", len(rows))
 	}

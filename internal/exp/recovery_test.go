@@ -37,7 +37,7 @@ func TestRecoveryParamsValidation(t *testing.T) {
 	} {
 		p := recoveryTestParams()
 		mutate(&p)
-		if _, err := Recovery(p); err == nil {
+		if _, err := Run(context.Background(), "recovery", &Runner{Params: p}); err == nil {
 			t.Errorf("%s: params accepted", name)
 		}
 	}
@@ -50,7 +50,7 @@ func TestRecoveryParamsValidation(t *testing.T) {
 // no recovery counters recorded.
 func TestRecoveryNoneMatchesWorkloadsGolden(t *testing.T) {
 	p := recoveryTestParams()
-	wk, err := Workloads(WorkloadsParams{
+	wk, err := qualityRuns("workloads", &Runner{Params: WorkloadsParams{
 		Workloads: []string{p.Workload},
 		Rows:      p.Rows,
 		Pcell:     p.Pcell,
@@ -58,38 +58,38 @@ func TestRecoveryNoneMatchesWorkloadsGolden(t *testing.T) {
 		Seed:      p.Seed,
 		Dim:       p.Dim,
 		Workers:   1,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wk.Runs[0].Arms
+	want := wk[0].arms
 
 	for _, workers := range []int{1, 4, 7} {
 		q := p
 		q.Workers = workers
-		out, err := Recovery(q)
+		runs, err := qualityRuns("recovery", &Runner{Params: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.Runs) != 1 || out.Runs[0].Policy != "none" {
-			t.Fatalf("workers=%d: runs %+v", workers, out.Runs)
+		if len(runs) != 1 || runs[0].stage.name != "none" {
+			t.Fatalf("workers=%d: runs %+v", workers, runs)
 		}
-		run := out.Runs[0]
-		if run.Stats != nil {
+		run := runs[0]
+		if run.recovery != nil {
 			t.Fatalf("workers=%d: the none policy recorded recovery stats", workers)
 		}
-		if len(run.Arms) != len(want) {
-			t.Fatalf("workers=%d: %d arms, want %d", workers, len(run.Arms), len(want))
+		if len(run.arms) != len(want) {
+			t.Fatalf("workers=%d: %d arms, want %d", workers, len(run.arms), len(want))
 		}
 		for ai := range want {
-			if run.Arms[ai].Scheme != want[ai].Scheme {
-				t.Fatalf("workers=%d: arm %d is %v, want %v", workers, ai, run.Arms[ai].Scheme, want[ai].Scheme)
+			if run.arms[ai].Scheme != want[ai].Scheme {
+				t.Fatalf("workers=%d: arm %d is %v, want %v", workers, ai, run.arms[ai].Scheme, want[ai].Scheme)
 			}
 			for qi := range want[ai].Qualities {
-				g, w := run.Arms[ai].Qualities[qi], want[ai].Qualities[qi]
+				g, w := run.arms[ai].Qualities[qi], want[ai].Qualities[qi]
 				if math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("workers=%d: arm %v sample %d: %v, want %v (bit-identical)",
-						workers, run.Arms[ai].Scheme, qi, g, w)
+						workers, run.arms[ai].Scheme, qi, g, w)
 				}
 			}
 		}
@@ -106,24 +106,24 @@ func TestSafeRestoreBeatsNoneOnSECDED(t *testing.T) {
 	p.Policies = []string{"none", "saferestore"}
 	p.Pcell = 5e-3 // heavy load: double faults land in most dies
 	p.Trials = 12
-	out, err := Recovery(p)
+	runs, err := qualityRuns("recovery", &Runner{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Runs) != 2 {
-		t.Fatalf("%d runs", len(out.Runs))
+	if len(runs) != 2 {
+		t.Fatalf("%d runs", len(runs))
 	}
-	none, sr := out.Runs[0], out.Runs[1]
-	if len(sr.Stats) != len(AllProtections()) {
-		t.Fatalf("saferestore stats cover %d arms", len(sr.Stats))
+	none, sr := runs[0], runs[1]
+	if len(sr.recovery) != len(AllProtections()) {
+		t.Fatalf("saferestore stats cover %d arms", len(sr.recovery))
 	}
 	improved := false
 	for ai, arm := range AllProtections() {
-		nm, sm := none.Arms[ai].Mean(), sr.Arms[ai].Mean()
+		nm, sm := none.arms[ai].Mean(), sr.arms[ai].Mean()
 		if sm < nm {
 			t.Errorf("%v: saferestore mean %v below none %v — restores made quality worse", arm, sm, nm)
 		}
-		if sm > nm && sr.Stats[ai].Restored > 0 {
+		if sm > nm && sr.recovery[ai].Restored > 0 {
 			improved = true
 		}
 	}
@@ -132,14 +132,14 @@ func TestSafeRestoreBeatsNoneOnSECDED(t *testing.T) {
 	}
 	// The SECDED arms detect; the codeless arms have nothing to flag, so
 	// their qualities must be untouched by the policy (bit-identical).
-	for qi := range none.Arms[0].Qualities {
-		g, w := sr.Arms[0].Qualities[qi], none.Arms[0].Qualities[qi]
+	for qi := range none.arms[0].Qualities {
+		g, w := sr.arms[0].Qualities[qi], none.arms[0].Qualities[qi]
 		if math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("unprotected arm sample %d moved under saferestore: %v vs %v", qi, g, w)
 		}
 	}
-	if sr.Stats[0].Flagged != 0 {
-		t.Errorf("unprotected arm flagged %d words", sr.Stats[0].Flagged)
+	if sr.recovery[0].Flagged != 0 {
+		t.Errorf("unprotected arm flagged %d words", sr.recovery[0].Flagged)
 	}
 }
 
@@ -152,13 +152,12 @@ func TestRecoveryRetryRecoversTransients(t *testing.T) {
 	p.Pcell = 5e-4
 	p.TransientRate = 2e-3
 	p.Retries = 8
-	out, err := Recovery(p)
+	runs, err := qualityRuns("recovery", &Runner{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := out.Runs[0]
 	var flagged, recovered uint64
-	for _, s := range run.Stats {
+	for _, s := range runs[0].recovery {
 		flagged += s.Flagged
 		recovered += s.Recovered
 	}

@@ -51,21 +51,11 @@ type RedundancyRow struct {
 	RepairRate    []float64 // fraction of dies repairable per budget
 }
 
-// RedundancyStudy runs the Monte Carlo.
-func RedundancyStudy(p RedundancyParams) []RedundancyRow {
-	out, err := RedundancyStudyCtx(context.Background(), p)
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic(err)
-	}
-	return out
-}
-
-// RedundancyStudyCtx is RedundancyStudy with cooperative cancellation,
-// polled between operating points.
+// RedundancyStudyCtx runs the Monte Carlo, polling ctx between
+// operating points.
 func RedundancyStudyCtx(ctx context.Context, p RedundancyParams) ([]RedundancyRow, error) {
-	if p.Dies < 1 {
-		panic("exp: non-positive die count")
+	if p.Rows < 1 || p.Dies < 1 {
+		return nil, fmt.Errorf("exp: redundancy params: Rows = %d, Dies = %d; want both >= 1", p.Rows, p.Dies)
 	}
 	model := sram.Default28nm()
 	var out []RedundancyRow

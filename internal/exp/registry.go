@@ -11,9 +11,9 @@ import (
 // Experiment is one campaign of the paper's evaluation behind the uniform
 // streaming API: a registry name, a JSON-serializable default parameter
 // set, and a context-aware run against a shared execution environment.
-// Uncancelled runs are bit-identical to the underlying direct entrypoints
-// for any worker count; a cancelled or deadlined context surfaces as
-// ctx.Err() with no result and no leaked goroutines.
+// Uncancelled runs are bit-identical for any worker count; a cancelled
+// or deadlined context surfaces as ctx.Err() with no result and no
+// leaked goroutines.
 type Experiment interface {
 	// Name is the registry key (the CLI's `faultmem run <name>`).
 	Name() string
@@ -132,7 +132,8 @@ func Run(ctx context.Context, name string, r *Runner) (*Result, error) {
 // "experiment/stage", the mc.Env.Tag the runner's Exec sees) inside the
 // named experiment's campaign: the replay a sweep worker makes to
 // compute one shard. Multi-stage experiments skip every other stage
-// (see Runner.skips); single-stage ones run as usual. The campaign's
+// (see Runner.skips) and fail when the tag names none of their stages;
+// single-stage ones run as usual. The campaign's
 // Result would be partial, so it is discarded: the run is observed
 // through r.Exec alone.
 func RunStage(ctx context.Context, name string, r *Runner, tag string) error {
@@ -182,7 +183,7 @@ func (e *RunAllError) Error() string {
 // iteration immediately (the aggregate then ends with that experiment's
 // ctx error), as does an error from emit — if the sink is broken there is
 // nowhere left to stream results. The runner's Params override is
-// rejected: a single override cannot fit fourteen parameter types.
+// rejected: a single override cannot fit every experiment's params type.
 func RunAll(ctx context.Context, r *Runner, emit func(*Result) error) error {
 	if r != nil && r.Params != nil {
 		return fmt.Errorf("exp: RunAll does not accept a params override")

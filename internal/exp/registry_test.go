@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"faultmem/internal/mc"
+	"faultmem/internal/workload"
 )
 
 // smokeParams returns a tiny-budget params override per experiment so the
@@ -139,14 +142,16 @@ func TestRegistrySmokeAllExperiments(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesDirectFig5 pins the acceptance criterion: the
-// registry entrypoint must produce bit-identical samples to the
-// pre-redesign direct path, at any worker count and under the Runner's
-// seed override.
+// TestRegistryMatchesDirectFig5 pins the registry adapter against the
+// engine entry point Fig5Env: bit-identical tables at any worker count
+// and under the Runner's seed override.
 func TestRegistryMatchesDirectFig5(t *testing.T) {
 	p := DefaultFig5Params()
 	p.CDF.Trun = 5e3
-	direct := Fig5(p)
+	direct, err := Fig5Env(mc.Env{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantCDF, wantYield := new(bytes.Buffer), new(bytes.Buffer)
 	if err := direct.CDFTable().Render(wantCDF); err != nil {
 		t.Fatal(err)
@@ -184,7 +189,10 @@ func TestRegistryMatchesDirectFig5(t *testing.T) {
 	seed := int64(42)
 	q := p
 	q.CDF.Seed = seed
-	wantSeeded := Fig5(q)
+	wantSeeded, err := Fig5Env(mc.Env{}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(context.Background(), "fig5", &Runner{Params: p, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
@@ -203,21 +211,15 @@ func TestRegistryMatchesDirectFig5(t *testing.T) {
 }
 
 // TestRegistryMatchesDirectFig7 extends the bit-identical contract to the
-// application-quality campaign through the registry.
+// application-quality campaign through the registry: the tables do not
+// depend on the worker count.
 func TestRegistryMatchesDirectFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 Monte Carlo is slow")
 	}
-	p := DefaultFig7Params(AppKNN)
+	p := DefaultFig7Params(workload.KNN)
 	p.Trials = 3
-	direct, err := Fig7(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(bytes.Buffer)
-	if err := direct.SummaryTable().Render(want); err != nil {
-		t.Fatal(err)
-	}
+	var want []string
 	for _, workers := range []int{1, 2} {
 		res, err := Run(context.Background(), "fig7", &Runner{Params: []Fig7Params{p}, Workers: workers})
 		if err != nil {
@@ -226,12 +228,18 @@ func TestRegistryMatchesDirectFig7(t *testing.T) {
 		if len(res.Tables) != 2 {
 			t.Fatalf("%d tables", len(res.Tables))
 		}
-		got := new(bytes.Buffer)
-		if err := res.Tables[1].Render(got); err != nil {
-			t.Fatal(err)
+		var got []string
+		for _, tbl := range res.Tables {
+			got = append(got, renderTable(t, tbl))
 		}
-		if got.String() != want.String() {
-			t.Fatalf("workers=%d: registry fig7 summary differs from direct path", workers)
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: fig7 table %d differs from the 1-worker run", workers, i)
+			}
 		}
 	}
 }
@@ -255,6 +263,46 @@ func TestRegistryJSONParamsOverride(t *testing.T) {
 	if _, err := Run(context.Background(), "width",
 		&Runner{Params: Fig6Params{}}); err == nil {
 		t.Fatal("mistyped params accepted")
+	}
+}
+
+// TestBadParamsReturnError: params an experiment cannot run come back
+// from Run as an error naming them, before any engine run opens — never
+// as a panic (which would take `faultmem serve` down with every other
+// client's jobs) or an endless failure-count draw.
+func TestBadParamsReturnError(t *testing.T) {
+	for _, c := range []struct{ name, params string }{
+		{"fig2", `{"Step":0}`},
+		{"fig2", `{"VMin":1,"VMax":0.6}`},
+		{"energy", `{"Dies":0}`},
+		{"energy", `{"Rows":0}`},
+		{"redundancy", `{"Dies":0}`},
+		{"fig6", `{"Rows":0}`},
+		{"width", `{"Rows":0}`},
+		{"ablate-lut", `{"Rows":0}`},
+		{"bistcov", `{"Rows":0}`},
+		{"bistcov", `{"Width":65}`},
+		{"bistcov", `{"StaticFaults":4097}`},
+		{"bistcov", `{"Couplings":4096}`},
+		{"ablate-multifault", `{"Trials":0}`},
+		{"ablate-transient", `{"Rows":0}`},
+		{"workloads", `{"Rows":0,"Workloads":["rsort"]}`},
+		{"workloads", `{"Trials":0,"Workloads":["rsort"]}`},
+		{"workloads", `{"Trials":-3}`},
+		{"workloads", `{"Pcell":0,"Workloads":["rsort"]}`},
+		{"workloads", `{"Pcell":1,"Workloads":["rsort"]}`},
+		{"fig7", `[{"App":4,"Rows":4096,"Pcell":0.001,"Trials":8}]`},
+		{"fig7", `[{"App":2,"Rows":4096,"Pcell":0.001,"Trials":0}]`},
+		{"recovery", `{"Rows":0}`},
+	} {
+		r := &Runner{Quick: true, Params: json.RawMessage(c.params), Exec: func(sj mc.ShardJob) (any, error) {
+			t.Errorf("%s %s: engine run %q opened", c.name, c.params, sj.Tag)
+			return sj.Run(), nil
+		}}
+		res, err := Run(context.Background(), c.name, r)
+		if err == nil || res != nil || !strings.Contains(err.Error(), "params") {
+			t.Errorf("%s %s: got result %v, err %v; want an error naming the params", c.name, c.params, res != nil, err)
+		}
 	}
 }
 
@@ -339,7 +387,7 @@ func TestFig7CallerSliceUntouched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 7 Monte Carlo is slow")
 	}
-	suite := []Fig7Params{DefaultFig7Params(AppKNN)}
+	suite := []Fig7Params{DefaultFig7Params(workload.KNN)}
 	res, err := Run(context.Background(), "fig7", &Runner{Quick: true, Params: suite})
 	if err != nil {
 		t.Fatal(err)

@@ -114,8 +114,9 @@ func stageTag(experiment, stage string) string {
 }
 
 // skips reports whether a stage-only run (RunStage) leaves the named
-// stage out. Multi-stage experiments call it at the top of their stage
-// loop and skip the stage, preparation included, when it answers true.
+// stage out. The multi-stage experiments' one stage loop (runQuality)
+// calls it per stage and skips the stage, preparation included, when it
+// answers true.
 // That is sound because each stage is its own engine run over its own
 // params and seed and no stage reads another stage's results: skipping
 // stages 0..k-1 cannot change a bit of stage k. An experiment that

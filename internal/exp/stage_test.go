@@ -113,11 +113,25 @@ func TestStageOnlyRunsMatchFullRuns(t *testing.T) {
 }
 
 // TestRunStageRejectsForeignTag: a tag must name an engine run of the
-// experiment it is replayed under.
+// experiment it is replayed under. A multi-stage campaign also refuses
+// a tag under its own name that names none of its stages, before any
+// engine run opens.
 func TestRunStageRejectsForeignTag(t *testing.T) {
-	for _, tag := range []string{"", "workloads/rsort", "fig7x/knn"} {
-		if err := RunStage(context.Background(), "fig7", nil, tag); err == nil {
-			t.Errorf("RunStage(fig7, %q) accepted a foreign tag", tag)
+	r := &Runner{Quick: true, Exec: func(sj mc.ShardJob) (any, error) {
+		t.Errorf("engine run %q opened", sj.Tag)
+		return sj.Run(), nil
+	}}
+	for _, c := range []struct{ name, tag string }{
+		{"fig7", ""},
+		{"fig7", "workloads/rsort"},
+		{"fig7", "fig7x/knn"},
+		{"fig7", "fig7"},
+		{"fig7", "fig7/bogus"},
+		{"workloads", "workloads/bogus"},
+		{"recovery", "recovery/bogus"},
+	} {
+		if err := RunStage(context.Background(), c.name, r, c.tag); err == nil {
+			t.Errorf("RunStage(%s, %q) accepted a tag naming none of its engine runs", c.name, c.tag)
 		}
 	}
 	var unknown *ErrUnknownExperiment

@@ -140,6 +140,9 @@ func (e widthExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.Rows < 1 {
+		return nil, fmt.Errorf("exp: %s params: Rows = %d, want >= 1", e.Name(), p.Rows)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

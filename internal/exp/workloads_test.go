@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"faultmem/internal/mc"
 )
 
 // renderTable renders a table to text for byte-level comparison.
@@ -36,37 +38,37 @@ func smokeWorkloadsParams() WorkloadsParams {
 // the quality samples are bit-identical for any worker count.
 func TestWorkloadsWorkerCountInvariance(t *testing.T) {
 	p := smokeWorkloadsParams()
-	run := func(workers int) WorkloadsResult {
+	run := func(workers int) []qualityRun {
 		q := p
 		q.Workers = workers
-		res, err := Workloads(q)
+		runs, err := qualityRuns("workloads", &Runner{Params: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return runs
 	}
 	ref := run(1)
-	if len(ref.Runs) != 2 {
-		t.Fatalf("%d runs, want 2", len(ref.Runs))
+	if len(ref) != 2 {
+		t.Fatalf("%d runs, want 2", len(ref))
 	}
 	for _, w := range []int{3, runtime.GOMAXPROCS(0)} {
 		got := run(w)
-		for ri := range ref.Runs {
-			a, b := ref.Runs[ri], got.Runs[ri]
-			if a.Workload != b.Workload || math.Float64bits(a.Clean) != math.Float64bits(b.Clean) {
-				t.Fatalf("workers=%d run %d: identity drifted (%s/%g vs %s/%g)",
-					w, ri, a.Workload, a.Clean, b.Workload, b.Clean)
+		for ri := range ref {
+			a, b := ref[ri], got[ri]
+			if a.stage.id != b.stage.id || math.Float64bits(a.clean) != math.Float64bits(b.clean) {
+				t.Fatalf("workers=%d run %d: identity drifted (%v/%g vs %v/%g)",
+					w, ri, a.stage.id, a.clean, b.stage.id, b.clean)
 			}
-			for ai := range a.Arms {
-				aq, bq := a.Arms[ai].Qualities, b.Arms[ai].Qualities
+			for ai := range a.arms {
+				aq, bq := a.arms[ai].Qualities, b.arms[ai].Qualities
 				if len(aq) != len(bq) {
-					t.Fatalf("workers=%d %s arm %v: %d samples != %d",
-						w, a.Workload, a.Arms[ai].Scheme, len(bq), len(aq))
+					t.Fatalf("workers=%d %v arm %v: %d samples != %d",
+						w, a.stage.id, a.arms[ai].Scheme, len(bq), len(aq))
 				}
 				for qi := range aq {
 					if math.Float64bits(aq[qi]) != math.Float64bits(bq[qi]) {
-						t.Fatalf("workers=%d %s arm %v sample %d: %v != %v",
-							w, a.Workload, a.Arms[ai].Scheme, qi, bq[qi], aq[qi])
+						t.Fatalf("workers=%d %v arm %v sample %d: %v != %v",
+							w, a.stage.id, a.arms[ai].Scheme, qi, bq[qi], aq[qi])
 					}
 				}
 			}
@@ -80,12 +82,12 @@ func TestWorkloadsWorkerCountInvariance(t *testing.T) {
 func TestWorkloadsAllArms(t *testing.T) {
 	p := smokeWorkloadsParams()
 	p.Workloads = []string{"rsort"}
-	res, err := Workloads(p)
+	runs, err := qualityRuns("workloads", &Runner{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := AllProtections()
-	arms := res.Runs[0].Arms
+	arms := runs[0].arms
 	if len(arms) != len(want) {
 		t.Fatalf("%d arms, want %d", len(arms), len(want))
 	}
@@ -104,58 +106,43 @@ func TestWorkloadsAllArms(t *testing.T) {
 	}
 }
 
-// TestWorkloadsParamValidation pins the campaign's input contract:
+// TestWorkloadsParamValidation pins the campaign's input contract on
+// the registry path that `faultmem run`, serve and sweep workers share:
 // unknown and duplicate workload names, and degenerate Monte-Carlo
-// geometry, fail loudly.
+// geometry (which would spin the failure-count draw or leave an arm
+// without samples), fail loudly before any engine run.
 func TestWorkloadsParamValidation(t *testing.T) {
-	base := smokeWorkloadsParams()
-	bad := base
-	bad.Workloads = []string{"bogus"}
-	if _, err := Workloads(bad); err == nil {
-		t.Error("unknown workload name accepted")
-	}
-	bad = base
-	bad.Workloads = []string{"rsort", "rsort"}
-	if _, err := Workloads(bad); err == nil {
-		t.Error("duplicate workload name accepted")
-	}
-	bad = base
-	bad.Trials = 0
-	if _, err := Workloads(bad); err == nil {
-		t.Error("zero trials accepted")
-	}
-	bad = base
-	bad.Pcell = 1
-	if _, err := Workloads(bad); err == nil {
-		t.Error("Pcell=1 accepted")
+	for name, mutate := range map[string]func(*WorkloadsParams){
+		"unknown workload":   func(p *WorkloadsParams) { p.Workloads = []string{"bogus"} },
+		"duplicate workload": func(p *WorkloadsParams) { p.Workloads = []string{"rsort", "rsort"} },
+		"zero trials":        func(p *WorkloadsParams) { p.Trials = 0 },
+		"zero rows":          func(p *WorkloadsParams) { p.Rows = 0 },
+		"Pcell=0":            func(p *WorkloadsParams) { p.Pcell = 0 },
+		"Pcell=1":            func(p *WorkloadsParams) { p.Pcell = 1 },
+	} {
+		p := smokeWorkloadsParams()
+		mutate(&p)
+		r := &Runner{Params: p, Exec: func(sj mc.ShardJob) (any, error) {
+			t.Errorf("%s: engine run %q opened", name, sj.Tag)
+			return sj.Run(), nil
+		}}
+		if _, err := Run(context.Background(), "workloads", r); err == nil {
+			t.Errorf("%s: params accepted", name)
+		}
 	}
 }
 
-// TestWorkloadsRegistryMatchesDirect pins the registry adapter against
-// the direct entrypoint: same tables, and the -quick clamp lands on
+// TestWorkloadsRegistryMatchesDirect pins the registry adapter: one CDF
+// and one summary table per workload, and the -quick clamp lands on
 // QuickWorkloadsTrials.
 func TestWorkloadsRegistryMatchesDirect(t *testing.T) {
 	p := smokeWorkloadsParams()
-	direct, err := Workloads(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(context.Background(), "workloads", &Runner{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tables) != 2*len(direct.Runs) {
-		t.Fatalf("%d tables, want %d", len(res.Tables), 2*len(direct.Runs))
-	}
-	for i, run := range direct.Runs {
-		wantCDF := renderTable(t, direct.QualityCDFTable(run))
-		wantSum := renderTable(t, direct.SummaryTable(run))
-		if got := renderTable(t, res.Tables[2*i]); got != wantCDF {
-			t.Errorf("run %d: registry CDF table differs from direct path", i)
-		}
-		if got := renderTable(t, res.Tables[2*i+1]); got != wantSum {
-			t.Errorf("run %d: registry summary table differs from direct path", i)
-		}
+	if len(res.Tables) != 2*len(p.Workloads) {
+		t.Fatalf("%d tables, want %d", len(res.Tables), 2*len(p.Workloads))
 	}
 
 	quick := p

@@ -582,10 +582,13 @@ func TestServeWorkerJoinsMidRun(t *testing.T) {
 	}
 }
 
-// TestServeBadFig5ParamsFailOnlyTheirJob: Fig. 5 params the engine cannot
-// run (a zero Trun, a bin count or row count past its cap, an exact-store
-// budget past its cap) end their own job with an error final, while a good campaign running alongside completes with the
-// bytes of a local run — the server survives them.
+// TestServeBadFig5ParamsFailOnlyTheirJob: params an experiment cannot
+// run (for Fig. 5 a zero Trun, a bin count or row count past its cap, an
+// exact-store budget past its cap; for every other experiment an empty
+// macro, die or trial budget, a zero sweep step, more faults than cells,
+// an app fig7 does not plot) end their own job with an error final,
+// while a good campaign running alongside completes with the bytes of a
+// local run — the server survives them.
 func TestServeBadFig5ParamsFailOnlyTheirJob(t *testing.T) {
 	srv := startServer(t, testConfig(t))
 	c := dial(t, srv, serve.Options{})
@@ -597,6 +600,20 @@ func TestServeBadFig5ParamsFailOnlyTheirJob(t *testing.T) {
 		{Experiment: "pareto", Params: []byte(`{"CDF":{"Rows":0}}`)},
 		{Experiment: "fig5", Quick: true, Params: []byte(`{"CDF":{"Rows":10000000000}}`)},
 		{Experiment: "fig5", Params: []byte(`{"CDF":{"Trun":1e9,"MaxPerCount":0,"Accum":1}}`)},
+		{Experiment: "fig2", Quick: true, Params: []byte(`{"Step":0}`)},
+		{Experiment: "energy", Quick: true, Params: []byte(`{"Dies":0}`)},
+		{Experiment: "energy", Quick: true, Params: []byte(`{"Rows":0}`)},
+		{Experiment: "redundancy", Quick: true, Params: []byte(`{"Dies":0}`)},
+		{Experiment: "fig6", Params: []byte(`{"Rows":0}`)},
+		{Experiment: "width", Params: []byte(`{"Rows":0}`)},
+		{Experiment: "ablate-lut", Params: []byte(`{"Rows":0}`)},
+		{Experiment: "bistcov", Quick: true, Params: []byte(`{"Rows":0}`)},
+		{Experiment: "bistcov", Quick: true, Params: []byte(`{"StaticFaults":5000}`)},
+		{Experiment: "bistcov", Quick: true, Params: []byte(`{"Couplings":4096}`)},
+		{Experiment: "ablate-multifault", Quick: true, Params: []byte(`{"Trials":0}`)},
+		{Experiment: "workloads", Quick: true, Params: []byte(`{"Rows":0}`)},
+		{Experiment: "workloads", Quick: true, Params: []byte(`{"Trials":0}`)},
+		{Experiment: "fig7", Quick: true, Params: []byte(`[{"App":4,"Rows":4096,"Pcell":0.001,"Trials":8}]`)},
 	}
 	finals := make([]*serve.FinalResult, len(specs))
 	var wg sync.WaitGroup

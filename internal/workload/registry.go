@@ -4,8 +4,8 @@ import "fmt"
 
 // ID is the typed workload identifier — the registry currency shared by
 // the experiment layer, the CLIs, and the public facade, mirroring
-// yield.SchemeID. The first three values coincide with the historical
-// exp.App enum so existing fig7 JSON params keep their meaning.
+// yield.SchemeID. The first three values are the integers of fig7's
+// App param (exp.Fig7Params.App), so fig7 JSON params keep their meaning.
 type ID int
 
 const (

@@ -61,7 +61,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Error("Parse accepted unknown name")
 	}
 	if ElasticNet != 0 || PCA != 1 || KNN != 2 {
-		t.Error("ML workload IDs drifted from the fig7 App enum values")
+		t.Error("ML workload IDs drifted from the fig7 App param values")
 	}
 	if ID(-1).Valid() || ID(numWorkloads).Valid() {
 		t.Error("Valid accepted an out-of-range id")
