@@ -179,6 +179,14 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 	if rows < 1 || readsPerCell < 1 {
 		return nil, fmt.Errorf("exp: ablate-transient params: Rows = %d, Reads = %d; want both >= 1", rows, readsPerCell)
 	}
+	if !(pcell >= 0 && pcell < 1) {
+		return nil, fmt.Errorf("exp: ablate-transient params: Pcell = %g; want it in [0, 1)", pcell)
+	}
+	for _, rate := range rates {
+		if !(rate >= 0 && rate < 1) {
+			return nil, fmt.Errorf("exp: ablate-transient params: Rates holds %g; want every rate in [0, 1)", rate)
+		}
+	}
 	arms := []Protection{ProtNone, ProtShuffle5, ProtPECC, ProtECC}
 	// One persistent fault map shared by every arm and rate, so the rows
 	// differ only in the scheme and the soft-error intensity. Each

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math/rand"
 	"testing"
 
 	"faultmem/internal/dataset"
@@ -225,6 +226,63 @@ func TestBatchTransientMatchesScalar(t *testing.T) {
 	for i := range got {
 		if want := scalar.Read(i); got[i] != want {
 			t.Fatalf("transient word %d: scalar %#08x vs batch %#08x — RNG draw order diverged", i, want, got[i])
+		}
+	}
+}
+
+// TestTransientSourceMatchesRand pins the soft-error block path on
+// every protection arm: an array handed a *stats.Source returns the
+// same words as one handed a stdlib rand.New(rand.NewSource(seed)),
+// which draws per cell, on scalar, batch and checked reads. A third
+// memory without soft errors shows the flips happened.
+func TestTransientSourceMatchesRand(t *testing.T) {
+	const rows, seed = 96, 23
+	fm := mixedFaultMap(rows)
+	words := testWords(rows)
+	for _, arm := range AllProtections() {
+		srcs := []rand.Source{stats.NewSource(seed), rand.New(rand.NewSource(seed)), nil}
+		mems := make([]mem.Word32, len(srcs))
+		got := make([][]uint32, len(srcs))
+		for i, src := range srcs {
+			m, err := arm.Build(rows, fm)
+			if err != nil {
+				t.Fatalf("%v: build: %v", arm, err)
+			}
+			if src != nil {
+				m.(arrayer).Array().SetTransient(0.05, src)
+			}
+			mems[i], got[i] = m, make([]uint32, rows)
+		}
+		for round := 0; round < 4; round++ {
+			for i, m := range mems {
+				for r, w := range words {
+					m.Write(r, w^uint32(round))
+				}
+				switch round {
+				case 0, 1:
+					for r := range got[i] {
+						got[i][r] = m.Read(r)
+					}
+				case 2:
+					m.(mem.BatchMemory).ReadBatch(0, got[i])
+				case 3:
+					var due mem.DUESet
+					due.Reset(rows)
+					m.(mem.Detector).ReadBatchChecked(0, got[i], &due, 0)
+				}
+			}
+			hit := 0
+			for r := range words {
+				if got[0][r] != got[1][r] {
+					t.Fatalf("%v round %d word %d: stats.Source read %#08x, rand.Rand read %#08x", arm, round, r, got[0][r], got[1][r])
+				}
+				if got[0][r] != got[2][r] {
+					hit++
+				}
+			}
+			if hit == 0 {
+				t.Fatalf("%v round %d: no soft error reached a word", arm, round)
+			}
 		}
 	}
 }

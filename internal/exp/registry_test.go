@@ -286,6 +286,9 @@ func TestBadParamsReturnError(t *testing.T) {
 		{"bistcov", `{"Couplings":4096}`},
 		{"ablate-multifault", `{"Trials":0}`},
 		{"ablate-transient", `{"Rows":0}`},
+		{"ablate-transient", `{"Rates":[2]}`},
+		{"ablate-transient", `{"Rates":[-0.5]}`},
+		{"ablate-transient", `{"Pcell":2}`},
 		{"workloads", `{"Rows":0,"Workloads":["rsort"]}`},
 		{"workloads", `{"Trials":0,"Workloads":["rsort"]}`},
 		{"workloads", `{"Trials":-3}`},

@@ -28,8 +28,13 @@ type Codec struct {
 // DefaultCodec returns the Q16.16 codec.
 func DefaultCodec() Codec { return Codec{Frac: 16} }
 
-// scale returns 2^Frac.
+// scale returns 2^Frac. Every Frac Encode accepts (0..31) is built as
+// an integer power of two, without a math.Ldexp call on each scalar
+// Encode and Decode; any other Frac Decode sees keeps Ldexp's value.
 func (c Codec) scale() float64 {
+	if uint(c.Frac) < 32 {
+		return float64(uint32(1) << uint(c.Frac))
+	}
 	return math.Ldexp(1, c.Frac)
 }
 
@@ -65,8 +70,7 @@ func (c Codec) RoundTripValues(m mem.Word32, vals []float64) []float64 {
 
 // roundTripInPlace overwrites vals with its faulty read-back, page by
 // page, without allocating. The quantization scale is hoisted out of
-// the per-word loop (Encode/Decode recompute the Ldexp per call, which
-// the profile shows on every dataset round trip).
+// the per-word loop.
 func (c Codec) roundTripInPlace(m mem.Word32, vals []float64) {
 	words := m.Words()
 	if words == 0 {

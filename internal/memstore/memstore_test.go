@@ -49,6 +49,44 @@ func TestCodecSaturation(t *testing.T) {
 	}
 }
 
+// TestCodecMatchesLdexpFormula pins Encode and Decode to the formula
+// with 2^Frac from math.Ldexp: every Frac Encode accepts, over a value
+// sweep that covers rounding ties, saturation, signed zeros, NaN and
+// infinities, and Decode also at Fracs outside 0..31.
+func TestCodecMatchesLdexpFormula(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -2.5, 1e-12, -1e-12,
+		math.Pi, -math.E, 65535.99999, 32767.5, -32768.5, 1e9, -1e9,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, 2147483647, -2147483648, 0x1p-31, 3 * 0x1p-32}
+	rng := stats.NewRand(11)
+	for i := 0; i < 400; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(2, float64(rng.Intn(64)-32)))
+	}
+	words := []uint32{0, 1, 0x7fffffff, 0x80000000, 0xffffffff, 0x00010000, 0xdeadbeef}
+	for i := 0; i < 200; i++ {
+		words = append(words, rng.Uint32())
+	}
+	for frac := 0; frac <= 31; frac++ {
+		c := Codec{Frac: frac}
+		scale := math.Ldexp(1, frac)
+		for _, v := range vals {
+			if got, want := c.Encode(v), encodeScaled(v, scale); got != want {
+				t.Fatalf("Frac %d: Encode(%g) = %#x, want %#x", frac, v, got, want)
+			}
+		}
+	}
+	for _, frac := range []int{-1100, -1060, -40, -1, 0, 7, 16, 31, 32, 40, 1100} {
+		c := Codec{Frac: frac}
+		scale := math.Ldexp(1, frac)
+		for _, w := range words {
+			got, want := c.Decode(w), float64(int32(w))/scale
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("Frac %d: Decode(%#x) = %g, want %g", frac, w, got, want)
+			}
+		}
+	}
+}
+
 func TestCodecSignHandling(t *testing.T) {
 	c := DefaultCodec()
 	if c.Decode(c.Encode(-1.5)) != -1.5 {

@@ -611,6 +611,9 @@ func TestServeBadFig5ParamsFailOnlyTheirJob(t *testing.T) {
 		{Experiment: "bistcov", Quick: true, Params: []byte(`{"StaticFaults":5000}`)},
 		{Experiment: "bistcov", Quick: true, Params: []byte(`{"Couplings":4096}`)},
 		{Experiment: "ablate-multifault", Quick: true, Params: []byte(`{"Trials":0}`)},
+		{Experiment: "ablate-transient", Params: []byte(`{"Rates":[2]}`)},
+		{Experiment: "ablate-transient", Params: []byte(`{"Rates":[-0.5]}`)},
+		{Experiment: "ablate-transient", Params: []byte(`{"Pcell":2}`)},
 		{Experiment: "workloads", Quick: true, Params: []byte(`{"Rows":0}`)},
 		{Experiment: "workloads", Quick: true, Params: []byte(`{"Trials":0}`)},
 		{Experiment: "fig7", Quick: true, Params: []byte(`[{"App":4,"Rows":4096,"Pcell":0.001,"Trials":8}]`)},

@@ -15,6 +15,7 @@ import (
 
 	"faultmem/internal/bits"
 	"faultmem/internal/fault"
+	"faultmem/internal/stats"
 )
 
 // Array is a functional R x W SRAM bit-cell array with persistent faults.
@@ -35,7 +36,8 @@ type Array struct {
 	faults      fault.Map
 
 	transientRate float64 // per-cell soft-error probability per read
-	transientRNG  *rand.Rand
+	transientFlip stats.Bernoulli
+	transientSrc  rand.Source
 
 	// couplings holds CFid faults bucketed by aggressor row for the
 	// write path.

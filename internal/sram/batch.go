@@ -34,23 +34,23 @@ func (a *Array) WriteBatch(r int, vals []uint64) {
 
 // ReadBatch reads rows r+i into out[i] for every element, semantically
 // identical to calling Read per row in ascending order: the same flip
-// masks and access accounting. Arrays with transient soft errors enabled
-// fall back to the scalar path so the per-read RNG draw order — and thus
-// every downstream sample — is preserved exactly.
+// masks and access accounting. With transient soft errors enabled each
+// row draws its soft-error mask in ascending row order, the order Read
+// per row draws them, so every downstream sample is preserved exactly.
 func (a *Array) ReadBatch(r int, out []uint64) {
 	if r < 0 || len(out) > a.rows-r {
 		panic(fmt.Sprintf("sram: read batch [%d,%d) out of %d", r, r+len(out), a.rows))
-	}
-	if a.transientRate > 0 {
-		for i := range out {
-			out[i] = a.Read(r + i)
-		}
-		return
 	}
 	a.reads += uint64(len(out))
 	m := bits.Mask(a.width)
 	data := a.data[r : r+len(out)]
 	flip := a.flip[r : r+len(out)]
+	if a.transientRate > 0 {
+		for i := range out {
+			out[i] = (data[i] ^ flip[i] ^ a.transientMask()) & m
+		}
+		return
+	}
 	for i := range out {
 		out[i] = (data[i] ^ flip[i]) & m
 	}

@@ -2,6 +2,8 @@ package sram
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"faultmem/internal/stats"
@@ -56,7 +58,7 @@ func TestTransientDoesNotCorruptStorage(t *testing.T) {
 
 func TestTransientValidation(t *testing.T) {
 	a := NewArray(1, 8)
-	for _, bad := range []float64{-0.1, 1.0, 2} {
+	for _, bad := range []float64{-0.1, 1.0, 2, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -74,6 +76,96 @@ func TestTransientValidation(t *testing.T) {
 		}()
 		a.SetTransient(0.1, nil)
 	}()
+	// A NaN rate is refused as a rate, before the RNG is looked at.
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "outside [0,1)") {
+				t.Errorf("NaN rate with nil RNG: panic %q, want the rate message", msg)
+			}
+		}()
+		a.SetTransient(math.NaN(), nil)
+	}()
+}
+
+// TestTransientSourceMatchesPerDraw pins the block path against the
+// per-draw oracle at the array level: a *stats.Source and a stdlib
+// rand.New(rand.NewSource(seed)) give the same words, for scalar and
+// batch reads interleaved, at every width class the arms use.
+func TestTransientSourceMatchesPerDraw(t *testing.T) {
+	const rows = 700 // a batch read spans more than one register cycle
+	for _, width := range []int{1, 8, 22, 32, 39, 64} {
+		for _, rate := range []float64{1e-4, 0.02, 0.5} {
+			block, oracle := NewArray(rows, width), NewArray(rows, width)
+			if err := block.SetFaults(faultAt(3, width-1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.SetFaults(faultAt(3, width-1)); err != nil {
+				t.Fatal(err)
+			}
+			block.SetTransient(rate, stats.NewSource(int64(width)))
+			oracle.SetTransient(rate, rand.New(rand.NewSource(int64(width))))
+			for r := 0; r < rows; r++ {
+				block.Write(r, uint64(r)*0x9E3779B97F4A7C15)
+				oracle.Write(r, uint64(r)*0x9E3779B97F4A7C15)
+			}
+			got, want := make([]uint64, rows), make([]uint64, rows)
+			for pass := 0; pass < 3; pass++ {
+				block.ReadBatch(0, got)
+				oracle.ReadBatch(0, want)
+				for r := 0; r < rows; r += 7 {
+					got[r], want[r] = block.Read(r), oracle.Read(r)
+				}
+				for r := range got {
+					if got[r] != want[r] {
+						t.Fatalf("width %d rate %g pass %d row %d: block %#x, per-draw %#x", width, rate, pass, r, got[r], want[r])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTransientReadsDoNotAllocate pins warm soft-error reads at zero
+// allocations on both paths.
+func TestTransientReadsDoNotAllocate(t *testing.T) {
+	for name, src := range map[string]rand.Source{
+		"stats.Source": stats.NewSource(5),
+		"rand.Rand":    stats.NewRand(5),
+	} {
+		a := NewArray(512, 39)
+		a.SetTransient(1e-3, src)
+		out := make([]uint64, 512)
+		if allocs := testing.AllocsPerRun(20, func() {
+			a.ReadBatch(0, out)
+			_ = a.Read(7)
+		}); allocs != 0 {
+			t.Errorf("%s: warm soft-error reads allocate %v times, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkTransientRead reads one 4096-row page of 32-bit words at a
+// soft-error rate of 1e-4, drawing from a *stats.Source (the block
+// mask) or from a *rand.Rand (one draw per cell).
+func BenchmarkTransientRead(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		src  rand.Source
+	}{
+		{"stats.Source", stats.NewSource(1)},
+		{"rand.Rand", stats.NewRand(1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			a := New16KB()
+			a.SetTransient(1e-4, c.src)
+			out := make([]uint64, a.Rows())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.ReadBatch(0, out)
+			}
+		})
+	}
 }
 
 func TestTransientComposesWithPersistentFaults(t *testing.T) {

@@ -9,10 +9,11 @@ package stats
 
 import "math/rand"
 
-// NewRand returns a rand.Rand seeded with the given seed. It is a tiny
-// convenience wrapper that pins the source type in one place.
+// NewRand returns a rand.Rand seeded with the given seed. It pins the
+// source type in one place: a Source, which draws the same stream as
+// rand.NewSource(seed).
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return rand.New(NewSource(seed))
 }
 
 // Derive returns a child RNG deterministically derived from parent seed and

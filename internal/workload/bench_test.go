@@ -94,3 +94,51 @@ func BenchmarkRecoveryTrial(b *testing.B) {
 		})
 	}
 }
+
+// TestTransientTrialAllocs pins the warm soft-error trial's allocations
+// at the fault map draw's 5: the runner reseeds its one source and
+// rand.Rand every trial, so the trial's stream allocates nothing.
+func TestTransientTrialAllocs(t *testing.T) {
+	prots := exp.AllProtections()
+	arms := make([]workload.Arm, len(prots))
+	for i, p := range prots {
+		arms[i] = p
+	}
+	for _, id := range []workload.ID{workload.CGRestart, workload.CGSolve} {
+		wl, err := id.Workload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := wl.Prepare(workload.Params{Seed: 7, Dim: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range workload.AllPolicies() {
+			runner := workload.NewTrialRunner(inst, workload.Config{
+				Name:          id.String(),
+				Rows:          512,
+				Pcell:         2e-3,
+				Arms:          arms,
+				Policy:        workload.RecoveryPolicy{Kind: kind, SafeWords: 256},
+				TransientRate: 1e-3,
+			})
+			seedBase := stats.DeriveSeed(7, 1000)
+			var buf []float64
+			trial := 0
+			for ; trial < 3; trial++ {
+				if buf, err = runner.RunTrial(seedBase, trial, buf[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// 50 runs, so a stray runtime allocation cannot round up.
+			if allocs := testing.AllocsPerRun(50, func() {
+				if buf, err = runner.RunTrial(seedBase, trial, buf[:0]); err != nil {
+					t.Error(err)
+				}
+				trial++
+			}); allocs > 5 {
+				t.Errorf("%v %v: warm soft-error trial allocates %v times, want <= 5", id, kind, allocs)
+			}
+		}
+	}
+}

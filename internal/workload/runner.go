@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"faultmem/internal/fault"
 	"faultmem/internal/mem"
@@ -46,6 +47,11 @@ type TrialRunner struct {
 	mems  []mem.Word32
 	recs  []memstore.Recovery // per-arm recovery state; nil under PolicyNone
 	ws    Workspace
+	// src is the trial's stream, reseeded every trial, and rng draws
+	// from it: soft errors draw straight from src in blocks, everything
+	// else through rng, one stream either way.
+	src *stats.Source
+	rng *rand.Rand
 }
 
 // arrayAccessor is the facet of a memory that exposes its bit-cell
@@ -64,7 +70,9 @@ func NewTrialRunner(inst Instance, cfg Config) *TrialRunner {
 		inst:  inst,
 		cells: cfg.Rows * mem.DataWidth,
 		mems:  make([]mem.Word32, len(cfg.Arms)),
+		src:   stats.NewSource(0),
 	}
+	r.rng = rand.New(r.src)
 	if cfg.Policy.Active() {
 		r.recs = make([]memstore.Recovery, len(cfg.Arms))
 		for i := range r.recs {
@@ -98,7 +106,9 @@ func (r *TrialRunner) RecoveryStats() []memstore.RecoveryStats {
 // excluded from the CDF, matching Fig. 7's curves — and the same fault
 // map drives every arm (common random numbers).
 func (r *TrialRunner) RunTrial(seedBase int64, trial int, out []float64) ([]float64, error) {
-	rng := stats.Derive(seedBase, int64(trial))
+	// The stats.Derive(seedBase, trial) stream, on the runner's source.
+	rng := r.rng
+	rng.Seed(stats.DeriveSeed(seedBase, int64(trial)))
 	n := 0
 	for n == 0 {
 		n = stats.SampleBinomial(rng, r.cells, r.cfg.Pcell)
@@ -120,7 +130,9 @@ func (r *TrialRunner) RunTrial(seedBase int64, trial int, out []float64) ([]floa
 			if aa, ok := m.(arrayAccessor); ok {
 				// Soft errors draw from the trial's stream: the arms run in
 				// fixed order, so the draws are deterministic per trial.
-				aa.Array().SetTransient(r.cfg.TransientRate, rng)
+				// Handing over the source itself lets every read draw its
+				// flip mask in one block.
+				aa.Array().SetTransient(r.cfg.TransientRate, r.src)
 			}
 		}
 		if r.recs != nil {
