@@ -18,10 +18,11 @@
 //	faultmem worker -connect host:7715            # on each compute host
 //	faultmem coordinate -listen :7715 fig7 -json  # where results land
 //
-// The coordinator fans an experiment's Monte-Carlo shards out to every
-// connected worker, survives worker churn by reassigning expired shards,
-// and finishes locally if the pool drains — the emitted Result is
-// bit-identical to a single-host `faultmem run` at any worker count.
+// The coordinator, a one-shot campaign server, fans an experiment's
+// Monte-Carlo shards out to every connected worker, survives worker churn
+// by reassigning expired shards, and finishes locally if the pool drains
+// — the emitted Result is bit-identical to a single-host `faultmem run`
+// at any worker count. Its port also takes `submit` and `status`.
 package main
 
 import (
@@ -134,7 +135,8 @@ run flags:
   -timeout D      cancel the campaign after duration D (e.g. 90s)
 
 coordinate flags (before the experiment name; run flags after it):
-  -listen ADDR    TCP address workers dial (default 127.0.0.1:7715)
+  -listen ADDR    TCP address workers dial; it also takes submit/status
+                  while the campaign runs (default 127.0.0.1:7715)
   -min-workers N  workers to await before starting (default 1)
   -wait D         how long to await them before starting anyway (default 1m)
   -lease D        shard lease before reassignment (0 = default)
@@ -185,8 +187,7 @@ func printExperiments(w io.Writer) {
 }
 
 // campaignExecutor abstracts where a campaign's shards compute: the local
-// engine (runExperiment) or a coordinator's worker pool (coordinate).
-// *faultmem.SweepCoordinator satisfies it directly.
+// engine (runExperiment) or a server's worker pool (coordinate).
 type campaignExecutor interface {
 	Run(ctx context.Context, name string, r *faultmem.Runner) (*faultmem.ExperimentResult, error)
 	RunAll(ctx context.Context, r *faultmem.Runner, emit func(*faultmem.ExperimentResult) error) error
@@ -201,6 +202,25 @@ func (localExecutor) Run(ctx context.Context, name string, r *faultmem.Runner) (
 
 func (localExecutor) RunAll(ctx context.Context, r *faultmem.Runner, emit func(*faultmem.ExperimentResult) error) error {
 	return faultmem.RunAllExperiments(ctx, r, emit)
+}
+
+// poolExecutor computes in-process with the shards on a server's pool.
+type poolExecutor struct{ srv *faultmem.ServeServer }
+
+func (p poolExecutor) Run(ctx context.Context, name string, r *faultmem.Runner) (*faultmem.ExperimentResult, error) {
+	rc, err := p.srv.Runner(r)
+	if err != nil {
+		return nil, err
+	}
+	return faultmem.RunExperiment(ctx, name, rc)
+}
+
+func (p poolExecutor) RunAll(ctx context.Context, r *faultmem.Runner, emit func(*faultmem.ExperimentResult) error) error {
+	rc, err := p.srv.Runner(r)
+	if err != nil {
+		return err
+	}
+	return faultmem.RunAllExperiments(ctx, rc, emit)
 }
 
 func runExperiment(ctx context.Context, name string, args []string, stdout, stderr io.Writer) int {
@@ -356,8 +376,9 @@ func runCampaign(ctx context.Context, exec campaignExecutor, cmdName, name strin
 }
 
 // coordinate runs an experiment with its engine shards fanned out to a
-// pool of `faultmem worker` processes. Coordinator flags come before the
-// experiment name, run flags after it:
+// pool of `faultmem worker` processes, on a campaign server that lives
+// for this one campaign. Coordinator flags come before the experiment
+// name, run flags after it:
 //
 //	faultmem coordinate -listen :7715 -min-workers 2 fig5 -quick -json
 func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) int {
@@ -394,19 +415,22 @@ func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		}
 	}
 
-	cfg := faultmem.SweepConfig{Lease: *lease, SessionTTL: *sessionTTL, AuthToken: *authToken}
+	cfg := faultmem.ServeConfig{AuthToken: *authToken}
+	cfg.Sweep.Lease = *lease
+	cfg.Sweep.SessionTTL = *sessionTTL
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "faultmem coordinate: "+format+"\n", args...)
 		}
 	}
-	c, err := faultmem.ListenSweep(*listen, cfg)
+	srv, err := faultmem.ListenServe(*listen, cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "faultmem coordinate: %v\n", err)
 		return 1
 	}
-	defer c.Close()
-	fmt.Fprintf(stderr, "faultmem coordinate: listening on %s\n", c.Addr())
+	// Close tells the workers the sweep is over, so they exit 0.
+	defer srv.Close()
+	fmt.Fprintf(stderr, "faultmem coordinate: listening on %s\n", srv.Addr())
 
 	if *minWorkers > 0 {
 		wctx := ctx
@@ -415,7 +439,7 @@ func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) in
 			wctx, cancel = context.WithTimeout(ctx, *wait)
 			defer cancel()
 		}
-		if werr := c.AwaitWorkers(wctx, *minWorkers); werr != nil {
+		if werr := srv.AwaitWorkers(wctx, *minWorkers); werr != nil {
 			if ctx.Err() != nil {
 				fmt.Fprintf(stderr, "faultmem coordinate: cancelled: %v\n", ctx.Err())
 				return 1
@@ -427,16 +451,16 @@ func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		}
 	}
 
-	code := runCampaign(ctx, c, "coordinate", name, runArgs, stdout, stderr)
-	st := c.Stats()
+	code := runCampaign(ctx, poolExecutor{srv}, "coordinate", name, runArgs, stdout, stderr)
+	st := srv.PoolStats()
 	fmt.Fprintf(stderr,
 		"faultmem coordinate: %d shards remote, %d local, %d reassigned, %d duplicate results, %d frames rejected, %d sessions resumed\n",
 		st.RemoteShards, st.LocalShards, st.Reassigned, st.DuplicateResults, st.FramesRejected, st.SessionsResumed)
 	return code
 }
 
-// workerCmd joins a coordinator's pool and computes shards until the
-// coordinator finishes the sweep or the context dies.
+// workerCmd joins a coordinator's or campaign server's pool and computes
+// shards until the server finishes the sweep or the context dies.
 func workerCmd(ctx context.Context, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("faultmem worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -12,8 +12,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,9 +31,9 @@ import (
 // defaults; tests shrink the clocks to milliseconds.
 type Config struct {
 	// Sweep configures the embedded shard coordinator (worker leases,
-	// worker-session TTLs, remote-attempt bounds). Its AuthToken and
-	// LocalWorkers are overridden by the server's own; its Logf defaults
-	// to the server's.
+	// worker-session TTLs, remote-attempt bounds). Its Logf defaults to
+	// the server's. The lease also bounds how long a new connection may
+	// take to send its first frame.
 	Sweep sweep.Config
 	// AuthToken, when non-empty, is the shared secret every worker and
 	// client must present in its handshake (constant-time compared;
@@ -46,7 +44,8 @@ type Config struct {
 	// assumes (default 4).
 	WorkerSlots int
 	// LocalWorkers is the capacity floor: the shards the server computes
-	// itself when the pool is empty (default GOMAXPROCS).
+	// itself when the pool is empty (default GOMAXPROCS). It also caps
+	// the pool's local fallback.
 	LocalWorkers int
 	// ClientInflight caps one client's concurrently executing shards
 	// across all of its campaigns, so a single client cannot monopolize
@@ -165,6 +164,7 @@ type Server struct {
 	sched *scheduler
 
 	mu       sync.Mutex
+	conns    map[net.Conn]struct{} // every connection a demux goroutine holds
 	clients  map[string]*client
 	jobs     map[uint64]*servJob
 	nextJob  uint64
@@ -175,25 +175,24 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts a campaign server on ln. The embedded coordinator
-// shares the listener: a connection's first frame routes it — a worker
-// Hello to the shard pool, a ClientHello to the campaign surface.
+// NewServer starts a campaign server on ln, the only listener of the
+// embedded shard coordinator: a connection's first frame routes it — a
+// worker Hello to the shard pool, a ClientHello to the campaign surface.
 // Starting a server also switches on the process-wide cross-request
 // caches (workload instances; the scheme memo cache is always on), so
 // repeat submissions skip dataset and table construction.
 func NewServer(ln net.Listener, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	scfg := cfg.Sweep
-	scfg.AuthToken = cfg.AuthToken
-	scfg.LocalWorkers = cfg.LocalWorkers
 	if scfg.Logf == nil {
 		scfg.Logf = cfg.Logf
 	}
-	pool := sweep.NewDetachedCoordinator(scfg)
+	pool := sweep.NewCoordinator(scfg, cfg.LocalWorkers)
 	s := &Server{
 		cfg:     cfg,
 		ln:      ln,
 		pool:    pool,
+		conns:   map[net.Conn]struct{}{},
 		clients: map[string]*client{},
 		jobs:    map[uint64]*servJob{},
 		done:    make(chan struct{}),
@@ -217,18 +216,26 @@ func (s *Server) Workers() int { return s.pool.ConnectedWorkers() }
 // PoolStats returns the embedded coordinator's robustness counters.
 func (s *Server) PoolStats() sweep.Stats { return s.pool.Stats() }
 
+// AwaitWorkers blocks until at least n sweep workers are connected (or
+// ctx dies). Zero returns immediately.
+func (s *Server) AwaitWorkers(ctx context.Context, n int) error {
+	return s.pool.AwaitWorkers(ctx, n)
+}
+
+// Runner clones r with the worker pool as its shard executor, for a
+// campaign run in-process (exp.Run or exp.RunAll on the clone) rather
+// than submitted. Its result is bit-identical to a single-host run of r.
+// Unlike a submitted campaign it takes no fair-share tickets: every
+// shard queues on the pool at once, and each worker's own semaphore
+// paces the work.
+func (s *Server) Runner(r *exp.Runner) (*exp.Runner, error) {
+	return s.pool.DistributedRunner(r)
+}
+
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-func clientToken() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("serve: crypto/rand failed: %v", err))
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // Close shuts the server down immediately: running jobs are cancelled,
@@ -242,23 +249,22 @@ func (s *Server) Close() error {
 		for _, j := range s.jobs {
 			j.cancel()
 		}
-		conns := make([]net.Conn, 0, len(s.clients))
-		for _, cl := range s.clients {
-			if cl.conn != nil {
-				conns = append(conns, cl.conn)
-			}
+		conns := make([]net.Conn, 0, len(s.conns))
+		for conn := range s.conns {
+			conns = append(conns, conn)
 		}
 		s.mu.Unlock()
+		// The pool goes first: it sends its workers Done before dropping
+		// them, so they exit instead of reconnecting. Closing every
+		// connection after that also ends the handshakes still in flight
+		// and the client sessions, whose demux goroutines s.wg counts.
+		s.pool.Close()
 		for _, conn := range conns {
 			conn.Close()
 		}
-		// Closing the pool drops the worker connections, unblocking the
-		// demux goroutines parked in AdmitWorker session loops — they are
-		// counted in s.wg, so the pool must die before the Wait below.
-		s.pool.Close()
 	})
 	s.wg.Wait()
-	return s.pool.Close()
+	return nil
 }
 
 // Drain is the graceful stop: new submissions are rejected from now on,
@@ -312,29 +318,70 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// demux reads the first frame and routes the connection: a worker Hello
-// goes to the shard pool (which owns it until it dies), a ClientHello
-// to the campaign surface. Anything else is dropped.
+// demux is the server's one handshake. It reads the first frame within
+// the pool's lease and under MaxHelloPayload, so an unauthenticated peer
+// can hold neither a goroutine nor memory for long (no Hello needs
+// compression, so FlagGzip is refused too), checks the shared secret,
+// and routes the connection: a worker Hello to the shard pool (which
+// owns it until it dies), a ClientHello to the campaign surface.
+// Anything else is dropped.
 func (s *Server) demux(conn net.Conn) {
-	t, flags, payload, err := sweep.ReadFrameFlags(conn)
-	if err != nil {
-		conn.Close()
+	defer conn.Close()
+	if !s.track(conn) {
 		return
 	}
+	defer s.untrack(conn)
+	conn.SetReadDeadline(time.Now().Add(s.pool.Lease()))
+	t, flags, payload, err := sweep.ReadFrameLimit(conn, sweep.MaxHelloPayload)
+	if err != nil || flags&sweep.FlagGzip != 0 {
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
 	msg, err := sweep.DecodeMessage(t, payload)
 	if err != nil {
-		conn.Close()
 		return
 	}
 	switch hello := msg.(type) {
 	case *sweep.Hello:
-		s.pool.AdmitWorker(conn, hello, flags)
-		s.sched.poke() // the pool just shrank; re-fit the gate
+		if s.authorized(conn, hello.Auth) {
+			s.pool.AdmitWorker(conn, hello, flags)
+			s.sched.poke() // the pool just shrank; re-fit the gate
+		}
 	case *sweep.ClientHello:
-		s.handleClient(conn, hello)
-	default:
-		conn.Close()
+		if s.authorized(conn, hello.Auth) {
+			s.handleClient(conn, hello)
+		}
 	}
+}
+
+// track registers a demuxed connection for Close to drop; it reports
+// false once the server is closing.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.done:
+		return false
+	default:
+		s.conns[conn] = struct{}{}
+		return true
+	}
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+}
+
+// authorized checks a handshake's shared secret (constant time), logging
+// a failure.
+func (s *Server) authorized(conn net.Conn, auth string) bool {
+	if sweep.AuthEqual(s.cfg.AuthToken, auth) {
+		return true
+	}
+	s.logf("serve: connection from %v failed authentication, dropped", conn.RemoteAddr())
+	return false
 }
 
 // sendMsg writes one frame on a client's current connection.
@@ -350,14 +397,10 @@ func (s *Server) sendMsg(cl *client, m sweep.Message) error {
 	return sweep.WriteMessage(conn, m)
 }
 
-// handleClient runs one client connection: auth, session open/resume,
-// buffered-final redelivery, then the submit/control message loop.
+// handleClient runs one authenticated client connection: session
+// open/resume, buffered-final redelivery, then the submit/control
+// message loop.
 func (s *Server) handleClient(conn net.Conn, hello *sweep.ClientHello) {
-	defer conn.Close()
-	if !sweep.AuthEqual(s.cfg.AuthToken, hello.Auth) {
-		s.logf("serve: client from %v failed authentication, dropped", conn.RemoteAddr())
-		return
-	}
 	s.mu.Lock()
 	cl := s.clients[hello.Token]
 	if cl != nil {
@@ -369,7 +412,7 @@ func (s *Server) handleClient(conn net.Conn, hello *sweep.ClientHello) {
 		s.logf("serve: client %s resumed from %v", cl.token, conn.RemoteAddr())
 	} else {
 		cl = &client{
-			token:    clientToken(),
+			token:    sweep.NewToken(),
 			conn:     conn,
 			lastSeen: time.Now(),
 			jobs:     map[uint64]*servJob{},

@@ -32,13 +32,6 @@ type Config struct {
 	// MaxRemoteAttempts bounds how many times one shard is dispatched
 	// remotely before the coordinator computes it locally (default 3).
 	MaxRemoteAttempts int
-	// LocalWorkers caps the parallelism of locally computed fallback
-	// shards (default GOMAXPROCS).
-	LocalWorkers int
-	// AuthToken, when non-empty, is the shared secret every worker must
-	// present in its Hello (constant-time compared); connections that
-	// fail the check are dropped before a session exists.
-	AuthToken string
 	// Logf, when non-nil, receives one line per robustness event
 	// (reassignments, rejected frames, session churn).
 	Logf func(format string, args ...any)
@@ -54,7 +47,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRemoteAttempts <= 0 {
 		c.MaxRemoteAttempts = 3
 	}
-	c.LocalWorkers = mc.Workers(c.LocalWorkers)
 	return c
 }
 
@@ -152,14 +144,15 @@ type session struct {
 	leased   map[uint64]*job
 }
 
-// Coordinator owns a distributed sweep: it accepts worker connections,
-// fans the shards of campaigns started via Run/RunAll out to them, and
-// survives arbitrary worker churn — reassigning expired leases,
-// deduplicating late results by job ID, and finishing locally when the
-// pool drains — while keeping results bit-identical to a single-host run.
+// Coordinator is the worker pool of a distributed sweep: it fans the
+// shards of every campaign run through a DistributedRunner out to the
+// workers handed to AdmitWorker, and survives arbitrary worker churn —
+// reassigning expired leases, deduplicating late results by job ID, and
+// finishing locally when the pool drains — while keeping results
+// bit-identical to a single-host run. It owns no listener: the caller
+// accepts connections and reads their Hello.
 type Coordinator struct {
 	cfg   Config
-	ln    net.Listener
 	stats statsCounters
 
 	mu          sync.Mutex
@@ -181,22 +174,10 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 }
 
-// NewCoordinator starts a coordinator serving workers on ln. Close shuts
-// it down.
-func NewCoordinator(ln net.Listener, cfg Config) *Coordinator {
-	c := NewDetachedCoordinator(cfg)
-	c.ln = ln
-	c.wg.Add(1)
-	go c.acceptLoop()
-	return c
-}
-
-// NewDetachedCoordinator starts a coordinator without its own listener:
-// the caller accepts connections itself, performs the Hello read (and
-// whatever multiplexing it needs — the serve mode shares one port
-// between workers and clients), and hands worker connections over via
-// AdmitWorker. Close shuts it down.
-func NewDetachedCoordinator(cfg Config) *Coordinator {
+// NewCoordinator starts a coordinator whose local fallback computes at
+// most localWorkers shards at once (<= 0 selects GOMAXPROCS). Workers
+// join it through AdmitWorker; Close shuts it down.
+func NewCoordinator(cfg Config, localWorkers int) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:         cfg,
@@ -204,7 +185,7 @@ func NewDetachedCoordinator(cfg Config) *Coordinator {
 		jobs:        map[uint64]*job{},
 		localTags:   map[string]struct{}{},
 		connChanged: make(chan struct{}),
-		localSem:    make(chan struct{}, cfg.LocalWorkers),
+		localSem:    make(chan struct{}, mc.Workers(localWorkers)),
 		kick:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
@@ -214,17 +195,11 @@ func NewDetachedCoordinator(cfg Config) *Coordinator {
 	return c
 }
 
-// Addr is the listener's address (useful with a ":0" listener in tests).
-// It is nil for a detached coordinator.
-func (c *Coordinator) Addr() net.Addr {
-	if c.ln == nil {
-		return nil
-	}
-	return c.ln.Addr()
-}
-
 // Stats returns a snapshot of the robustness counters.
 func (c *Coordinator) Stats() Stats { return c.stats.snapshot() }
+
+// Lease returns the resolved shard lease.
+func (c *Coordinator) Lease() time.Duration { return c.cfg.Lease }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -238,9 +213,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 func (c *Coordinator) Close() error {
 	c.closed.Do(func() {
 		close(c.done)
-		if c.ln != nil {
-			c.ln.Close()
-		}
 		c.mu.Lock()
 		type farewell struct {
 			s    *session
@@ -269,6 +241,10 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) ConnectedWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.connectedLocked()
+}
+
+func (c *Coordinator) connectedLocked() int {
 	connected := 0
 	for _, s := range c.sessions {
 		if s.conn != nil {
@@ -283,12 +259,7 @@ func (c *Coordinator) ConnectedWorkers() int {
 func (c *Coordinator) AwaitWorkers(ctx context.Context, n int) error {
 	for {
 		c.mu.Lock()
-		connected := 0
-		for _, s := range c.sessions {
-			if s.conn != nil {
-				connected++
-			}
-		}
+		connected := c.connectedLocked()
 		ch := c.connChanged
 		c.mu.Unlock()
 		if connected >= n {
@@ -310,34 +281,13 @@ func (c *Coordinator) notifyConnChange() {
 	c.connChanged = make(chan struct{})
 }
 
-// Run executes one registered experiment with its engine shards fanned
-// out to the connected workers, falling back to local compute per shard
-// on worker failure. The result is bit-identical to exp.Run with the
-// same runner on a single host.
-func (c *Coordinator) Run(ctx context.Context, name string, r *exp.Runner) (*exp.Result, error) {
-	rc, err := c.DistributedRunner(r)
-	if err != nil {
-		return nil, err
-	}
-	return exp.Run(ctx, name, rc)
-}
-
-// RunAll executes every registered experiment in presentation order with
-// shards fanned out to workers, streaming results to emit. Failure
-// aggregation follows exp.RunAll.
-func (c *Coordinator) RunAll(ctx context.Context, r *exp.Runner, emit func(*exp.Result) error) error {
-	rc, err := c.DistributedRunner(r)
-	if err != nil {
-		return err
-	}
-	return exp.RunAll(ctx, rc, emit)
-}
-
-// DistributedRunner clones r with the shard executor installed — the
-// hook the serve scheduler wraps with its fair-share gate. The campaign
-// the executor ships is pinned per engine run from the resolved runner
-// knobs, so a worker's replay and the coordinator's plan agree on every
-// machine-dependent default.
+// DistributedRunner clones r with the shard executor installed: a
+// campaign run with the clone fans its engine shards out to the
+// connected workers, falling back to local compute per shard on worker
+// failure, and its result is bit-identical to exp.Run with r on a
+// single host. The campaign the executor ships is pinned per engine run
+// from the resolved runner knobs, so a worker's replay and the
+// coordinator's plan agree on every machine-dependent default.
 func (c *Coordinator) DistributedRunner(r *exp.Runner) (*exp.Runner, error) {
 	rc := &exp.Runner{}
 	if r != nil {
@@ -711,32 +661,8 @@ func (c *Coordinator) janitor() {
 	}
 }
 
-// acceptLoop admits worker connections.
-func (c *Coordinator) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			select {
-			case <-c.done:
-				return
-			default:
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.handleConn(conn)
-		}()
-	}
-}
-
-func randToken() string {
+// NewToken returns a fresh random session token.
+func NewToken() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(fmt.Sprintf("sweep: crypto/rand failed: %v", err))
@@ -744,34 +670,14 @@ func randToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// handleConn runs one worker connection: handshake, then the inbound
-// message loop. Corrupt-but-delimited frames are counted and skipped;
-// desynchronized streams drop only this connection — the session (and its
-// leased shards) survives for the worker's reconnect.
-func (c *Coordinator) handleConn(conn net.Conn) {
-	defer conn.Close()
-	t, flags, payload, err := ReadFrameFlags(conn)
-	if err != nil || t != MsgHello {
-		return
-	}
-	m, err := DecodeMessage(t, payload)
-	if err != nil {
-		return
-	}
-	c.AdmitWorker(conn, m.(*Hello), flags)
-}
-
-// AdmitWorker runs one worker connection whose Hello frame has already
-// been read — the entry point for callers that accept and demultiplex
-// connections themselves (the serve mode's shared listener). It blocks
+// AdmitWorker runs one worker connection whose Hello frame the caller
+// has already read and authenticated: the session open or resume, then
+// the inbound message loop. Corrupt-but-delimited frames are counted and
+// skipped; a desynchronized stream drops only this connection. It blocks
 // until the connection dies, closes conn on return, and leaves the
-// session resumable until SessionTTL.
+// session — with its leased shards — resumable until SessionTTL.
 func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello, flags byte) {
 	defer conn.Close()
-	if !AuthEqual(c.cfg.AuthToken, hello.Auth) {
-		c.logf("sweep: worker from %v failed authentication, dropped", conn.RemoteAddr())
-		return
-	}
 	// FlagGzipOK on Hello advertises a flags-aware worker; echoing it on
 	// Welcome — and only then — turns compression on for this
 	// connection. A pre-flags worker never sees a flagged frame.
@@ -790,7 +696,7 @@ func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello, flags byte) {
 		c.logf("sweep: session %s resumed from %v", s.token, conn.RemoteAddr())
 	} else {
 		s = &session{
-			token:    randToken(),
+			token:    NewToken(),
 			conn:     conn,
 			lastSeen: time.Now(),
 			leased:   map[uint64]*job{},

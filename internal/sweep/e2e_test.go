@@ -14,6 +14,7 @@ import (
 
 	"faultmem/internal/exp"
 	"faultmem/internal/mc"
+	"faultmem/internal/serve"
 	"faultmem/internal/sweep"
 	"faultmem/internal/sweep/chaostest"
 )
@@ -39,15 +40,27 @@ func testWorkerConfig(t *testing.T) sweep.WorkerConfig {
 	}
 }
 
-func startCoordinator(t *testing.T) *sweep.Coordinator {
+// startCoordinator starts the coordinator the e2e cases drive: a
+// campaign server, the one listener in front of the shard pool.
+func startCoordinator(t *testing.T) *serve.Server {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sweep.NewCoordinator(ln, testConfig(t))
+	c := serve.NewServer(ln, serve.Config{Sweep: testConfig(t)})
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// runDistributed runs one campaign in-process with its shards on the
+// server's worker pool.
+func runDistributed(ctx context.Context, c *serve.Server, name string, r *exp.Runner) (*exp.Result, error) {
+	rc, err := c.Runner(r)
+	if err != nil {
+		return nil, err
+	}
+	return exp.Run(ctx, name, rc)
 }
 
 // startWorker runs one worker until killed (or test cleanup). The
@@ -95,11 +108,11 @@ func goldenJSON(t *testing.T, name string) []byte {
 	return j
 }
 
-func distributedJSON(t *testing.T, c *sweep.Coordinator, name string) []byte {
+func distributedJSON(t *testing.T, c *serve.Server, name string) []byte {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	res, err := c.Run(ctx, name, testRunner())
+	res, err := runDistributed(ctx, c, name, testRunner())
 	if err != nil {
 		t.Fatalf("distributed %s: %v", name, err)
 	}
@@ -129,7 +142,7 @@ func TestDistributedRunIsBitIdenticalToLocal(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("distributed output diverged from single-host run\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.RemoteShards == 0 {
 		t.Fatalf("no shards were computed remotely: %+v", st)
 	}
@@ -161,7 +174,7 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged after mid-campaign worker death")
 	}
-	if st := c.Stats(); st.RemoteShards == 0 {
+	if st := c.PoolStats(); st.RemoteShards == 0 {
 		t.Fatalf("no shards were computed remotely: %+v", st)
 	}
 }
@@ -192,7 +205,7 @@ func TestAllWorkersKilledFallsBackToLocal(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged after total pool loss")
 	}
-	if st := c.Stats(); st.LocalShards == 0 {
+	if st := c.PoolStats(); st.LocalShards == 0 {
 		// The pool died 20ms in; at least the tail must have run locally.
 		t.Fatalf("expected local fallback shards after pool drain: %+v", st)
 	}
@@ -206,7 +219,7 @@ func TestNoWorkersRunsLocally(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("workerless coordinator output diverged from plain local run")
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.RemoteShards != 0 || st.LocalShards == 0 {
 		t.Fatalf("expected pure local execution: %+v", st)
 	}
@@ -243,7 +256,7 @@ func TestChaosDropDupCorrupt(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged under frame chaos")
 	}
-	t.Logf("chaos stats: %+v", c.Stats())
+	t.Logf("chaos stats: %+v", c.PoolStats())
 }
 
 // TestHardDisconnectResume: the proxy kills the worker's connection by
@@ -277,7 +290,7 @@ func TestHardDisconnectResume(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged across forced reconnects")
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.SessionsResumed == 0 {
 		t.Fatalf("expected session resumes under rolling disconnects: %+v", st)
 	}
@@ -344,7 +357,7 @@ func TestDistributedMultiStageExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.Run(ctx, "fig7", runner())
+	res, err := runDistributed(ctx, c, "fig7", runner())
 	if err != nil {
 		t.Fatalf("distributed fig7: %v", err)
 	}
@@ -364,7 +377,7 @@ func TestDistributedMultiStageExperiment(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("multi-stage distributed output diverged from single-host run")
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.RemoteShards == 0 {
 		t.Fatalf("no fig7 shards were computed remotely: %+v", st)
 	}
@@ -400,7 +413,7 @@ func TestDistributedWorkloadsCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.Run(ctx, "workloads", runner())
+	res, err := runDistributed(ctx, c, "workloads", runner())
 	if err != nil {
 		t.Fatalf("distributed workloads: %v", err)
 	}
@@ -420,7 +433,7 @@ func TestDistributedWorkloadsCampaign(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("distributed workloads output diverged from single-host run")
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.RemoteShards == 0 {
 		t.Fatalf("no workloads shards were computed remotely: %+v", st)
 	}
@@ -462,7 +475,7 @@ func TestDistributedRecoveryCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.Run(ctx, "recovery", recoveryRunner())
+	res, err := runDistributed(ctx, c, "recovery", recoveryRunner())
 	if err != nil {
 		t.Fatalf("distributed recovery: %v", err)
 	}
@@ -482,7 +495,7 @@ func TestDistributedRecoveryCampaign(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("distributed recovery output diverged from single-host run")
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.RemoteShards == 0 {
 		t.Fatalf("no recovery shards were computed remotely: %+v", st)
 	}
@@ -511,7 +524,7 @@ func TestRecoveryWorkerKilledMidCampaign(t *testing.T) {
 
 	timer := time.AfterFunc(30*time.Millisecond, kill)
 	defer timer.Stop()
-	res, err := c.Run(ctx, "recovery", recoveryRunner())
+	res, err := runDistributed(ctx, c, "recovery", recoveryRunner())
 	if err != nil {
 		t.Fatalf("distributed recovery: %v", err)
 	}
@@ -531,7 +544,7 @@ func TestRecoveryWorkerKilledMidCampaign(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("recovery output diverged after mid-campaign worker death")
 	}
-	if st := c.Stats(); st.RemoteShards == 0 {
+	if st := c.PoolStats(); st.RemoteShards == 0 {
 		t.Fatalf("no recovery shards were computed remotely: %+v", st)
 	}
 }
@@ -579,7 +592,7 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged after JobError degradation")
 	}
-	st := c.Stats()
+	st := c.PoolStats()
 	if st.JobErrors == 0 || st.LocalShards == 0 {
 		t.Fatalf("expected JobError-driven local degradation: %+v", st)
 	}
@@ -636,7 +649,7 @@ func TestNonSkippingStageFallsBackToLocal(t *testing.T) {
 	if got, want := distributedJSON(t, c, "twostage"), goldenJSON(t, "twostage"); !bytes.Equal(got, want) {
 		t.Fatalf("distributed twostage diverged from the single-host run:\n%s\n%s", got, want)
 	}
-	if st := c.Stats(); st.JobErrors == 0 || st.RemoteShards != 4 || st.LocalShards != 4 {
+	if st := c.PoolStats(); st.JobErrors == 0 || st.RemoteShards != 4 || st.LocalShards != 4 {
 		t.Fatalf("want stage a remote (4 shards) and stage b local (4 shards) after a JobError: %+v", st)
 	}
 }
@@ -718,7 +731,7 @@ func TestCancelledCampaignReleasesPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.Run(ctx, "fig5", testRunner())
+	_, err := runDistributed(ctx, c, "fig5", testRunner())
 	if err == nil {
 		// The run can legitimately win the race and finish; only a hang
 		// is a failure.

@@ -3,7 +3,10 @@
 // registered campaign out to remote workers over a length-prefixed,
 // checksummed frame protocol, and merges the returned shard payloads in
 // shard order — bit-identical to a single-host mc.RunEnv run at any
-// worker count and under any churn schedule.
+// worker count and under any churn schedule. The coordinator is a pool
+// without a listener: the campaign server (internal/serve) accepts every
+// connection, reads and authenticates its Hello, and hands workers to
+// Coordinator.AdmitWorker.
 //
 // Robustness is the design center, because a single lost or duplicated
 // shard silently biases a 1e9-sample CDF:
@@ -49,6 +52,10 @@ const (
 	// leaves two orders of magnitude of headroom while making a corrupt
 	// length field detectable before any allocation happens.
 	MaxFramePayload = 64 << 20
+	// MaxHelloPayload caps a connection's first frame, read before the
+	// peer has authenticated. Hello and ClientHello carry two
+	// uint8-length strings, at most 512 payload bytes.
+	MaxHelloPayload = 4 << 10
 )
 
 // The type byte's low six bits carry the MsgType; the high two bits are
@@ -186,7 +193,13 @@ func (t MsgType) String() string {
 type FrameError struct {
 	Fatal  bool
 	Reason string
+	// Err is the read error that cut the frame short, if any, so callers
+	// can tell an orderly close (net.ErrClosed) from a dropped link.
+	Err error
 }
+
+// Unwrap returns the read error behind a truncated frame.
+func (e *FrameError) Unwrap() error { return e.Err }
 
 func (e *FrameError) Error() string {
 	kind := "recoverable"
@@ -249,10 +262,11 @@ func WriteFrameFlags(w io.Writer, t MsgType, flags byte, payload []byte) error {
 	return err
 }
 
-// parseHeader validates the fixed header and returns the declared type
+// parseHeader validates the fixed header and returns the declared type,
 // payload length, and checksum. Errors are always fatal: a header that
-// does not parse means the stream is not frame-aligned.
-func parseHeader(hdr []byte) (t MsgType, length int, sum uint32, err error) {
+// does not parse, or declares more than limit payload bytes, means the
+// stream is not frame-aligned or not worth reading.
+func parseHeader(hdr []byte, limit int) (t MsgType, length int, sum uint32, err error) {
 	if hdr[0] != magic0 || hdr[1] != magic1 {
 		return 0, 0, 0, &FrameError{Fatal: true, Reason: fmt.Sprintf("bad magic %#02x%02x", hdr[0], hdr[1])}
 	}
@@ -260,7 +274,7 @@ func parseHeader(hdr []byte) (t MsgType, length int, sum uint32, err error) {
 		return 0, 0, 0, &FrameError{Fatal: true, Reason: fmt.Sprintf("unsupported protocol version %d", hdr[2])}
 	}
 	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxFramePayload {
+	if int64(n) > int64(limit) {
 		return 0, 0, 0, &FrameError{Fatal: true, Reason: fmt.Sprintf("oversized frame: %d bytes", n)}
 	}
 	return MsgType(hdr[3]), int(n), binary.BigEndian.Uint32(hdr[8:12]), nil
@@ -280,7 +294,7 @@ func ParseFrame(b []byte) (t MsgType, payload []byte, n int, err error) {
 	if len(b) < headerSize {
 		return 0, nil, 0, io.ErrUnexpectedEOF
 	}
-	t, length, sum, err := parseHeader(b[:headerSize])
+	t, length, sum, err := parseHeader(b[:headerSize], MaxFramePayload)
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -316,14 +330,22 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 // inflates past MaxFramePayload is a recoverable error — the frame was
 // well-delimited and CRC-valid on the wire, only its contents are bad.
 func ReadFrameFlags(r io.Reader) (MsgType, byte, []byte, error) {
+	return ReadFrameLimit(r, MaxFramePayload)
+}
+
+// ReadFrameLimit is ReadFrameFlags with the payload capped at limit
+// bytes, both as declared on the wire and once inflated. A header that
+// declares more is a fatal error, raised before any payload byte is read
+// or allocated.
+func ReadFrameLimit(r io.Reader, limit int) (MsgType, byte, []byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, 0, nil, io.EOF
 		}
-		return 0, 0, nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated header: %v", err)}
+		return 0, 0, nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated header: %v", err), Err: err}
 	}
-	raw, length, sum, err := parseHeader(hdr[:])
+	raw, length, sum, err := parseHeader(hdr[:], limit)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -331,7 +353,7 @@ func ReadFrameFlags(r io.Reader) (MsgType, byte, []byte, error) {
 	t := raw & typeMask
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated %v payload: %v", t, err)}
+		return 0, 0, nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated %v payload: %v", t, err), Err: err}
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return 0, 0, nil, &FrameError{Reason: fmt.Sprintf("%v frame checksum mismatch", t)}
@@ -340,7 +362,7 @@ func ReadFrameFlags(r io.Reader) (MsgType, byte, []byte, error) {
 		return 0, 0, nil, &FrameError{Reason: fmt.Sprintf("unknown frame type %d", byte(t))}
 	}
 	if flags&FlagGzip != 0 {
-		if payload, err = gzipDecompress(t, payload); err != nil {
+		if payload, err = gzipDecompress(t, payload, limit); err != nil {
 			return 0, 0, nil, err
 		}
 	}
@@ -357,16 +379,16 @@ func ReadRawFrame(r io.Reader) ([]byte, error) {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated header: %v", err)}
+		return nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated header: %v", err), Err: err}
 	}
-	_, length, _, err := parseHeader(hdr[:])
+	_, length, _, err := parseHeader(hdr[:], MaxFramePayload)
 	if err != nil {
 		return nil, err
 	}
 	buf := make([]byte, headerSize+length)
 	copy(buf, hdr[:])
 	if _, err := io.ReadFull(r, buf[headerSize:]); err != nil {
-		return nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated payload: %v", err)}
+		return nil, &FrameError{Fatal: true, Reason: fmt.Sprintf("truncated payload: %v", err), Err: err}
 	}
 	return buf, nil
 }

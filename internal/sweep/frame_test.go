@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"testing"
 )
 
@@ -155,6 +156,50 @@ func TestReadFrameTruncation(t *testing.T) {
 	}
 	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+}
+
+// TestReadFrameLimit: a header declaring more than the cap is fatal
+// before any payload byte is read, and a compressed payload may not
+// inflate past the cap either.
+func TestReadFrameLimit(t *testing.T) {
+	raw := validFrame(MsgHello, bytes.Repeat([]byte{'a'}, 100))
+	if _, _, _, err := ReadFrameLimit(bytes.NewReader(raw), 100); err != nil {
+		t.Fatalf("frame at the cap: %v", err)
+	}
+	r := bytes.NewReader(raw)
+	_, _, _, err := ReadFrameLimit(r, 99)
+	var fe *FrameError
+	if !errors.As(err, &fe) || !fe.Fatal {
+		t.Fatalf("over-cap frame: %v, want fatal *FrameError", err)
+	}
+	if r.Len() != len(raw)-headerSize {
+		t.Fatalf("read %d payload bytes past an over-cap header", len(raw)-headerSize-r.Len())
+	}
+
+	z := AppendFrameFlags(nil, MsgResult, FlagGzip, make([]byte, 1000))
+	if _, _, _, err := ReadFrameLimit(bytes.NewReader(z), 999); !errors.As(err, &fe) || fe.Fatal {
+		t.Fatalf("payload inflating past the cap: %v, want recoverable *FrameError", err)
+	}
+}
+
+// TestFrameErrorUnwrapsClosedConn: reading from a connection this side
+// closed is a fatal frame error that still matches net.ErrClosed, so an
+// orderly shutdown is not logged as a dropped connection.
+func TestFrameErrorUnwrapsClosedConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	_, _, err = ReadFrame(conn)
+	if !IsFatalFrameError(err) || !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("read from a closed conn: %v, want a fatal frame error matching net.ErrClosed", err)
 	}
 }
 

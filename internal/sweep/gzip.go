@@ -23,22 +23,22 @@ func gzipCompress(p []byte) []byte {
 }
 
 // gzipDecompress inflates a FlagGzip payload. The output is bounded at
-// MaxFramePayload — the same cap the plain length field honors — so a
+// limit — the same cap the plain length field honors — so a
 // decompression bomb cannot force an allocation the frame layer would
 // never have allowed on the wire. Failures are recoverable FrameErrors:
 // the frame was well-delimited and its CRC (over the compressed wire
 // bytes) checked out, only the contents are bad.
-func gzipDecompress(t MsgType, p []byte) ([]byte, error) {
+func gzipDecompress(t MsgType, p []byte, limit int) ([]byte, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(p))
 	if err != nil {
 		return nil, &FrameError{Reason: fmt.Sprintf("%v frame: bad gzip payload: %v", t, err)}
 	}
-	out, err := io.ReadAll(io.LimitReader(zr, MaxFramePayload+1))
+	out, err := io.ReadAll(io.LimitReader(zr, int64(limit)+1))
 	if err != nil {
 		return nil, &FrameError{Reason: fmt.Sprintf("%v frame: corrupt gzip payload: %v", t, err)}
 	}
-	if len(out) > MaxFramePayload {
-		return nil, &FrameError{Reason: fmt.Sprintf("%v frame: payload inflates past %d bytes", t, MaxFramePayload)}
+	if len(out) > limit {
+		return nil, &FrameError{Reason: fmt.Sprintf("%v frame: payload inflates past %d bytes", t, limit)}
 	}
 	return out, nil
 }

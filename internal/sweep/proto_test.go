@@ -176,3 +176,59 @@ func TestDecodedBlobsDoNotAliasInput(t *testing.T) {
 		t.Fatalf("decoded data aliases the wire buffer: %q", got)
 	}
 }
+
+// FuzzDecodeMessage: no payload may crash a decoder a peer can reach,
+// and whatever decodes re-encodes to a payload that decodes to the same
+// message. The bytes need not match: Job and Submit ignore unknown flag
+// bits, and Hello accepts an explicit empty auth field. The seeds are
+// every message type's encoding, each truncation of it, and each
+// single-byte overwrite with 0xFF, which makes every length prefix lie.
+func FuzzDecodeMessage(f *testing.F) {
+	seed := int64(-42)
+	for _, m := range []Message{
+		&Hello{},
+		&Hello{Token: "resume-me", Auth: "s3cret"},
+		&Welcome{Token: "a1b2c3d4"},
+		&Job{ID: 7, Experiment: "fig5", Tag: "fig5/x", Shard: 3, Shards: 64, HasSeed: true, Seed: seed,
+			Quick: true, Workers: 8, Accum: yield.AccumHist, Bins: 512, Params: []byte(`{"A":1}`)},
+		&Result{ID: 7, Shard: 3, Data: []byte("shard")},
+		&JobError{ID: 7, Msg: "no"},
+		&Heartbeat{InFlight: []uint64{1, 2}},
+		&Cancel{IDs: []uint64{42}},
+		&Done{},
+		&ClientHello{Token: "tok", Auth: "s3cret"},
+		&ClientWelcome{Token: "tok", Draining: true},
+		&Submit{Ref: 1, Experiment: "fig7", Label: "l", Priority: 4, HasSeed: true, Seed: seed,
+			Quick: true, Workers: 2, Accum: yield.AccumExact, Bins: 64, Params: []byte(`[]`)},
+		&SubmitReply{Ref: 1, JobID: 2, ErrMsg: "no"},
+		&JobControl{Ref: 1, Verb: VerbCancel, JobID: 3},
+		&JobInfo{Ref: 1, ErrMsg: "no", Data: []byte(`{}`)},
+		&Snapshot{JobID: 1, Seq: 2, Data: []byte(`{}`)},
+		&Final{JobID: 1, ErrMsg: "no", Result: []byte(`{}`)},
+	} {
+		typ, p := byte(m.msgType()), m.payload()
+		f.Add(typ, p)
+		for i := range p {
+			f.Add(typ, p[:i])
+			lie := append([]byte(nil), p...)
+			lie[i] = 0xFF
+			f.Add(typ, lie)
+		}
+	}
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		m, err := DecodeMessage(MsgType(typ), payload)
+		if err != nil {
+			return
+		}
+		if m.msgType() != MsgType(typ) {
+			t.Fatalf("frame type %d decoded as %T", typ, m)
+		}
+		back, err := DecodeMessage(m.msgType(), m.payload())
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("re-encoded %T decodes differently:\n got %+v\nwant %+v", m, back, m)
+		}
+	})
+}

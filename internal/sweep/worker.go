@@ -35,7 +35,7 @@ type WorkerConfig struct {
 	// in-flight shards (default GOMAXPROCS).
 	LocalWorkers int
 	// AuthToken is the shared secret presented in the Hello handshake
-	// when the coordinator's listening port requires one.
+	// when the server's port requires one.
 	AuthToken string
 	// Logf, when non-nil, receives one line per connection event.
 	Logf func(format string, args ...any)

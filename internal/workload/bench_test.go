@@ -11,7 +11,7 @@ import (
 // BenchmarkWorkloadTrial measures one warm Monte-Carlo trial per
 // registered workload — fault map plus all eight protection arms
 // (round-trip + run + score), the unit the workloads campaign's Trials
-// budget scales by. CI records it via benchreport -filter.
+// budget scales by.
 func BenchmarkWorkloadTrial(b *testing.B) {
 	prots := exp.AllProtections()
 	arms := make([]workload.Arm, len(prots))
@@ -53,8 +53,7 @@ func BenchmarkWorkloadTrial(b *testing.B) {
 // BenchmarkRecoveryTrial measures one warm cgsolve trial across all
 // eight arms per recovery policy, with soft errors enabled so the
 // detect-and-recover machinery actually engages — the overhead of the
-// checked round trips over the plain cached baseline ("none"). CI
-// records it via benchreport -filter.
+// checked round trips over the plain cached baseline ("none").
 func BenchmarkRecoveryTrial(b *testing.B) {
 	prots := exp.AllProtections()
 	arms := make([]workload.Arm, len(prots))

@@ -5,6 +5,7 @@ import (
 	"net"
 
 	"faultmem/internal/serve"
+	"faultmem/internal/sweep"
 )
 
 // This file is the public face of the long-lived campaign service: a
@@ -12,14 +13,16 @@ import (
 // port, schedules every admitted campaign over the one shared pool with
 // fair-share tickets at shard granularity, streams snapshots and final
 // results to clients, and keeps cross-request caches warm between
-// submissions. cmd/faultmem's `serve`, `submit`, `status`, and `cancel`
-// subcommands are thin shells over exactly these calls.
+// submissions. cmd/faultmem's `serve`, `coordinate`, `worker`, `submit`,
+// `status`, and `cancel` subcommands are thin shells over exactly these
+// calls.
 
 // ServeServer is the campaign service. Campaign results are
 // bit-identical to a direct RunExperiment of the same runner knobs —
-// independent of scheduling, pool size, and worker churn. Stop it with
-// Drain (graceful: running jobs finish, new submissions rejected) or
-// Close (immediate).
+// independent of scheduling, pool size, and worker churn. Runner moves
+// an in-process campaign's shards onto its pool. Stop it with Drain
+// (graceful: running jobs finish, new submissions rejected) or Close
+// (immediate).
 type ServeServer = serve.Server
 
 // ServeConfig tunes the campaign server: auth secret, scheduler
@@ -27,6 +30,22 @@ type ServeServer = serve.Server
 // embedded sweep coordinator's clocks. The zero value selects
 // production defaults.
 type ServeConfig = serve.Config
+
+// SweepConfig (ServeConfig.Sweep) tunes the worker pool's fault-tolerance
+// clocks (shard lease, session resume window, remote retry budget). The
+// zero value selects production defaults.
+type SweepConfig = sweep.Config
+
+// SweepStats (ServeServer.PoolStats) are the pool's cumulative
+// robustness counters: where shards ran, how many leases expired, how
+// many corrupt frames and duplicate results were absorbed, and how the
+// worker pool churned.
+type SweepStats = sweep.Stats
+
+// SweepWorkerConfig tunes a worker's liveness clocks (heartbeat cadence,
+// silent-connection timeout, reconnect backoff bounds). The zero value
+// selects production defaults.
+type SweepWorkerConfig = sweep.WorkerConfig
 
 // ServeClient is one connection to a campaign server: Submit/Wait for
 // campaigns, Status/Cancel/List for lifecycle, Token for session
@@ -71,4 +90,13 @@ func ListenServe(addr string, cfg ServeConfig) (*ServeServer, error) {
 // ServeOptions.Token, resumes) a client session.
 func DialServe(ctx context.Context, addr string, opts ServeOptions) (*ServeClient, error) {
 	return serve.Dial(ctx, addr, opts)
+}
+
+// RunSweepWorker connects to a server at addr and computes assigned
+// shards until the server finishes the sweep (returns nil) or ctx dies
+// (returns ctx.Err()). Lost connections are survived by reconnecting
+// with jittered backoff and resuming the session; results computed while
+// disconnected are re-delivered.
+func RunSweepWorker(ctx context.Context, addr string, cfg SweepWorkerConfig) error {
+	return sweep.RunWorker(ctx, addr, cfg)
 }
