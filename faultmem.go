@@ -35,7 +35,9 @@ import (
 )
 
 // Memory is a 32-bit word-addressable memory; every protection scheme in
-// this package implements it.
+// this package implements it. Besides word reads and writes it carries
+// the batch read, the checked read that reports detected-uncorrectable
+// words, and the image write the round trips page data with.
 type Memory = mem.Word32
 
 // Fault is one faulty bit-cell at (Row, Col) with a failure mode.

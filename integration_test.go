@@ -123,8 +123,7 @@ func TestIntegrationRedundancyVsShuffling(t *testing.T) {
 }
 
 // TestIntegrationExpDeterminism pins the experiment harness: the same
-// seeds must regenerate identical exhibit rows across processes (the
-// reproducibility contract of EXPERIMENTS.md).
+// seeds must regenerate identical exhibit rows across processes.
 func TestIntegrationExpDeterminism(t *testing.T) {
 	ctx := context.Background()
 	fig2 := exp.Fig2Params{VMin: 0.7, VMax: 0.8, Step: 0.05, ISDirections: 500, MemoryBytes: 16384, Seed: 4}

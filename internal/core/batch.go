@@ -15,22 +15,16 @@ func (s *Shuffled) shiftTable() (table [64]int) {
 	return table
 }
 
-// WriteBatch stores src[i] at addr+i, applying each row's write-path
-// rotation before one bulk store — semantically identical to per-word
-// Write in ascending address order.
-func (s *Shuffled) WriteBatch(addr int, src []uint32) {
-	s.buf = growBuf(s.buf, len(src))
-	shifts := s.shiftTable()
-	x := s.lut.x[addr : addr+len(src)]
-	for i, v := range src {
-		s.buf[i] = s.cfg.RotateWrite(uint64(v), shifts[x[i]])
-	}
-	s.arr.WriteBatch(addr, s.buf)
-}
+// ReadChecked is Read with no flag: bit-shuffling relocates error bits
+// to low-significance positions but carries no code, so it cannot
+// detect what it absorbs. Checked round trips therefore read through
+// the shuffle and recover nothing, the degenerate policy.
+func (s *Shuffled) ReadChecked(addr int) (uint32, bool) { return s.Read(addr), false }
 
 // ReadBatch reads addr+i into dst[i]: one bulk fetch, then each row's
-// read-path rotation restoring the original bit order.
-func (s *Shuffled) ReadBatch(addr int, dst []uint32) {
+// read-path rotation restoring the original bit order. It never flags
+// (see ReadChecked).
+func (s *Shuffled) ReadBatch(addr int, dst []uint32, _ *mem.DUESet, _ int) {
 	s.buf = growBuf(s.buf, len(dst))
 	s.arr.ReadBatch(addr, s.buf)
 	shifts := s.shiftTable()
@@ -48,14 +42,7 @@ func (s *Shuffled) ImageKey() string { return mem.ImageKeyRaw32 }
 
 // EncodeImage widens src into img (see ImageKey: the physical image
 // before the fault-dependent rotation is the datum itself).
-func (s *Shuffled) EncodeImage(img []uint64, src []uint32) {
-	if len(img) != len(src) {
-		panic("core: image length mismatch")
-	}
-	for i, v := range src {
-		img[i] = uint64(v)
-	}
-}
+func (s *Shuffled) EncodeImage(img []uint64, src []uint32) { mem.EncodeRaw32(img, src) }
 
 // WriteImage stores a precomputed image at addr+i, applying the current
 // FM-LUT's per-row rotations and the array's stuck-at masks. img is not
@@ -70,18 +57,6 @@ func (s *Shuffled) WriteImage(addr int, img []uint64) {
 	s.arr.WriteBatch(addr, s.buf)
 }
 
-// ReadChecked is Read with no flag: bit-shuffling relocates error bits
-// to low-significance positions but carries no code, so it cannot
-// detect what it absorbs. Implementing mem.Detector anyway lets the
-// checked round trips treat the shuffling arms uniformly — they read
-// through the shuffle and recover nothing, the degenerate policy.
-func (s *Shuffled) ReadChecked(addr int) (uint32, bool) { return s.Read(addr), false }
-
-// ReadBatchChecked is ReadBatch with no flags (see ReadChecked).
-func (s *Shuffled) ReadBatchChecked(addr int, dst []uint32, _ *mem.DUESet, _ int) {
-	s.ReadBatch(addr, dst)
-}
-
 // growBuf returns a length-n scratch slice, reusing buf's storage when
 // it is large enough.
 func growBuf(buf []uint64, n int) []uint64 {
@@ -90,9 +65,3 @@ func growBuf(buf []uint64, n int) []uint64 {
 	}
 	return buf[:n]
 }
-
-var (
-	_ mem.BatchMemory = (*Shuffled)(nil)
-	_ mem.ImageWriter = (*Shuffled)(nil)
-	_ mem.Detector    = (*Shuffled)(nil)
-)

@@ -1,10 +1,10 @@
 // Package dataset provides seeded synthetic stand-ins for the three UCI
-// datasets of Table 1 (see the substitution table in DESIGN.md): a
-// wine-quality-like regression set, a Madelon-like feature-selection set,
-// and an accelerometer activity-recognition set. Each generator matches
-// the dimensionality, size class, and statistical character of its
-// original, so the protection-scheme comparisons of Fig. 7 exercise the
-// same code paths and exhibit the same orderings.
+// datasets of Table 1: a wine-quality-like regression set, a
+// Madelon-like feature-selection set, and an accelerometer
+// activity-recognition set. Each generator matches the dimensionality,
+// size class, and statistical character of its original, so the
+// protection-scheme comparisons of Fig. 7 exercise the same code paths
+// and exhibit the same orderings.
 package dataset
 
 import (

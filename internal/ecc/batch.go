@@ -33,60 +33,15 @@ func (c *Code) EncodeBatch(dst, src []uint64) {
 	}
 }
 
-// DecodeBatch decodes cw[i] into dst[i] for every element, returning how
-// many words were corrected and how many carried detected-uncorrectable
-// errors. The recovered data, correction decisions, and the two counts
-// are bit-identical to calling Decode per word and tallying its Status —
-// the bulk read path of an ECC-protected memory. dst and cw must have
-// equal length; they may be the same slice.
-func (c *Code) DecodeBatch(dst, cw []uint64) (corrected, uncorrectable uint64) {
-	if len(dst) != len(cw) {
-		panic(fmt.Sprintf("ecc: decode batch dst %d vs cw %d", len(dst), len(cw)))
-	}
-	nMask := (uint64(1) << uint(c.n)) - 1
-	runs := c.runs
-	covMasks := c.covMasks
-	maxPos := c.k + c.r
-	for i, w := range cw {
-		w &= nMask
-		syn := 0
-		for j, mask := range covMasks {
-			syn |= (bits.OnesCount64(w&mask) & 1) << uint(j)
-		}
-		overall := bits.OnesCount64(w) & 1
-		switch {
-		case syn == 0 && overall == 0:
-		case syn == 0 && overall == 1:
-			w ^= 1
-			corrected++
-		case syn != 0 && overall == 1:
-			if syn > maxPos {
-				uncorrectable++
-			} else {
-				w ^= uint64(1) << uint(syn)
-				corrected++
-			}
-		default: // syn != 0 && overall == 0
-			uncorrectable++
-		}
-		var data uint64
-		for _, run := range runs {
-			data |= (w & run.mask) >> run.shift
-		}
-		dst[i] = data
-	}
-	return corrected, uncorrectable
-}
-
-// DecodeBatchStatus is DecodeBatch with per-word outcome reporting: it
-// additionally records each word's decode Status in sts[i], so callers
-// that must know *which* words carried detected-uncorrectable errors
-// (the mem.Detector read paths) get the flags in the same pass that
-// recovers the data. The recovered data, correction decisions, counts,
-// and per-word statuses are bit-identical to calling Decode per word.
-// dst, cw, and sts must have equal length; dst and cw may be the same
-// slice.
-func (c *Code) DecodeBatchStatus(dst, cw []uint64, sts []Status) (corrected, uncorrectable uint64) {
+// DecodeBatch decodes cw[i] into dst[i] and records the word's decode
+// Status in sts[i] for every element, returning how many words were
+// corrected and how many carried detected-uncorrectable errors. The
+// recovered data, correction decisions, statuses and counts are
+// bit-identical to calling Decode per word — the bulk read path of an
+// ECC-protected memory, whose checked reads find the flagged words in
+// sts. dst, cw and sts must have equal length; dst and cw may be the
+// same slice.
+func (c *Code) DecodeBatch(dst, cw []uint64, sts []Status) (corrected, uncorrectable uint64) {
 	if len(dst) != len(cw) || len(sts) != len(cw) {
 		panic(fmt.Sprintf("ecc: decode batch dst %d vs cw %d vs sts %d", len(dst), len(cw), len(sts)))
 	}

@@ -10,16 +10,15 @@ import (
 	"faultmem/internal/fault"
 	"faultmem/internal/hw"
 	"faultmem/internal/mc"
-	"faultmem/internal/mem"
 	"faultmem/internal/sram"
 	"faultmem/internal/stats"
 )
 
-// This file holds the ablation studies of DESIGN.md §6 — experiments
-// beyond the paper's evaluation that quantify its design decisions:
-// the multi-fault FM-LUT policy, the FM-LUT realization trade-off
-// (§5.1's remark), and the scheme's behaviour under transient faults it
-// was never designed to mitigate.
+// This file holds the ablation studies — experiments beyond the
+// paper's evaluation that quantify its design decisions: the
+// multi-fault FM-LUT policy, the FM-LUT realization trade-off (§5.1's
+// remark), and the scheme's behaviour under transient faults it was
+// never designed to mitigate.
 
 // AblationMultiFaultRow compares the FM-LUT selection policies on rows
 // holding k faults: the exhaustive BestX search versus the paper's
@@ -205,7 +204,11 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 				return pointOut{err: err}
 			}
 			if rate > 0 {
-				arrayOf(m).SetTransient(rate, rng)
+				aa, ok := m.(interface{ Array() *sram.Array })
+				if !ok {
+					return pointOut{err: fmt.Errorf("exp: ablate-transient arm %v exposes no bit-cell array", arm)}
+				}
+				aa.Array().SetTransient(rate, rng)
 			}
 			for r := 0; r < rows; r++ {
 				m.Write(r, 0)
@@ -238,22 +241,6 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 		out = append(out, o.row)
 	}
 	return out, nil
-}
-
-// arrayOf reaches the underlying bit-cell array of any protection arm.
-func arrayOf(m mem.Word32) *sram.Array {
-	switch v := m.(type) {
-	case *mem.Raw:
-		return v.Array()
-	case *mem.ECC:
-		return v.Array()
-	case *mem.PECC:
-		return v.Array()
-	case *core.Shuffled:
-		return v.Array()
-	default:
-		panic(fmt.Sprintf("exp: no array access for %T", m))
-	}
 }
 
 func trailingZeros64(v uint64) int {

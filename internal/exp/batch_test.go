@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"faultmem/internal/mat"
 	"faultmem/internal/mem"
 	"faultmem/internal/memstore"
+	"faultmem/internal/redund"
 	"faultmem/internal/sram"
 	"faultmem/internal/stats"
 	"faultmem/internal/workload"
@@ -42,9 +44,42 @@ type statser interface{ Stats() mem.Stats }
 
 type arrayer interface{ Array() *sram.Array }
 
+// repairedArm builds the spare-line repair baseline, whose batch, image
+// and checked methods are loops over its scalar datapath. The budget
+// repairs mixedFaultMap with spare columns and rows both in use.
+type repairedArm struct{}
+
+func (repairedArm) String() string { return "Repaired" }
+
+func (repairedArm) Build(rows int, fm fault.Map) (mem.Word32, error) {
+	m, ok, err := redund.NewRepaired(rows, fm, redund.Budget{SpareRows: 8, SpareCols: 30})
+	if err == nil && !ok {
+		err = fmt.Errorf("fault map exceeds the repair budget")
+	}
+	return m, err
+}
+
+// oracleArms returns every protection arm plus the repaired baseline:
+// every memory the batch-versus-scalar oracle tests cover.
+func oracleArms() []workload.Arm {
+	var arms []workload.Arm
+	for _, p := range AllProtections() {
+		arms = append(arms, p)
+	}
+	return append(arms, repairedArm{})
+}
+
+// writeImage stores words at addr through the bulk write path:
+// EncodeImage, then WriteImage.
+func writeImage(m mem.Word32, addr int, words []uint32) {
+	img := make([]uint64, len(words))
+	m.EncodeImage(img, words)
+	m.WriteImage(addr, img)
+}
+
 // twinMemories builds two identical memories of one arm over the same
 // fault map.
-func twinMemories(t *testing.T, arm Protection, rows int, fm fault.Map) (scalar, batch mem.Word32) {
+func twinMemories(t *testing.T, arm workload.Arm, rows int, fm fault.Map) (scalar, batch mem.Word32) {
 	t.Helper()
 	a, err := arm.Build(rows, fm)
 	if err != nil {
@@ -60,7 +95,7 @@ func twinMemories(t *testing.T, arm Protection, rows int, fm fault.Map) (scalar,
 // checkTwinsAgree compares the observable state the batch paths promise
 // to preserve: every readable word, decode statistics, and the raw
 // array access counters.
-func checkTwinsAgree(t *testing.T, arm Protection, scalar, batch mem.Word32, what string) {
+func checkTwinsAgree(t *testing.T, arm workload.Arm, scalar, batch mem.Word32, what string) {
 	t.Helper()
 	for addr := 0; addr < scalar.Words(); addr++ {
 		if s, b := scalar.Read(addr), batch.Read(addr); s != b {
@@ -91,30 +126,33 @@ func checkTwinsAgree(t *testing.T, arm Protection, scalar, batch mem.Word32, wha
 }
 
 // TestBatchMatchesScalarOracle pins the bulk-transfer contract on every
-// protection arm: WriteBatch/ReadBatch are bit-identical to the
-// word-at-a-time oracle loop under mixed stuck-at and flip faults, with
-// the same decode statistics and access accounting — including batches
-// that start mid-array.
+// protection arm and the repaired baseline: the image write and
+// ReadBatch are bit-identical to the word-at-a-time oracle loop under
+// mixed stuck-at and flip faults, with the same decode statistics,
+// access accounting and DUE flags — including batches that start
+// mid-array.
 func TestBatchMatchesScalarOracle(t *testing.T) {
 	const rows = 96
 	fm := mixedFaultMap(rows)
 	words := testWords(rows)
-	for _, arm := range AllProtections() {
+	for _, arm := range oracleArms() {
 		scalar, batch := twinMemories(t, arm, rows, fm)
-		bm, ok := batch.(mem.BatchMemory)
-		if !ok {
-			t.Fatalf("%v: memory does not implement mem.BatchMemory", arm)
-		}
 
 		for i, w := range words {
 			scalar.Write(i, w)
 		}
-		bm.WriteBatch(0, words)
+		writeImage(batch, 0, words)
 		got := make([]uint32, rows)
-		bm.ReadBatch(0, got)
+		var due mem.DUESet
+		due.Reset(rows)
+		batch.ReadBatch(0, got, &due, 0)
 		for i := range got {
-			if want := scalar.Read(i); got[i] != want {
+			want, wantDUE := scalar.ReadChecked(i)
+			if got[i] != want {
 				t.Fatalf("%v: word %d: scalar %#08x vs batch %#08x", arm, i, want, got[i])
+			}
+			if due.Get(i) != wantDUE {
+				t.Fatalf("%v: word %d: scalar due %v vs batch due %v", arm, i, wantDUE, due.Get(i))
 			}
 		}
 		checkTwinsAgree(t, arm, scalar, batch, "full-range batch")
@@ -125,8 +163,8 @@ func TestBatchMatchesScalarOracle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			scalar.Write(off+i, words[i])
 		}
-		bm.WriteBatch(off, words[:n])
-		bm.ReadBatch(off, got[:n])
+		writeImage(batch, off, words[:n])
+		batch.ReadBatch(off, got[:n], nil, 0)
 		for i := 0; i < n; i++ {
 			if want := scalar.Read(off + i); got[i] != want {
 				t.Fatalf("%v: offset word %d: scalar %#08x vs batch %#08x", arm, off+i, want, got[i])
@@ -138,29 +176,25 @@ func TestBatchMatchesScalarOracle(t *testing.T) {
 
 // TestImageWriteMatchesScalarOracle pins the codeword-image fast path:
 // EncodeImage+WriteImage must leave a memory in exactly the state a
-// scalar write of the source data would, on every arm that supports
-// imaging.
+// scalar write of the source data would, on every arm and the repaired
+// baseline.
 func TestImageWriteMatchesScalarOracle(t *testing.T) {
 	const rows = 96
 	fm := mixedFaultMap(rows)
 	words := testWords(rows)
-	for _, arm := range AllProtections() {
+	for _, arm := range oracleArms() {
 		scalar, batch := twinMemories(t, arm, rows, fm)
-		iw, ok := batch.(mem.ImageWriter)
-		if !ok {
-			t.Fatalf("%v: memory does not implement mem.ImageWriter", arm)
-		}
-		key := iw.ImageKey()
+		key := batch.ImageKey()
 		if key == "" {
 			t.Fatalf("%v: empty image key", arm)
 		}
-		if other := scalar.(mem.ImageWriter).ImageKey(); other != key {
+		if other := scalar.ImageKey(); other != key {
 			t.Fatalf("%v: twins report different image keys %q vs %q", arm, key, other)
 		}
 
 		img := make([]uint64, rows)
-		iw.EncodeImage(img, words)
-		iw.WriteImage(0, img)
+		batch.EncodeImage(img, words)
+		batch.WriteImage(0, img)
 		for i, w := range words {
 			scalar.Write(i, w)
 		}
@@ -172,25 +206,20 @@ func TestImageWriteMatchesScalarOracle(t *testing.T) {
 // contract across the image-write fast path under sustained reuse: a
 // warm loop of WriteImage + batch reads must leave exactly the Stats
 // tallies (and access counters) a word-at-a-time oracle accumulates, on
-// every arm. This is the accounting the recovery campaign's counter
-// tables are reconciled against.
+// every arm and the repaired baseline. This is the accounting the
+// recovery campaign's counter tables are reconciled against.
 func TestWarmImageStatsMatchScalarOracle(t *testing.T) {
 	const rows = 96
 	fm := mixedFaultMap(rows)
 	words := testWords(rows)
-	for _, arm := range AllProtections() {
+	for _, arm := range oracleArms() {
 		scalar, batch := twinMemories(t, arm, rows, fm)
-		iw, ok := batch.(mem.ImageWriter)
-		if !ok {
-			t.Fatalf("%v: memory does not implement mem.ImageWriter", arm)
-		}
-		bm := batch.(mem.BatchMemory)
 		img := make([]uint64, rows)
-		iw.EncodeImage(img, words)
+		batch.EncodeImage(img, words)
 		got := make([]uint32, rows)
 		for round := 0; round < 3; round++ {
-			iw.WriteImage(0, img)
-			bm.ReadBatch(0, got)
+			batch.WriteImage(0, img)
+			batch.ReadBatch(0, got, nil, 0)
 			for i, w := range words {
 				scalar.Write(i, w)
 			}
@@ -220,9 +249,9 @@ func TestBatchTransientMatchesScalar(t *testing.T) {
 	for i, w := range words {
 		scalar.Write(i, w)
 	}
-	batch.WriteBatch(0, words)
+	writeImage(batch, 0, words)
 	got := make([]uint32, rows)
-	batch.ReadBatch(0, got)
+	batch.ReadBatch(0, got, nil, 0)
 	for i := range got {
 		if want := scalar.Read(i); got[i] != want {
 			t.Fatalf("transient word %d: scalar %#08x vs batch %#08x — RNG draw order diverged", i, want, got[i])
@@ -264,11 +293,11 @@ func TestTransientSourceMatchesRand(t *testing.T) {
 						got[i][r] = m.Read(r)
 					}
 				case 2:
-					m.(mem.BatchMemory).ReadBatch(0, got[i])
+					m.ReadBatch(0, got[i], nil, 0)
 				case 3:
 					var due mem.DUESet
 					due.Reset(rows)
-					m.(mem.Detector).ReadBatchChecked(0, got[i], &due, 0)
+					m.ReadBatch(0, got[i], &due, 0)
 				}
 			}
 			hit := 0
@@ -303,10 +332,37 @@ func batchTestDataset() (*mat.Dense, []float64) {
 	return x, y
 }
 
-// TestRoundTripCachedMatchesUncachedPerArm pins the three-tier dispatch
-// end to end: the cached round trip (image or batch path, depending on
-// the arm) must be float-bit identical to the word-at-a-time
-// RoundTripDatasetInto on every protection arm, across page boundaries.
+// scalarTripDataset is the word-at-a-time oracle of the dataset round
+// trip: it pages the flat layout (row-major features, then labels)
+// through m with one Write and one Read per word.
+func scalarTripDataset(c memstore.Codec, m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
+	rows, cols := x.Dims()
+	flat := make([]float64, 0, rows*cols+len(y))
+	for i := 0; i < rows; i++ {
+		flat = append(flat, x.RawRow(i)...)
+	}
+	flat = append(flat, y...)
+	page := m.Words()
+	for start := 0; start < len(flat); start += page {
+		end := min(start+page, len(flat))
+		for i := start; i < end; i++ {
+			m.Write(i-start, c.Encode(flat[i]))
+		}
+		for i := start; i < end; i++ {
+			flat[i] = c.Decode(m.Read(i - start))
+		}
+	}
+	out := mat.NewDense(rows, cols)
+	for i := 0; i < rows; i++ {
+		out.SetRow(i, flat[i*cols:(i+1)*cols])
+	}
+	return out, flat[rows*cols:]
+}
+
+// TestRoundTripCachedMatchesUncachedPerArm pins the paging core end to
+// end: the cached round trip (image write, batch read) must be
+// float-bit identical to the word-at-a-time oracle on every protection
+// arm, across page boundaries.
 func TestRoundTripCachedMatchesUncachedPerArm(t *testing.T) {
 	const memRows = 64 // < dataset words, so the trip pages
 	x, y := batchTestDataset()
@@ -317,10 +373,10 @@ func TestRoundTripCachedMatchesUncachedPerArm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: build: %v", arm, err)
 		}
-		var wsScalar, wsCached memstore.Workspace
-		xs, ys := codec.RoundTripDatasetInto(&wsScalar, m, x, y)
+		xs, ys := scalarTripDataset(codec, m, x, y)
+		var wsCached memstore.Workspace
 		codec.EncodeDatasetInto(&wsCached, x, y)
-		xc, yc := codec.RoundTripCachedInto(&wsCached, m)
+		xc, yc := codec.RoundTripCachedInto(&wsCached, m, nil)
 
 		r, c := xs.Dims()
 		if rc, cc := xc.Dims(); rc != r || cc != c {
@@ -361,11 +417,11 @@ func BenchmarkFig7RoundTrip(b *testing.B) {
 			}
 			var ws memstore.Workspace
 			codec.EncodeDatasetInto(&ws, train.X, train.Y)
-			codec.RoundTripCachedInto(&ws, m)
+			codec.RoundTripCachedInto(&ws, m, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				codec.RoundTripCachedInto(&ws, m)
+				codec.RoundTripCachedInto(&ws, m, nil)
 			}
 		})
 	}
@@ -386,9 +442,9 @@ func TestRoundTripCachedWarmAllocs(t *testing.T) {
 		}
 		var ws memstore.Workspace
 		codec.EncodeDatasetInto(&ws, x, y)
-		codec.RoundTripCachedInto(&ws, m) // warm buffers + image cache
+		codec.RoundTripCachedInto(&ws, m, nil) // warm buffers + image cache
 		if allocs := testing.AllocsPerRun(10, func() {
-			codec.RoundTripCachedInto(&ws, m)
+			codec.RoundTripCachedInto(&ws, m, nil)
 		}); allocs != 0 {
 			t.Errorf("%v: warm cached round trip allocates %v times, want 0", arm, allocs)
 		}

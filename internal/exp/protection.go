@@ -2,8 +2,7 @@
 // Fig. 2 (cell failure vs VDD), Fig. 4 (error magnitude per fault
 // position), Fig. 5 (MSE CDF), Fig. 6 (hardware overhead), Fig. 7a-c
 // (application quality CDFs), and Table 1 (applications summary) — plus
-// the table rendering shared by cmd/faultmem, the root benchmarks, and
-// EXPERIMENTS.md.
+// the table rendering shared by cmd/faultmem and the root benchmarks.
 package exp
 
 import (

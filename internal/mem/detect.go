@@ -3,12 +3,10 @@ package mem
 import (
 	"fmt"
 	"math/bits"
-
-	"faultmem/internal/ecc"
 )
 
 // DUESet is a reusable bitset of word indices whose read-back carried a
-// detected-uncorrectable error. The checked round trips flag flat data
+// detected-uncorrectable error. Checked round trips flag flat data
 // indices into it (one bit per word of the transfer, not per memory
 // row), so recovery policies can locate exactly the words the SECDED
 // decoder proved corrupt. The zero value is ready to use; Reset grows
@@ -98,204 +96,3 @@ func (s *DUESet) NextSet(i int) int {
 	}
 	return -1
 }
-
-// Detector is a Word32 whose reads report detected-uncorrectable errors
-// per word — the SECDED double-error signal the paper's arms compute and
-// the plain Read path throws away. ReadChecked and ReadBatchChecked
-// return exactly the data (and tally exactly the Stats) of Read and
-// ReadBatch; the only addition is the flag. Memories without a detecting
-// code (Raw, bit-shuffling) implement the interface but never flag, so
-// "no recovery possible" and "no recovery needed" share the degenerate
-// policy: existing behavior.
-type Detector interface {
-	Word32
-	// ReadChecked is Read plus the word's DUE flag.
-	ReadChecked(addr int) (v uint32, due bool)
-	// ReadBatchChecked is ReadBatch plus flags: for every i with a
-	// detected-uncorrectable word at addr+i it sets due bit base+i.
-	// Already-set bits are left alone (the caller resets the set), so one
-	// set accumulates flags across the pages of a larger transfer.
-	ReadBatchChecked(addr int, dst []uint32, due *DUESet, base int)
-}
-
-// --- Perfect ---
-
-// ReadChecked is Read; a fault-free memory never flags.
-func (p *Perfect) ReadChecked(addr int) (uint32, bool) { return p.Read(addr), false }
-
-// ReadBatchChecked is ReadBatch; a fault-free memory never flags.
-func (p *Perfect) ReadBatchChecked(addr int, dst []uint32, _ *DUESet, _ int) {
-	p.ReadBatch(addr, dst)
-}
-
-// --- Raw ---
-
-// ReadChecked is Read; an unprotected memory has no code and cannot
-// detect, so it never flags.
-func (r *Raw) ReadChecked(addr int) (uint32, bool) { return r.Read(addr), false }
-
-// ReadBatchChecked is ReadBatch with no flags (see ReadChecked).
-func (r *Raw) ReadBatchChecked(addr int, dst []uint32, _ *DUESet, _ int) {
-	r.ReadBatch(addr, dst)
-}
-
-// --- ECC ---
-
-// SetScrub enables scrub-on-correct on the checked read paths: when a
-// checked read corrects a single error, the corrected codeword is
-// written back through the array (stuck-at masks reapply, so a
-// persistent fault re-corrupts and only transient or write-path
-// corruption is actually cleaned). The plain Read/ReadBatch paths never
-// scrub, so existing campaigns stay bit-identical with scrubbing off or
-// on.
-func (e *ECC) SetScrub(on bool) { e.scrub = on }
-
-// ReadChecked is Read plus the decoder's double-error flag.
-func (e *ECC) ReadChecked(addr int) (uint32, bool) {
-	e.stats.Reads++
-	data, st, _ := e.code.Decode(e.arr.Read(addr))
-	switch st {
-	case ecc.Corrected:
-		e.stats.Corrected++
-		if e.scrub {
-			e.Write(addr, uint32(data))
-		}
-	case ecc.DetectedUncorrectable:
-		e.stats.Uncorrectable++
-	}
-	return uint32(data), st == ecc.DetectedUncorrectable
-}
-
-// ReadBatchChecked is ReadBatch plus per-word double-error flags.
-func (e *ECC) ReadBatchChecked(addr int, dst []uint32, due *DUESet, base int) {
-	e.buf = growBuf(e.buf, len(dst))
-	e.arr.ReadBatch(addr, e.buf)
-	e.sts = growStatusBuf(e.sts, len(dst))
-	corrected, uncorrectable := e.code.DecodeBatchStatus(e.buf, e.buf, e.sts)
-	e.stats.Reads += uint64(len(dst))
-	e.stats.Corrected += corrected
-	e.stats.Uncorrectable += uncorrectable
-	for i, w := range e.buf {
-		dst[i] = uint32(w)
-	}
-	for i, st := range e.sts {
-		switch st {
-		case ecc.DetectedUncorrectable:
-			due.Set(base + i)
-		case ecc.Corrected:
-			if e.scrub {
-				e.Write(addr+i, dst[i])
-			}
-		}
-	}
-}
-
-// --- PECC ---
-
-// SetScrub enables scrub-on-correct on the checked read paths (see
-// ECC.SetScrub; the full row — raw low half plus re-encoded high half —
-// is written back).
-func (p *PECC) SetScrub(on bool) { p.scrub = on }
-
-// ReadChecked is Read plus the upper-half decoder's double-error flag
-// (the unprotected low bits carry no detection capability).
-func (p *PECC) ReadChecked(addr int) (uint32, bool) {
-	p.stats.Reads++
-	raw := p.arr.Read(addr)
-	lowMask := (uint64(1) << uint(p.lowBits)) - 1
-	low := uint32(raw & lowMask)
-	hi, st, _ := p.code.Decode(raw >> uint(p.lowBits))
-	v := low | uint32(hi)<<uint(p.lowBits)
-	switch st {
-	case ecc.Corrected:
-		p.stats.Corrected++
-		if p.scrub {
-			p.Write(addr, v)
-		}
-	case ecc.DetectedUncorrectable:
-		p.stats.Uncorrectable++
-	}
-	return v, st == ecc.DetectedUncorrectable
-}
-
-// ReadBatchChecked is ReadBatch plus per-word double-error flags from
-// the upper-half decode.
-func (p *PECC) ReadBatchChecked(addr int, dst []uint32, due *DUESet, base int) {
-	p.buf = growBuf(p.buf, len(dst))
-	p.arr.ReadBatch(addr, p.buf)
-	lb := uint(p.lowBits)
-	lowMask := uint64(1)<<lb - 1
-	for i, w := range p.buf {
-		dst[i] = uint32(w & lowMask)
-		p.buf[i] = w >> lb
-	}
-	p.sts = growStatusBuf(p.sts, len(dst))
-	corrected, uncorrectable := p.code.DecodeBatchStatus(p.buf, p.buf, p.sts)
-	p.stats.Reads += uint64(len(dst))
-	p.stats.Corrected += corrected
-	p.stats.Uncorrectable += uncorrectable
-	for i, hi := range p.buf {
-		dst[i] |= uint32(hi) << lb
-	}
-	for i, st := range p.sts {
-		switch st {
-		case ecc.DetectedUncorrectable:
-			due.Set(base + i)
-		case ecc.Corrected:
-			if p.scrub {
-				p.Write(addr+i, dst[i])
-			}
-		}
-	}
-}
-
-// --- Banked ---
-
-// ReadChecked delegates to the owning bank's checked read; banks without
-// detection read unflagged.
-func (b *Banked) ReadChecked(addr int) (uint32, bool) {
-	bank := b.banks[addr/b.perBank]
-	if d, ok := bank.(Detector); ok {
-		return d.ReadChecked(addr % b.perBank)
-	}
-	return bank.Read(addr % b.perBank), false
-}
-
-// ReadBatchChecked delegates each bank-aligned chunk to the bank's
-// checked batch read, offsetting the flag base by the chunk's position;
-// banks without detection fall back to their plain (batch or scalar)
-// read and contribute no flags.
-func (b *Banked) ReadBatchChecked(addr int, dst []uint32, due *DUESet, base int) {
-	b.eachBankRange(addr, len(dst), func(bank Word32, off, start, chunk int) {
-		part := dst[start : start+chunk]
-		if d, ok := bank.(Detector); ok {
-			d.ReadBatchChecked(off, part, due, base+start)
-			return
-		}
-		if bm, ok := bank.(BatchMemory); ok {
-			bm.ReadBatch(off, part)
-			return
-		}
-		for i := range part {
-			part[i] = bank.Read(off + i)
-		}
-	})
-}
-
-// growStatusBuf returns a length-n status scratch slice, reusing buf's
-// storage when it is large enough.
-func growStatusBuf(buf []ecc.Status, n int) []ecc.Status {
-	if cap(buf) < n {
-		return make([]ecc.Status, n)
-	}
-	return buf[:n]
-}
-
-// Compile-time interface checks.
-var (
-	_ Detector = (*Perfect)(nil)
-	_ Detector = (*Raw)(nil)
-	_ Detector = (*ECC)(nil)
-	_ Detector = (*PECC)(nil)
-	_ Detector = (*Banked)(nil)
-)

@@ -69,7 +69,7 @@ func TestDUESetBoundsPanic(t *testing.T) {
 // (Raw has no decode Stats; the comparison picks those up via an
 // optional assertion).
 type checkedMem interface {
-	Detector
+	Word32
 	Array() *sram.Array
 }
 
@@ -88,14 +88,15 @@ func detectTestWords(n int) []uint32 {
 	return w
 }
 
-// TestCheckedScalarBatchAgree pins the Detector contract on the SECDED
-// arms: ReadChecked (word at a time) and ReadBatchChecked must return
-// identical data, identical per-word DUE flags, and identical Stats
-// tallies — under mixed persistent faults, double faults, check-bit
-// faults, coupling faults, and transient read noise. This is the
-// satellite verification of the PECC upper-half decode in particular:
-// its batch path splits the row into raw low half and decoded high
-// half, and any divergence from the scalar decode shows up here.
+// TestCheckedScalarBatchAgree pins the checked-read contract on the
+// SECDED arms: ReadChecked (word at a time) and ReadBatch with a flag
+// set must return identical data, identical per-word DUE flags, and
+// identical Stats tallies — under mixed persistent faults, double
+// faults, check-bit faults, coupling faults, and transient read noise.
+// This is the verification of the PECC upper-half decode in
+// particular: its batch path splits the row into raw low half and
+// decoded high half, and any divergence from the scalar decode shows
+// up here.
 func TestCheckedScalarBatchAgree(t *testing.T) {
 	const rows = 64
 	singles := func() fault.Map {
@@ -232,7 +233,7 @@ func TestCheckedScalarBatchAgree(t *testing.T) {
 			var due DUESet
 			due.Reset(rows)
 			batchVals := make([]uint32, rows)
-			batch.ReadBatchChecked(0, batchVals, &due, 0)
+			batch.ReadBatch(0, batchVals, &due, 0)
 
 			flagged := 0
 			for i := range scalarVals {
@@ -264,7 +265,7 @@ func TestCheckedScalarBatchAgree(t *testing.T) {
 			var due2 DUESet
 			due2.Reset(base + n)
 			due2.Set(base) // pre-set: checked reads must never clear
-			batch.ReadBatchChecked(off, batchVals[:n], &due2, base)
+			batch.ReadBatch(off, batchVals[:n], &due2, base)
 			for i := 0; i < n; i++ {
 				v, d := scalar.ReadChecked(off + i)
 				if tc.transient > 0 {
@@ -285,108 +286,5 @@ func TestCheckedScalarBatchAgree(t *testing.T) {
 				t.Fatal("checked batch read cleared a pre-set flag")
 			}
 		})
-	}
-}
-
-// TestECCScrubCleansCoupledVictim pins scrub-on-correct against the one
-// corruption class it can actually clean: stored-state corruption that
-// is not re-applied by a fault mask. A coupling fault toggles a victim
-// cell in another row; the victim row then decodes Corrected, and with
-// scrubbing on, the checked read writes the repaired codeword back so
-// the next read is clean. With scrubbing off the corruption persists and
-// every read pays another correction.
-func TestECCScrubCleansCoupledVictim(t *testing.T) {
-	corrupt := func(e *ECC) {
-		pos := e.code.DataPositions()[7]
-		if err := e.arr.SetCouplings([]fault.Coupling{
-			{AggRow: 0, AggCol: pos, VicRow: 1, VicCol: pos, Trigger: fault.Rise},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		e.Write(1, 0xCAFEBABE)
-		e.Write(0, 0)
-		e.Write(0, 1<<7) // aggressor data bit 7 rises -> victim cell toggles
-	}
-
-	scrubbed := mustECC(2, nil)
-	scrubbed.SetScrub(true)
-	corrupt(scrubbed)
-	if v, due := scrubbed.ReadChecked(1); v != 0xCAFEBABE || due {
-		t.Fatalf("victim read %#x due %v, want corrected data", v, due)
-	}
-	if st := scrubbed.Stats(); st.Corrected != 1 {
-		t.Fatalf("stats %+v after first read", st)
-	}
-	if v := scrubbed.Read(1); v != 0xCAFEBABE {
-		t.Fatalf("post-scrub read %#x", v)
-	}
-	if st := scrubbed.Stats(); st.Corrected != 1 {
-		t.Fatalf("scrub did not clean the stored word: %+v", st)
-	}
-
-	plain := mustECC(2, nil)
-	corrupt(plain)
-	if v, _ := plain.ReadChecked(1); v != 0xCAFEBABE {
-		t.Fatalf("victim read %#x", v)
-	}
-	_ = plain.Read(1)
-	if st := plain.Stats(); st.Corrected != 2 {
-		t.Fatalf("without scrub both reads should correct: %+v", st)
-	}
-
-	// The batch checked path scrubs the same way.
-	batched := mustECC(2, nil)
-	batched.SetScrub(true)
-	corrupt(batched)
-	var due DUESet
-	due.Reset(2)
-	dst := make([]uint32, 2)
-	batched.ReadBatchChecked(0, dst, &due, 0)
-	if dst[1] != 0xCAFEBABE || due.Any() {
-		t.Fatalf("batch read %#x due %v", dst[1], due.Any())
-	}
-	_ = batched.Read(1)
-	if st := batched.Stats(); st.Corrected != 1 {
-		t.Fatalf("batch scrub did not clean the stored word: %+v", st)
-	}
-}
-
-// TestBankedCheckedDelegation pins the Banked detector: flags from a
-// detecting bank land at the right global indices (chunk base offsets),
-// and codeless banks contribute data but never flags.
-func TestBankedCheckedDelegation(t *testing.T) {
-	eccBank := mustECC(8, fault.Map{
-		{Row: 2, Col: 3, Kind: fault.Flip},
-		{Row: 2, Col: 9, Kind: fault.Flip},
-	})
-	rawBank := mustRaw(8, fault.Map{{Row: 1, Col: 31, Kind: fault.Flip}})
-	bk, err := NewBanked(eccBank, rawBank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		bk.Write(i, uint32(i)*0x01010101)
-	}
-
-	if _, due := bk.ReadChecked(2); !due {
-		t.Fatal("double fault in ECC bank not flagged through Banked")
-	}
-	if _, due := bk.ReadChecked(9); due {
-		t.Fatal("raw bank flagged")
-	}
-
-	const base = 40
-	var due DUESet
-	due.Reset(base + 16)
-	dst := make([]uint32, 16)
-	bk.ReadBatchChecked(0, dst, &due, base)
-	for i := 0; i < 16; i++ {
-		want := i == 2
-		if due.Get(base+i) != want {
-			t.Fatalf("global word %d: flag %v, want %v", i, due.Get(base+i), want)
-		}
-		if sv := bk.Read(i); sv != dst[i] {
-			t.Fatalf("global word %d: batch %#x vs scalar %#x", i, dst[i], sv)
-		}
 	}
 }

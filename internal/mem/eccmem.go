@@ -17,10 +17,9 @@ type ECC struct {
 	arr   *sram.Array
 	code  *ecc.Code
 	stats Stats
-	key   string // precomputed ImageKey
-	buf   []uint64
-	sts   []ecc.Status // checked-read per-word status scratch
-	scrub bool         // scrub-on-correct on the checked read paths
+	key   string       // precomputed ImageKey
+	buf   []uint64     // batch-read codeword scratch
+	sts   []ecc.Status // batch-read per-word status scratch
 	// Reset scratch: cached data-bit codeword positions and a reusable
 	// translated-fault buffer.
 	dataPos []int
@@ -95,6 +94,13 @@ func translateCodewordFaults(code *ecc.Code, rows int, dataFaults, checkFaults f
 
 // Read decodes the word at addr.
 func (e *ECC) Read(addr int) uint32 {
+	v, _ := e.ReadChecked(addr)
+	return v
+}
+
+// ReadChecked decodes the word at addr and reports the decoder's
+// double-error flag.
+func (e *ECC) ReadChecked(addr int) (uint32, bool) {
 	e.stats.Reads++
 	data, st, _ := e.code.Decode(e.arr.Read(addr))
 	switch st {
@@ -103,7 +109,26 @@ func (e *ECC) Read(addr int) uint32 {
 	case ecc.DetectedUncorrectable:
 		e.stats.Uncorrectable++
 	}
-	return uint32(data)
+	return uint32(data), st == ecc.DetectedUncorrectable
+}
+
+// ReadBatch decodes the words at addr+i into dst[i], tallying decode
+// outcomes exactly as per-word Read does, and flags the double errors
+// in due when it is not nil.
+func (e *ECC) ReadBatch(addr int, dst []uint32, due *DUESet, base int) {
+	e.buf = growBuf(e.buf, len(dst))
+	e.arr.ReadBatch(addr, e.buf)
+	e.sts = growStatusBuf(e.sts, len(dst))
+	corrected, uncorrectable := e.code.DecodeBatch(e.buf, e.buf, e.sts)
+	e.stats.Reads += uint64(len(dst))
+	e.stats.Corrected += corrected
+	e.stats.Uncorrectable += uncorrectable
+	for i, w := range e.buf {
+		dst[i] = uint32(w)
+	}
+	if due != nil && uncorrectable > 0 {
+		flagDUEs(due, e.sts, base)
+	}
 }
 
 // Write encodes and stores v at addr.
@@ -113,6 +138,22 @@ func (e *ECC) Write(addr int, v uint32) {
 
 // Words returns the address space size.
 func (e *ECC) Words() int { return e.arr.Rows() }
+
+// ImageKey identifies the SECDED encode transform.
+func (e *ECC) ImageKey() string { return e.key }
+
+// EncodeImage fills img with the clean codewords of src.
+func (e *ECC) EncodeImage(img []uint64, src []uint32) {
+	checkImageLen(img, src)
+	for i, v := range src {
+		img[i] = uint64(v)
+	}
+	e.code.EncodeBatch(img, img)
+}
+
+// WriteImage stores precomputed codewords at addr+i, subject to the
+// array's stuck-at masks.
+func (e *ECC) WriteImage(addr int, img []uint64) { e.arr.WriteBatch(addr, img) }
 
 // Stats returns the decode outcome counters.
 func (e *ECC) Stats() Stats { return e.stats }
@@ -135,10 +176,9 @@ type PECC struct {
 	code    *ecc.Code
 	lowBits int
 	stats   Stats
-	key     string // precomputed ImageKey
-	buf     []uint64
-	sts     []ecc.Status // checked-read per-word status scratch
-	scrub   bool         // scrub-on-correct on the checked read paths
+	key     string       // precomputed ImageKey
+	buf     []uint64     // batch-read row scratch
+	sts     []ecc.Status // batch-read per-word status scratch
 	// Reset scratch: cached data-bit codeword positions and a reusable
 	// translated-fault buffer.
 	dataPos []int
@@ -221,6 +261,13 @@ func (p *PECC) Reset(dataFaults fault.Map) error {
 
 // Read returns the word at addr: raw low bits, decoded high bits.
 func (p *PECC) Read(addr int) uint32 {
+	v, _ := p.ReadChecked(addr)
+	return v
+}
+
+// ReadChecked is Read plus the upper-half decoder's double-error flag
+// (the unprotected low bits carry no detection capability).
+func (p *PECC) ReadChecked(addr int) (uint32, bool) {
 	p.stats.Reads++
 	raw := p.arr.Read(addr)
 	lowMask := (uint64(1) << uint(p.lowBits)) - 1
@@ -232,7 +279,34 @@ func (p *PECC) Read(addr int) uint32 {
 	case ecc.DetectedUncorrectable:
 		p.stats.Uncorrectable++
 	}
-	return low | uint32(hi)<<uint(p.lowBits)
+	return low | uint32(hi)<<uint(p.lowBits), st == ecc.DetectedUncorrectable
+}
+
+// ReadBatch reads addr+i into dst[i]: raw low bits, decoded high bits,
+// tallying decode outcomes exactly as per-word Read does, and flags the
+// upper-half double errors in due when it is not nil.
+func (p *PECC) ReadBatch(addr int, dst []uint32, due *DUESet, base int) {
+	p.buf = growBuf(p.buf, len(dst))
+	p.arr.ReadBatch(addr, p.buf)
+	lb := uint(p.lowBits)
+	lowMask := uint64(1)<<lb - 1
+	// Park the raw low halves in dst while the codewords decode in
+	// place, then weave the recovered high halves back in.
+	for i, w := range p.buf {
+		dst[i] = uint32(w & lowMask)
+		p.buf[i] = w >> lb
+	}
+	p.sts = growStatusBuf(p.sts, len(dst))
+	corrected, uncorrectable := p.code.DecodeBatch(p.buf, p.buf, p.sts)
+	p.stats.Reads += uint64(len(dst))
+	p.stats.Corrected += corrected
+	p.stats.Uncorrectable += uncorrectable
+	for i, hi := range p.buf {
+		dst[i] |= uint32(hi) << lb
+	}
+	if due != nil && uncorrectable > 0 {
+		flagDUEs(due, p.sts, base)
+	}
 }
 
 // Write stores v at addr, encoding only the protected high bits.
@@ -241,6 +315,28 @@ func (p *PECC) Write(addr int, v uint32) {
 	cw := p.code.Encode(uint64(v >> uint(p.lowBits)))
 	p.arr.Write(addr, uint64(v&lowMask)|cw<<uint(p.lowBits))
 }
+
+// ImageKey identifies the split raw/SECDED encode transform.
+func (p *PECC) ImageKey() string { return p.key }
+
+// EncodeImage fills img with the clean physical row images of src: raw
+// low bits, codeword of the protected high bits shifted above them.
+func (p *PECC) EncodeImage(img []uint64, src []uint32) {
+	checkImageLen(img, src)
+	lb := uint(p.lowBits)
+	for i, v := range src {
+		img[i] = uint64(v >> lb)
+	}
+	p.code.EncodeBatch(img, img)
+	lowMask := uint64(1)<<lb - 1
+	for i, v := range src {
+		img[i] = uint64(v)&lowMask | img[i]<<lb
+	}
+}
+
+// WriteImage stores precomputed row images at addr+i, subject to the
+// array's stuck-at masks.
+func (p *PECC) WriteImage(addr int, img []uint64) { p.arr.WriteBatch(addr, img) }
 
 // ProtectedBits returns the number of protected most significant bits.
 func (p *PECC) ProtectedBits() int { return DataWidth - p.lowBits }
@@ -258,54 +354,20 @@ func (p *PECC) Code() *ecc.Code { return p.code }
 // studies.
 func (p *PECC) Array() *sram.Array { return p.arr }
 
-// Banked glues several equally sized Word32 banks into one address space.
-// The Fig. 7 experiments use it when a training set exceeds one 16 KB
-// macro: each bank is an independent die sample with its own fault map.
-type Banked struct {
-	banks   []Word32
-	perBank int
-}
-
-// NewBanked combines banks into a single memory. All banks must have the
-// same word count.
-func NewBanked(banks ...Word32) (*Banked, error) {
-	if len(banks) == 0 {
-		return nil, fmt.Errorf("mem: NewBanked with no banks")
-	}
-	per := banks[0].Words()
-	for i, b := range banks {
-		if b.Words() != per {
-			return nil, fmt.Errorf("mem: bank %d has %d words, want %d", i, b.Words(), per)
+// flagDUEs sets due bit base+i for every detected-uncorrectable sts[i].
+func flagDUEs(due *DUESet, sts []ecc.Status, base int) {
+	for i, st := range sts {
+		if st == ecc.DetectedUncorrectable {
+			due.Set(base + i)
 		}
 	}
-	return &Banked{banks: banks, perBank: per}, nil
 }
 
-// Read returns the word at the global address addr.
-func (b *Banked) Read(addr int) uint32 {
-	return b.banks[addr/b.perBank].Read(addr % b.perBank)
+// growStatusBuf returns a length-n status scratch slice, reusing buf's
+// storage when it is large enough.
+func growStatusBuf(buf []ecc.Status, n int) []ecc.Status {
+	if cap(buf) < n {
+		return make([]ecc.Status, n)
+	}
+	return buf[:n]
 }
-
-// Write stores v at the global address addr.
-func (b *Banked) Write(addr int, v uint32) {
-	b.banks[addr/b.perBank].Write(addr%b.perBank, v)
-}
-
-// Words returns the total address space across banks.
-func (b *Banked) Words() int { return b.perBank * len(b.banks) }
-
-// Banks returns the underlying banks.
-func (b *Banked) Banks() []Word32 { return b.banks }
-
-// Compile-time interface checks.
-var (
-	_ Word32 = (*Perfect)(nil)
-	_ Word32 = (*Raw)(nil)
-	_ Word32 = (*ECC)(nil)
-	_ Word32 = (*PECC)(nil)
-	_ Word32 = (*Banked)(nil)
-
-	_ Resetter = (*Raw)(nil)
-	_ Resetter = (*ECC)(nil)
-	_ Resetter = (*PECC)(nil)
-)

@@ -216,41 +216,6 @@ func TestPECCMaxErrorBoundedByLowerHalf(t *testing.T) {
 	}
 }
 
-func TestBankedAddressing(t *testing.T) {
-	b0 := NewPerfect(8)
-	b1 := NewPerfect(8)
-	bk, err := NewBanked(b0, b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bk.Words() != 16 {
-		t.Fatalf("Words = %d", bk.Words())
-	}
-	bk.Write(3, 33)
-	bk.Write(11, 1111)
-	if b0.Read(3) != 33 {
-		t.Error("bank 0 addressing wrong")
-	}
-	if b1.Read(3) != 1111 {
-		t.Error("bank 1 addressing wrong")
-	}
-	if bk.Read(3) != 33 || bk.Read(11) != 1111 {
-		t.Error("banked reads wrong")
-	}
-	if len(bk.Banks()) != 2 {
-		t.Error("Banks() wrong")
-	}
-}
-
-func TestBankedRejectsUneven(t *testing.T) {
-	if _, err := NewBanked(NewPerfect(8), NewPerfect(4)); err == nil {
-		t.Error("uneven banks accepted")
-	}
-	if _, err := NewBanked(); err == nil {
-		t.Error("empty bank list accepted")
-	}
-}
-
 func TestAllSchemesAgreeWhenFaultFree(t *testing.T) {
 	raw, err := NewRaw(16, nil)
 	if err != nil {

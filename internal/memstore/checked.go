@@ -1,7 +1,6 @@
 package memstore
 
 import (
-	"faultmem/internal/mat"
 	"faultmem/internal/mem"
 )
 
@@ -33,11 +32,13 @@ func (s *RecoveryStats) Merge(o RecoveryStats) {
 	s.BudgetDenied += o.BudgetDenied
 }
 
-// Recovery is the detect-and-recover state of the checked round trips:
-// the mechanism configuration (bounded re-reads, safe-memory restore
-// with a per-trial word budget), the DUE flag set of the last trip, and
-// the accumulated counters. One Recovery serves many trips; call
-// ResetTrial at each trial boundary to re-arm the budget.
+// Recovery is the detect-and-recover argument of the cached round
+// trips; a trip given one is a checked trip. It holds the mechanism
+// configuration (bounded re-reads, safe-memory restore with a per-trial
+// word budget), the DUE flag set of the last trip, and the accumulated
+// counters. One Recovery serves many trips: each trip resets DUE, and
+// the caller calls ResetTrial at each trial boundary to re-arm the
+// budget.
 //
 // Recovery works per page, while the flagged rows still hold the
 // flagged words: the paged round trip reuses the same physical rows for
@@ -70,142 +71,24 @@ type Recovery struct {
 // ResetTrial re-arms the per-trial safe-word budget.
 func (r *Recovery) ResetTrial() { r.budgetUsed = 0 }
 
-// RoundTripCheckedValues is RoundTripCachedValues through the detection
-// layer: identical paging, writes, and decoded payload (bit-identical
-// when no recovery action fires — non-detecting memories cannot fire
-// any), plus per-word DUE flags in rec.DUE and the rec mechanisms
-// applied per page. rec must not be nil.
-func (c Codec) RoundTripCheckedValues(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
-	if len(ws.words) == 0 {
-		panic("memstore: RoundTripCheckedValues before EncodeValuesInto")
-	}
-	return c.roundTripCheckedWords(ws, m, rec)
-}
-
-// RoundTripCheckedInto is RoundTripCachedInto through the detection
-// layer (see RoundTripCheckedValues): the decoded dataset plus the DUE
-// flag set, whose indices follow the flat layout (row-major features,
-// then labels).
-func (c Codec) RoundTripCheckedInto(ws *Workspace, m mem.Word32, rec *Recovery) (*mat.Dense, []float64, *mem.DUESet) {
-	rows, cols := ws.cachedRows, ws.cachedCols
-	if rows == 0 {
-		panic("memstore: RoundTripCheckedInto before EncodeDatasetInto")
-	}
-	flat := c.roundTripCheckedWords(ws, m, rec)
-
-	if ws.x == nil {
-		ws.x = mat.NewDense(rows, cols)
-	} else if r, cc := ws.x.Dims(); r != rows || cc != cols {
-		ws.x = mat.NewDense(rows, cols)
-	}
-	for i := 0; i < rows; i++ {
-		ws.x.SetRow(i, flat[i*cols:(i+1)*cols])
-	}
-	if cap(ws.y) < rows {
-		ws.y = make([]float64, rows)
-	}
-	yOut := ws.y[:rows]
-	copy(yOut, flat[rows*cols:])
-	ws.y = yOut
-	return ws.x, yOut, &rec.DUE
-}
-
-// roundTripCheckedWords is roundTripCachedWords with detection: the
-// write dispatch (image / batch / scalar) is byte-for-byte the same, the
-// read dispatch swaps in the checked variants on mem.Detector memories,
-// and each page ends with the recovery pass over its fresh flags.
-func (c Codec) roundTripCheckedWords(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
-	if rec == nil {
-		panic("memstore: checked round trip with nil recovery")
-	}
-	pageWords := m.Words()
-	if pageWords == 0 {
-		panic("memstore: empty memory")
-	}
-	n := len(ws.words)
-	if cap(ws.flat) < n {
-		ws.flat = make([]float64, 0, n)
-	}
-	flat := ws.flat[:n]
-	ws.flat = flat
-	scale := c.scale()
-	rec.DUE.Reset(n)
-	det, detects := m.(mem.Detector)
-	bm, batched := m.(mem.BatchMemory)
-	var (
-		img []uint64
-		iw  mem.ImageWriter
-	)
-	if w, ok := m.(mem.ImageWriter); ok && batched {
-		if key := w.ImageKey(); key != "" {
-			iw, img = w, ws.imageFor(w, key)
-		}
-	}
-	if pageN := min(pageWords, n); batched && cap(ws.readBuf) < pageN {
-		ws.readBuf = make([]uint32, pageN)
-	}
-	for start := 0; start < n; start += pageWords {
-		end := start + pageWords
-		if end > n {
-			end = n
-		}
-		switch {
-		case img != nil:
-			iw.WriteImage(0, img[start:end])
-		case batched:
-			bm.WriteBatch(0, ws.words[start:end])
-		default:
-			for i := start; i < end; i++ {
-				m.Write(i-start, ws.words[i])
-			}
-		}
-		switch {
-		case detects && batched:
-			buf := ws.readBuf[:end-start]
-			det.ReadBatchChecked(0, buf, &rec.DUE, start)
-			for i, w := range buf {
-				flat[start+i] = float64(int32(w)) / scale
-			}
-		case detects:
-			for i := start; i < end; i++ {
-				v, due := det.ReadChecked(i - start)
-				if due {
-					rec.DUE.Set(i)
-				}
-				flat[i] = float64(int32(v)) / scale
-			}
-		case batched:
-			buf := ws.readBuf[:end-start]
-			bm.ReadBatch(0, buf)
-			for i, w := range buf {
-				flat[start+i] = float64(int32(w)) / scale
-			}
-		default:
-			for i := start; i < end; i++ {
-				flat[i] = float64(int32(m.Read(i-start))) / scale
-			}
-		}
-		if detects {
-			rec.recoverPage(ws, det, flat, start, end, scale)
-		}
-	}
-	return flat
-}
-
 // recoverPage runs the recovery mechanisms over the page's flagged
 // words while the page still occupies the memory: bounded re-reads
 // first (each flagged word gets up to Retries fresh reads; a clean one
-// replaces the value and clears the flag), then the safe-memory restore
-// for words still flagged, charged against the per-trial budget.
-func (rec *Recovery) recoverPage(ws *Workspace, det mem.Detector, flat []float64, start, end int, scale float64) {
+// replaces the word and clears the flag), then the safe-memory restore
+// for words still flagged, which copies the clean word from the cache
+// into the page (the memory itself is not rewritten), charged against
+// the per-trial budget. page holds the read-back words of flat indices
+// [start, start+len(page)) and clean their cached clean words.
+func (rec *Recovery) recoverPage(m mem.Word32, page, clean []uint32, start int) {
+	end := start + len(page)
 	for i := rec.DUE.NextSet(start); i >= 0 && i < end; i = rec.DUE.NextSet(i + 1) {
 		rec.Stats.Flagged++
 		recovered := false
 		for a := 0; a < rec.Retries; a++ {
 			rec.Stats.Retries++
-			v, due := det.ReadChecked(i - start)
+			v, due := m.ReadChecked(i - start)
 			if !due {
-				flat[i] = float64(int32(v)) / scale
+				page[i-start] = v
 				rec.DUE.Clear(i)
 				rec.Stats.Recovered++
 				recovered = true
@@ -221,7 +104,7 @@ func (rec *Recovery) recoverPage(ws *Workspace, det mem.Detector, flat []float64
 		}
 		rec.budgetUsed++
 		rec.Stats.Restored++
-		flat[i] = float64(int32(ws.words[i])) / scale
+		page[i-start] = clean[i-start]
 		rec.DUE.Clear(i)
 	}
 }

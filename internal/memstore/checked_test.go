@@ -32,8 +32,8 @@ func checkedTestValues(n int) []float64 {
 
 // TestCheckedPayloadMatchesCachedBitIdentical pins the oracle contract
 // of the checked round trip: with no recovery mechanism armed, the
-// decoded payload must be float-bit identical to RoundTripCachedInto on
-// the same memory — detection observes, it never perturbs. Exercised on
+// decoded payload must be float-bit identical to the plain trip on the
+// same memory — detection observes, it never perturbs. Exercised on
 // a detecting arm with persistent DUEs (paged) and on a codeless arm.
 func TestCheckedPayloadMatchesCachedBitIdentical(t *testing.T) {
 	c := DefaultCodec()
@@ -55,7 +55,7 @@ func TestCheckedPayloadMatchesCachedBitIdentical(t *testing.T) {
 			}
 			var wsCached Workspace
 			c.EncodeValuesInto(&wsCached, vals)
-			want := append([]float64(nil), c.RoundTripCachedValues(&wsCached, mCached)...)
+			want := append([]float64(nil), c.RoundTripCachedValues(&wsCached, mCached, nil)...)
 
 			mChecked, err := b.build()
 			if err != nil {
@@ -64,7 +64,7 @@ func TestCheckedPayloadMatchesCachedBitIdentical(t *testing.T) {
 			var wsChecked Workspace
 			c.EncodeValuesInto(&wsChecked, vals)
 			rec := &Recovery{} // observe only: no retries, no restore
-			got := c.RoundTripCheckedValues(&wsChecked, mChecked, rec)
+			got := c.RoundTripCachedValues(&wsChecked, mChecked, rec)
 
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -102,7 +102,7 @@ func TestCheckedFlagsPagedDUEs(t *testing.T) {
 	var ws Workspace
 	c.EncodeValuesInto(&ws, checkedTestValues(40))
 	rec := &Recovery{}
-	c.RoundTripCheckedValues(&ws, m, rec)
+	c.RoundTripCachedValues(&ws, m, rec)
 	for i := 0; i < 40; i++ {
 		want := i%memRows == 3 || i%memRows == 7
 		if rec.DUE.Get(i) != want {
@@ -129,7 +129,7 @@ func TestRetryRecoversTransientCorruption(t *testing.T) {
 	var ws Workspace
 	c.EncodeValuesInto(&ws, checkedTestValues(96))
 	rec := &Recovery{Retries: 50}
-	got := c.RoundTripCheckedValues(&ws, m, rec)
+	got := c.RoundTripCachedValues(&ws, m, rec)
 
 	if rec.Stats.Flagged == 0 {
 		t.Fatal("transient rate produced no DUEs — the test exercises nothing")
@@ -165,7 +165,7 @@ func TestSafeRestoreExactWithUnlimitedBudget(t *testing.T) {
 	var ws Workspace
 	c.EncodeValuesInto(&ws, vals)
 	rec := &Recovery{Retries: 2, Restore: true}
-	got := c.RoundTripCheckedValues(&ws, m, rec)
+	got := c.RoundTripCachedValues(&ws, m, rec)
 
 	for i := range got {
 		if want := c.Decode(ws.words[i]); got[i] != want {
@@ -198,7 +198,7 @@ func TestSafeRestoreBudgetExhaustion(t *testing.T) {
 	var ws Workspace
 	c.EncodeValuesInto(&ws, checkedTestValues(16)) // one page: 3 DUEs
 	rec := &Recovery{Restore: true, Budget: 2}
-	got := c.RoundTripCheckedValues(&ws, m, rec)
+	got := c.RoundTripCachedValues(&ws, m, rec)
 
 	if rec.Stats.Restored != 2 || rec.Stats.BudgetDenied != 1 {
 		t.Fatalf("stats %+v, want 2 restored / 1 denied", rec.Stats)
@@ -214,22 +214,22 @@ func TestSafeRestoreBudgetExhaustion(t *testing.T) {
 	}
 
 	// Without ResetTrial the budget stays spent.
-	c.RoundTripCheckedValues(&ws, m, rec)
+	c.RoundTripCachedValues(&ws, m, rec)
 	if rec.Stats.Restored != 2 || rec.Stats.BudgetDenied != 4 {
 		t.Fatalf("stats %+v after second trip, want all 3 denied", rec.Stats)
 	}
 
 	// ResetTrial re-arms it.
 	rec.ResetTrial()
-	c.RoundTripCheckedValues(&ws, m, rec)
+	c.RoundTripCachedValues(&ws, m, rec)
 	if rec.Stats.Restored != 4 || rec.Stats.BudgetDenied != 5 {
 		t.Fatalf("stats %+v after ResetTrial trip", rec.Stats)
 	}
 }
 
-// TestRoundTripCheckedIntoDataset pins the dataset facade: same payload
-// as the cached dataset trip, flags in flat layout (row-major features
-// then labels), and the returned set is the recovery's own.
+// TestRoundTripCheckedIntoDataset pins the checked dataset trip: same
+// payload as the plain dataset trip, flags in flat layout (row-major
+// features then labels).
 func TestRoundTripCheckedIntoDataset(t *testing.T) {
 	c := DefaultCodec()
 	const memRows = 16
@@ -250,7 +250,7 @@ func TestRoundTripCheckedIntoDataset(t *testing.T) {
 	}
 	var wsCached Workspace
 	c.EncodeDatasetInto(&wsCached, x, y)
-	wantX, wantY := c.RoundTripCachedInto(&wsCached, mCached)
+	wantX, wantY := c.RoundTripCachedInto(&wsCached, mCached, nil)
 
 	mChecked, err := mem.NewECC(memRows, doubleFaultRows(5), nil)
 	if err != nil {
@@ -259,10 +259,8 @@ func TestRoundTripCheckedIntoDataset(t *testing.T) {
 	var wsChecked Workspace
 	c.EncodeDatasetInto(&wsChecked, x, y)
 	rec := &Recovery{}
-	gotX, gotY, due := c.RoundTripCheckedInto(&wsChecked, mChecked, rec)
-	if due != &rec.DUE {
-		t.Fatal("returned set is not the recovery's DUE set")
-	}
+	gotX, gotY := c.RoundTripCachedInto(&wsChecked, mChecked, rec)
+	due := &rec.DUE
 
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
@@ -294,10 +292,10 @@ func TestCheckedWarmAllocs(t *testing.T) {
 	var ws Workspace
 	c.EncodeValuesInto(&ws, checkedTestValues(40))
 	rec := &Recovery{Retries: 2, Restore: true}
-	c.RoundTripCheckedValues(&ws, m, rec)
+	c.RoundTripCachedValues(&ws, m, rec)
 	if allocs := testing.AllocsPerRun(10, func() {
 		rec.ResetTrial()
-		c.RoundTripCheckedValues(&ws, m, rec)
+		c.RoundTripCachedValues(&ws, m, rec)
 	}); allocs != 0 {
 		t.Errorf("warm checked round trip allocates %v times, want 0", allocs)
 	}

@@ -58,42 +58,6 @@ func (c Codec) Decode(w uint32) float64 {
 	return float64(int32(w)) / c.scale()
 }
 
-// RoundTripValues writes vals through the memory page by page and
-// returns the decoded read-back. len(vals) may exceed the memory size;
-// every page reuses the same words (and therefore the same fault map).
-func (c Codec) RoundTripValues(m mem.Word32, vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	c.roundTripInPlace(m, out)
-	return out
-}
-
-// roundTripInPlace overwrites vals with its faulty read-back, page by
-// page, without allocating. The quantization scale is hoisted out of
-// the per-word loop.
-func (c Codec) roundTripInPlace(m mem.Word32, vals []float64) {
-	words := m.Words()
-	if words == 0 {
-		panic("memstore: empty memory")
-	}
-	if c.Frac < 0 || c.Frac > 31 {
-		panic(fmt.Sprintf("memstore: fractional bits %d outside [0,31]", c.Frac))
-	}
-	scale := c.scale()
-	for start := 0; start < len(vals); start += words {
-		end := start + words
-		if end > len(vals) {
-			end = len(vals)
-		}
-		for i := start; i < end; i++ {
-			m.Write(i-start, encodeScaled(vals[i], scale))
-		}
-		for i := start; i < end; i++ {
-			vals[i] = float64(int32(m.Read(i-start))) / scale
-		}
-	}
-}
-
 // encodeScaled is Encode with the 2^Frac scale precomputed; identical
 // result word for word.
 func encodeScaled(f, scale float64) uint32 {
@@ -110,32 +74,30 @@ func encodeScaled(f, scale float64) uint32 {
 	return uint32(int32(v))
 }
 
-// RoundTripMatrix round-trips a matrix (row-major) through the memory.
-func (c Codec) RoundTripMatrix(m mem.Word32, x *mat.Dense) *mat.Dense {
-	rows, cols := x.Dims()
-	flat := make([]float64, 0, rows*cols)
-	for i := 0; i < rows; i++ {
-		flat = append(flat, x.RawRow(i)...)
+// RoundTripValues writes vals through the memory page by page and
+// returns the decoded read-back. len(vals) may exceed the memory size;
+// every page reuses the same words (and therefore the same fault map).
+// It is the cached round trip on a throwaway workspace.
+func (c Codec) RoundTripValues(m mem.Word32, vals []float64) []float64 {
+	if len(vals) == 0 {
+		return []float64{}
 	}
-	back := c.RoundTripValues(m, flat)
-	out := mat.NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			out.Set(i, j, back[i*cols+j])
-		}
-	}
-	return out
+	var ws Workspace
+	c.EncodeValuesInto(&ws, vals)
+	return c.RoundTripCachedValues(&ws, m, nil)
 }
 
 // RoundTripDataset round-trips features and targets: the paper stores
 // the entire training dataset in the unreliable memory (§5.2), so the
-// label vector is corrupted alongside the feature matrix.
+// label vector is corrupted alongside the feature matrix. It is the
+// cached round trip on a throwaway workspace.
 func (c Codec) RoundTripDataset(m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
 	var ws Workspace
-	return c.RoundTripDatasetInto(&ws, m, x, y)
+	c.EncodeDatasetInto(&ws, x, y)
+	return c.RoundTripCachedInto(&ws, m, nil)
 }
 
-// Workspace holds the scratch buffers of RoundTripDatasetInto so a
+// Workspace holds the scratch buffers of the cached round trips so a
 // Monte-Carlo worker can reuse them across trials instead of allocating
 // a dataset-sized matrix and two flat copies per (trial, arm). The zero
 // value is ready to use; it grows to the largest dataset it has seen and
@@ -145,59 +107,20 @@ type Workspace struct {
 	x    *mat.Dense
 	y    []float64
 
-	// Cached quantized dataset (EncodeDatasetInto /
-	// RoundTripCachedInto): the clean words and the shape they encode.
+	// Cached quantized dataset (EncodeDatasetInto / EncodeValuesInto):
+	// the clean words and the shape they encode.
 	words      []uint32
 	cachedRows int
 	cachedCols int
 
-	// Codeword-image cache: for each encode transform (mem.ImageWriter
-	// key) the physical image of the cached words, computed lazily once
-	// and shared by every memory with that key. The clean ECC encode is
+	// Codeword-image cache: for each encode transform (mem.Word32
+	// ImageKey) the physical image of the cached words, computed lazily
+	// once and shared by every memory with that key. The clean encode is
 	// fault-independent, so images stay valid across Reset/Reprogram of
-	// the memories and are invalidated only when the dataset changes
-	// (EncodeDatasetInto).
+	// the memories and are invalidated only when the cached data changes.
 	images map[string][]uint64
 	// readBuf stages one page of batch reads.
 	readBuf []uint32
-}
-
-// RoundTripDatasetInto is RoundTripDataset on reusable buffers: the
-// returned matrix and slice alias ws and stay valid only until the next
-// call with the same workspace. Consumers that retain the data past one
-// model fit/score cycle must copy it (or use RoundTripDataset).
-func (c Codec) RoundTripDatasetInto(ws *Workspace, m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
-	rows, cols := x.Dims()
-	if rows != len(y) {
-		panic("memstore: X/Y length mismatch")
-	}
-	n := rows*cols + len(y)
-	if cap(ws.flat) < n {
-		ws.flat = make([]float64, 0, n)
-	}
-	flat := ws.flat[:0]
-	for i := 0; i < rows; i++ {
-		flat = append(flat, x.RawRow(i)...)
-	}
-	flat = append(flat, y...)
-	ws.flat = flat
-	c.roundTripInPlace(m, flat)
-
-	if ws.x == nil {
-		ws.x = mat.NewDense(rows, cols)
-	} else if r, cc := ws.x.Dims(); r != rows || cc != cols {
-		ws.x = mat.NewDense(rows, cols)
-	}
-	for i := 0; i < rows; i++ {
-		ws.x.SetRow(i, flat[i*cols:(i+1)*cols])
-	}
-	if cap(ws.y) < len(y) {
-		ws.y = make([]float64, len(y))
-	}
-	yOut := ws.y[:len(y)]
-	copy(yOut, flat[rows*cols:])
-	ws.y = yOut
-	return ws.x, yOut
 }
 
 // EncodeDatasetInto quantizes (x, y) once into the workspace's word
@@ -262,7 +185,8 @@ func (c Codec) EncodeValuesInto(ws *Workspace, vals []float64) {
 
 // imageFor returns the physical image of the cached words under the
 // memory's encode transform, computing and caching it on first use.
-func (ws *Workspace) imageFor(iw mem.ImageWriter, key string) []uint64 {
+func (ws *Workspace) imageFor(m mem.Word32) []uint64 {
+	key := m.ImageKey()
 	if img, ok := ws.images[key]; ok {
 		return img
 	}
@@ -270,32 +194,25 @@ func (ws *Workspace) imageFor(iw mem.ImageWriter, key string) []uint64 {
 		ws.images = make(map[string][]uint64)
 	}
 	img := make([]uint64, len(ws.words))
-	iw.EncodeImage(img, ws.words)
+	m.EncodeImage(img, ws.words)
 	ws.images[key] = img
 	return img
 }
 
-// RoundTripCachedInto streams the cached words (EncodeDatasetInto)
-// through the memory page by page and returns the decoded dataset —
-// bit-identical to RoundTripDatasetInto on the same data and memory,
-// minus the re-quantization. The returned matrix and slice alias ws
-// with the same lifetime rules as RoundTripDatasetInto. It panics if
-// no dataset has been cached.
-//
-// Memories implementing mem.BatchMemory take the bulk write/read paths
-// (one call per page instead of one per word); memories additionally
-// implementing mem.ImageWriter with a non-empty key skip the clean-word
-// encode entirely, writing a cached physical image per page — the warm
-// trial's write phase reduces to a masked copy and its read phase to a
-// batch decode. Both fast paths produce bit-identical results to the
-// word-at-a-time oracle loop, which remains the fallback for plain
-// mem.Word32 implementations.
-func (c Codec) RoundTripCachedInto(ws *Workspace, m mem.Word32) (*mat.Dense, []float64) {
+// RoundTripCachedInto streams the cached dataset (EncodeDatasetInto)
+// through the memory page by page and returns the decoded dataset. A
+// nil rec is the plain trip; otherwise the trip also flags DUEs in
+// rec.DUE (flat layout: row-major features, then labels) and applies
+// rec's mechanisms per page (see Recovery). The returned matrix and
+// slice alias ws and stay valid only until the next round trip on it;
+// consumers that retain the data past one model fit/score cycle must
+// copy it. It panics if no dataset has been cached.
+func (c Codec) RoundTripCachedInto(ws *Workspace, m mem.Word32, rec *Recovery) (*mat.Dense, []float64) {
 	rows, cols := ws.cachedRows, ws.cachedCols
 	if rows == 0 {
 		panic("memstore: RoundTripCachedInto before EncodeDatasetInto")
 	}
-	flat := c.roundTripCachedWords(ws, m)
+	flat := c.roundTrip(ws, m, rec)
 
 	if ws.x == nil {
 		ws.x = mat.NewDense(rows, cols)
@@ -316,21 +233,23 @@ func (c Codec) RoundTripCachedInto(ws *Workspace, m mem.Word32) (*mat.Dense, []f
 
 // RoundTripCachedValues streams the cached words (EncodeValuesInto or
 // EncodeDatasetInto) through the memory page by page and returns the
-// decoded flat values — the shapeless sibling of RoundTripCachedInto
-// with the same fast-path dispatch and the same aliasing rules (the
-// returned slice is workspace scratch, valid until the next round
-// trip). It panics if no values have been cached.
-func (c Codec) RoundTripCachedValues(ws *Workspace, m mem.Word32) []float64 {
+// decoded flat values — the shapeless sibling of RoundTripCachedInto,
+// with the same recovery argument and aliasing rules (the returned
+// slice is workspace scratch, valid until the next round trip). It
+// panics if no values have been cached.
+func (c Codec) RoundTripCachedValues(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
 	if len(ws.words) == 0 {
 		panic("memstore: RoundTripCachedValues before EncodeValuesInto")
 	}
-	return c.roundTripCachedWords(ws, m)
+	return c.roundTrip(ws, m, rec)
 }
 
-// roundTripCachedWords is the shared paging core of the cached round
-// trips: it streams ws.words through the memory page by page into
-// ws.flat and returns the decoded values.
-func (c Codec) roundTripCachedWords(ws *Workspace, m mem.Word32) []float64 {
+// roundTrip is the one paging core of every round trip: for each page
+// of ws.words it writes the cached image, batch-reads the page back
+// (flagging DUEs into rec.DUE when rec is not nil), lets rec recover
+// the flagged words while the page is still resident, and decodes the
+// page into ws.flat.
+func (c Codec) roundTrip(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
 	pageWords := m.Words()
 	if pageWords == 0 {
 		panic("memstore: empty memory")
@@ -342,44 +261,25 @@ func (c Codec) roundTripCachedWords(ws *Workspace, m mem.Word32) []float64 {
 	flat := ws.flat[:n]
 	ws.flat = flat
 	scale := c.scale()
-	bm, batched := m.(mem.BatchMemory)
-	var (
-		img []uint64
-		iw  mem.ImageWriter
-	)
-	if w, ok := m.(mem.ImageWriter); ok && batched {
-		if key := w.ImageKey(); key != "" {
-			iw, img = w, ws.imageFor(w, key)
-		}
+	img := ws.imageFor(m)
+	var due *mem.DUESet
+	if rec != nil {
+		rec.DUE.Reset(n)
+		due = &rec.DUE
 	}
-	if pageN := min(pageWords, n); batched && cap(ws.readBuf) < pageN {
+	if pageN := min(pageWords, n); cap(ws.readBuf) < pageN {
 		ws.readBuf = make([]uint32, pageN)
 	}
 	for start := 0; start < n; start += pageWords {
-		end := start + pageWords
-		if end > n {
-			end = n
+		end := min(start+pageWords, n)
+		page := ws.readBuf[:end-start]
+		m.WriteImage(0, img[start:end])
+		m.ReadBatch(0, page, due, start)
+		if rec != nil {
+			rec.recoverPage(m, page, ws.words[start:end], start)
 		}
-		switch {
-		case img != nil:
-			iw.WriteImage(0, img[start:end])
-		case batched:
-			bm.WriteBatch(0, ws.words[start:end])
-		default:
-			for i := start; i < end; i++ {
-				m.Write(i-start, ws.words[i])
-			}
-		}
-		if batched {
-			buf := ws.readBuf[:end-start]
-			bm.ReadBatch(0, buf)
-			for i, w := range buf {
-				flat[start+i] = float64(int32(w)) / scale
-			}
-			continue
-		}
-		for i := start; i < end; i++ {
-			flat[i] = float64(int32(m.Read(i-start))) / scale
+		for i, w := range page {
+			flat[start+i] = float64(int32(w)) / scale
 		}
 	}
 	return flat

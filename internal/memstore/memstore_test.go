@@ -114,6 +114,9 @@ func TestRoundTripValuesPerfectMemory(t *testing.T) {
 			t.Errorf("val %d: %g != %g", i, got[i], v)
 		}
 	}
+	if empty := c.RoundTripValues(m, nil); empty == nil || len(empty) != 0 {
+		t.Errorf("empty round trip returned %#v, want an empty slice", empty)
+	}
 }
 
 func TestRoundTripPagesThroughSmallMemory(t *testing.T) {
@@ -135,20 +138,6 @@ func TestRoundTripPagesThroughSmallMemory(t *testing.T) {
 			}
 		} else if v != 0 {
 			t.Errorf("index %d corrupted unexpectedly: %g", i, v)
-		}
-	}
-}
-
-func TestRoundTripMatrix(t *testing.T) {
-	c := DefaultCodec()
-	x := mat.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	m := mem.NewPerfect(4)
-	got := c.RoundTripMatrix(m, x)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 2; j++ {
-			if got.At(i, j) != x.At(i, j) {
-				t.Errorf("(%d,%d): %g != %g", i, j, got.At(i, j), x.At(i, j))
-			}
 		}
 	}
 }
@@ -203,7 +192,8 @@ func TestRoundTripDatasetIntoMatchesAllocating(t *testing.T) {
 
 	xa, ya := c.RoundTripDataset(raw, x, y)
 	var ws Workspace
-	xb, yb := c.RoundTripDatasetInto(&ws, raw, x, y)
+	c.EncodeDatasetInto(&ws, x, y)
+	xb, yb := c.RoundTripCachedInto(&ws, raw, nil)
 	for i := 0; i < 32; i++ {
 		for j := 0; j < 4; j++ {
 			if xa.At(i, j) != xb.At(i, j) {
@@ -216,7 +206,7 @@ func TestRoundTripDatasetIntoMatchesAllocating(t *testing.T) {
 	}
 
 	avg := testing.AllocsPerRun(50, func() {
-		c.RoundTripDatasetInto(&ws, raw, x, y)
+		c.RoundTripCachedInto(&ws, raw, nil)
 	})
 	if avg != 0 {
 		t.Errorf("warm workspace round trip allocates %.1f times", avg)
@@ -254,9 +244,36 @@ func TestRoundTripThroughECCIsClean(t *testing.T) {
 	}
 }
 
+// scalarTripDataset is the word-at-a-time oracle of the dataset round
+// trip: it pages the flat layout (row-major features, then labels)
+// through m with one Write and one Read per word.
+func scalarTripDataset(c Codec, m mem.Word32, x *mat.Dense, y []float64) (*mat.Dense, []float64) {
+	rows, cols := x.Dims()
+	flat := make([]float64, 0, rows*cols+len(y))
+	for i := 0; i < rows; i++ {
+		flat = append(flat, x.RawRow(i)...)
+	}
+	flat = append(flat, y...)
+	page := m.Words()
+	for start := 0; start < len(flat); start += page {
+		end := min(start+page, len(flat))
+		for i := start; i < end; i++ {
+			m.Write(i-start, c.Encode(flat[i]))
+		}
+		for i := start; i < end; i++ {
+			flat[i] = c.Decode(m.Read(i - start))
+		}
+	}
+	out := mat.NewDense(rows, cols)
+	for i := 0; i < rows; i++ {
+		out.SetRow(i, flat[i*cols:(i+1)*cols])
+	}
+	return out, flat[rows*cols:]
+}
+
 // TestRoundTripCachedMatchesDirect pins the cached-words path: one
-// EncodeDatasetInto followed by RoundTripCachedInto must reproduce
-// RoundTripDatasetInto bit for bit on the same memory — across
+// EncodeDatasetInto followed by RoundTripCachedInto must reproduce the
+// word-at-a-time oracle bit for bit on the same memory — across
 // multiple round trips of one cache and datasets larger than the
 // memory (paged).
 func TestRoundTripCachedMatchesDirect(t *testing.T) {
@@ -278,8 +295,7 @@ func TestRoundTripCachedMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wsDirect Workspace
-		wantX, wantY := c.RoundTripDatasetInto(&wsDirect, mDirect, x, y)
+		wantX, wantY := scalarTripDataset(c, mDirect, x, y)
 
 		mCached, err := mem.NewRaw(memRows, fm)
 		if err != nil {
@@ -287,7 +303,7 @@ func TestRoundTripCachedMatchesDirect(t *testing.T) {
 		}
 		var wsCached Workspace
 		c.EncodeDatasetInto(&wsCached, x, y)
-		gotX, gotY := c.RoundTripCachedInto(&wsCached, mCached)
+		gotX, gotY := c.RoundTripCachedInto(&wsCached, mCached, nil)
 
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
@@ -308,5 +324,5 @@ func TestRoundTripCachedMatchesDirect(t *testing.T) {
 	}()
 	var empty Workspace
 	m2, _ := mem.NewRaw(memRows, fm)
-	c.RoundTripCachedInto(&empty, m2)
+	c.RoundTripCachedInto(&empty, m2, nil)
 }

@@ -91,8 +91,35 @@ func (r *Repaired) Write(addr int, v uint32) {
 	}
 }
 
+// ReadChecked is Read; spare-line repair carries no code, so it never
+// flags.
+func (r *Repaired) ReadChecked(addr int) (uint32, bool) { return r.Read(addr), false }
+
 // Words returns the address space size.
 func (r *Repaired) Words() int { return r.base.Rows() }
+
+// ReadBatch reads addr+i into dst[i] through the scalar datapath; it
+// never flags (see ReadChecked).
+func (r *Repaired) ReadBatch(addr int, dst []uint32, _ *mem.DUESet, _ int) {
+	for i := range dst {
+		dst[i] = r.Read(addr + i)
+	}
+}
+
+// ImageKey identifies the (identity) encode transform: the remap is
+// address-dependent, so WriteImage applies it at store time.
+func (r *Repaired) ImageKey() string { return mem.ImageKeyRaw32 }
+
+// EncodeImage widens src into img (the physical word is the datum).
+func (r *Repaired) EncodeImage(img []uint64, src []uint32) { mem.EncodeRaw32(img, src) }
+
+// WriteImage stores a precomputed image at addr+i through the scalar
+// datapath.
+func (r *Repaired) WriteImage(addr int, img []uint64) {
+	for i, w := range img {
+		r.Write(addr+i, uint32(w))
+	}
+}
 
 // SparesUsed returns how many spare rows and columns the repair consumed.
 func (r *Repaired) SparesUsed() (rows, cols int) {

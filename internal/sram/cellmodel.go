@@ -22,8 +22,7 @@ import (
 //
 // This is the standard first-order yield model for parametric SRAM
 // failures [Mukhopadhyay et al., IEEE TCAD 2005] and substitutes for the
-// paper's in-house SPICE + hypersphere-sampling framework (see DESIGN.md,
-// substitution table).
+// paper's in-house SPICE + hypersphere-sampling framework.
 type CellModel struct {
 	// VRef is the reference voltage at which beta = Beta0.
 	VRef float64

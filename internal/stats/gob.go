@@ -34,7 +34,11 @@ func (c *WeightedCDF) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode replaces the CDF with the encoded observations.
+// GobDecode replaces the CDF with the encoded observations. It rejects
+// every state Add could never have produced: a NaN observation, a weight
+// that is not finite and positive (Add drops zero weights), and a total
+// weight that is negative, not finite, or zero exactly when observations
+// are present — so a decoded CDF is always safe to query and merge.
 func (c *WeightedCDF) GobDecode(b []byte) error {
 	var w wcdfWire
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
@@ -42,6 +46,17 @@ func (c *WeightedCDF) GobDecode(b []byte) error {
 	}
 	if len(w.Xs) != len(w.Ws) {
 		return fmt.Errorf("stats: corrupt WeightedCDF encoding: %d observations, %d weights", len(w.Xs), len(w.Ws))
+	}
+	for i, x := range w.Xs {
+		if math.IsNaN(x) {
+			return fmt.Errorf("stats: corrupt WeightedCDF encoding: observation %d is NaN", i)
+		}
+		if wi := w.Ws[i]; !(wi > 0) || math.IsInf(wi, 1) {
+			return fmt.Errorf("stats: corrupt WeightedCDF encoding: observation %d weight %g", i, wi)
+		}
+	}
+	if !(w.Total >= 0) || math.IsInf(w.Total, 1) || (w.Total == 0) != (len(w.Xs) == 0) {
+		return fmt.Errorf("stats: corrupt WeightedCDF encoding: total weight %g over %d observations", w.Total, len(w.Xs))
 	}
 	*c = WeightedCDF{xs: w.Xs, ws: w.Ws, total: w.Total}
 	return nil

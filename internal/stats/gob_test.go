@@ -111,6 +111,24 @@ func TestMergeOfDecodedShardsIsBitIdentical(t *testing.T) {
 	}
 }
 
+// corruptCDFWires are WeightedCDF wire states that Add could never have
+// produced.
+var corruptCDFWires = []struct {
+	name string
+	wire wcdfWire
+}{
+	{"NaN weight", wcdfWire{Xs: []float64{1, 2}, Ws: []float64{math.NaN(), 1}, Total: 1}},
+	{"negative weight", wcdfWire{Xs: []float64{1, 2}, Ws: []float64{-3, 1}, Total: -2}},
+	{"infinite weight", wcdfWire{Xs: []float64{1}, Ws: []float64{math.Inf(1)}, Total: math.Inf(1)}},
+	{"zero weight", wcdfWire{Xs: []float64{1, 2}, Ws: []float64{0, 1}, Total: 1}},
+	{"NaN observation", wcdfWire{Xs: []float64{math.NaN()}, Ws: []float64{1}, Total: 1}},
+	{"negative total", wcdfWire{Xs: []float64{1}, Ws: []float64{1}, Total: -1}},
+	{"NaN total", wcdfWire{Xs: []float64{1}, Ws: []float64{1}, Total: math.NaN()}},
+	{"infinite total", wcdfWire{Xs: []float64{1}, Ws: []float64{1}, Total: math.Inf(1)}},
+	{"total without observations", wcdfWire{Total: 5}},
+	{"observations without total", wcdfWire{Xs: []float64{1}, Ws: []float64{1}}},
+}
+
 // TestGobDecodeRejectsCorruptState: hand-rolled inconsistent wire structs
 // must fail decode instead of building a lying accumulator.
 func TestGobDecodeRejectsCorruptState(t *testing.T) {
@@ -121,6 +139,19 @@ func TestGobDecodeRejectsCorruptState(t *testing.T) {
 	var c WeightedCDF
 	if err := c.GobDecode(buf.Bytes()); err == nil {
 		t.Fatal("mismatched xs/ws lengths decoded without error")
+	}
+	// States Add refuses to build: each must fail decode rather than
+	// poison a merge (a NaN weight makes every P NaN, a negative one
+	// drives the merged total weight negative).
+	for _, bad := range corruptCDFWires {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(bad.wire); err != nil {
+			t.Fatal(err)
+		}
+		var c WeightedCDF
+		if err := c.GobDecode(buf.Bytes()); err == nil {
+			t.Fatalf("%s: %+v decoded without error", bad.name, bad.wire)
+		}
 	}
 
 	buf.Reset()

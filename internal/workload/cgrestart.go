@@ -161,14 +161,11 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 		p[i] = b[i]
 		ck[i] = 0
 	}
-	var det mem.Detector
 	words, off := 0, 0
 	if m != nil {
 		words = m.Words()
 		if words < 3*d {
 			m = nil
-		} else {
-			det, _ = m.(mem.Detector)
 		}
 	}
 	guards := m != nil
@@ -227,9 +224,9 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 		sx := storeVec(m, codec, off, x)
 		sr := storeVec(m, codec, off+d, r)
 		sp := storeVec(m, codec, off+2*d, p)
-		gx, dx := loadVec(m, det, codec, off, x)
-		gr, dr := loadVec(m, det, codec, off+d, r)
-		gp, dp := loadVec(m, det, codec, off+2*d, p)
+		gx, dx := loadVec(m, codec, off, x)
+		gr, dr := loadVec(m, codec, off+d, r)
+		gp, dp := loadVec(m, codec, off+2*d, p)
 		if guards && (dx || dr || dp || gx != sx || gr != sr || gp != sp) {
 			if restarts < inst.restarts {
 				restarts++
@@ -304,18 +301,12 @@ func storeVec(m mem.Word32, codec memstore.Codec, off int, v []float64) float64 
 }
 
 // loadVec reads v back from m at off, returning the element sum of the
-// decoded values and whether any word raised a DUE flag (detecting arms
-// only; det may be nil).
-func loadVec(m mem.Word32, det mem.Detector, codec memstore.Codec, off int, v []float64) (sum float64, due bool) {
+// decoded values and whether any word raised a DUE flag (codeless arms
+// never flag).
+func loadVec(m mem.Word32, codec memstore.Codec, off int, v []float64) (sum float64, due bool) {
 	for i := range v {
-		var w uint32
-		if det != nil {
-			var flagged bool
-			w, flagged = det.ReadChecked(off + i)
-			due = due || flagged
-		} else {
-			w = m.Read(off + i)
-		}
+		w, flagged := m.ReadChecked(off + i)
+		due = due || flagged
 		v[i] = codec.Decode(w)
 		sum += v[i]
 	}

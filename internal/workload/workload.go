@@ -107,20 +107,13 @@ type Workspace struct {
 // active recovery policy (the plain cached trip when none is set). The
 // returned slice is workspace scratch with the usual aliasing rules.
 func (ws *Workspace) TripValues() []float64 {
-	if ws.Recovery != nil {
-		return ws.Codec.RoundTripCheckedValues(&ws.Store, ws.Mem, ws.Recovery)
-	}
-	return ws.Codec.RoundTripCachedValues(&ws.Store, ws.Mem)
+	return ws.Codec.RoundTripCachedValues(&ws.Store, ws.Mem, ws.Recovery)
 }
 
 // TripDataset round-trips the cached dataset through Mem under the
 // active recovery policy (see TripValues).
 func (ws *Workspace) TripDataset() (*mat.Dense, []float64) {
-	if ws.Recovery != nil {
-		x, y, _ := ws.Codec.RoundTripCheckedInto(&ws.Store, ws.Mem, ws.Recovery)
-		return x, y
-	}
-	return ws.Codec.RoundTripCachedInto(&ws.Store, ws.Mem)
+	return ws.Codec.RoundTripCachedInto(&ws.Store, ws.Mem, ws.Recovery)
 }
 
 // Arm is a buildable protection scheme. exp.Protection satisfies it;

@@ -151,7 +151,7 @@ func TestRSortQualityMatchesNaiveOracle(t *testing.T) {
 
 	// Independent recount: the round trip is deterministic for
 	// persistent faults, so a second pass sees the same corruption.
-	vals := append([]float64(nil), ws.Codec.RoundTripCachedValues(&ws.Store, ws.Mem)...)
+	vals := append([]float64(nil), ws.Codec.RoundTripCachedValues(&ws.Store, ws.Mem, nil)...)
 	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
