@@ -4,17 +4,6 @@ import (
 	"faultmem/internal/mem"
 )
 
-// shiftTable precomputes ShiftForX for every FM-LUT entry value, so the
-// batch paths resolve a row's rotation with one table load instead of
-// re-deriving Eq. (2) per word. NumSegments is at most Width <= 64.
-func (s *Shuffled) shiftTable() (table [64]int) {
-	n := s.cfg.NumSegments()
-	for x := 0; x < n; x++ {
-		table[x] = s.cfg.ShiftForX(x)
-	}
-	return table
-}
-
 // ReadChecked is Read with no flag: bit-shuffling relocates error bits
 // to low-significance positions but carries no code, so it cannot
 // detect what it absorbs. Checked round trips therefore read through
@@ -27,10 +16,9 @@ func (s *Shuffled) ReadChecked(addr int) (uint32, bool) { return s.Read(addr), f
 func (s *Shuffled) ReadBatch(addr int, dst []uint32, _ *mem.DUESet, _ int) {
 	s.buf = growBuf(s.buf, len(dst))
 	s.arr.ReadBatch(addr, s.buf)
-	shifts := s.shiftTable()
 	x := s.lut.x[addr : addr+len(dst)]
 	for i, w := range s.buf {
-		dst[i] = uint32(s.cfg.RotateRead(w, shifts[x[i]]))
+		dst[i] = uint32(s.rot[x[i]].read(w, s.mask))
 	}
 }
 
@@ -49,10 +37,9 @@ func (s *Shuffled) EncodeImage(img []uint64, src []uint32) { mem.EncodeRaw32(img
 // modified.
 func (s *Shuffled) WriteImage(addr int, img []uint64) {
 	s.buf = growBuf(s.buf, len(img))
-	shifts := s.shiftTable()
 	x := s.lut.x[addr : addr+len(img)]
 	for i, w := range img {
-		s.buf[i] = s.cfg.RotateWrite(w, shifts[x[i]])
+		s.buf[i] = s.rot[x[i]].write(w, s.mask)
 	}
 	s.arr.WriteBatch(addr, s.buf)
 }

@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
-
-	"faultmem/internal/bits"
 )
 
 // Config selects the word width and FM-LUT entry width of a bit-shuffling
@@ -197,16 +195,4 @@ func (c Config) SingleFaultErrorExponent(b int) int {
 		panic(fmt.Sprintf("core: bit position %d outside [0,%d)", b, c.Width))
 	}
 	return b % c.SegmentSize()
-}
-
-// RotateWrite applies the write-path transformation: the right-circular
-// shift by T placing the least significant segment on the faulty segment.
-func (c Config) RotateWrite(v uint64, t int) uint64 {
-	return bits.RotateRight(v, c.Width, t)
-}
-
-// RotateRead applies the read-path transformation, restoring the original
-// bit order.
-func (c Config) RotateRead(v uint64, t int) uint64 {
-	return bits.RotateLeft(v, c.Width, t)
 }

@@ -66,7 +66,7 @@ func TestShiftForXPaperExample(t *testing.T) {
 	// the LSB must be stored at physical position 31.
 	xTop := c.XForSingleFault(31)
 	tTop := c.ShiftForX(xTop)
-	if got := c.RotateWrite(1, tTop); got != 1<<31 {
+	if got := newRotation(32, tTop).write(1, bits.Mask(32)); got != 1<<31 {
 		t.Fatalf("top-word LSB stored at %#x, want bit 31", got)
 	}
 	// x = 0 means no shift.
@@ -187,12 +187,61 @@ func TestRotateWriteReadInverse(t *testing.T) {
 		nfm := int(nfmRaw)%5 + 1
 		c := cfg32(nfm)
 		x := int(xRaw) % c.NumSegments()
-		tt := c.ShiftForX(x)
-		v &= bits.Mask(32)
-		return c.RotateRead(c.RotateWrite(v, tt), tt) == v
+		r, m := newRotation(32, c.ShiftForX(x)), bits.Mask(32)
+		v &= m
+		return r.read(r.write(v, m), m) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRotationMatchesBitsOracle pins the shift-pair rotation to
+// bits.RotateRight (write) and bits.RotateLeft (read) at every width from
+// 2 to 64 and every amount below it, on words with bits set above the
+// width too; then, for every valid configuration and every FM-LUT value,
+// a Shuffled memory must store bits.RotateRight of the datum and read
+// the datum back.
+func TestRotationMatchesBitsOracle(t *testing.T) {
+	rng := stats.NewRand(5)
+	vals := []uint64{0, 1, ^uint64(0), 1 << 63, 0x8000000000000001}
+	for i := 0; i < 24; i++ {
+		vals = append(vals, rng.Uint64())
+	}
+	for w := 2; w <= 64; w++ {
+		m := bits.Mask(w)
+		for amt := 0; amt < w; amt++ {
+			r := newRotation(w, amt)
+			for _, v := range vals {
+				if got, want := r.write(v, m), bits.RotateRight(v, w, amt); got != want {
+					t.Fatalf("w %d T %d: write(%#x) = %#x, want %#x", w, amt, v, got, want)
+				}
+				if got, want := r.read(v, m), bits.RotateLeft(v, w, amt); got != want {
+					t.Fatalf("w %d T %d: read(%#x) = %#x, want %#x", w, amt, v, got, want)
+				}
+			}
+		}
+	}
+	for w := 2; w <= 64; w *= 2 {
+		for nfm := 1; (1 << nfm) <= w; nfm++ {
+			c := Config{Width: w, NFM: nfm}
+			s, err := NewShuffled(c, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := 0; x < c.NumSegments(); x++ {
+				s.LUT().SetX(0, x)
+				for _, v := range vals {
+					s.WriteWide(0, v)
+					if got, want := s.Array().Peek(0), bits.RotateRight(v, w, c.ShiftForX(x)); got != want {
+						t.Fatalf("%+v x %d: stored %#x for %#x, want %#x", c, x, got, v, want)
+					}
+					if got, want := s.ReadWide(0), v&bits.Mask(w); got != want {
+						t.Fatalf("%+v x %d: read back %#x, want %#x", c, x, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
