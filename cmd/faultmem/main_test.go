@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 )
@@ -95,5 +96,34 @@ func TestRunHelpExitsZero(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := execute(context.Background(), []string{"run", "fig5", "-h"}, &out, &errOut); code != 0 {
 		t.Fatalf("run -h exited %d", code)
+	}
+}
+
+// TestRunAllQuickGolden pins every experiment's result bytes: the CLI's
+// `run all -quick -json` must print testdata/run_all_quick.json exactly.
+// A deliberate result change regenerates that file with the CLI
+// (`go run ./cmd/faultmem run all -quick -json`) and says so.
+func TestRunAllQuickGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at its quick budget")
+	}
+	want, err := os.ReadFile("testdata/run_all_quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := execute(context.Background(), []string{"run", "all", "-quick", "-json"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		line, col := 1, 1
+		for i := 0; i < len(got) && i < len(want) && got[i] == want[i]; i++ {
+			if got[i] == '\n' {
+				line, col = line+1, 1
+			} else {
+				col++
+			}
+		}
+		t.Fatalf("run all -quick -json differs from testdata/run_all_quick.json from line %d column %d (%d bytes, want %d)", line, col, len(got), len(want))
 	}
 }

@@ -259,17 +259,17 @@ func TestBatchTransientMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestTransientSourceMatchesRand pins the soft-error block path on
-// every protection arm: an array handed a *stats.Source returns the
-// same words as one handed a stdlib rand.New(rand.NewSource(seed)),
-// which draws per cell, on scalar, batch and checked reads. A third
-// memory without soft errors shows the flips happened.
+// TestTransientSourceMatchesRand pins the soft-error draw on every
+// protection arm: an array handed a plain rand.NewSource(seed) returns
+// the same words as one handed a rand.New(rand.NewSource(seed)), on
+// scalar, batch and checked reads. A third memory without soft errors
+// shows the flips happened.
 func TestTransientSourceMatchesRand(t *testing.T) {
 	const rows, seed = 96, 23
 	fm := mixedFaultMap(rows)
 	words := testWords(rows)
 	for _, arm := range AllProtections() {
-		srcs := []rand.Source{stats.NewSource(seed), rand.New(rand.NewSource(seed)), nil}
+		srcs := []rand.Source{rand.NewSource(seed), rand.New(rand.NewSource(seed)), nil}
 		mems := make([]mem.Word32, len(srcs))
 		got := make([][]uint32, len(srcs))
 		for i, src := range srcs {
@@ -303,7 +303,7 @@ func TestTransientSourceMatchesRand(t *testing.T) {
 			hit := 0
 			for r := range words {
 				if got[0][r] != got[1][r] {
-					t.Fatalf("%v round %d word %d: stats.Source read %#08x, rand.Rand read %#08x", arm, round, r, got[0][r], got[1][r])
+					t.Fatalf("%v round %d word %d: rand.Source read %#08x, rand.Rand read %#08x", arm, round, r, got[0][r], got[1][r])
 				}
 				if got[0][r] != got[2][r] {
 					hit++

@@ -11,12 +11,13 @@ import (
 )
 
 // The soft-error stream is pinned here: these digests were captured
-// before the soft-error draw moved to the block mask of stats.Source,
+// when soft errors came to be drawn by a countdown of geometric gaps
+// between flips and the die's fault count by an exact Binomial draw,
 // and any change to which bits flip, in which read, moves them. Each
 // recovery golden covers all three policies (so retries re-read with
 // fresh flips and saferestore writes back), per-arm qualities and the
-// recovery counters; the ablation golden covers the per-draw path a
-// *rand.Rand caller keeps.
+// recovery counters; the ablation golden covers a caller that hands
+// SetTransient a *rand.Rand.
 
 // transientGoldenParams is the small soft-error geometry: a 512-word
 // macro at a soft-error rate high enough that every trial sees flips.
@@ -45,19 +46,19 @@ var transientGolden = []struct {
 }{
 	{
 		workload: "cgrestart",
-		samples:  "163990cdbd9ade107c1216c70a9a09fb6dfc6ee835fbea0c0e659e39a7481104",
-		result:   "77623bea79a5d2851a56a555e5fd6c87287b243ee2982b31bcdc01089971cc3a",
+		samples:  "3497567a8b6cce53af9c082e40fa5bc501914a0041d070b7493df3f848fd7ee4",
+		result:   "a7fd1c5f8fdadac8dd987125ca3538456269ff56d73baadb9cd985f3a0575ad0",
 	},
 	{
 		workload: "cgsolve",
-		samples:  "e99b6d7dbfb51ce4b9743ebfa1f48f65b6bcbf5cd527bc4695fb6c427ec21bfb",
-		result:   "0e75fb0dbf228a8c5b6fb12c4136afd12b9d121c51035e5684e83b260f0a4ddd",
+		samples:  "24a3775d9360a1d7891a719dc7b97db133f63b5728c045209271afc0a2b057b8",
+		result:   "f7416af0930843000253125e4442d90f1b076f8d6e21215860be097ce05936a8",
 	},
 }
 
 // ablationTransientGolden is the SHA-256 of the ablate-transient
 // Result JSON at its defaults with Workers = 2.
-const ablationTransientGolden = "37b2600e9d6ffe979c4a336cf1df214a2658ca333a132d91b54e3beb035fd9ad"
+const ablationTransientGolden = "cf87585ee84ca7305dd329f812edc6308dfaadd79774bf9513dee83963793118"
 
 // qualitySamplesDigest hashes a quality campaign's raw output: stage
 // names, clean metrics, per-arm quality bits and recovery counters.

@@ -150,8 +150,10 @@ func GenerateCount(rng *rand.Rand, rows, width, n int, kind Kind) Map {
 
 // GeneratePcell draws a fault map where each of the rows x width cells
 // fails independently with probability pcell (Eq. 4's Bernoulli model).
-// The failure count is sampled from Binomial(rows*width, pcell) and the
-// positions placed uniformly, which is the exact joint distribution.
+// The failure count is drawn exactly from Binomial(rows*width, pcell)
+// (stats.SampleBinomial, by inversion at every mean) and the positions
+// are placed uniformly among the cells, which together is the exact
+// joint distribution of the failed cells.
 func GeneratePcell(rng *rand.Rand, rows, width int, pcell float64, kind Kind) Map {
 	n := stats.SampleBinomial(rng, rows*width, pcell)
 	return GenerateCount(rng, rows, width, n, kind)

@@ -15,7 +15,6 @@ import (
 
 	"faultmem/internal/bits"
 	"faultmem/internal/fault"
-	"faultmem/internal/stats"
 )
 
 // Array is a functional R x W SRAM bit-cell array with persistent faults.
@@ -35,9 +34,14 @@ type Array struct {
 	sa1         []uint64 // per-row mask of cells stuck at 1
 	faults      fault.Map
 
-	transientRate float64 // per-cell soft-error probability per read
-	transientFlip stats.Bernoulli
-	transientSrc  rand.Source
+	// Soft errors (SetTransient): the per-cell flip probability per
+	// read, 1/log1p(-rate) for the gap draw, the source, and the
+	// countdown, the number of cells read before the next flip (< 0
+	// until the first read after SetTransient draws it).
+	transientRate  float64
+	transientScale float64
+	transientSrc   rand.Source
+	transientLeft  int64
 
 	// couplings holds CFid faults bucketed by aggressor row for the
 	// write path.

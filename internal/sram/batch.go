@@ -34,9 +34,10 @@ func (a *Array) WriteBatch(r int, vals []uint64) {
 
 // ReadBatch reads rows r+i into out[i] for every element, semantically
 // identical to calling Read per row in ascending order: the same flip
-// masks and access accounting. With transient soft errors enabled each
-// row draws its soft-error mask in ascending row order, the order Read
-// per row draws them, so every downstream sample is preserved exactly.
+// masks and access accounting. With transient soft errors enabled the
+// countdown runs over the rows' cells in that order, so it flips the
+// cells the scalar reads would and draws the same gaps; a row without a
+// flip costs nothing.
 func (a *Array) ReadBatch(r int, out []uint64) {
 	if r < 0 || len(out) > a.rows-r {
 		panic(fmt.Sprintf("sram: read batch [%d,%d) out of %d", r, r+len(out), a.rows))
@@ -45,13 +46,10 @@ func (a *Array) ReadBatch(r int, out []uint64) {
 	m := bits.Mask(a.width)
 	data := a.data[r : r+len(out)]
 	flip := a.flip[r : r+len(out)]
-	if a.transientRate > 0 {
-		for i := range out {
-			out[i] = (data[i] ^ flip[i] ^ a.transientMask()) & m
-		}
-		return
-	}
 	for i := range out {
 		out[i] = (data[i] ^ flip[i]) & m
+	}
+	if a.transientRate > 0 {
+		a.transientFlips(out)
 	}
 }

@@ -87,37 +87,37 @@ func TestTransientValidation(t *testing.T) {
 	}()
 }
 
-// TestTransientSourceMatchesPerDraw pins the block path against the
-// per-draw oracle at the array level: a *stats.Source and a stdlib
-// rand.New(rand.NewSource(seed)) give the same words, for scalar and
+// TestTransientSourceMatchesPerDraw pins the soft-error draw to the
+// source's stream at the array level: a plain rand.NewSource(seed) and
+// a *rand.Rand over the same seed give the same words, for scalar and
 // batch reads interleaved, at every width class the arms use.
 func TestTransientSourceMatchesPerDraw(t *testing.T) {
-	const rows = 700 // a batch read spans more than one register cycle
+	const rows = 700
 	for _, width := range []int{1, 8, 22, 32, 39, 64} {
 		for _, rate := range []float64{1e-4, 0.02, 0.5} {
-			block, oracle := NewArray(rows, width), NewArray(rows, width)
-			if err := block.SetFaults(faultAt(3, width-1)); err != nil {
+			plain, viaRand := NewArray(rows, width), NewArray(rows, width)
+			if err := plain.SetFaults(faultAt(3, width-1)); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.SetFaults(faultAt(3, width-1)); err != nil {
+			if err := viaRand.SetFaults(faultAt(3, width-1)); err != nil {
 				t.Fatal(err)
 			}
-			block.SetTransient(rate, stats.NewSource(int64(width)))
-			oracle.SetTransient(rate, rand.New(rand.NewSource(int64(width))))
+			plain.SetTransient(rate, rand.NewSource(int64(width)))
+			viaRand.SetTransient(rate, rand.New(rand.NewSource(int64(width))))
 			for r := 0; r < rows; r++ {
-				block.Write(r, uint64(r)*0x9E3779B97F4A7C15)
-				oracle.Write(r, uint64(r)*0x9E3779B97F4A7C15)
+				plain.Write(r, uint64(r)*0x9E3779B97F4A7C15)
+				viaRand.Write(r, uint64(r)*0x9E3779B97F4A7C15)
 			}
 			got, want := make([]uint64, rows), make([]uint64, rows)
 			for pass := 0; pass < 3; pass++ {
-				block.ReadBatch(0, got)
-				oracle.ReadBatch(0, want)
+				plain.ReadBatch(0, got)
+				viaRand.ReadBatch(0, want)
 				for r := 0; r < rows; r += 7 {
-					got[r], want[r] = block.Read(r), oracle.Read(r)
+					got[r], want[r] = plain.Read(r), viaRand.Read(r)
 				}
 				for r := range got {
 					if got[r] != want[r] {
-						t.Fatalf("width %d rate %g pass %d row %d: block %#x, per-draw %#x", width, rate, pass, r, got[r], want[r])
+						t.Fatalf("width %d rate %g pass %d row %d: rand.Source %#x, rand.Rand %#x", width, rate, pass, r, got[r], want[r])
 					}
 				}
 			}
@@ -126,11 +126,11 @@ func TestTransientSourceMatchesPerDraw(t *testing.T) {
 }
 
 // TestTransientReadsDoNotAllocate pins warm soft-error reads at zero
-// allocations on both paths.
+// allocations on either kind of source.
 func TestTransientReadsDoNotAllocate(t *testing.T) {
 	for name, src := range map[string]rand.Source{
-		"stats.Source": stats.NewSource(5),
-		"rand.Rand":    stats.NewRand(5),
+		"rand.Source": rand.NewSource(5),
+		"rand.Rand":   rand.New(rand.NewSource(5)),
 	} {
 		a := NewArray(512, 39)
 		a.SetTransient(1e-3, src)
@@ -145,15 +145,15 @@ func TestTransientReadsDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkTransientRead reads one 4096-row page of 32-bit words at a
-// soft-error rate of 1e-4, drawing from a *stats.Source (the block
-// mask) or from a *rand.Rand (one draw per cell).
+// soft-error rate of 1e-4 (about 13 flips among 131072 cells), drawing
+// from a plain rand.Source or from a *rand.Rand.
 func BenchmarkTransientRead(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		src  rand.Source
 	}{
-		{"stats.Source", stats.NewSource(1)},
-		{"rand.Rand", stats.NewRand(1)},
+		{"rand.Source", rand.NewSource(1)},
+		{"rand.Rand", rand.New(rand.NewSource(1))},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			a := New16KB()

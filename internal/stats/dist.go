@@ -63,10 +63,12 @@ func BinomialQuantile(m int, p float64, q float64) int {
 // BinomialMean returns m*p, the expected failure count.
 func BinomialMean(m int, p float64) float64 { return float64(m) * p }
 
-// SampleBinomial draws from Binomial(m, p). For the small means used in
-// memory fault injection it uses Poisson-style inversion on the exact
-// binomial pmf; for large means it falls back to a normal approximation
-// with continuity correction, clamped to [0, m].
+// SampleBinomial draws from Binomial(m, p) exactly, at any mean: it
+// draws u = rng.Float64() and returns the n with F(n-1) <= u < F(n), F
+// the Binomial(m, p) CDF (inversion). The search starts at the mode,
+// whose pmf is one LogBinomialPMF, and walks the CDF from there with the
+// pmf ratio p(n+1)/p(n) = (m-n)p / ((n+1)(1-p)), so a draw costs a few
+// standard deviations of steps, not the mean.
 func SampleBinomial(rng *rand.Rand, m int, p float64) int {
 	if p <= 0 || m == 0 {
 		return 0
@@ -74,28 +76,68 @@ func SampleBinomial(rng *rand.Rand, m int, p float64) int {
 	if p >= 1 {
 		return m
 	}
-	mean := float64(m) * p
-	if mean <= 50 {
-		// Inversion by sequential search from the mode-0 side.
-		u := rng.Float64()
-		cum := 0.0
-		for n := 0; n <= m; n++ {
-			cum += BinomialPMF(m, p, n)
-			if u <= cum {
-				return n
-			}
+	return newBinomialCDF(m, p).invert(rng.Float64())
+}
+
+// binomialCDF walks the Binomial(m, p) CDF one n at a time. At n it
+// holds pmf = p(n), lo = F(n-1) and hi = F(n). A step up sets lo to the
+// old hi and a step down sets hi to the old lo, so the intervals
+// [lo, hi) the walk visits tile its range without gaps or overlaps,
+// whatever the rounding.
+type binomialCDF struct {
+	m      int
+	odds   float64 // p / (1-p)
+	n      int
+	pmf    float64
+	lo, hi float64
+}
+
+// newBinomialCDF starts the walk at the mode. F(mode-1) is the pmf
+// below the mode, summed outward until a term no longer counts: the
+// terms there fall faster than geometrically, so the rest is far below
+// the last one.
+func newBinomialCDF(m int, p float64) binomialCDF {
+	k := min(int(float64(m+1)*p), m)
+	c := binomialCDF{m: m, odds: p / (1 - p), n: k, pmf: BinomialPMF(m, p, k)}
+	t := c.pmf
+	for j := k; j > 0; j-- {
+		t *= float64(j) / (float64(m-j+1) * c.odds)
+		c.lo += t
+		if t <= c.lo*0x1p-64 {
+			break
 		}
-		return m
 	}
-	sd := math.Sqrt(mean * (1 - p))
-	v := math.Round(rng.NormFloat64()*sd + mean)
-	if v < 0 {
-		v = 0
+	c.hi = c.lo + c.pmf
+	return c
+}
+
+// up moves the walk to n+1.
+func (c *binomialCDF) up() {
+	c.pmf *= float64(c.m-c.n) * c.odds / float64(c.n+1)
+	c.n++
+	c.lo = c.hi
+	c.hi = c.lo + c.pmf
+}
+
+// down moves the walk to n-1.
+func (c *binomialCDF) down() {
+	c.pmf *= float64(c.n) / (float64(c.m-c.n+1) * c.odds)
+	c.n--
+	c.hi = c.lo
+	c.lo = c.hi - c.pmf
+}
+
+// invert returns the n with lo <= u < hi. The walk stops early at 0, at
+// m and where the pmf underflows to 0, so a u in a tail the rounded CDF
+// cannot resolve (mass below 2^-53 near 1) maps to the last n reached.
+func (c binomialCDF) invert(u float64) int {
+	for u < c.lo && c.n > 0 {
+		c.down()
 	}
-	if v > float64(m) {
-		v = float64(m)
+	for u >= c.hi && c.n < c.m && c.pmf > 0 {
+		c.up()
 	}
-	return int(v)
+	return c.n
 }
 
 // PoissonPMF returns Pr(N = n) for a Poisson(lambda) variable, the standard

@@ -9,11 +9,9 @@ package stats
 
 import "math/rand"
 
-// NewRand returns a rand.Rand seeded with the given seed. It pins the
-// source type in one place: a Source, which draws the same stream as
-// rand.NewSource(seed).
+// NewRand returns a rand.Rand seeded with the given seed.
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(NewSource(seed))
+	return rand.New(rand.NewSource(seed))
 }
 
 // Derive returns a child RNG deterministically derived from parent seed and

@@ -85,7 +85,7 @@ func TestBinomialQuantile(t *testing.T) {
 
 func TestSampleBinomialMoments(t *testing.T) {
 	rng := NewRand(42)
-	m, p := 131072, 1e-4 // mean ~13.1: exercises the inversion path
+	m, p := 131072, 1e-4 // mean ~13.1
 	const trials = 4000
 	sum := 0.0
 	for i := 0; i < trials; i++ {
@@ -100,7 +100,7 @@ func TestSampleBinomialMoments(t *testing.T) {
 
 func TestSampleBinomialLargeMean(t *testing.T) {
 	rng := NewRand(7)
-	m, p := 10000, 0.3 // mean 3000: exercises the normal path
+	m, p := 10000, 0.3 // mean 3000
 	const trials = 2000
 	sum := 0.0
 	for i := 0; i < trials; i++ {

@@ -48,9 +48,9 @@ type TrialRunner struct {
 	recs  []memstore.Recovery // per-arm recovery state; nil under PolicyNone
 	ws    Workspace
 	// src is the trial's stream, reseeded every trial, and rng draws
-	// from it: soft errors draw straight from src in blocks, everything
-	// else through rng, one stream either way.
-	src *stats.Source
+	// from it: soft errors draw straight from src, everything else
+	// through rng, one stream either way.
+	src rand.Source
 	rng *rand.Rand
 }
 
@@ -70,7 +70,7 @@ func NewTrialRunner(inst Instance, cfg Config) *TrialRunner {
 		inst:  inst,
 		cells: cfg.Rows * mem.DataWidth,
 		mems:  make([]mem.Word32, len(cfg.Arms)),
-		src:   stats.NewSource(0),
+		src:   rand.NewSource(0),
 	}
 	r.rng = rand.New(r.src)
 	if cfg.Policy.Active() {
@@ -130,8 +130,6 @@ func (r *TrialRunner) RunTrial(seedBase int64, trial int, out []float64) ([]floa
 			if aa, ok := m.(arrayAccessor); ok {
 				// Soft errors draw from the trial's stream: the arms run in
 				// fixed order, so the draws are deterministic per trial.
-				// Handing over the source itself lets every read draw its
-				// flip mask in one block.
 				aa.Array().SetTransient(r.cfg.TransientRate, r.src)
 			}
 		}
