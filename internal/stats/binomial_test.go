@@ -176,6 +176,7 @@ func BenchmarkSampleBinomial(b *testing.B) {
 			rng := NewRand(1)
 			p := mean / m
 			sum := 0
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sum += SampleBinomial(rng, m, p)
 			}
