@@ -2,12 +2,13 @@ package ecc
 
 import "testing"
 
-// FuzzDecodeStatusConsistency pins the two decode entrypoints to each
-// other on arbitrary (mostly corrupt) codewords: for every preset code,
-// Decode's status must agree word-for-word with DecodeBatch's status
-// and aggregate counts, the recovered data must match, and a Corrected
-// result must re-encode to a valid codeword (SECDED repaired exactly
-// one bit, so the repaired word is a true codeword).
+// FuzzDecodeStatusConsistency pins the table kernels to the
+// mask-and-popcount reference on arbitrary (mostly corrupt) codewords:
+// for each code, Decode and DecodeBatch must return the reference's
+// data, status and repaired position (and DecodeBatch its counts),
+// Encode of the same word read as a datum must equal the reference's,
+// and a Corrected result must re-encode to a valid codeword (SECDED
+// repaired exactly one bit, so the repaired word is a true codeword).
 func FuzzDecodeStatusConsistency(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(1))
@@ -16,10 +17,23 @@ func FuzzDecodeStatusConsistency(f *testing.F) {
 	f.Add(H39_32().Encode(0x12345678))
 	f.Add(H39_32().Encode(0x12345678) ^ 1<<7)
 	f.Add(H39_32().Encode(0x12345678) ^ 1<<7 ^ 1<<21)
-	codes := []*Code{H39_32(), H22_16(), H13_8()}
+	var codes []*Code
+	var refs []*refCode
+	for _, k := range []int{32, 16, 8, 1, 57} {
+		codes = append(codes, MustNew(k))
+		refs = append(refs, newRef(k))
+	}
 	f.Fuzz(func(t *testing.T, cw uint64) {
-		for _, c := range codes {
+		for ci, c := range codes {
+			ref := refs[ci]
+			if got, want := c.Encode(cw), ref.encode(cw); got != want {
+				t.Fatalf("%s: Encode(%#x) = %#x, reference %#x", c.Name(), cw, got, want)
+			}
 			data, st, fixedPos := c.Decode(cw)
+			if wantData, wantSt, wantPos := ref.decode(cw); data != wantData || st != wantSt || fixedPos != wantPos {
+				t.Fatalf("%s: Decode(%#x) = (%#x, %v, %d), reference (%#x, %v, %d)",
+					c.Name(), cw, data, st, fixedPos, wantData, wantSt, wantPos)
+			}
 
 			var dst [1]uint64
 			var sts [1]Status
@@ -46,9 +60,6 @@ func FuzzDecodeStatusConsistency(f *testing.F) {
 				if got := c.Encode(data); got != cw&((uint64(1)<<uint(c.n))-1) {
 					t.Fatalf("%s: OK word %#x != Encode(%#x) = %#x", c.Name(), cw, data, got)
 				}
-				if fixedPos != -1 {
-					t.Fatalf("%s: OK decode reported repaired bit %d", c.Name(), fixedPos)
-				}
 			case Corrected:
 				// The repaired word (one bit flipped back) must be the
 				// valid codeword of the recovered data.
@@ -62,10 +73,6 @@ func FuzzDecodeStatusConsistency(f *testing.F) {
 				}
 				if d2, st2, _ := c.Decode(repaired); d2 != data || st2 != OK {
 					t.Fatalf("%s: repaired word %#x re-decodes to (%#x, %v)", c.Name(), repaired, d2, st2)
-				}
-			case DetectedUncorrectable:
-				if fixedPos != -1 {
-					t.Fatalf("%s: uncorrectable decode reported repaired bit %d", c.Name(), fixedPos)
 				}
 			}
 		}

@@ -13,6 +13,7 @@ package ecc
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Status classifies the outcome of a decode.
@@ -44,80 +45,124 @@ func (s Status) String() string {
 	}
 }
 
-// Code is a SECDED extended Hamming code for k data bits.
+// Code is a SECDED extended Hamming code for k data bits. A Code is
+// immutable, and New returns one shared Code per data width, so its
+// tables are built once per width however many memories use it.
 type Code struct {
-	k, r, n   int   // data bits, Hamming parity bits, total bits (k+r+1)
-	dataPos   []int // codeword position of each data bit, LSB-first
-	parityPos []int // codeword position of Hamming parity bit i (= 1<<i)
+	k, r, n int    // data bits, Hamming parity bits, total bits (k+r+1)
+	kMask   uint64 // the low k bits
+	dataPos []int  // codeword position of each data bit, LSB-first
 
-	// Precomputed encode/decode tables. Data bits occupy the runs of
-	// consecutive non-power-of-two positions between parity bits, so
-	// scattering a datum into a codeword (and gathering it back) is a
-	// handful of shift-and-mask moves instead of one shift per bit; and
-	// each parity bit covers a fixed position set, so its value is one
-	// masked popcount instead of a walk over every position. Encode
-	// drops from ~8 ops per codeword bit to ~1.
-	runs     []scatterRun
-	covMasks []uint64 // position-coverage mask of Hamming parity bit i
+	// The code is linear over GF(2): a codeword is the XOR of the
+	// codewords of its datum's bytes, and the data bits, syndrome and
+	// overall parity a decode needs are the XOR of its codeword bytes'
+	// shares. enc[j][b] is the codeword of the datum b<<8j. dec[j][b] is
+	// the share of the codeword byte b<<8j: its data bits in bits
+	// 0..k-1, its syndrome (the XOR of its set bits' positions) in bits
+	// k..k+r-1 and its parity at bit k+r. Bits above the datum or the
+	// codeword have no share, so the tables also mask the input.
+	enc, dec [][256]uint64
+	// fix maps a decode's syndrome and overall parity (its share's bits
+	// above k) to the decode's outcome.
+	fix []outcome
 }
 
-// scatterRun moves one contiguous block of data bits to its contiguous
-// block of codeword positions: cw |= (data << shift) & mask.
-type scatterRun struct {
-	shift uint
-	mask  uint64 // the run's bits, at codeword positions
+// outcome is the decode decision for one syndrome and overall parity.
+type outcome struct {
+	flip uint64 // data bits the correction flips
+	st   Status
+	pos  int8 // repaired codeword position, -1 if none
 }
 
-// New constructs the SECDED code for k data bits: r parity bits with
+// codes holds the one Code per data width, built on first use.
+var codes [58]struct {
+	once sync.Once
+	c    *Code
+}
+
+// New returns the SECDED code for k data bits: r parity bits with
 // 2^r >= k+r+1, plus one overall parity bit, for a total of k+r+1 bits.
-// k must be in [1, 57] so the codeword fits a uint64.
+// k must be in [1, 57] so the codeword fits a uint64. Every call with
+// the same k returns the same Code.
 func New(k int) (*Code, error) {
 	if k < 1 || k > 57 {
 		return nil, fmt.Errorf("ecc: data width %d outside [1,57]", k)
 	}
+	e := &codes[k]
+	e.once.Do(func() { e.c = build(k) })
+	return e.c, nil
+}
+
+// build lays out the code for k data bits and fills its tables.
+func build(k int) *Code {
 	r := 0
 	for (1 << uint(r)) < k+r+1 {
 		r++
 	}
-	c := &Code{k: k, r: r, n: k + r + 1}
-	for i := 0; i < r; i++ {
-		c.parityPos = append(c.parityPos, 1<<uint(i))
-	}
+	c := &Code{k: k, r: r, n: k + r + 1, kMask: uint64(1)<<uint(k) - 1}
 	for p := 1; p <= k+r; p++ {
 		if p&(p-1) != 0 { // not a power of two -> data position
 			c.dataPos = append(c.dataPos, p)
 		}
 	}
-	if len(c.dataPos) != k {
-		return nil, fmt.Errorf("ecc: internal layout error for k=%d", k)
-	}
-	// Group the ascending data positions into contiguous scatter runs
-	// (data bit i sits at dataPos[i], so a run of consecutive positions
-	// is also a run of consecutive data bits).
-	for i := 0; i < k; {
-		j := i
-		for j+1 < k && c.dataPos[j+1] == c.dataPos[j]+1 {
-			j++
-		}
-		width := j - i + 1
-		var mask uint64 = ((1 << uint(width)) - 1) << uint(c.dataPos[i])
-		c.runs = append(c.runs, scatterRun{shift: uint(c.dataPos[i] - i), mask: mask})
-		i = j + 1
-	}
-	// Coverage mask of Hamming parity bit i: every position 1..k+r whose
-	// index has bit i set (this includes the parity position 1<<i
-	// itself, which encoding leaves zero and decoding must fold in).
-	c.covMasks = make([]uint64, r)
-	for i := 0; i < r; i++ {
-		var mask uint64
-		for p := 1; p <= k+r; p++ {
-			if p&(1<<uint(i)) != 0 {
-				mask |= 1 << uint(p)
+	// The codeword of data bit i at position p: the bit itself, the
+	// Hamming parity bit 1<<t for every bit t set in p, and the overall
+	// parity that makes the popcount even.
+	encBit := make([]uint64, k)
+	for i, p := range c.dataPos {
+		cw := uint64(1) << uint(p)
+		for t := 0; t < r; t++ {
+			if p&(1<<uint(t)) != 0 {
+				cw |= uint64(1) << uint(1<<uint(t))
 			}
 		}
-		c.covMasks[i] = mask
+		encBit[i] = cw | uint64(bits.OnesCount64(cw)&1)
 	}
-	return c, nil
+	// The share of codeword position q: its syndrome q, its parity and,
+	// at a data position, its data bit.
+	decBit := make([]uint64, c.n)
+	for q := range decBit {
+		decBit[q] = uint64(q)<<uint(k) | uint64(1)<<uint(k+r)
+	}
+	for i, p := range c.dataPos {
+		decBit[p] |= uint64(1) << uint(i)
+	}
+	c.enc, c.dec = byteTables(encBit), byteTables(decBit)
+
+	// Index syn | overall<<r. Even parity with a zero syndrome is clean;
+	// odd parity with a syndrome inside the codeword is one flipped bit
+	// (the overall parity bit itself when the syndrome is zero); every
+	// other combination is a detected multi-bit error.
+	c.fix = make([]outcome, 2<<uint(r))
+	for idx := range c.fix {
+		syn, odd := idx&(1<<uint(r)-1), idx>>uint(r) == 1
+		o := outcome{st: DetectedUncorrectable, pos: -1}
+		switch {
+		case syn == 0 && !odd:
+			o.st = OK
+		case odd && syn <= k+r:
+			o.st, o.pos, o.flip = Corrected, int8(syn), decBit[syn]&c.kMask
+		}
+		c.fix[idx] = o
+	}
+	return c
+}
+
+// byteTables returns the per-byte tables of the GF(2)-linear map that
+// takes input bit i to col[i]: t[j][b] is the XOR of col[8j+s] over the
+// set bits s of b. Input bits past len(col) map to zero.
+func byteTables(col []uint64) [][256]uint64 {
+	t := make([][256]uint64, (len(col)+7)/8)
+	for j := range t {
+		for b := 1; b < 256; b++ {
+			v := t[j][b&(b-1)] // b without its lowest set bit
+			if i := 8*j + bits.TrailingZeros(uint(b)); i < len(col) {
+				v ^= col[i]
+			}
+			t[j][b] = v
+		}
+	}
+	return t
 }
 
 // MustNew is New but panics on error; for the package presets.
@@ -137,9 +182,6 @@ func H39_32() *Code { return MustNew(32) }
 // the upper 16 bits of a word (6 check bits: 5 Hamming + 1 overall).
 func H22_16() *Code { return MustNew(16) }
 
-// H13_8 returns the H(13,8) SECDED code for byte-wide data.
-func H13_8() *Code { return MustNew(8) }
-
 // DataBits returns k, the payload width.
 func (c *Code) DataBits() int { return c.k }
 
@@ -153,72 +195,50 @@ func (c *Code) CodewordBits() int { return c.n }
 // Name returns the conventional H(n,k) name, e.g. "H(39,32)".
 func (c *Code) Name() string { return fmt.Sprintf("H(%d,%d)", c.n, c.k) }
 
-// Encode maps a k-bit datum to its n-bit codeword.
-func (c *Code) Encode(data uint64) uint64 {
-	data &= (uint64(1) << uint(c.k)) - 1
+// Encode maps a k-bit datum to its n-bit codeword (bits above k are
+// ignored).
+func (c *Code) Encode(data uint64) uint64 { return c.encode(data) }
+
+// encode is the per-word encode kernel of Encode and EncodeBatch.
+func (c *Code) encode(data uint64) uint64 {
 	var cw uint64
-	for _, run := range c.runs {
-		cw |= (data << run.shift) & run.mask
+	for j := range c.enc {
+		cw ^= c.enc[j][uint8(data>>uint(8*j))]
 	}
-	// Hamming parity bits: parity over all covered positions (the
-	// parity position itself is still zero here, so including it in the
-	// mask is harmless).
-	for i, pp := range c.parityPos {
-		cw |= uint64(bits.OnesCount64(cw&c.covMasks[i])&1) << uint(pp)
-	}
-	// Overall parity over bits 1..k+r, stored at bit 0 so the whole
-	// codeword has even parity.
-	cw |= uint64(bits.OnesCount64(cw)&1) << 0
 	return cw
+}
+
+// share returns the XOR of the decode shares of cw's bytes (bits above
+// n are ignored).
+func (c *Code) share(cw uint64) uint64 {
+	var s uint64
+	for j := range c.dec {
+		s ^= c.dec[j][uint8(cw>>uint(8*j))]
+	}
+	return s
+}
+
+// decode is the per-word decode kernel of Decode and DecodeBatch: the
+// corrected datum and the decode's outcome.
+func (c *Code) decode(cw uint64) (uint64, outcome) {
+	s := c.share(cw)
+	o := c.fix[s>>uint(c.k)]
+	return s&c.kMask ^ o.flip, o
 }
 
 // Decode checks and corrects an n-bit codeword, returning the recovered
 // datum, the decode status, and for Corrected the codeword bit position
-// that was repaired (-1 otherwise).
+// that was repaired (-1 otherwise). A detected-uncorrectable word
+// returns its raw payload.
 func (c *Code) Decode(cw uint64) (data uint64, st Status, fixedPos int) {
-	cw &= (uint64(1) << uint(c.n)) - 1
-	// Syndrome: XOR of the positions of all set bits in the Hamming
-	// part. Bit i of that XOR is the parity of the set bits at covered
-	// positions, i.e. one masked popcount per syndrome bit.
-	syn := 0
-	for i, mask := range c.covMasks {
-		syn |= (bits.OnesCount64(cw&mask) & 1) << uint(i)
-	}
-	overall := bits.OnesCount64(cw) & 1 // 0 if even parity holds
-
-	fixedPos = -1
-	switch {
-	case syn == 0 && overall == 0:
-		st = OK
-	case syn == 0 && overall == 1:
-		// The overall parity bit itself flipped.
-		cw ^= 1
-		st, fixedPos = Corrected, 0
-	case syn != 0 && overall == 1:
-		if syn > c.k+c.r {
-			// Syndrome points outside the codeword: multi-bit error.
-			st = DetectedUncorrectable
-		} else {
-			cw ^= uint64(1) << uint(syn)
-			st, fixedPos = Corrected, syn
-		}
-	default: // syn != 0 && overall == 0
-		st = DetectedUncorrectable
-	}
-
-	return c.ExtractData(cw), st, fixedPos
+	data, o := c.decode(cw)
+	return data, o.st, int(o.pos)
 }
 
 // ExtractData returns the raw payload bits of a codeword without any
 // checking, used to model the no-time-to-correct bypass path and
 // uncorrectable-error fallback.
-func (c *Code) ExtractData(cw uint64) uint64 {
-	var data uint64
-	for _, run := range c.runs {
-		data |= (cw & run.mask) >> run.shift
-	}
-	return data
-}
+func (c *Code) ExtractData(cw uint64) uint64 { return c.share(cw) & c.kMask }
 
 // DataPositions returns a copy of the codeword positions of the data bits
 // (index = data bit, value = codeword position). The hardware overhead

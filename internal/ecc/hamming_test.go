@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -44,8 +45,41 @@ func TestNewRejectsBadWidths(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	if H39_32().Name() != "H(39,32)" || H22_16().Name() != "H(22,16)" || H13_8().Name() != "H(13,8)" {
+	if H39_32().Name() != "H(39,32)" || H22_16().Name() != "H(22,16)" {
 		t.Error("preset names wrong")
+	}
+	if H39_32() != MustNew(32) || H22_16() != MustNew(16) {
+		t.Error("presets are not the shared per-width codes")
+	}
+}
+
+// TestNewSharesOneCodePerWidth builds codes from several goroutines at
+// once, as parallel Monte-Carlo shards do: every caller of one width
+// gets the same Code, and it encodes and decodes correctly.
+func TestNewSharesOneCodePerWidth(t *testing.T) {
+	const goroutines = 8
+	got := make([][]*Code, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1; k <= 57; k++ {
+				c := MustNew(k)
+				if d, st, _ := c.Decode(c.Encode(uint64(g))); st != OK || d != uint64(g)&c.kMask {
+					t.Errorf("k=%d: round trip of %d gave (%#x, %v)", k, g, d, st)
+				}
+				got[g] = append(got[g], c)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, c := range got[g] {
+			if c != got[0][i] {
+				t.Fatalf("goroutine %d got a second Code for k=%d", g, i+1)
+			}
+		}
 	}
 }
 
@@ -85,7 +119,7 @@ func TestAllSingleErrorsCorrected(t *testing.T) {
 	// of random payloads: every single-bit error must be corrected to the
 	// original datum.
 	rng := rand.New(rand.NewSource(2))
-	for _, code := range []*Code{H39_32(), H22_16(), H13_8()} {
+	for _, code := range []*Code{H39_32(), H22_16(), MustNew(8)} {
 		mask := (uint64(1) << uint(code.DataBits())) - 1
 		for trial := 0; trial < 50; trial++ {
 			v := rng.Uint64() & mask
@@ -193,7 +227,7 @@ func TestParityFanIn(t *testing.T) {
 }
 
 func TestDataPositionsAreNonPowersOfTwo(t *testing.T) {
-	for _, code := range []*Code{H39_32(), H22_16(), H13_8()} {
+	for _, code := range []*Code{H39_32(), H22_16(), MustNew(8)} {
 		seen := map[int]bool{}
 		for _, p := range code.DataPositions() {
 			if p <= 0 || p&(p-1) == 0 {
@@ -244,15 +278,57 @@ func BenchmarkDecode39_32(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeBatch39_32 encodes one 4096-word page, the size of
+// the recovery campaign's memory.
+func BenchmarkEncodeBatch39_32(b *testing.B) {
+	code := H39_32()
+	rng := rand.New(rand.NewSource(5))
+	src := make([]uint64, 4096)
+	for i := range src {
+		src[i] = uint64(rng.Uint32())
+	}
+	dst := make([]uint64, len(src))
+	b.SetBytes(int64(8 * len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		code.EncodeBatch(dst, src)
+	}
+}
+
+// BenchmarkDecodeBatch39_32 decodes one 4096-word page with a single
+// error in every eighth word and a double error in every 64th.
+func BenchmarkDecodeBatch39_32(b *testing.B) {
+	code := H39_32()
+	rng := rand.New(rand.NewSource(6))
+	cw := make([]uint64, 4096)
+	for i := range cw {
+		cw[i] = code.Encode(uint64(rng.Uint32()))
+		if i%8 == 0 {
+			cw[i] ^= 1 << uint(rng.Intn(39))
+		}
+		if i%64 == 0 {
+			cw[i] ^= 1 << uint(rng.Intn(39))
+		}
+	}
+	dst := make([]uint64, len(cw))
+	sts := make([]Status, len(cw))
+	b.SetBytes(int64(8 * len(cw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		code.DecodeBatch(dst, cw, sts)
+	}
+}
+
 // bitwiseEncode is the original one-bit-at-a-time encoder, kept as the
-// oracle for the mask-based scatter/popcount implementation.
+// oracle for the table kernels and the mask-and-popcount reference.
 func bitwiseEncode(c *Code, data uint64) uint64 {
 	data &= (uint64(1) << uint(c.k)) - 1
 	var cw uint64
 	for i, p := range c.dataPos {
 		cw |= ((data >> uint(i)) & 1) << uint(p)
 	}
-	for i, pp := range c.parityPos {
+	for i := 0; i < c.r; i++ {
+		pp := 1 << uint(i)
 		var par uint64
 		for p := 1; p <= c.k+c.r; p++ {
 			if p&(1<<uint(i)) != 0 {
@@ -280,20 +356,23 @@ func bitwiseSyndrome(c *Code, cw uint64) int {
 	return syn
 }
 
-// TestMaskEncodeMatchesBitwise pins the mask-based Encode, syndrome,
-// and ExtractData against the bit-loop originals for every supported
-// width on random data — the scatter runs and coverage masks must
-// reproduce the classic Hamming layout exactly.
+// TestMaskEncodeMatchesBitwise pins the table kernels' Encode and
+// ExtractData, and the reference's mask-and-popcount syndrome, against
+// the bit-loop originals for every supported width on random data —
+// both must reproduce the classic Hamming layout exactly.
 func TestMaskEncodeMatchesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for k := 1; k <= 57; k++ {
-		code := MustNew(k)
+		code, ref := MustNew(k), newRef(k)
 		for trial := 0; trial < 50; trial++ {
 			v := rng.Uint64()
 			got := code.Encode(v)
 			want := bitwiseEncode(code, v)
 			if got != want {
 				t.Fatalf("k=%d Encode(%#x) = %#x, want %#x", k, v, got, want)
+			}
+			if ref := ref.encode(v); ref != want {
+				t.Fatalf("k=%d reference encode(%#x) = %#x, want %#x", k, v, ref, want)
 			}
 			if ext := code.ExtractData(got); ext != v&((uint64(1)<<uint(k))-1) {
 				t.Fatalf("k=%d ExtractData(%#x) = %#x", k, got, ext)
@@ -303,21 +382,70 @@ func TestMaskEncodeMatchesBitwise(t *testing.T) {
 			for f := 0; f < trial%3; f++ {
 				cw ^= 1 << uint(rng.Intn(code.n))
 			}
-			syn := 0
-			for i, mask := range code.covMasks {
-				syn |= (popcount(cw&mask) & 1) << uint(i)
-			}
-			if want := bitwiseSyndrome(code, cw); syn != want {
+			if syn, want := ref.syndrome(cw), bitwiseSyndrome(code, cw); syn != want {
 				t.Fatalf("k=%d syndrome of %#x = %d, want %d", k, cw, syn, want)
 			}
 		}
 	}
 }
 
-func popcount(v uint64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
+// TestTablesMatchReference checks the table kernels against the
+// mask-and-popcount reference for every width: random data words and
+// every single- and double-bit error on each, through Encode,
+// EncodeBatch, Decode and DecodeBatch (data, Status, repaired position
+// and the batch counts), plus arbitrary words with bits above n set.
+func TestTablesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for k := 1; k <= 57; k++ {
+		code, ref := MustNew(k), newRef(k)
+		n := code.CodewordBits()
+		var data, words []uint64
+		for trial := 0; trial < 6; trial++ {
+			v := rng.Uint64() // bits above k must be ignored
+			data = append(data, v)
+			cw := ref.encode(v)
+			words = append(words, cw, rng.Uint64())
+			for i := 0; i < n; i++ {
+				words = append(words, cw^1<<uint(i))
+				for j := i + 1; j < n; j++ {
+					words = append(words, cw^1<<uint(i)^1<<uint(j))
+				}
+			}
+		}
+		enc := make([]uint64, len(data))
+		code.EncodeBatch(enc, data)
+		for i, v := range data {
+			if want := ref.encode(v); code.Encode(v) != want || enc[i] != want {
+				t.Fatalf("k=%d: Encode(%#x) = %#x, EncodeBatch %#x, want %#x", k, v, code.Encode(v), enc[i], want)
+			}
+		}
+		dst := make([]uint64, len(words))
+		sts := make([]Status, len(words))
+		corrected, uncorrectable := code.DecodeBatch(dst, words, sts)
+		var wantCorr, wantUnc uint64
+		for i, cw := range words {
+			wantData, wantSt, wantPos := ref.decode(cw)
+			switch wantSt {
+			case Corrected:
+				wantCorr++
+			case DetectedUncorrectable:
+				wantUnc++
+			}
+			gotData, gotSt, gotPos := code.Decode(cw)
+			if gotData != wantData || gotSt != wantSt || gotPos != wantPos {
+				t.Fatalf("k=%d: Decode(%#x) = (%#x, %v, %d), want (%#x, %v, %d)",
+					k, cw, gotData, gotSt, gotPos, wantData, wantSt, wantPos)
+			}
+			if dst[i] != wantData || sts[i] != wantSt {
+				t.Fatalf("k=%d: DecodeBatch word %d (%#x) = (%#x, %v), want (%#x, %v)",
+					k, i, cw, dst[i], sts[i], wantData, wantSt)
+			}
+			if got := code.ExtractData(cw); got != ref.extract(cw) {
+				t.Fatalf("k=%d: ExtractData(%#x) = %#x, want %#x", k, cw, got, ref.extract(cw))
+			}
+		}
+		if corrected != wantCorr || uncorrectable != wantUnc {
+			t.Fatalf("k=%d: DecodeBatch counts (%d, %d), want (%d, %d)", k, corrected, uncorrectable, wantCorr, wantUnc)
+		}
 	}
-	return n
 }

@@ -47,15 +47,45 @@ func (c Codec) Min() float64 { return float64(math.MinInt32) / c.scale() }
 // Encode quantizes f to a fixed-point word, saturating at the format
 // limits (NaN encodes as 0).
 func (c Codec) Encode(f float64) uint32 {
-	if c.Frac < 0 || c.Frac > 31 {
-		panic(fmt.Sprintf("memstore: fractional bits %d outside [0,31]", c.Frac))
-	}
+	c.checkFrac()
 	return encodeScaled(f, c.scale())
 }
 
 // Decode converts a fixed-point word back to float64.
 func (c Codec) Decode(w uint32) float64 {
 	return float64(int32(w)) / c.scale()
+}
+
+// EncodeInto sets dst[i] = Encode(src[i]) for every element, checking
+// Frac and building the scale once. len(dst) must equal len(src).
+func (c Codec) EncodeInto(dst []uint32, src []float64) {
+	c.checkFrac()
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("memstore: encode %d values into %d words", len(src), len(dst)))
+	}
+	scale := c.scale()
+	for i, f := range src {
+		dst[i] = encodeScaled(f, scale)
+	}
+}
+
+// DecodeInto sets dst[i] = Decode(src[i]) for every element. len(dst)
+// must equal len(src).
+func (c Codec) DecodeInto(dst []float64, src []uint32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("memstore: decode %d words into %d values", len(src), len(dst)))
+	}
+	scale := c.scale()
+	for i, w := range src {
+		dst[i] = float64(int32(w)) / scale
+	}
+}
+
+// checkFrac panics unless Frac is one Encode accepts.
+func (c Codec) checkFrac() {
+	if c.Frac < 0 || c.Frac > 31 {
+		panic(fmt.Sprintf("memstore: fractional bits %d outside [0,31]", c.Frac))
+	}
 }
 
 // encodeScaled is Encode with the 2^Frac scale precomputed; identical
@@ -135,24 +165,15 @@ func (c Codec) EncodeDatasetInto(ws *Workspace, x *mat.Dense, y []float64) {
 	if rows != len(y) {
 		panic("memstore: X/Y length mismatch")
 	}
-	if c.Frac < 0 || c.Frac > 31 {
-		panic(fmt.Sprintf("memstore: fractional bits %d outside [0,31]", c.Frac))
-	}
 	n := rows*cols + len(y)
 	if cap(ws.words) < n {
 		ws.words = make([]uint32, n)
 	}
 	words := ws.words[:n]
-	scale := c.scale()
 	for i := 0; i < rows; i++ {
-		row := x.RawRow(i)
-		for j, v := range row {
-			words[i*cols+j] = encodeScaled(v, scale)
-		}
+		c.EncodeInto(words[i*cols:(i+1)*cols], x.RawRow(i))
 	}
-	for i, v := range y {
-		words[rows*cols+i] = encodeScaled(v, scale)
-	}
+	c.EncodeInto(words[rows*cols:], y)
 	ws.words = words
 	ws.cachedRows, ws.cachedCols = rows, cols
 	clear(ws.images) // cached images encode the previous dataset
@@ -167,17 +188,11 @@ func (c Codec) EncodeValuesInto(ws *Workspace, vals []float64) {
 	if len(vals) == 0 {
 		panic("memstore: EncodeValuesInto of empty slice")
 	}
-	if c.Frac < 0 || c.Frac > 31 {
-		panic(fmt.Sprintf("memstore: fractional bits %d outside [0,31]", c.Frac))
-	}
 	if cap(ws.words) < len(vals) {
 		ws.words = make([]uint32, len(vals))
 	}
 	words := ws.words[:len(vals)]
-	scale := c.scale()
-	for i, v := range vals {
-		words[i] = encodeScaled(v, scale)
-	}
+	c.EncodeInto(words, vals)
 	ws.words = words
 	ws.cachedRows, ws.cachedCols = 0, 0 // no dataset shape cached
 	clear(ws.images)                    // cached images encode the previous data
@@ -260,7 +275,6 @@ func (c Codec) roundTrip(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
 	}
 	flat := ws.flat[:n]
 	ws.flat = flat
-	scale := c.scale()
 	img := ws.imageFor(m)
 	var due *mem.DUESet
 	if rec != nil {
@@ -278,13 +292,7 @@ func (c Codec) roundTrip(ws *Workspace, m mem.Word32, rec *Recovery) []float64 {
 		if rec != nil {
 			rec.recoverPage(m, page, ws.words[start:end], start)
 		}
-		for i, w := range page {
-			flat[start+i] = float64(int32(w)) / scale
-		}
+		c.DecodeInto(flat[start:end], page)
 	}
 	return flat
 }
-
-// WordsNeeded returns the number of 32-bit words a dataset of the given
-// shape occupies (features + labels).
-func WordsNeeded(rows, cols int) int { return rows*cols + rows }

@@ -87,6 +87,46 @@ func TestCodecMatchesLdexpFormula(t *testing.T) {
 	}
 }
 
+// TestCodecEncodeIsIdempotent pins Encode(Decode(Encode(f))) ==
+// Encode(f) — the identity that lets a caller encode a value once and
+// keep its decoded grid value — on grid values, off-grid values,
+// rounding ties, ±saturation, ±Inf, NaN and ±0, at several Fracs, and
+// checks that EncodeInto and DecodeInto agree with Encode and Decode
+// element by element.
+func TestCodecEncodeIsIdempotent(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1e9, -1e9, math.MaxFloat64, -math.MaxFloat64, 0.5, -0.5, 2.5, -2.5, 1e-12, -1e-12}
+	rng := stats.NewRand(13)
+	for i := 0; i < 500; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(2, float64(rng.Intn(48)-24)))
+	}
+	for _, frac := range []int{0, 8, 16, 24, 31} {
+		c := Codec{Frac: frac}
+		grid := append([]float64{c.Max(), c.Min(), c.Max() + 1, c.Min() - 1}, vals...)
+		for i := 0; i < 500; i++ {
+			grid = append(grid, c.Decode(rng.Uint32()))
+		}
+		words := make([]uint32, len(grid))
+		c.EncodeInto(words, grid)
+		back := make([]float64, len(grid))
+		c.DecodeInto(back, words)
+		again := make([]uint32, len(grid))
+		c.EncodeInto(again, back)
+		for i, f := range grid {
+			w := c.Encode(f)
+			if words[i] != w {
+				t.Fatalf("Frac %d: EncodeInto(%g) = %#x, Encode %#x", frac, f, words[i], w)
+			}
+			if d := c.Decode(w); math.Float64bits(back[i]) != math.Float64bits(d) {
+				t.Fatalf("Frac %d: DecodeInto(%#x) = %g, Decode %g", frac, w, back[i], d)
+			}
+			if again[i] != w || c.Encode(c.Decode(w)) != w {
+				t.Fatalf("Frac %d: Encode(Decode(Encode(%g))) = %#x, want %#x", frac, f, again[i], w)
+			}
+		}
+	}
+}
+
 func TestCodecSignHandling(t *testing.T) {
 	c := DefaultCodec()
 	if c.Decode(c.Encode(-1.5)) != -1.5 {
@@ -210,12 +250,6 @@ func TestRoundTripDatasetIntoMatchesAllocating(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("warm workspace round trip allocates %.1f times", avg)
-	}
-}
-
-func TestWordsNeeded(t *testing.T) {
-	if WordsNeeded(100, 11) != 1200 {
-		t.Errorf("WordsNeeded = %d", WordsNeeded(100, 11))
 	}
 }
 

@@ -50,45 +50,50 @@ func BenchmarkWorkloadTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoveryTrial measures one warm cgsolve trial across all
-// eight arms per recovery policy, with soft errors enabled so the
-// detect-and-recover machinery actually engages — the overhead of the
-// checked round trips over the plain cached baseline ("none").
+// BenchmarkRecoveryTrial measures one warm trial across all eight arms
+// per workload and recovery policy, with soft errors enabled so the
+// detect-and-recover machinery actually engages: cgsolve's checked
+// round trips over the plain cached baseline ("none"), and cgrestart's
+// guarded iterates on top of them — the recovery-mem campaign's trial.
 func BenchmarkRecoveryTrial(b *testing.B) {
 	prots := exp.AllProtections()
 	arms := make([]workload.Arm, len(prots))
 	for i, p := range prots {
 		arms[i] = p
 	}
-	wl, err := workload.CGSolve.Workload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := wl.Prepare(workload.Params{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range workload.AllPolicies() {
-		b.Run(kind.String(), func(b *testing.B) {
-			runner := workload.NewTrialRunner(inst, workload.Config{
-				Name:          "cgsolve",
-				Rows:          4096,
-				Pcell:         1e-3,
-				Arms:          arms,
-				Policy:        workload.RecoveryPolicy{Kind: kind, SafeWords: 256},
-				TransientRate: 1e-4,
-			})
-			seedBase := stats.DeriveSeed(7, 1000)
-			var buf []float64
-			if buf, err = runner.RunTrial(seedBase, 0, buf[:0]); err != nil {
-				b.Fatal(err) // warm every arm's scratch before timing
+	for _, id := range []workload.ID{workload.CGSolve, workload.CGRestart} {
+		b.Run(id.String(), func(b *testing.B) {
+			wl, err := id.Workload()
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if buf, err = runner.RunTrial(seedBase, i+1, buf[:0]); err != nil {
-					b.Fatal(err)
-				}
+			inst, err := wl.Prepare(workload.Params{Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, kind := range workload.AllPolicies() {
+				b.Run(kind.String(), func(b *testing.B) {
+					runner := workload.NewTrialRunner(inst, workload.Config{
+						Name:          id.String(),
+						Rows:          4096,
+						Pcell:         1e-3,
+						Arms:          arms,
+						Policy:        workload.RecoveryPolicy{Kind: kind, SafeWords: 256},
+						TransientRate: 1e-4,
+					})
+					seedBase := stats.DeriveSeed(7, 1000)
+					var buf []float64
+					if buf, err = runner.RunTrial(seedBase, 0, buf[:0]); err != nil {
+						b.Fatal(err) // warm every arm's scratch before timing
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if buf, err = runner.RunTrial(seedBase, i+1, buf[:0]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

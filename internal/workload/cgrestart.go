@@ -51,10 +51,15 @@ type cgrestartInstance struct {
 }
 
 // cgrestartScratch is the per-shard safe-memory working set: the
-// iterate vectors (transiently, between the store and the load of each
-// step), the matrix-vector product, and the checkpoint copy of x.
+// iterate vectors x, r and p side by side in v (transiently, between
+// the store and the load of each step), their words and the memory
+// image of those words, the read-back's DUE flags, the matrix-vector
+// product, and the checkpoint copy of x.
 type cgrestartScratch struct {
-	x, r, p, ap, ck []float64
+	v, ap, ck []float64
+	words     []uint32
+	img       []uint64
+	due       mem.DUESet
 }
 
 func (w cgrestartWorkload) Prepare(p Params) (Instance, error) {
@@ -105,7 +110,7 @@ func (w cgrestartWorkload) Prepare(p Params) (Instance, error) {
 	// on a fault-free arm reproduces these iterates bit-for-bit and
 	// scores exactly 1.0.
 	s := &cgrestartScratch{}
-	x := inst.runGuarded(s, inst.flat[:dim*dim], inst.flat[dim*dim:], nil, memstore.DefaultCodec())
+	x, _ := inst.runGuarded(s, inst.flat[:dim*dim], inst.flat[dim*dim:], nil, memstore.DefaultCodec())
 	inst.res0 = cleanRelResidual(inst.flat, dim, inst.normB, x)
 	if !(inst.res0 < 1) {
 		return nil, fmt.Errorf("workload: fault-free guarded CG did not converge (relative residual %g)", inst.res0)
@@ -134,7 +139,7 @@ func (inst *cgrestartInstance) RunTrial(ws *Workspace, _ *rand.Rand) (float64, e
 	// The coefficients take the fault toll once (the round trip above);
 	// the iterate vectors take it every step via the guarded store/load
 	// cycle against the live memory.
-	x := inst.runGuarded(s, vals[:d*d], vals[d*d:], ws.Mem, ws.Codec)
+	x, _ := inst.runGuarded(s, vals[:d*d], vals[d*d:], ws.Mem, ws.Codec)
 	return qualityFromResidual(cleanRelResidual(inst.flat, d, inst.normB, x), inst.res0), nil
 }
 
@@ -144,27 +149,32 @@ func (inst *cgrestartInstance) RunTrial(ws *Workspace, _ *rand.Rand) (float64, e
 // quantized recurrence with no storage — the fault-free reference. A
 // memory too small for the 3-vector window (m.Words() < 3*dim) also
 // degrades to safe-memory vectors: the guards have nothing to guard.
-// Returns s.x.
-func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m mem.Word32, codec memstore.Codec) []float64 {
+// Returns x (which aliases s) and the number of rollback-restarts.
+func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m mem.Word32, codec memstore.Codec) ([]float64, int) {
 	d := inst.dim
-	if cap(s.x) < d {
-		s.x = make([]float64, d)
-		s.r = make([]float64, d)
-		s.p = make([]float64, d)
+	if cap(s.v) < 3*d {
+		s.v = make([]float64, 3*d)
 		s.ap = make([]float64, d)
 		s.ck = make([]float64, d)
+		s.words = make([]uint32, 3*d)
+		s.img = make([]uint64, 3*d)
 	}
-	x, r, p, ap, ck := s.x[:d], s.r[:d], s.p[:d], s.ap[:d], s.ck[:d]
+	// x, r and p sit side by side, as they do in the memory window, so
+	// one encode, one image write, one batch read and one decode carry
+	// all three.
+	v, words, img := s.v[:3*d], s.words[:3*d], s.img[:3*d]
+	x, r, p := v[:d], v[d:2*d], v[2*d:]
+	ap, ck := s.ap[:d], s.ck[:d]
 	for i := range x {
 		x[i] = 0
 		r[i] = b[i]
 		p[i] = b[i]
 		ck[i] = 0
 	}
-	words, off := 0, 0
+	memWords, off := 0, 0
 	if m != nil {
-		words = m.Words()
-		if words < 3*d {
+		memWords = m.Words()
+		if memWords < 3*d {
 			m = nil
 		}
 	}
@@ -180,14 +190,7 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 		if rs == 0 || !isFinite(rs) {
 			break
 		}
-		for i := 0; i < d; i++ {
-			row := a[i*d : (i+1)*d]
-			sum := 0.0
-			for j, v := range row {
-				sum += v * p[j]
-			}
-			ap[i] = sum
-		}
+		mulVec(ap, a, p, nil)
 		pap := dot(p, ap)
 		if pap == 0 || !isFinite(pap) {
 			// Breakdown of the step scalars is itself evidence of corrupted
@@ -195,8 +198,8 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 			// checksum mismatch would.
 			if guards && restarts < inst.restarts {
 				restarts++
-				off = nextWindow(off, words, d)
-				inst.rollback(x, r, p, ck, a, b, codec)
+				off = nextWindow(off, memWords, d)
+				inst.rollback(s, a, b, codec)
 				ckStep = step
 				continue
 			}
@@ -215,23 +218,29 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 		// Snap the iterates to the fixed-point grid: the value a
 		// fault-free store-and-load returns. Keeping the reference run on
 		// the same grid is what makes no-fault trials score exactly 1.0.
-		quantVec(codec, x)
-		quantVec(codec, r)
-		quantVec(codec, p)
+		// The words are what the store writes: Encode(Decode(w)) == w, so
+		// each element is encoded once.
+		codec.EncodeInto(words, v)
+		codec.DecodeInto(v, words)
 		if m == nil {
 			continue
 		}
-		sx := storeVec(m, codec, off, x)
-		sr := storeVec(m, codec, off+d, r)
-		sp := storeVec(m, codec, off+2*d, p)
-		gx, dx := loadVec(m, codec, off, x)
-		gr, dr := loadVec(m, codec, off+d, r)
-		gp, dp := loadVec(m, codec, off+2*d, p)
-		if guards && (dx || dr || dp || gx != sx || gr != sr || gp != sp) {
+		// The safe-memory checksums are the exact element sums of the
+		// values written; the read-back sums the decoded values in the
+		// same order, so a clean round trip matches bit for bit. The image
+		// write and the checked batch read equal the per-word Write and
+		// ReadChecked loops in ascending address order.
+		sx, sr, sp := vecSum(x), vecSum(r), vecSum(p)
+		m.EncodeImage(img, words)
+		m.WriteImage(off, img)
+		s.due.Reset(3 * d)
+		m.ReadBatch(off, words, &s.due, 0)
+		codec.DecodeInto(v, words)
+		if guards && (s.due.Any() || vecSum(x) != sx || vecSum(r) != sr || vecSum(p) != sp) {
 			if restarts < inst.restarts {
 				restarts++
-				off = nextWindow(off, words, d)
-				inst.rollback(x, r, p, ck, a, b, codec)
+				off = nextWindow(off, memWords, d)
+				inst.rollback(s, a, b, codec)
 				ckStep = step
 				continue
 			}
@@ -246,7 +255,7 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 			ckStep = step
 		}
 	}
-	return x
+	return x, restarts
 }
 
 // rollback restores the solver to the last checkpoint: x from the safe
@@ -254,18 +263,59 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 // snapshot, p reset to r — a cold CG restart warm-started at the
 // checkpointed solution. The recomputed vectors are grid-snapped like
 // every other iterate.
-func (inst *cgrestartInstance) rollback(x, r, p, ck, a, b []float64, codec memstore.Codec) {
+func (inst *cgrestartInstance) rollback(s *cgrestartScratch, a, b []float64, codec memstore.Codec) {
 	d := inst.dim
-	copy(x, ck)
-	for i := 0; i < d; i++ {
-		row := a[i*d : (i+1)*d]
-		sum := b[i]
-		for j, v := range row {
-			sum -= v * x[j]
-		}
-		r[i] = codec.Decode(codec.Encode(sum))
+	x, r, p := s.v[:d], s.v[d:2*d], s.v[2*d:3*d]
+	copy(x, s.ck[:d])
+	// b - A x row by row is b + A(-x): a negated product is exact, and
+	// t - u is t + (-u) in IEEE arithmetic, so every row's serial sum
+	// keeps its bits. ap is free until the next step recomputes it.
+	negX := s.ap[:d]
+	for i, f := range x {
+		negX[i] = -f
 	}
+	mulVec(r, a, negX, b)
+	codec.EncodeInto(s.words[:d], r)
+	codec.DecodeInto(r, s.words[:d])
 	copy(p, r)
+}
+
+// mulVec sets dst[i] = init[i] + Σ_j a[i*d+j]·v[j] for the d×d matrix a
+// and d = len(v); a nil init starts every row at 0. Each row keeps one
+// serial sum in column order, exactly as a one-row loop would, so every
+// output keeps its bits; the rows go four at a time so their four add
+// chains overlap.
+func mulVec(dst, a, v, init []float64) {
+	d := len(v)
+	i := 0
+	for ; i+4 <= d; i += 4 {
+		var s0, s1, s2, s3 float64
+		if init != nil {
+			s0, s1, s2, s3 = init[i], init[i+1], init[i+2], init[i+3]
+		}
+		a0 := a[i*d:][:d]
+		a1 := a[(i+1)*d:][:d]
+		a2 := a[(i+2)*d:][:d]
+		a3 := a[(i+3)*d:][:d]
+		for j, f := range v {
+			s0 += a0[j] * f
+			s1 += a1[j] * f
+			s2 += a2[j] * f
+			s3 += a3[j] * f
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < d; i++ {
+		var s0 float64
+		if init != nil {
+			s0 = init[i]
+		}
+		a0 := a[i*d:][:d]
+		for j, f := range v {
+			s0 += a0[j] * f
+		}
+		dst[i] = s0
+	}
 }
 
 // nextWindow relocates the 3-vector window after a trip so the restart
@@ -279,36 +329,11 @@ func nextWindow(off, words, d int) int {
 	return next
 }
 
-// quantVec snaps v onto the fixed-point grid in place — the value a
-// fault-free store-and-load of v returns.
-func quantVec(codec memstore.Codec, v []float64) {
-	for i, f := range v {
-		v[i] = codec.Decode(codec.Encode(f))
-	}
-}
-
-// storeVec writes v into m at off and returns the exact element sum of
-// the values written — the safe-memory checksum the read-back is
-// checked against. Both sums accumulate the same values in the same
-// order, so a clean round trip matches bit-for-bit.
-func storeVec(m mem.Word32, codec memstore.Codec, off int, v []float64) float64 {
+// vecSum returns the element sum of v, accumulated in index order.
+func vecSum(v []float64) float64 {
 	sum := 0.0
-	for i, f := range v {
-		m.Write(off+i, codec.Encode(f))
+	for _, f := range v {
 		sum += f
 	}
 	return sum
-}
-
-// loadVec reads v back from m at off, returning the element sum of the
-// decoded values and whether any word raised a DUE flag (codeless arms
-// never flag).
-func loadVec(m mem.Word32, codec memstore.Codec, off int, v []float64) (sum float64, due bool) {
-	for i := range v {
-		w, flagged := m.ReadChecked(off + i)
-		due = due || flagged
-		v[i] = codec.Decode(w)
-		sum += v[i]
-	}
-	return sum, due
 }

@@ -1,10 +1,16 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"faultmem/internal/core"
 	"faultmem/internal/fault"
 	"faultmem/internal/mem"
+	"faultmem/internal/memstore"
+	"faultmem/internal/sram"
+	"faultmem/internal/stats"
 )
 
 // eccWithDoubleFault builds a SECDED memory with an uncorrectable
@@ -207,4 +213,235 @@ type eccArm struct{}
 func (eccArm) String() string { return "ECC" }
 func (eccArm) Build(rows int, fm fault.Map) (mem.Word32, error) {
 	return mem.NewECC(rows, fm, nil)
+}
+
+// runGuardedPerWord is the per-word reference of runGuarded: the same
+// guarded iteration with one-row matrix-vector products, per-element
+// quantization, and per-word Write and ReadChecked loops over x, r and
+// p in turn (storeVec, loadVec, quantVec).
+func (inst *cgrestartInstance) runGuardedPerWord(a, b []float64, m mem.Word32, codec memstore.Codec) ([]float64, int) {
+	d := inst.dim
+	x, r, p := make([]float64, d), make([]float64, d), make([]float64, d)
+	ap, ck := make([]float64, d), make([]float64, d)
+	copy(r, b)
+	copy(p, b)
+	words, off := 0, 0
+	if m != nil {
+		words = m.Words()
+		if words < 3*d {
+			m = nil
+		}
+	}
+	guards := m != nil
+	restarts := 0
+	ckStep := 0
+	for step := 0; step < inst.iters; step++ {
+		rs := dot(r, r)
+		if rs == 0 || !isFinite(rs) {
+			break
+		}
+		for i := 0; i < d; i++ {
+			sum := 0.0
+			for j, v := range a[i*d : (i+1)*d] {
+				sum += v * p[j]
+			}
+			ap[i] = sum
+		}
+		pap := dot(p, ap)
+		if pap == 0 || !isFinite(pap) {
+			if guards && restarts < inst.restarts {
+				restarts++
+				off = nextWindow(off, words, d)
+				rollbackPerWord(x, r, p, ck, a, b, codec)
+				ckStep = step
+				continue
+			}
+			break
+		}
+		alpha := rs / pap
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		beta := dot(r, r) / rs
+		for i := range p {
+			p[i] = r[i] + beta*p[i]
+		}
+		quantVec(codec, x)
+		quantVec(codec, r)
+		quantVec(codec, p)
+		if m == nil {
+			continue
+		}
+		sx := storeVec(m, codec, off, x)
+		sr := storeVec(m, codec, off+d, r)
+		sp := storeVec(m, codec, off+2*d, p)
+		gx, dx := loadVec(m, codec, off, x)
+		gr, dr := loadVec(m, codec, off+d, r)
+		gp, dp := loadVec(m, codec, off+2*d, p)
+		if guards && (dx || dr || dp || gx != sx || gr != sr || gp != sp) {
+			if restarts < inst.restarts {
+				restarts++
+				off = nextWindow(off, words, d)
+				rollbackPerWord(x, r, p, ck, a, b, codec)
+				ckStep = step
+				continue
+			}
+			guards = false
+		}
+		if guards && step-ckStep >= inst.checkpoint {
+			copy(ck, x)
+			ckStep = step
+		}
+	}
+	return x, restarts
+}
+
+// rollbackPerWord is rollback's reference: b - A x row by row with a
+// subtracting serial sum, each element snapped on its own.
+func rollbackPerWord(x, r, p, ck, a, b []float64, codec memstore.Codec) {
+	d := len(x)
+	copy(x, ck)
+	for i := 0; i < d; i++ {
+		sum := b[i]
+		for j, v := range a[i*d : (i+1)*d] {
+			sum -= v * x[j]
+		}
+		r[i] = codec.Decode(codec.Encode(sum))
+	}
+	copy(p, r)
+}
+
+// quantVec snaps v onto the fixed-point grid in place — the value a
+// fault-free store-and-load of v returns.
+func quantVec(codec memstore.Codec, v []float64) {
+	for i, f := range v {
+		v[i] = codec.Decode(codec.Encode(f))
+	}
+}
+
+// storeVec writes v into m at off and returns the exact element sum of
+// the values written — the safe-memory checksum the read-back is
+// checked against.
+func storeVec(m mem.Word32, codec memstore.Codec, off int, v []float64) float64 {
+	sum := 0.0
+	for i, f := range v {
+		m.Write(off+i, codec.Encode(f))
+		sum += f
+	}
+	return sum
+}
+
+// loadVec reads v back from m at off, returning the element sum of the
+// decoded values and whether any word raised a DUE flag.
+func loadVec(m mem.Word32, codec memstore.Codec, off int, v []float64) (sum float64, due bool) {
+	for i := range v {
+		w, flagged := m.ReadChecked(off + i)
+		due = due || flagged
+		v[i] = codec.Decode(w)
+		sum += v[i]
+	}
+	return sum, due
+}
+
+// TestGuardedBatchMatchesPerWord pins runGuarded's batch memory path,
+// four-row products and slice codec to the per-word reference: on all
+// eight arms (plus ECC with check-bit double faults), at four seeds,
+// two dimensions (one not a multiple of the four-row tile) and three
+// restart budgets, with persistent faults and soft errors, two
+// identically built memories (one per path, soft errors from equally
+// seeded sources) must give identical x bits, restart counts, decode
+// Stats and array access counts. So must the memory-free reference run.
+func TestGuardedBatchMatchesPerWord(t *testing.T) {
+	const rows = 256
+	arms := []func(fault.Map) (mem.Word32, error){
+		func(fm fault.Map) (mem.Word32, error) { return mem.NewRaw(rows, fm) },
+		func(fm fault.Map) (mem.Word32, error) { return mem.NewPECC(rows, fm, nil) },
+		func(fm fault.Map) (mem.Word32, error) { return mem.NewECC(rows, fm, nil) },
+		// ECC with double faults in the check bits of rows inside the
+		// windows: those words flag while their data stays intact, so only
+		// the DUE flag, not a checksum, can trip the guard.
+		func(fm fault.Map) (mem.Word32, error) {
+			var check fault.Map
+			for _, r := range []int{5, 60, 100, 170} {
+				check = append(check, fault.Fault{Row: r, Col: 1, Kind: fault.Flip}, fault.Fault{Row: r, Col: 2, Kind: fault.Flip})
+			}
+			return mem.NewECC(rows, fm, check)
+		},
+	}
+	for nfm := 1; nfm <= 5; nfm++ {
+		arms = append(arms, func(fm fault.Map) (mem.Word32, error) {
+			return core.NewShuffled(core.Config{Width: 32, NFM: nfm}, rows, fm)
+		})
+	}
+	type arrayed interface{ Array() *sram.Array }
+	type statser interface{ Stats() mem.Stats }
+	codec := memstore.DefaultCodec()
+	var restartsSeen, duesSeen int
+	for si, seed := range []int64{1, 2, 3, 7919} {
+		for _, budget := range []int{0, 2, -1} { // default 8, 2, none
+			dim := 24 - si%2 // 23 leaves three rows past the last tile
+			inst := prepareCGRestart(t, Params{Seed: seed, Dim: dim, Restarts: budget}).(*cgrestartInstance)
+			d := inst.dim
+			a, b := inst.flat[:d*d], inst.flat[d*d:]
+
+			want, _ := inst.runGuardedPerWord(a, b, nil, codec)
+			got, _ := inst.runGuarded(&cgrestartScratch{}, a, b, nil, codec)
+			if !sameBits(got, want) {
+				t.Fatalf("seed %d: memory-free run differs from the per-word reference", seed)
+			}
+
+			fm := fault.GeneratePcell(stats.NewRand(seed), rows, mem.DataWidth, 2e-3, fault.Flip)
+			for ai, build := range arms {
+				ref, err := build(fm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bat, err := build(fm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.(arrayed).Array().SetTransient(1e-3, rand.NewSource(seed))
+				bat.(arrayed).Array().SetTransient(1e-3, rand.NewSource(seed))
+
+				want, wantN := inst.runGuardedPerWord(a, b, ref, codec)
+				got, gotN := inst.runGuarded(&cgrestartScratch{}, a, b, bat, codec)
+				if !sameBits(got, want) {
+					t.Errorf("seed %d budget %d arm %d: x differs from the per-word reference", seed, budget, ai)
+				}
+				if gotN != wantN {
+					t.Errorf("seed %d budget %d arm %d: %d restarts, reference %d", seed, budget, ai, gotN, wantN)
+				}
+				restartsSeen += gotN
+				if sr, ok := ref.(statser); ok {
+					if g, w := bat.(statser).Stats(), sr.Stats(); g != w {
+						t.Errorf("seed %d budget %d arm %d: Stats %+v, reference %+v", seed, budget, ai, g, w)
+					} else {
+						duesSeen += int(w.Uncorrectable)
+					}
+				}
+				gr, gw := bat.(arrayed).Array().AccessCounts()
+				wr, ww := ref.(arrayed).Array().AccessCounts()
+				if gr != wr || gw != ww {
+					t.Errorf("seed %d budget %d arm %d: access counts (%d, %d), reference (%d, %d)", seed, budget, ai, gr, gw, wr, ww)
+				}
+			}
+		}
+	}
+	t.Logf("%d restarts, %d DUEs", restartsSeen, duesSeen)
+	if restartsSeen == 0 || duesSeen == 0 {
+		t.Fatalf("the runs saw %d restarts and %d DUEs: the test exercises neither guard", restartsSeen, duesSeen)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
