@@ -4,6 +4,11 @@
 //
 // It is deliberately minimal and allocation-transparent; everything is
 // float64 and row-major.
+//
+// The rank-4 column update that MulInto and CovarianceInto share
+// (addRank4) has one assembly kernel, for amd64 CPUs with AVX, chosen
+// once at package init. Its Go loop is the reference the kernel must
+// match bit for bit, and the code that runs everywhere else.
 package mat
 
 import (
@@ -217,13 +222,8 @@ func MulInto(dst, a, b *Dense) *Dense {
 				mulIntoTail(orow, arow[k:k+4], b.data[k*bc:], bc)
 				continue
 			}
-			b0 := b.data[k*bc : k*bc+bc][:len(orow)]
-			b1 := b.data[(k+1)*bc : (k+1)*bc+bc][:len(orow)]
-			b2 := b.data[(k+2)*bc : (k+2)*bc+bc][:len(orow)]
-			b3 := b.data[(k+3)*bc : (k+3)*bc+bc][:len(orow)]
-			for j := range orow {
-				orow[j] += (av0*b0[j] + av1*b1[j]) + (av2*b2[j] + av3*b3[j])
-			}
+			addRank4(orow, b.data[k*bc:], b.data[(k+1)*bc:], b.data[(k+2)*bc:], b.data[(k+3)*bc:],
+				av0, av1, av2, av3)
 		}
 		mulIntoTail(orow, arow[k:], b.data[k*bc:], bc)
 	}
@@ -245,23 +245,6 @@ func mulIntoTail(orow, avs, bdata []float64, bc int) {
 	}
 }
 
-// MulVec returns a*x as a new vector.
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic("mat: MulVec dimension mismatch")
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -273,9 +256,6 @@ func Dot(x, y []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
 // SqDist returns the squared Euclidean distance between x and y.
 func SqDist(x, y []float64) float64 {
@@ -381,21 +361,11 @@ func ColStdsInto(sd []float64, m *Dense, mu []float64) []float64 {
 }
 
 // Standardizer centers and scales columns to zero mean / unit variance,
-// remembering the transform so it can be applied to held-out data.
+// remembering the transform so it can be applied to held-out data. The
+// ml package fits it (column means, and standard deviations with zero
+// or non-finite spreads replaced by 1).
 type Standardizer struct {
 	Mean, Std []float64
-}
-
-// FitStandardizer learns the column transform from m. Columns with zero
-// (or non-finite) spread get Std 1 so they pass through centered only.
-func FitStandardizer(m *Dense) *Standardizer {
-	s := &Standardizer{Mean: ColMeans(m), Std: ColStds(m)}
-	for j, sd := range s.Std {
-		if sd == 0 || math.IsNaN(sd) || math.IsInf(sd, 0) {
-			s.Std[j] = 1
-		}
-	}
-	return s
 }
 
 // Apply returns a standardized copy of m using the learned transform.
@@ -426,15 +396,19 @@ func (s *Standardizer) ApplyInto(dst, m *Dense) *Dense {
 }
 
 // Covariance returns the (cols x cols) sample covariance matrix of m
-// (ddof = 1). PCA consumes this.
+// (ddof = 1). PCA consumes this. m is not modified.
 func Covariance(m *Dense) *Dense {
-	return CovarianceInto(NewDense(m.cols, m.cols), m, nil)
+	return CovarianceInto(NewDense(m.cols, m.cols), m.Clone(), nil)
 }
 
 // CovarianceInto computes the sample covariance matrix of m (ddof = 1)
 // into dst (which must be cols x cols) and returns dst. mu is an
 // optional length-cols scratch slice for the column means (nil
 // allocates); prior contents of dst and mu are discarded.
+//
+// CovarianceInto overwrites m: it centres every column in place (m
+// minus its column means), once, instead of subtracting the mean again
+// for every product.
 func CovarianceInto(dst *Dense, m *Dense, mu []float64) *Dense {
 	if m.rows < 2 {
 		panic("mat: Covariance needs at least 2 rows")
@@ -447,9 +421,15 @@ func CovarianceInto(dst *Dense, m *Dense, mu []float64) *Dense {
 		mu = make([]float64, m.cols)
 	}
 	ColMeansInto(mu, m)
+	d := m.cols
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*d : (i+1)*d]
+		for j := range row {
+			row[j] -= mu[j]
+		}
+	}
 	c := dst
 	clear(c.data)
-	d := m.cols
 	// Accumulate the upper triangle four rows at a time: each C element
 	// is loaded and stored once per four rank-1 updates instead of once
 	// per row, and the four products combine pairwise so the adds form
@@ -462,26 +442,19 @@ func CovarianceInto(dst *Dense, m *Dense, mu []float64) *Dense {
 		r2 := m.data[(i+2)*d : (i+3)*d]
 		r3 := m.data[(i+3)*d : (i+4)*d]
 		for a := 0; a < d; a++ {
-			ma := mu[a]
-			da0, da1, da2, da3 := r0[a]-ma, r1[a]-ma, r2[a]-ma, r3[a]-ma
-			crow := c.data[a*d : (a+1)*d]
-			for b := a; b < d; b++ {
-				mb := mu[b]
-				crow[b] += (da0*(r0[b]-mb) + da1*(r1[b]-mb)) +
-					(da2*(r2[b]-mb) + da3*(r3[b]-mb))
-			}
+			addRank4(c.data[a*d+a:(a+1)*d], r0[a:], r1[a:], r2[a:], r3[a:], r0[a], r1[a], r2[a], r3[a])
 		}
 	}
 	for ; i < m.rows; i++ {
 		row := m.data[i*d : (i+1)*d]
 		for a := 0; a < d; a++ {
-			da := row[a] - mu[a]
+			da := row[a]
 			if da == 0 {
 				continue
 			}
 			crow := c.data[a*d : (a+1)*d]
 			for b := a; b < d; b++ {
-				crow[b] += da * (row[b] - mu[b])
+				crow[b] += da * row[b]
 			}
 		}
 	}

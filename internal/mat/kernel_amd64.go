@@ -1,0 +1,25 @@
+package mat
+
+// addRank4AVX is addRank4 in AVX assembly (kernel_amd64.s): four output
+// elements per step in one 256-bit register, then a scalar tail. Every
+// b must hold at least len(dst) elements; addRank4 slices them to that.
+//
+//go:noescape
+func addRank4AVX(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+
+// cpuid1ECX returns ECX of CPUID leaf 1; xgetbv0 returns the low 32
+// bits of XCR0. Both are in kernel_amd64.s.
+func cpuid1ECX() uint32
+func xgetbv0() uint32
+
+// haveAVX reports whether the CPU has AVX and the operating system
+// saves the YMM registers across context switches: CPUID.1:ECX has
+// OSXSAVE (bit 27) and AVX (bit 28), and XCR0 enables XMM (bit 1) and
+// YMM (bit 2) state.
+func haveAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	return xgetbv0()&6 == 6
+}

@@ -108,20 +108,41 @@ func TestMulIdentityProperty(t *testing.T) {
 	}
 }
 
+// mulVec returns a*x as a new vector: the eigen-equation oracle of the
+// eigensolver tests.
+func mulVec(a *Dense, x []float64) []float64 {
+	if a.cols != len(x) {
+		panic("mat: mulVec dimension mismatch")
+	}
+	out := make([]float64, a.rows)
+	for i := 0; i < a.rows; i++ {
+		row := a.data[i*a.cols : (i+1)*a.cols]
+		s := 0.0
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// norm2 returns the Euclidean norm of x.
+func norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
+
 func TestMulVecDotNorm(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, 2}, {1, 1}})
-	got := MulVec(a, []float64{3, 4})
+	got := mulVec(a, []float64{3, 4})
 	want := []float64{3, 8, 7}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("MulVec[%d] = %g", i, got[i])
+			t.Fatalf("mulVec[%d] = %g", i, got[i])
 		}
 	}
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Error("Norm2 wrong")
+	if !almostEq(norm2([]float64{3, 4}), 5, 1e-15) {
+		t.Error("norm2 wrong")
 	}
 	if SqDist([]float64{0, 0}, []float64{3, 4}) != 25 {
 		t.Error("SqDist wrong")
@@ -137,39 +158,6 @@ func TestColMeansStds(t *testing.T) {
 	sd := ColStds(m)
 	if !almostEq(sd[0], math.Sqrt2, 1e-12) || sd[1] != 0 {
 		t.Errorf("stds %v", sd)
-	}
-}
-
-func TestStandardizer(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := NewDense(200, 3)
-	for i := 0; i < 200; i++ {
-		m.Set(i, 0, rng.NormFloat64()*5+3)
-		m.Set(i, 1, rng.NormFloat64()*0.1-2)
-		m.Set(i, 2, 7) // constant column
-	}
-	s := FitStandardizer(m)
-	z := s.Apply(m)
-	mu := ColMeans(z)
-	sd := ColStds(z)
-	for j := 0; j < 2; j++ {
-		if !almostEq(mu[j], 0, 1e-10) {
-			t.Errorf("col %d standardized mean %g", j, mu[j])
-		}
-		if !almostEq(sd[j], 1, 1e-10) {
-			t.Errorf("col %d standardized std %g", j, sd[j])
-		}
-	}
-	// Constant column: centered but not blown up.
-	if !almostEq(mu[2], 0, 1e-12) || math.IsNaN(sd[2]) {
-		t.Errorf("constant column handled badly: mean %g std %g", mu[2], sd[2])
-	}
-	// Apply with the learned transform is affine: same transform on a
-	// single held-out row.
-	row := FromRows([][]float64{{3, -2, 7}})
-	zr := s.Apply(row)
-	if !almostEq(zr.At(0, 0), (3-s.Mean[0])/s.Std[0], 1e-12) {
-		t.Error("held-out Apply mismatch")
 	}
 }
 
@@ -227,7 +215,7 @@ func TestEigenSymDiagonal(t *testing.T) {
 	// Eigenvectors of a diagonal matrix are (signed) unit basis vectors.
 	for k := 0; k < 3; k++ {
 		col := vecs.Col(k)
-		if !almostEq(Norm2(col), 1, 1e-10) {
+		if !almostEq(norm2(col), 1, 1e-10) {
 			t.Errorf("eigenvector %d not unit: %v", k, col)
 		}
 	}
@@ -242,7 +230,7 @@ func TestEigenSymKnown2x2(t *testing.T) {
 	}
 	// Check A v = lambda v for the top eigenvector.
 	v0 := vecs.Col(0)
-	av := MulVec(a, v0)
+	av := mulVec(a, v0)
 	for i := range av {
 		if !almostEq(av[i], 3*v0[i], 1e-9) {
 			t.Errorf("A v != 3 v at %d: %g vs %g", i, av[i], 3*v0[i])
@@ -448,8 +436,15 @@ func TestMulIntoMatchesMul(t *testing.T) {
 func TestApplyIntoMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randMat(rng, 20, 6)
-	s := FitStandardizer(m)
+	s := &Standardizer{Mean: ColMeans(m), Std: ColStds(m)}
 	want := s.Apply(m)
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 6; j++ {
+			if z := (m.At(i, j) - s.Mean[j]) / s.Std[j]; math.Float64bits(want.At(i, j)) != math.Float64bits(z) {
+				t.Fatalf("Apply (%d,%d) = %g, want %g", i, j, want.At(i, j), z)
+			}
+		}
+	}
 	dst := NewDense(20, 6)
 	dst.Set(3, 3, 42)
 	if got := s.ApplyInto(dst, m); !sameDense(got, want) {
@@ -477,20 +472,83 @@ func TestColMeansStdsInto(t *testing.T) {
 	mustPanicMat(t, func() { ColStdsInto(make([]float64, 4), m, mu) })
 }
 
+// TestCovarianceIntoMatchesCovariance pins the two entry points to
+// each other and their input contracts: Covariance leaves its argument
+// alone, CovarianceInto leaves its input centred on the column means.
 func TestCovarianceIntoMatchesCovariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := randMat(rng, 40, 6)
+	orig := m.Clone()
 	want := Covariance(m)
+	if !sameDense(m, orig) {
+		t.Fatal("Covariance modified its argument")
+	}
 	dst := NewDense(6, 6)
 	dst.Set(0, 0, -77)
-	if got := CovarianceInto(dst, m, make([]float64, 6)); !sameDense(got, want) {
+	mu := make([]float64, 6)
+	if got := CovarianceInto(dst, m, mu); !sameDense(got, want) {
 		t.Error("CovarianceInto != Covariance")
 	}
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 6; j++ {
+			if c := orig.At(i, j) - mu[j]; math.Float64bits(m.At(i, j)) != math.Float64bits(c) {
+				t.Fatalf("CovarianceInto left input (%d,%d) = %g, want centred %g", i, j, m.At(i, j), c)
+			}
+		}
+	}
 	// nil mu scratch allocates internally.
-	if got := CovarianceInto(NewDense(6, 6), m, nil); !sameDense(got, want) {
+	if got := CovarianceInto(NewDense(6, 6), orig.Clone(), nil); !sameDense(got, want) {
 		t.Error("CovarianceInto(nil mu) != Covariance")
 	}
-	mustPanicMat(t, func() { CovarianceInto(NewDense(5, 6), m, nil) })
+	mustPanicMat(t, func() { CovarianceInto(NewDense(5, 6), orig, nil) })
+}
+
+// covarianceRef is CovarianceInto as it was before the input was
+// centred in place and the rank-4 updates went through addRank4: the
+// reference its bits are checked against. m is not modified.
+func covarianceRef(m *Dense) *Dense {
+	mu := ColMeans(m)
+	d := m.cols
+	c := NewDense(d, d)
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		r0 := m.data[i*d : (i+1)*d]
+		r1 := m.data[(i+1)*d : (i+2)*d]
+		r2 := m.data[(i+2)*d : (i+3)*d]
+		r3 := m.data[(i+3)*d : (i+4)*d]
+		for a := 0; a < d; a++ {
+			ma := mu[a]
+			da0, da1, da2, da3 := r0[a]-ma, r1[a]-ma, r2[a]-ma, r3[a]-ma
+			crow := c.data[a*d : (a+1)*d]
+			for b := a; b < d; b++ {
+				mb := mu[b]
+				crow[b] += (da0*(r0[b]-mb) + da1*(r1[b]-mb)) +
+					(da2*(r2[b]-mb) + da3*(r3[b]-mb))
+			}
+		}
+	}
+	for ; i < m.rows; i++ {
+		row := m.data[i*d : (i+1)*d]
+		for a := 0; a < d; a++ {
+			da := row[a] - mu[a]
+			if da == 0 {
+				continue
+			}
+			crow := c.data[a*d : (a+1)*d]
+			for b := a; b < d; b++ {
+				crow[b] += da * (row[b] - mu[b])
+			}
+		}
+	}
+	n1 := float64(m.rows - 1)
+	for a := 0; a < d; a++ {
+		for b := a; b < d; b++ {
+			v := c.data[a*d+b] / n1
+			c.data[a*d+b] = v
+			c.data[b*d+a] = v
+		}
+	}
+	return c
 }
 
 // TestEigenSymInMatchesEigenSym verifies the scratch-backed decomposition
@@ -646,7 +704,7 @@ func TestEigenSymTopKMatchesFull(t *testing.T) {
 		// vector tolerance next to the 1e-9 eigenvalue check above.
 		for j := 0; j < c.k; j++ {
 			col := gotVecs.Col(j)
-			av := MulVec(c.cov, col)
+			av := mulVec(c.cov, col)
 			for i := range av {
 				if math.Abs(av[i]-gotVals[j]*col[i]) > 1e-5*scale {
 					t.Fatalf("case %d: eigenpair %d residual %g at %d", ci, j,

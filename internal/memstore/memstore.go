@@ -53,7 +53,23 @@ func (c Codec) Encode(f float64) uint32 {
 
 // Decode converts a fixed-point word back to float64.
 func (c Codec) Decode(w uint32) float64 {
+	if inv, ok := c.invScale(); ok {
+		return float64(int32(w)) * inv
+	}
 	return float64(int32(w)) / c.scale()
+}
+
+// invScale returns 2^-Frac, built from its exponent bits, and true for
+// every Frac Encode accepts (0..31). There an int32 times 2^-Frac has
+// the same bits as the int32 divided by 2^Frac, because both results
+// are exact: the quotient needs at most 31 significant bits and lies
+// far above the subnormal range. So Decode multiplies instead of
+// dividing; other Fracs keep the division.
+func (c Codec) invScale() (float64, bool) {
+	if uint(c.Frac) < 32 {
+		return math.Float64frombits(uint64(1023-c.Frac) << 52), true
+	}
+	return 0, false
 }
 
 // EncodeInto sets dst[i] = Encode(src[i]) for every element, checking
@@ -74,6 +90,12 @@ func (c Codec) EncodeInto(dst []uint32, src []float64) {
 func (c Codec) DecodeInto(dst []float64, src []uint32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("memstore: decode %d words into %d values", len(src), len(dst)))
+	}
+	if inv, ok := c.invScale(); ok {
+		for i, w := range src {
+			dst[i] = float64(int32(w)) * inv
+		}
+		return
 	}
 	scale := c.scale()
 	for i, w := range src {

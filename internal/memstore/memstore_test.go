@@ -52,7 +52,9 @@ func TestCodecSaturation(t *testing.T) {
 // TestCodecMatchesLdexpFormula pins Encode and Decode to the formula
 // with 2^Frac from math.Ldexp: every Frac Encode accepts, over a value
 // sweep that covers rounding ties, saturation, signed zeros, NaN and
-// infinities, and Decode also at Fracs outside 0..31.
+// infinities. Decode and DecodeInto, which multiply by 2^-Frac for
+// Frac 0..31, must equal the division there, on random words, 0, ±1,
+// MinInt32 and MaxInt32, and at Fracs outside 0..31, where they divide.
 func TestCodecMatchesLdexpFormula(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -2.5, 1e-12, -1e-12,
 		math.Pi, -math.E, 65535.99999, 32767.5, -32768.5, 1e9, -1e9,
@@ -75,13 +77,21 @@ func TestCodecMatchesLdexpFormula(t *testing.T) {
 			}
 		}
 	}
-	for _, frac := range []int{-1100, -1060, -40, -1, 0, 7, 16, 31, 32, 40, 1100} {
+	fracs := []int{-1100, -1060, -40, -1, 32, 40, 1100}
+	for frac := 0; frac <= 31; frac++ {
+		fracs = append(fracs, frac)
+	}
+	batch := make([]float64, len(words))
+	for _, frac := range fracs {
 		c := Codec{Frac: frac}
 		scale := math.Ldexp(1, frac)
-		for _, w := range words {
-			got, want := c.Decode(w), float64(int32(w))/scale
-			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("Frac %d: Decode(%#x) = %g, want %g", frac, w, got, want)
+		c.DecodeInto(batch, words)
+		for i, w := range words {
+			want := float64(int32(w)) / scale
+			for _, got := range []float64{c.Decode(w), batch[i]} {
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("Frac %d: decode(%#x) = %g, want %g", frac, w, got, want)
+				}
 			}
 		}
 	}

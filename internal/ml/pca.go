@@ -61,6 +61,7 @@ func (p *PCA) FitIn(ws *Workspace, x *mat.Dense) error {
 	}
 	p.scaler = ws.fitScaler(x, p.Standardize)
 	ws.z = p.scaler.ApplyInto(mat.Reshape(ws.z, n, d), x)
+	// CovarianceInto centres ws.z in place; the fit reads it no further.
 	ws.cov = mat.CovarianceInto(mat.Reshape(ws.cov, d, d), ws.z, floats(&ws.covMu, d))
 	// The total variance is the covariance trace — the full eigenvalue
 	// sum without the full spectrum, which is what lets the solver stop

@@ -80,9 +80,11 @@ func floats(p *[]float64, n int) []float64 {
 func (ws *Workspace) EigenSubspace() *mat.Dense { return ws.eig.Subspace() }
 
 // fitScaler learns the column transform of x into the workspace and
-// returns a pointer to it, valid until the next FitIn on ws. It matches
-// mat.FitStandardizer (standardize) and the centered-only unit-scale
-// path (raw) bit for bit.
+// returns a pointer to it, valid until the next FitIn on ws. It always
+// centres on the column means. With standardize it also divides by the
+// sample standard deviations, where a column with zero or non-finite
+// spread gets 1 and so passes through centred only; without, the scale
+// is 1 (raw features).
 func (ws *Workspace) fitScaler(x *mat.Dense, standardize bool) *mat.Standardizer {
 	_, d := x.Dims()
 	mean := mat.ColMeansInto(floats(&ws.mean, d), x)

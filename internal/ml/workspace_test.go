@@ -187,3 +187,44 @@ func TestElasticNetFitKeepsHyperparameters(t *testing.T) {
 	}
 	sameFloats(t, "default-vs-explicit coef", en.Coef(), explicit.Coef())
 }
+
+// TestFitScalerStandardizes pins the scaler every model fits: with
+// standardize, columns come out at zero mean and unit sample standard
+// deviation, a constant column is centred but not blown up, and the
+// learned transform applies to held-out rows; without, it only centres.
+func TestFitScalerStandardizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := mat.NewDense(200, 3)
+	for i := 0; i < 200; i++ {
+		m.Set(i, 0, rng.NormFloat64()*5+3)
+		m.Set(i, 1, rng.NormFloat64()*0.1-2)
+		m.Set(i, 2, 7) // constant column
+	}
+	var ws Workspace
+	s := ws.fitScaler(m, true)
+	z := s.Apply(m)
+	mu := mat.ColMeans(z)
+	sd := mat.ColStds(z)
+	for j := 0; j < 2; j++ {
+		if math.Abs(mu[j]) > 1e-10 {
+			t.Errorf("col %d standardized mean %g", j, mu[j])
+		}
+		if math.Abs(sd[j]-1) > 1e-10 {
+			t.Errorf("col %d standardized std %g", j, sd[j])
+		}
+	}
+	if s.Std[2] != 1 || math.Abs(mu[2]) > 1e-12 || sd[2] != 0 {
+		t.Errorf("constant column handled badly: scale %g, mean %g, std %g", s.Std[2], mu[2], sd[2])
+	}
+	row := mat.FromRows([][]float64{{3, -2, 7}})
+	if zr := s.Apply(row); math.Abs(zr.At(0, 0)-(3-s.Mean[0])/s.Std[0]) > 1e-12 {
+		t.Error("held-out Apply mismatch")
+	}
+	raw := ws.fitScaler(m, false)
+	means := mat.ColMeans(m)
+	for j, v := range raw.Std {
+		if v != 1 || raw.Mean[j] != means[j] {
+			t.Errorf("raw scaler col %d: mean %g, scale %g", j, raw.Mean[j], v)
+		}
+	}
+}

@@ -125,8 +125,10 @@ func (p CDFParams) Cells() int { return p.Rows * p.Width }
 
 // maxCDFSamples bounds a campaign's planned sample count, far above any
 // budget that finishes (Trun = 1e7 plans ~4.8M), so that no Trun can
-// overflow the plan's integer arithmetic.
-const maxCDFSamples = 1 << 40
+// overflow the plan's integer arithmetic: 2^40, or half the int range
+// where int has 32 bits, so that adding one more count to a total under
+// the bound cannot wrap.
+const maxCDFSamples = min(1<<40, math.MaxInt>>1)
 
 // maxCDFRows bounds Rows. Every running shard holds a sampler with one
 // 8-byte mask per row, so the row count sizes the campaign's memory; the
