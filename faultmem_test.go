@@ -11,7 +11,7 @@ func TestFacadeShuffledMemoryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := 0; a < 256; a++ {
-		v := uint32(a * 2654435761)
+		v := uint32(a) * 2654435761
 		m.Write(a, v)
 		got := m.Read(a)
 		diff := uint64(v ^ got)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"faultmem/internal/mc"
 	"faultmem/internal/sram"
 	"faultmem/internal/stats"
+	"faultmem/internal/wire"
 )
 
 // This file holds the ablation studies — experiments beyond the
@@ -29,6 +31,31 @@ type AblationMultiFaultRow struct {
 	MeanMSEBest  float64 // mean per-row squared-error sum, BestX
 	MeanMSEPaper float64 // same under the paper-rule extension
 	PaperPenalty float64 // MeanMSEPaper / MeanMSEBest
+}
+
+// AppendBinary appends the binary form of r, the study's shard type:
+// NFM and FaultsPerRow as int64, then the three means, all 8-byte
+// little-endian (package wire).
+func (r AblationMultiFaultRow) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendInt(b, r.NFM)
+	b = wire.AppendInt(b, r.FaultsPerRow)
+	b = wire.AppendFloat64(b, r.MeanMSEBest)
+	b = wire.AppendFloat64(b, r.MeanMSEPaper)
+	return wire.AppendFloat64(b, r.PaperPenalty), nil
+}
+
+// UnmarshalBinary replaces r with the row encoded in b.
+func (r *AblationMultiFaultRow) UnmarshalBinary(b []byte) error {
+	rd := wire.NewReader(b)
+	row := AblationMultiFaultRow{
+		NFM: rd.Int(), FaultsPerRow: rd.Int(),
+		MeanMSEBest: rd.Float64(), MeanMSEPaper: rd.Float64(), PaperPenalty: rd.Float64(),
+	}
+	if err := rd.Close(); err != nil {
+		return fmt.Errorf("exp: corrupt AblationMultiFaultRow encoding: %w", err)
+	}
+	*r = row
+	return nil
 }
 
 // MultiFaultParams configures the FM-LUT multi-fault policy study.
@@ -146,6 +173,37 @@ type AblationTransientRow struct {
 	MeanMSE       float64
 }
 
+// AblationTransientPoint is one shard of the soft-error study: one
+// (arm, rate) point's row, or the error that stopped it as text.
+type AblationTransientPoint struct {
+	Row AblationTransientRow
+	Err string
+}
+
+// AppendBinary appends the binary form of p: the row's scheme as int64,
+// its rate and mean MSE, then the error's length and bytes. Numbers are
+// 8-byte little-endian (package wire).
+func (p AblationTransientPoint) AppendBinary(b []byte) ([]byte, error) {
+	b = wire.AppendInt(b, int(p.Row.Scheme))
+	b = wire.AppendFloat64(b, p.Row.TransientRate)
+	b = wire.AppendFloat64(b, p.Row.MeanMSE)
+	return wire.AppendString(b, p.Err), nil
+}
+
+// UnmarshalBinary replaces p with the point encoded in b.
+func (p *AblationTransientPoint) UnmarshalBinary(b []byte) error {
+	rd := wire.NewReader(b)
+	pt := AblationTransientPoint{
+		Row: AblationTransientRow{Scheme: Protection(rd.Int()), TransientRate: rd.Float64(), MeanMSE: rd.Float64()},
+		Err: rd.Str(),
+	}
+	if err := rd.Close(); err != nil {
+		return fmt.Errorf("exp: corrupt AblationTransientPoint encoding: %w", err)
+	}
+	*p = pt
+	return nil
+}
+
 // TransientParams configures the soft-error boundary study.
 type TransientParams struct {
 	// Seed drives the persistent fault map and the per-point streams.
@@ -192,21 +250,17 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 	// (arm, rate) point then runs as its own shard of the mc engine —
 	// independent functional memories, evaluated in parallel.
 	persistent := fault.GeneratePcell(stats.Derive(seed, 0), rows, 32, pcell, fault.Flip)
-	type pointOut struct {
-		row AblationTransientRow
-		err error
-	}
 	outs, runErr := mc.RunEnv(env, 0, len(arms)*len(rates), stats.DeriveSeed(seed, 1000),
-		func(i int, rng *rand.Rand) pointOut {
+		func(i int, rng *rand.Rand) AblationTransientPoint {
 			arm, rate := arms[i/len(rates)], rates[i%len(rates)]
 			m, err := arm.Build(rows, persistent)
 			if err != nil {
-				return pointOut{err: err}
+				return AblationTransientPoint{Err: err.Error()}
 			}
 			if rate > 0 {
 				aa, ok := m.(interface{ Array() *sram.Array })
 				if !ok {
-					return pointOut{err: fmt.Errorf("exp: ablate-transient arm %v exposes no bit-cell array", arm)}
+					return AblationTransientPoint{Err: fmt.Sprintf("exp: ablate-transient arm %v exposes no bit-cell array", arm)}
 				}
 				aa.Array().SetTransient(rate, rng)
 			}
@@ -224,7 +278,7 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 					}
 				}
 			}
-			return pointOut{row: AblationTransientRow{
+			return AblationTransientPoint{Row: AblationTransientRow{
 				Scheme:        arm,
 				TransientRate: rate,
 				MeanMSE:       sum / float64(rows*readsPerCell),
@@ -235,10 +289,10 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 	}
 	out := make([]AblationTransientRow, 0, len(outs))
 	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
+		if o.Err != "" {
+			return nil, errors.New(o.Err)
 		}
-		out = append(out, o.row)
+		out = append(out, o.Row)
 	}
 	return out, nil
 }

@@ -16,16 +16,16 @@ import (
 
 // shardLog is a recording Exec: it computes every shard locally and
 // keeps each shard's wire encoding under its engine-run tag. A shard
-// type gob cannot encode (ablate-transient's) never travels — a worker
-// refuses its jobs and the coordinator computes them locally — so such
-// a shard is kept as its Go syntax instead, which prints every float
-// exactly.
+// that does not encode would never travel — a worker refuses its job
+// and the coordinator computes the whole run locally — so it is
+// recorded as unshipped.
 type shardLog struct {
 	sem chan struct{}
 
-	mu   sync.Mutex
-	runs map[string][][]byte // tag -> encoding per shard
-	dups []string            // "tag#shard" seen twice: a second run under one tag
+	mu        sync.Mutex
+	runs      map[string][][]byte // tag -> encoding per shard
+	dups      []string            // "tag#shard" seen twice: a second run under one tag
+	unshipped []string            // "tag#shard: error" for shards Encode refused
 }
 
 func newShardLog() *shardLog {
@@ -37,11 +37,11 @@ func (l *shardLog) exec(sj mc.ShardJob) (any, error) {
 	v := sj.Run()
 	<-l.sem
 	b, err := sj.Encode(v)
-	if err != nil {
-		b = fmt.Appendf(nil, "%#v", v)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err != nil {
+		l.unshipped = append(l.unshipped, fmt.Sprintf("%s#%d: %v", sj.Tag, sj.Shard, err))
+	}
 	shards, ok := l.runs[sj.Tag]
 	if !ok {
 		shards = make([][]byte, sj.Shards)
@@ -66,9 +66,10 @@ func (l *shardLog) tags() []string {
 
 // TestStageOnlyRunsMatchFullRuns pins the stage contract sweep workers
 // rely on, for every registered experiment at its smoke budget: a full
-// run opens each engine-run tag once, a stage-only run (RunStage) of a
-// tag opens that tag alone, and every shard of it encodes to the same
-// bytes as the full run's shard.
+// run opens each engine-run tag once, every shard it hands an executor
+// has a binary form, a stage-only run (RunStage) of a tag opens that
+// tag alone, and every shard of it encodes to the same bytes as the
+// full run's shard.
 func TestStageOnlyRunsMatchFullRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment once per engine run")
@@ -84,6 +85,9 @@ func TestStageOnlyRunsMatchFullRuns(t *testing.T) {
 			}
 			if len(full.dups) > 0 {
 				t.Fatalf("full run opened a tag twice: %v", full.dups)
+			}
+			if len(full.unshipped) > 0 {
+				t.Fatalf("shards without a binary form: %v", full.unshipped)
 			}
 			for _, tag := range full.tags() {
 				if tag != name && !strings.HasPrefix(tag, name+"/") {

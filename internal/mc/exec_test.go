@@ -2,18 +2,35 @@ package mc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 )
 
-// execShard is a representative shard value: a struct with exported
-// fields, so the job's gob Encode/Decode thunks can round-trip it.
+// execShard is a representative shard value with a binary form, so the
+// job's Encode/Decode thunks can round-trip it.
 type execShard struct {
 	Shard int
 	Sum   float64
+}
+
+func (s execShard) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.Shard))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Sum)), nil
+}
+
+func (s *execShard) UnmarshalBinary(b []byte) error {
+	if len(b) != 16 {
+		return fmt.Errorf("execShard form is %d bytes, want 16", len(b))
+	}
+	s.Shard = int(binary.LittleEndian.Uint64(b))
+	s.Sum = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	return nil
 }
 
 func execFn(shard int, rng *rand.Rand) execShard {
@@ -59,6 +76,52 @@ func TestExecEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal("wire round trip diverged from plain Run")
 	}
 }
+
+// TestExecShardWithoutBinaryFormStaysLocal: a shard type without the
+// two methods fails Encode and Decode, the signal executors take to
+// compute the shard on their own host, and the run still completes
+// through Run.
+func TestExecShardWithoutBinaryFormStaysLocal(t *testing.T) {
+	type plain struct{ Shard int }
+	fn := func(shard int, _ *rand.Rand) plain { return plain{shard} }
+	var encodeFailed, decodeFailed atomic.Int32
+	env := Env{Tag: "t", Exec: func(job ShardJob) (any, error) {
+		v := job.Run()
+		if _, err := job.Encode(v); err != nil {
+			encodeFailed.Add(1)
+		}
+		if _, err := job.Decode(nil); err != nil {
+			decodeFailed.Add(1)
+		}
+		return v, nil
+	}}
+	got, err := RunEnv(env, 2, 8, 1, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, Run(2, 8, 1, fn)) {
+		t.Fatal("local fallback diverged from plain Run")
+	}
+	if encodeFailed.Load() != 8 || decodeFailed.Load() != 8 {
+		t.Fatalf("%d of 8 encodes and %d of 8 decodes failed, want all", encodeFailed.Load(), decodeFailed.Load())
+	}
+	// Half a form is no form: a T whose pointer cannot decode must not
+	// encode either, or a worker would ship what the coordinator refuses.
+	half := Env{Tag: "t", Exec: func(job ShardJob) (any, error) {
+		if _, err := job.Encode(job.Run()); err == nil {
+			t.Error("a shard type without UnmarshalBinary encoded")
+		}
+		return job.Run(), nil
+	}}
+	if _, err := RunEnv(half, 1, 2, 1, func(int, *rand.Rand) appendOnly { return appendOnly{} }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendOnly has AppendBinary but no UnmarshalBinary.
+type appendOnly struct{}
+
+func (appendOnly) AppendBinary(b []byte) ([]byte, error) { return b, nil }
 
 // TestExecJobMetadata: every job must carry the run's tag, a unique shard
 // index, and the total shard count.

@@ -9,9 +9,8 @@
 package mc
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -99,11 +98,13 @@ type ShardJob struct {
 	// Run computes the shard locally and returns its value (the engine's
 	// shard type T).
 	Run func() any
-	// Encode serializes a value produced by Run for the wire; it fails
-	// when the shard type is not serializable, which executors should
-	// treat as "this shard must run on this host".
+	// Encode serializes a value produced by Run for the wire, in the
+	// shard type's binary form (its AppendBinary method). It fails when
+	// the shard type has no binary form, which executors should treat as
+	// "this shard must run on this host".
 	Encode func(v any) ([]byte, error)
-	// Decode reverses Encode into the engine's shard type.
+	// Decode reverses Encode into the engine's shard type (its
+	// UnmarshalBinary method).
 	Decode func(b []byte) (any, error)
 }
 
@@ -231,6 +232,18 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 	return out, nil
 }
 
+// hasBinaryForm reports whether shard type T can cross the wire: T
+// implements encoding.BinaryAppender and *T encoding.BinaryUnmarshaler.
+// The Encode and Decode thunks of a ShardJob call those two methods; for
+// any other T they fail, and executors compute the shard on their own
+// host.
+func hasBinaryForm[T any]() bool {
+	var v T
+	_, enc := any(v).(encoding.BinaryAppender)
+	_, dec := any(&v).(encoding.BinaryUnmarshaler)
+	return enc && dec
+}
+
 // runExec is the exported-shard execution path of RunEnv: every shard is
 // handed to env.Exec as a ShardJob. One goroutine is spawned per shard —
 // executors block on I/O (a remote round trip) or gate their own local
@@ -238,6 +251,7 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 // remote fleet saturated without changing which values any shard yields.
 func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 	fn func(shard int, rng *rand.Rand) T, out []T, note func()) ([]T, error) {
+	ships := hasBinaryForm[T]()
 	done := env.Done()
 	var next, skipped atomic.Int64
 	var failed atomic.Bool
@@ -276,15 +290,22 @@ func runExec[T any](env Env, ctx context.Context, shards int, seed int64,
 					Shards: shards,
 					Run:    func() any { return fn(s, stats.Derive(seed, int64(s))) },
 					Encode: func(v any) ([]byte, error) {
-						var buf bytes.Buffer
-						if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+						a, ok := v.(encoding.BinaryAppender)
+						if !ok || !ships {
+							return nil, fmt.Errorf("mc: shard %d of %q: %T has no binary form", s, env.Tag, v)
+						}
+						b, err := a.AppendBinary(nil)
+						if err != nil {
 							return nil, fmt.Errorf("mc: encode shard %d of %q: %w", s, env.Tag, err)
 						}
-						return buf.Bytes(), nil
+						return b, nil
 					},
 					Decode: func(b []byte) (any, error) {
 						var v T
-						if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+						if !ships {
+							return nil, fmt.Errorf("mc: shard %d of %q: %T has no binary form", s, env.Tag, v)
+						}
+						if err := any(&v).(encoding.BinaryUnmarshaler).UnmarshalBinary(b); err != nil {
 							return nil, fmt.Errorf("mc: decode shard %d of %q: %w", s, env.Tag, err)
 						}
 						return v, nil

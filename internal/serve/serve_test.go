@@ -15,6 +15,7 @@ import (
 	"faultmem/internal/mc"
 	"faultmem/internal/serve"
 	"faultmem/internal/sweep"
+	"faultmem/internal/wire"
 	"faultmem/internal/yield"
 )
 
@@ -44,12 +45,12 @@ func (e sleepExp) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) {
 			}
 		}
 	}
-	out, err := mc.RunEnv(env, 0, e.shards, 1, func(shard int, rng *rand.Rand) int {
+	out, err := mc.RunEnv(env, 0, e.shards, 1, func(shard int, rng *rand.Rand) sleepShard {
 		select {
 		case <-time.After(e.delay):
 		case <-ctx.Done():
 		}
-		return shard
+		return sleepShard(shard)
 	})
 	if err != nil {
 		return nil, err
@@ -57,6 +58,18 @@ func (e sleepExp) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) {
 	t := &exp.Table{Title: e.name, Header: []string{"shards"}}
 	t.AddRow(fmt.Sprint(len(out)))
 	return &exp.Result{Experiment: e.name, Tables: []*exp.Table{t}}, nil
+}
+
+// sleepShard is sleepExp's shard value. Its binary form lets the shards
+// travel to workers.
+type sleepShard int
+
+func (s sleepShard) AppendBinary(b []byte) ([]byte, error) { return wire.AppendInt(b, int(s)), nil }
+
+func (s *sleepShard) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*s = sleepShard(r.Int())
+	return r.Close()
 }
 
 func init() {

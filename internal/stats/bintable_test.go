@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"testing"
@@ -118,10 +116,8 @@ func TestBinTableShared(t *testing.T) {
 	if a.tab == nil || a.tab != b.tab {
 		t.Fatal("histograms of one geometry do not share a table")
 	}
-	var back LogHistogram
-	gobRoundTrip(t, a, &back)
-	if back.tab != nil {
-		t.Fatal("GobDecode built a bin table")
+	if back := binaryRoundTrip(t, a)[0].(*LogHistogram); back.tab != nil {
+		t.Fatal("UnmarshalBinary built a bin table")
 	}
 	for i := 1; i <= 3*maxBinTables; i++ {
 		NewLogHistogram(i, 0, 1).Add(2, 1)
@@ -139,43 +135,6 @@ func TestBinTableShared(t *testing.T) {
 func TestLogHistogramRejectsOversizedBins(t *testing.T) {
 	mustPanic(t, func() { NewLogHistogram(MaxLogHistBins+1, -8, 20) })
 	NewLogHistogram(MaxLogHistBins, -8, 20)
-}
-
-// TestLogHistogramGobDecodeRejectsBadGeometryAndWeights: decoding enforces
-// what NewLogHistogram and Add enforce.
-func TestLogHistogramGobDecodeRejectsBadGeometryAndWeights(t *testing.T) {
-	good := func() histWire {
-		return histWire{NBins: 2, LogMin: -1, LogMax: 1, W: []float64{0, 1, 2, 0}, Total: 3, Count: 2}
-	}
-	cases := map[string]func(*histWire){
-		"+Inf max":       func(w *histWire) { w.LogMax = math.Inf(1) },
-		"-Inf min":       func(w *histWire) { w.LogMin = math.Inf(-1) },
-		"NaN min":        func(w *histWire) { w.LogMin = math.NaN() },
-		"empty domain":   func(w *histWire) { w.LogMax = w.LogMin },
-		"too many bins":  func(w *histWire) { w.NBins = MaxLogHistBins + 1; w.W = make([]float64, w.NBins+2) },
-		"negative bin":   func(w *histWire) { w.W[1] = -1 },
-		"NaN bin":        func(w *histWire) { w.W[2] = math.NaN() },
-		"infinite bin":   func(w *histWire) { w.W[3] = math.Inf(1) },
-		"negative under": func(w *histWire) { w.W[0] = -0.5 },
-	}
-	decode := func(w histWire) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		var h LogHistogram
-		return h.GobDecode(buf.Bytes())
-	}
-	if err := decode(good()); err != nil {
-		t.Fatalf("valid encoding rejected: %v", err)
-	}
-	for name, corrupt := range cases {
-		w := good()
-		corrupt(&w)
-		if err := decode(w); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
 }
 
 func BenchmarkLogHistogramAdd(b *testing.B) {

@@ -60,9 +60,6 @@ func BinomialQuantile(m int, p float64, q float64) int {
 	return m
 }
 
-// BinomialMean returns m*p, the expected failure count.
-func BinomialMean(m int, p float64) float64 { return float64(m) * p }
-
 // SampleBinomial draws from Binomial(m, p) exactly, at any mean: it
 // draws u = rng.Float64() and returns the n with F(n-1) <= u < F(n), F
 // the Binomial(m, p) CDF (inversion). The search starts at the mode,
@@ -138,16 +135,6 @@ func (c binomialCDF) invert(u float64) int {
 		c.up()
 	}
 	return c.n
-}
-
-// PoissonPMF returns Pr(N = n) for a Poisson(lambda) variable, the standard
-// rare-event limit of the binomial fault-count distribution.
-func PoissonPMF(lambda float64, n int) float64 {
-	if n < 0 {
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(n) + 1)
-	return math.Exp(float64(n)*math.Log(lambda) - lambda - lg)
 }
 
 // NormalCDF returns Pr(X <= x) for X ~ N(mu, sigma^2).

@@ -2,88 +2,85 @@ package stats
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 )
 
-// gobAccumulator is an Accumulator a shard can carry over the wire.
-type gobAccumulator interface {
-	Accumulator
-	GobEncode() ([]byte, error)
-	GobDecode([]byte) error
-	P(x float64) float64
-	Quantile(q float64) float64
-	Points() (xs, ps []float64)
-	TotalWeight() float64
-}
-
-// FuzzAccumulatorGobDecode feeds arbitrary bytes to the two decoders a
-// worker's shard result reaches, WeightedCDF.GobDecode and
-// LogHistogram.GobDecode. Neither may panic; whatever decodes must
-// answer P, Points and (at positive total weight) Quantile without a
-// panic; and decode -> encode -> decode must reproduce the encoding and
-// every query bit for bit. The seeds are small valid accumulators, every
-// truncation of their encodings, and the corrupt CDF wire states.
+// FuzzAccumulatorGobDecode feeds arbitrary bytes to the decoder a
+// worker's Fig. 5 shard result reaches, Accumulators.UnmarshalBinary.
+// (The name is kept from the gob decoders that binary form replaced, so
+// the seed corpus keeps its test IDs.) It may not panic; whatever
+// decodes must re-encode to exactly the input (the form has one
+// encoding per state), decode again, and answer P, Points and (at
+// positive total weight) Quantile with the same bits both times; and
+// the decoded state may not alias the input. The seeds are small valid
+// shards, every truncation of their encodings, each single-byte
+// overwrite with 0xFF (which makes every count lie), and the corrupt
+// CDF and histogram forms.
 func FuzzAccumulatorGobDecode(f *testing.F) {
-	var seeds [][]byte
-	addEncoding := func(a gobAccumulator) {
-		b, err := a.GobEncode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		for i := 0; i <= len(b); i++ {
-			seeds = append(seeds, b[:i])
-		}
-	}
 	cdf := &WeightedCDF{}
-	addEncoding(cdf)
 	cdf.Add(0, 0.25)
 	cdf.Add(3, 0.5)
 	cdf.Add(1e-9, 1e-3)
-	addEncoding(cdf)
 	hist := NewLogHistogram(8, -3, 3)
-	addEncoding(hist)
 	hist.Add(0, 0.25)
 	hist.Add(0.5, 1)
 	hist.Add(1e6, 2)
-	addEncoding(hist)
-	for _, bad := range corruptCDFWires {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(bad.wire); err != nil {
+	for _, a := range []Accumulators{
+		{},
+		{&WeightedCDF{}},
+		{cdf},
+		{NewLogHistogram(8, -3, 3)},
+		{hist},
+		{cdf, hist, cdf},
+	} {
+		b, err := a.AppendBinary(nil)
+		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, buf.Bytes())
+		f.Add(b)
+		for i := range b {
+			f.Add(b[:i])
+			lie := append([]byte(nil), b...)
+			lie[i] = 0xFF
+			f.Add(lie)
+		}
 	}
-	for _, s := range seeds {
-		f.Add(s)
+	for _, bad := range corruptCDFForms {
+		f.Add(bad.form.encode())
 	}
+	f.Add(histForm{LogMin: -1, LogMax: 1, W: []float64{0, 1, -1, 0}}.encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		checkGobDecode(t, b, &WeightedCDF{}, &WeightedCDF{})
-		checkGobDecode(t, b, &LogHistogram{}, &LogHistogram{})
+		in := append([]byte(nil), b...)
+		var first Accumulators
+		if first.UnmarshalBinary(in) != nil {
+			return
+		}
+		clear(in)
+		enc, err := first.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("re-encode of decoded state: %v", err)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatal("decode -> encode changed the bytes")
+		}
+		var second Accumulators
+		if err := second.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("decode of re-encoded state: %v", err)
+		}
+		again, err := second.AppendBinary(nil)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("decode -> encode -> decode changed the encoding (%v)", err)
+		}
+		for i := range first {
+			checkSameQueries(t, first[i], second[i])
+		}
 	})
 }
 
-// checkGobDecode decodes b into first and, if that succeeds, re-encodes
-// it into second and checks the two agree.
-func checkGobDecode(t *testing.T, b []byte, first, second gobAccumulator) {
-	if first.GobDecode(b) != nil {
-		return
-	}
-	enc, err := first.GobEncode()
-	if err != nil {
-		t.Fatalf("%T: re-encode of decoded state: %v", first, err)
-	}
-	if err := second.GobDecode(enc); err != nil {
-		t.Fatalf("%T: decode of re-encoded state: %v", first, err)
-	}
-	again, err := second.GobEncode()
-	if err != nil {
-		t.Fatalf("%T: second re-encode: %v", first, err)
-	}
-	if !bytes.Equal(enc, again) {
-		t.Fatalf("%T: decode -> encode -> decode changed the encoding", first)
-	}
+// checkSameQueries checks that two decodings of one state answer every
+// query with the same bits, and that the queries do not panic.
+func checkSameQueries(t *testing.T, first, second Accumulator) {
 	for _, x := range []float64{math.Inf(-1), -1, 0, 1e-9, 0.5, 1, 3, 1e6, math.Inf(1)} {
 		if p, q := first.P(x), second.P(x); math.Float64bits(p) != math.Float64bits(q) {
 			t.Fatalf("%T: P(%g) = %g, re-decoded %g", first, x, p, q)

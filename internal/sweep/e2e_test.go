@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"faultmem/internal/serve"
 	"faultmem/internal/sweep"
 	"faultmem/internal/sweep/chaostest"
+	"faultmem/internal/wire"
 )
 
 // Churn-clock settings shrunk to test scale: leases expire in hundreds of
@@ -181,32 +183,62 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 
 // TestAllWorkersKilledFallsBackToLocal: when the whole pool dies
 // mid-campaign the coordinator must finish the sweep itself, still
-// bit-identically.
+// bit-identically. The campaign's own progress times the kill: the
+// first shard job runs alone, the pool dies once its result is back,
+// and only then are the other shards released to the dead pool.
 func TestAllWorkersKilledFallsBackToLocal(t *testing.T) {
 	c := startCoordinator(t)
 	kills := []func(){
 		startWorker(t, c.Addr().String()),
 		startWorker(t, c.Addr().String()),
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := c.AwaitWorkers(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 
-	timer := time.AfterFunc(20*time.Millisecond, func() {
-		for _, kill := range kills {
-			kill()
+	r, err := c.Runner(testRunner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolExec := r.Exec
+	var first atomic.Bool
+	poolGone := make(chan struct{})
+	r.Exec = func(sj mc.ShardJob) (any, error) {
+		if first.CompareAndSwap(false, true) {
+			v, err := poolExec(sj)
+			for _, kill := range kills {
+				kill()
+			}
+			close(poolGone)
+			return v, err
 		}
-	})
-	defer timer.Stop()
-	got := distributedJSON(t, c, "fig5")
+		select {
+		case <-poolGone:
+		case <-sj.Ctx.Done():
+			return nil, sj.Ctx.Err()
+		}
+		return poolExec(sj)
+	}
+	res, err := exp.Run(ctx, "fig5", r)
+	if err != nil {
+		t.Fatalf("distributed fig5: %v", err)
+	}
+	got, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged after total pool loss")
 	}
-	if st := c.PoolStats(); st.LocalShards == 0 {
-		// The pool died 20ms in; at least the tail must have run locally.
+	st := c.PoolStats()
+	if st.RemoteShards == 0 {
+		t.Fatalf("the first shard did not run remotely: %+v", st)
+	}
+	if st.LocalShards == 0 {
+		// Every shard after the first was released to a dead pool.
 		t.Fatalf("expected local fallback shards after pool drain: %+v", st)
 	}
 }
@@ -329,9 +361,9 @@ func TestTruncatedMidFrameConnection(t *testing.T) {
 }
 
 // TestDistributedMultiStageExperiment: fig7 runs one engine stage per
-// benchmark app with machine-dependent plans. Its shard output carries
-// exported fields, so every stage's shards must gob-encode and travel —
-// a healthy pool may not degrade a single shard to local compute (that
+// benchmark app with machine-dependent plans. Its shard output has a
+// binary form, so every stage's shards must encode and travel — a
+// healthy pool may not degrade a single shard to local compute (that
 // used to be fig7's fate back when its shard type was unexported and
 // every stage tag got JobError-poisoned). The params override exercises
 // the params-on-the-wire plumbing and trims the budget: two apps at a
@@ -387,11 +419,11 @@ func TestDistributedMultiStageExperiment(t *testing.T) {
 }
 
 // TestDistributedWorkloadsCampaign extends the zero-local-fallback
-// contract to the workloads campaign from day one: its shard output is
-// the gob-encodable workload.ShardOut, so every per-workload stage must
-// travel to a healthy pool with no JobError tag-poisoning and no local
-// degradation, and the merged result must match the single-host run
-// byte for byte.
+// contract to the workloads campaign from day one: its shard output,
+// workload.ShardOut, has a binary form, so every per-workload stage
+// must travel to a healthy pool with no JobError tag-poisoning and no
+// local degradation, and the merged result must match the single-host
+// run byte for byte.
 func TestDistributedWorkloadsCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed workloads run is a slower e2e case")
@@ -456,11 +488,11 @@ func recoveryRunner() *exp.Runner {
 
 // TestDistributedRecoveryCampaign extends the zero-local-fallback
 // contract to the recovery campaign: its shard output is the same
-// gob-encodable workload.ShardOut, now carrying per-arm recovery
-// counters, so every per-policy stage must travel to a healthy pool
-// with no JobError tag-poisoning and no local degradation, and the
-// merged result — counter tables included — must match the single-host
-// run byte for byte.
+// workload.ShardOut, now carrying per-arm recovery counters, so every
+// per-policy stage must travel to a healthy pool with no JobError
+// tag-poisoning and no local degradation, and the merged result —
+// counter tables included — must match the single-host run byte for
+// byte.
 func TestDistributedRecoveryCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed recovery run is a slower e2e case")
@@ -617,17 +649,31 @@ func (twoStageExp) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) 
 		if r != nil {
 			env.Exec = r.Exec
 		}
-		out, err := mc.RunEnv(env, 0, 4, int64(i), func(shard int, rng *rand.Rand) int64 { return rng.Int63n(1000) })
+		out, err := mc.RunEnv(env, 0, 4, int64(i), func(shard int, rng *rand.Rand) stageShard {
+			return stageShard(rng.Int63n(1000))
+		})
 		if err != nil {
 			return nil, err
 		}
-		var sum int64
+		var sum stageShard
 		for _, v := range out {
 			sum += v
 		}
 		t.AddRow(stage, fmt.Sprint(sum))
 	}
 	return &exp.Result{Experiment: "twostage", Tables: []*exp.Table{t}}, nil
+}
+
+// stageShard is twostage's shard value. Its binary form lets the shards
+// travel to workers.
+type stageShard int
+
+func (s stageShard) AppendBinary(b []byte) ([]byte, error) { return wire.AppendInt(b, int(s)), nil }
+
+func (s *stageShard) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*s = stageShard(r.Int())
+	return r.Close()
 }
 
 func init() { exp.Register(twoStageExp{}) }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Wire constants. The frame header is:
@@ -45,7 +46,8 @@ const (
 	magic0, magic1 = 0xFA, 0x51
 	// ProtocolVersion is bumped on any incompatible frame or payload
 	// change; a coordinator rejects other versions at the frame layer.
-	ProtocolVersion = 1
+	// Version 2 carries Result blobs in the shard types' binary forms.
+	ProtocolVersion = 2
 	headerSize      = 12
 	// MaxFramePayload bounds a single frame. A shard result is at most a
 	// few hundred KB of accumulator state at paper-scale budgets; 64 MB
@@ -223,6 +225,12 @@ func AppendFrame(dst []byte, t MsgType, payload []byte) []byte {
 // and a receiver never inflates for nothing. It panics on flags outside
 // the defined set or a MsgType that collides with the flag bits.
 func AppendFrameFlags(dst []byte, t MsgType, flags byte, payload []byte) []byte {
+	return appendFrame(dst, t, flags, payload, nil)
+}
+
+// appendFrame is AppendFrameFlags compressing through zw, or through a
+// fresh writer when zw is nil.
+func appendFrame(dst []byte, t MsgType, flags byte, payload []byte, zw *gzipWriter) []byte {
 	if byte(t)&^typeMask != 0 {
 		panic(fmt.Sprintf("sweep: message type %d collides with frame flags", byte(t)))
 	}
@@ -233,7 +241,10 @@ func AppendFrameFlags(dst []byte, t MsgType, flags byte, payload []byte) []byte 
 		panic(fmt.Sprintf("sweep: oversized %v frame: %d bytes", t, len(payload)))
 	}
 	if flags&FlagGzip != 0 {
-		if z := gzipCompress(payload); len(z) < len(payload) {
+		if zw == nil {
+			zw = new(gzipWriter)
+		}
+		if z := zw.compress(payload); len(z) < len(payload) {
 			payload = z
 		} else {
 			flags &^= FlagGzip
@@ -245,6 +256,7 @@ func AppendFrameFlags(dst []byte, t MsgType, flags byte, payload []byte) []byte 
 	hdr[3] = byte(t) | flags
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
+	dst = slices.Grow(dst, headerSize+len(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -257,8 +269,12 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 
 // WriteFrameFlags is WriteFrame with frame flags (see AppendFrameFlags).
 func WriteFrameFlags(w io.Writer, t MsgType, flags byte, payload []byte) error {
-	buf := AppendFrameFlags(make([]byte, 0, headerSize+len(payload)), t, flags, payload)
-	_, err := w.Write(buf)
+	return writeFrame(w, t, flags, payload, nil)
+}
+
+// writeFrame is WriteFrameFlags compressing through zw (see appendFrame).
+func writeFrame(w io.Writer, t MsgType, flags byte, payload []byte, zw *gzipWriter) error {
+	_, err := w.Write(appendFrame(nil, t, flags, payload, zw))
 	return err
 }
 

@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 )
 
@@ -94,12 +97,58 @@ func TestGzipFrameCorruptPayloadIsRecoverable(t *testing.T) {
 // MaxFramePayload must reject recoverably instead of allocating what
 // the plain length field never could.
 func TestGzipFrameBombIsBounded(t *testing.T) {
-	z := gzipCompress(make([]byte, MaxFramePayload+1))
+	z := new(gzipWriter).compress(make([]byte, MaxFramePayload+1))
 	frame := AppendFrame(nil, MsgResult, z)
 	frame[3] |= FlagGzip
 	_, _, _, err := ReadFrameFlags(bytes.NewReader(frame))
 	if err == nil || IsFatalFrameError(err) {
 		t.Fatalf("decompression bomb: got %v, want recoverable frame error", err)
+	}
+}
+
+// TestGzipWriterResetMatchesFresh: a writer reset for each payload
+// emits exactly the bytes a fresh writer does, whatever it compressed
+// before — long, short, empty and incompressible payloads in turn.
+func TestGzipWriterResetMatchesFresh(t *testing.T) {
+	noise := make([]byte, 70000)
+	rand.New(rand.NewSource(2)).Read(noise)
+	payloads := [][]byte{
+		bytes.Repeat([]byte("faultmem shard result "), 4096),
+		[]byte("short"),
+		nil,
+		noise,
+		bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}, 9000),
+		[]byte("short"),
+	}
+	var g gzipWriter
+	for round := 0; round < 2; round++ {
+		for i, p := range payloads {
+			if got, want := g.compress(p), new(gzipWriter).compress(p); !bytes.Equal(got, want) {
+				t.Fatalf("round %d payload %d: reused writer emitted %d bytes, fresh %d, or other bytes",
+					round, i, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestGzipFrameLyingTrailerIsRecoverable: the trailer's size field only
+// sizes the inflate buffer. A frame whose trailer claims 4 GiB must
+// reject recoverably (the trailer no longer matches the data), without
+// allocating what the claim asks for.
+func TestGzipFrameLyingTrailerIsRecoverable(t *testing.T) {
+	z := new(gzipWriter).compress(bytes.Repeat([]byte("shard "), 100))
+	copy(z[len(z)-4:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+	frame := AppendFrame(nil, MsgResult, z)
+	frame[3] |= FlagGzip
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := ReadFrameFlags(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if err == nil || IsFatalFrameError(err) {
+		t.Fatalf("lying trailer: got %v, want recoverable frame error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a %d-byte frame allocated %d bytes", len(frame), grew)
 	}
 }
 
@@ -114,25 +163,44 @@ func TestWorkerSendCompressesLargeResults(t *testing.T) {
 	w.conn = c1
 	w.gzip = true
 
-	data := bytes.Repeat([]byte("quality sample "), 1024)
-	go w.sendMsg(&Result{ID: 1, Shard: 0, Data: data})
-	typ, flags, payload, err := ReadFrameFlags(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgResult || flags&FlagGzip == 0 {
-		t.Fatalf("large result went out as %v flags %#02x, want gzip-framed result", typ, flags)
-	}
-	m, err := DecodeMessage(typ, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := m.(*Result); !bytes.Equal(res.Data, data) {
-		t.Fatal("result blob did not survive the compressed round trip")
+	// Two results in a row: the second frame goes through the writer
+	// the first one used, and both must be the frames a fresh writer
+	// builds.
+	for i, data := range [][]byte{
+		bytes.Repeat([]byte("quality sample "), 1024),
+		bytes.Repeat([]byte("recovery counter "), 2048),
+	} {
+		m := &Result{ID: uint64(i), Shard: i, Data: data}
+		go w.sendMsg(m)
+		frame := make([]byte, headerSize)
+		if _, err := io.ReadFull(c2, frame); err != nil {
+			t.Fatal(err)
+		}
+		frame = append(frame, make([]byte, binary.BigEndian.Uint32(frame[4:8]))...)
+		if _, err := io.ReadFull(c2, frame[headerSize:]); err != nil {
+			t.Fatal(err)
+		}
+		if want := AppendFrameFlags(nil, MsgResult, FlagGzip, m.payload()); !bytes.Equal(frame, want) {
+			t.Fatalf("result %d: worker frame differs from a fresh writer's", i)
+		}
+		typ, flags, payload, err := ReadFrameFlags(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != MsgResult || flags&FlagGzip == 0 {
+			t.Fatalf("large result went out as %v flags %#02x, want gzip-framed result", typ, flags)
+		}
+		back, err := DecodeMessage(typ, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := back.(*Result); !bytes.Equal(res.Data, data) {
+			t.Fatal("result blob did not survive the compressed round trip")
+		}
 	}
 
 	go w.sendMsg(&Heartbeat{InFlight: []uint64{1}})
-	if _, flags, _, err = ReadFrameFlags(c2); err != nil || flags != 0 {
+	if _, flags, _, err := ReadFrameFlags(c2); err != nil || flags != 0 {
 		t.Fatalf("small message flags = %#02x (%v), want plain", flags, err)
 	}
 }

@@ -247,8 +247,8 @@ func decodeJob(p []byte) (*Job, error) {
 	return m, r.done()
 }
 
-// Result delivers one computed shard: the gob encoding of the shard's
-// value, tagged with the job it answers. Shard rides along redundantly so
+// Result delivers one computed shard: the binary form of the shard's
+// value (mc.ShardJob.Encode), tagged with the job it answers. Shard rides along redundantly so
 // the coordinator can cross-check the binding before merging.
 type Result struct {
 	ID    uint64

@@ -43,7 +43,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		&Job{ID: 8, Experiment: "fig7", Tag: "fig7/knn", Shard: 0, Shards: 1},
 		&Result{ID: 7, Shard: 3, Data: bytes.Repeat([]byte{0x00, 0xFF}, 500)},
 		&Result{ID: 9, Shard: 0},
-		&JobError{ID: 7, Msg: "shard type not gob-encodable"},
+		&JobError{ID: 7, Msg: "shard type has no binary form"},
 		&Heartbeat{},
 		&Heartbeat{InFlight: []uint64{1, 2, 3, 1 << 63}},
 		&Cancel{},

@@ -85,6 +85,7 @@ type worker struct {
 	legacyHello bool
 
 	sendMu      sync.Mutex
+	zw          gzipWriter   // compresses result frames; guarded by sendMu
 	lastInbound atomic.Int64 // unix nanos of the last valid frame
 	sem         chan struct{}
 	wg          sync.WaitGroup
@@ -318,7 +319,8 @@ func (w *worker) heartbeatLoop(conn net.Conn, stop <-chan struct{}) {
 // sendMsg writes one message on the current connection, gzip-framing
 // payloads worth compressing when the coordinator negotiated FlagGzipOK
 // on this connection (in practice that is shard-result blobs — every
-// other worker message is far below CompressMin).
+// other worker message is far below CompressMin). Sends are serialized
+// under sendMu, so every frame reuses the worker's one gzip writer.
 func (w *worker) sendMsg(m Message) error {
 	w.sendMu.Lock()
 	defer w.sendMu.Unlock()
@@ -333,7 +335,7 @@ func (w *worker) sendMsg(m Message) error {
 	if gz && len(payload) >= CompressMin {
 		flags = FlagGzip
 	}
-	return WriteFrameFlags(conn, m.msgType(), flags, payload)
+	return writeFrame(conn, m.msgType(), flags, payload, &w.zw)
 }
 
 // deliver sends a result, buffering it for the next successful handshake

@@ -13,12 +13,14 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"faultmem/internal/fault"
 	"faultmem/internal/mat"
 	"faultmem/internal/mem"
 	"faultmem/internal/memstore"
 	"faultmem/internal/ml"
+	"faultmem/internal/wire"
 )
 
 // Params configures instance preparation. One flat struct serves every
@@ -126,13 +128,53 @@ type Arm interface {
 
 // ShardOut is one engine shard's result: the span's trial-major,
 // arm-minor normalized qualities, the shard's per-arm recovery counters
-// (empty under PolicyNone), plus any trial error as text. The fields
-// are exported (and the error travels as a string) so the value
-// gob-encodes: the sweep service ships workload shards to remote
-// workers instead of degrading the stage to local compute via JobError
-// tag-poisoning.
+// (empty under PolicyNone), plus any trial error as text. The error
+// travels as a string so the value has a binary form: the sweep service
+// ships workload shards to remote workers instead of degrading the stage
+// to local compute via JobError tag-poisoning.
+//
+// The form is the quality count and the qualities, the recovery count
+// and per arm its five counters (Flagged, Retries, Recovered, Restored,
+// BudgetDenied), and the error's length and bytes; every count, counter
+// and quality is 8-byte little-endian (package wire).
 type ShardOut struct {
 	Qs       []float64
 	Recovery []memstore.RecoveryStats
 	Err      string
+}
+
+// AppendBinary appends the binary form of o.
+func (o ShardOut) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, 8+8*len(o.Qs)+8+40*len(o.Recovery)+8+len(o.Err))
+	b = wire.AppendUint64(b, uint64(len(o.Qs)))
+	b = wire.AppendFloat64s(b, o.Qs)
+	b = wire.AppendUint64(b, uint64(len(o.Recovery)))
+	for _, st := range o.Recovery {
+		for _, v := range [...]uint64{st.Flagged, st.Retries, st.Recovered, st.Restored, st.BudgetDenied} {
+			b = wire.AppendUint64(b, v)
+		}
+	}
+	return wire.AppendString(b, o.Err), nil
+}
+
+// UnmarshalBinary replaces o with the shard encoded in b.
+func (o *ShardOut) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	var out ShardOut
+	out.Qs = r.Float64s(r.Count(8))
+	if n := r.Count(40); n > 0 {
+		out.Recovery = make([]memstore.RecoveryStats, n)
+		for i := range out.Recovery {
+			out.Recovery[i] = memstore.RecoveryStats{
+				Flagged: r.Uint64(), Retries: r.Uint64(), Recovered: r.Uint64(),
+				Restored: r.Uint64(), BudgetDenied: r.Uint64(),
+			}
+		}
+	}
+	out.Err = r.Str()
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("workload: corrupt ShardOut encoding: %w", err)
+	}
+	*o = out
+	return nil
 }

@@ -304,9 +304,9 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		return c
 	}
 
-	outs, err := mc.RunEnv(env, p.Workers, len(spans), p.Seed, func(shard int, rng *rand.Rand) []stats.Accumulator {
+	outs, err := mc.RunEnv(env, p.Workers, len(spans), p.Seed, func(shard int, rng *rand.Rand) stats.Accumulators {
 		span := spans[shard]
-		accs := make([]stats.Accumulator, len(schemes))
+		accs := make(stats.Accumulators, len(schemes))
 		for j := range accs {
 			accs[j] = newAcc(span.End - span.Start)
 		}

@@ -1,8 +1,6 @@
 package yield
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +21,7 @@ func TestMSECDFAllEnvRejectsBadParams(t *testing.T) {
 		"Rows 0":        func(p *CDFParams) { p.Rows = 0 },
 		"Rows negative": func(p *CDFParams) { p.Rows = -4 },
 		"Rows over cap": func(p *CDFParams) { p.Rows = maxCDFRows + 1 },
-		"Rows huge":     func(p *CDFParams) { p.Rows = 10_000_000_000 },
+		"Rows huge":     func(p *CDFParams) { p.Rows = math.MaxInt },
 		"exact over cap": func(p *CDFParams) {
 			p.Accum = AccumExact
 			p.Trun = 1e9
@@ -62,16 +60,16 @@ func TestMSECDFAllEnvRejectsBadParams(t *testing.T) {
 }
 
 // forgedShards runs the campaign through an executor that replaces every
-// shard's result with what forge returns, shipped through gob exactly as
-// a remote worker's result would be.
+// shard's result with what forge returns, shipped through the job's
+// binary form exactly as a remote worker's result would be.
 func forgedShards(t *testing.T, p CDFParams, forge func(shard int) []stats.Accumulator) error {
 	t.Helper()
 	env := mc.Env{Tag: "fig5", Exec: func(job mc.ShardJob) (any, error) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(forge(job.Shard)); err != nil {
+		b, err := job.Encode(stats.Accumulators(forge(job.Shard)))
+		if err != nil {
 			return nil, err
 		}
-		return job.Decode(buf.Bytes())
+		return job.Decode(b)
 	}}
 	_, err := MSECDFAllEnv(env, p, fig5Schemes())
 	return err
