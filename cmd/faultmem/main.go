@@ -227,6 +227,48 @@ func runExperiment(ctx context.Context, name string, args []string, stdout, stde
 	return runCampaign(ctx, localExecutor{}, "", name, args, stdout, stderr)
 }
 
+// runFlags are the runner knobs `run`, `coordinate` and `submit` share.
+type runFlags struct {
+	fs            *flag.FlagSet
+	seed          *int64
+	workers, bins *int
+	quick         *bool
+	hist, params  *string
+}
+
+// addRunFlags declares the runner flags on fs; workersHelp describes
+// -workers.
+func addRunFlags(fs *flag.FlagSet, workersHelp string) runFlags {
+	return runFlags{
+		fs:      fs,
+		seed:    fs.Int64("seed", 0, "override the experiment's base seed"),
+		workers: fs.Int("workers", 0, workersHelp),
+		quick:   fs.Bool("quick", false, "reduced smoke budgets"),
+		hist:    fs.String("hist", "auto", "CDF accumulator: auto|exact|hist"),
+		bins:    fs.Int("bins", 0, "log-histogram bin count (0 = default)"),
+		params:  fs.String("params", "", "JSON override of the experiment's default params"),
+	}
+}
+
+// runner returns the Runner the parsed flags describe. -seed overrides
+// the experiment's base seed only when it is given, even as 0.
+func (f runFlags) runner() (*faultmem.Runner, error) {
+	mode, err := faultmem.ParseAccumMode(*f.hist)
+	if err != nil {
+		return nil, err
+	}
+	r := &faultmem.Runner{Workers: *f.workers, Accum: mode, Bins: *f.bins, Quick: *f.quick}
+	f.fs.Visit(func(fl *flag.Flag) {
+		if fl.Name == "seed" {
+			r.Seed = f.seed
+		}
+	})
+	if *f.params != "" {
+		r.Params = json.RawMessage(*f.params)
+	}
+	return r, nil
+}
+
 // runCampaign parses the shared run flags, executes name (or "all") on
 // exec, and renders the results. cmdName prefixes error messages when the
 // campaign was launched by a subcommand other than run.
@@ -239,12 +281,7 @@ func runCampaign(ctx context.Context, exec campaignExecutor, cmdName, name strin
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the Result JSON")
 	csvOut := fs.Bool("csv", false, "emit CSV tables")
-	seed := fs.Int64("seed", 0, "override the experiment's base seed")
-	workers := fs.Int("workers", 0, "Monte-Carlo worker goroutines (0 = all cores)")
-	quick := fs.Bool("quick", false, "reduced smoke budgets")
-	hist := fs.String("hist", "auto", "CDF accumulator: auto|exact|hist")
-	bins := fs.Int("bins", 0, "log-histogram bin count (0 = default)")
-	paramsJSON := fs.String("params", "", "JSON override of the experiment's default params")
+	rf := addRunFlags(fs, "Monte-Carlo worker goroutines (0 = all cores)")
 	progress := fs.Bool("progress", false, "report shard completions on stderr")
 	timeout := fs.Duration("timeout", 0, "cancel the campaign after this duration (0 = none)")
 	if err := fs.Parse(args); err != nil {
@@ -262,28 +299,14 @@ func runCampaign(ctx context.Context, exec campaignExecutor, cmdName, name strin
 		}
 	}
 
-	mode, err := faultmem.ParseAccumMode(*hist)
+	r, err := rf.runner()
 	if err != nil {
 		fmt.Fprintf(stderr, "faultmem: %v\n", err)
 		return 2
 	}
-	r := &faultmem.Runner{
-		Workers: *workers,
-		Accum:   mode,
-		Bins:    *bins,
-		Quick:   *quick,
-	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			r.Seed = seed
-		}
-	})
-	if *paramsJSON != "" {
-		if name == "all" {
-			fmt.Fprintln(stderr, "faultmem: -params cannot apply to 'run all'")
-			return 2
-		}
-		r.Params = json.RawMessage(*paramsJSON)
+	if r.Params != nil && name == "all" {
+		fmt.Fprintln(stderr, "faultmem: -params cannot apply to 'run all'")
+		return 2
 	}
 	if *progress {
 		r.Progress = func(p faultmem.ExperimentProgress) {

@@ -145,12 +145,7 @@ func submitCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	detach := fs.Bool("detach", false, "submit and exit immediately, printing the job ID and session token")
 	jsonOut := fs.Bool("json", false, "emit the Result JSON")
 	csvOut := fs.Bool("csv", false, "emit CSV tables")
-	seed := fs.Int64("seed", 0, "override the experiment's base seed")
-	workers := fs.Int("workers", 0, "Monte-Carlo worker goroutines on the serving side (0 = all cores)")
-	quick := fs.Bool("quick", false, "reduced smoke budgets")
-	hist := fs.String("hist", "auto", "CDF accumulator: auto|exact|hist")
-	bins := fs.Int("bins", 0, "log-histogram bin count (0 = default)")
-	paramsJSON := fs.String("params", "", "JSON override of the experiment's default params")
+	rf := addRunFlags(fs, "Monte-Carlo worker goroutines on the serving side (0 = all cores)")
 	progress := fs.Bool("progress", false, "report streamed partial-state snapshots on stderr")
 	timeout := fs.Duration("timeout", 0, "give up waiting after this duration (0 = none; the job keeps running)")
 	if err := fs.Parse(args); err != nil {
@@ -166,7 +161,7 @@ func submitCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	}
 	name := fs.Arg(0)
 
-	mode, err := faultmem.ParseAccumMode(*hist)
+	r, err := rf.runner()
 	if err != nil {
 		fmt.Fprintf(stderr, "faultmem submit: %v\n", err)
 		return 2
@@ -175,18 +170,12 @@ func submitCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		Experiment: name,
 		Label:      *label,
 		Priority:   *priority,
-		Quick:      *quick,
-		Workers:    *workers,
-		Accum:      mode,
-		Bins:       *bins,
-	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			spec.Seed = seed
-		}
-	})
-	if *paramsJSON != "" {
-		spec.Params = []byte(*paramsJSON)
+		Seed:       r.Seed,
+		Quick:      r.Quick,
+		Workers:    r.Workers,
+		Accum:      r.Accum,
+		Bins:       r.Bins,
+		Params:     []byte(*rf.params),
 	}
 
 	opts := faultmem.ServeOptions{}

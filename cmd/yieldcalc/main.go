@@ -134,7 +134,7 @@ func run(ctx context.Context) error {
 		pcells = append(pcells, model.Pcell(v))
 	}
 	// All operating points run concurrently on the engine: one
-	// MSECDFAll pass per point, reduced to its per-scheme yield column
+	// MSECDFAllEnv pass per point, reduced to its per-scheme yield column
 	// as it completes (the full accumulators are not retained), merged
 	// in point order — the table is identical to a serial sweep at the
 	// same seed. Cancellation propagates into every in-flight point.

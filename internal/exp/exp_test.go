@@ -20,12 +20,12 @@ func TestProtectionNamesAndParse(t *testing.T) {
 		"nfm1": ProtShuffle1, "nfm3": ProtShuffle3, "nfm5": ProtShuffle5,
 	}
 	for s, want := range cases {
-		got, err := ParseProtection(s)
-		if err != nil || got != want {
-			t.Errorf("ParseProtection(%q) = %v, %v", s, got, err)
+		id, err := yield.ParseScheme(s)
+		if err != nil || want.ID() != id {
+			t.Errorf("%v.ID() = %v, yield.ParseScheme(%q) = %v, %v", want, want.ID(), s, id, err)
 		}
 	}
-	if _, err := ParseProtection("nfm9"); err == nil {
+	if _, err := yield.ParseScheme("nfm9"); err == nil {
 		t.Error("nfm9 accepted")
 	}
 	if ProtShuffle3.String() != "nFM=3-Bit" || ProtShuffle3.NFM() != 3 {

@@ -103,33 +103,6 @@ func (p Protection) ID() yield.SchemeID {
 	}
 }
 
-// ProtectionOf maps a scheme identifier to the protection arm.
-func ProtectionOf(id yield.SchemeID) (Protection, error) {
-	switch id {
-	case yield.SchemeNone:
-		return ProtNone, nil
-	case yield.SchemeECC:
-		return ProtECC, nil
-	case yield.SchemePECC:
-		return ProtPECC, nil
-	default:
-		if n := id.NFM(); n > 0 {
-			return ProtShuffle1 + Protection(n-1), nil
-		}
-		return 0, fmt.Errorf("exp: invalid scheme id %d", int(id))
-	}
-}
-
 // YieldScheme returns the residual-error model of this arm for the
 // Eq. (6) MSE analysis.
 func (p Protection) YieldScheme() yield.Scheme { return p.ID().Scheme() }
-
-// ParseProtection maps a canonical scheme name ("none", "ecc", "pecc",
-// "nfm1".."nfm5") to the arm, riding yield.ParseScheme.
-func ParseProtection(s string) (Protection, error) {
-	id, err := yield.ParseScheme(s)
-	if err != nil {
-		return 0, err
-	}
-	return ProtectionOf(id)
-}

@@ -120,14 +120,6 @@ func (l Library) XORTree(fanIn int) Cost {
 	return gatesCost(l.XOR2, fanIn-1, treeDepth(fanIn), l.Activity)
 }
 
-// ANDTree returns the cost of a balanced AND reduction tree.
-func (l Library) ANDTree(fanIn int) Cost {
-	if fanIn < 1 {
-		panic(fmt.Sprintf("hw: AND tree fan-in %d", fanIn))
-	}
-	return gatesCost(l.AND2, fanIn-1, treeDepth(fanIn), l.Activity)
-}
-
 // ORTree returns the cost of a balanced OR reduction tree.
 func (l Library) ORTree(fanIn int) Cost {
 	if fanIn < 1 {

@@ -95,7 +95,7 @@ func Dial(ctx context.Context, addr string, opts Options) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("serve: handshake write: %w", err)
 	}
-	t, payload, err := sweep.ReadFrame(conn)
+	t, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
 	if err != nil {
 		conn.Close()
 		// An auth-rejected connection is simply closed by the server, so
@@ -164,7 +164,7 @@ func (c *Client) fail(err error) {
 // snapshot callback.
 func (c *Client) readLoop() {
 	for {
-		t, payload, err := sweep.ReadFrame(c.conn)
+		t, _, payload, err := sweep.ReadFrame(c.conn, sweep.MaxFramePayload)
 		if err != nil {
 			c.fail(fmt.Errorf("serve: connection lost: %w", err))
 			return
@@ -250,15 +250,15 @@ func (c *Client) Submit(ctx context.Context, spec Campaign) (uint64, error) {
 		Ref:        ref,
 		Experiment: spec.Experiment,
 		Label:      spec.Label,
-		Priority:   uint32(max(spec.Priority, 0)),
-		Quick:      spec.Quick,
-		Workers:    spec.Workers,
-		Accum:      spec.Accum,
-		Bins:       spec.Bins,
-		Params:     spec.Params,
-	}
-	if spec.Seed != nil {
-		m.HasSeed, m.Seed = true, *spec.Seed
+		Priority:   spec.Priority,
+		Spec: sweep.Spec{
+			Seed:    spec.Seed,
+			Quick:   spec.Quick,
+			Workers: spec.Workers,
+			Accum:   spec.Accum,
+			Bins:    spec.Bins,
+			Params:  spec.Params,
+		},
 	}
 	if err := c.writeMsg(m); err != nil {
 		return 0, fmt.Errorf("serve: submit: %w", err)

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -75,19 +77,28 @@ func TestServeDropsSilentPeer(t *testing.T) {
 
 // TestServeRefusesBadFirstFrame: before a peer has authenticated, the
 // server neither allocates what a first frame's header declares beyond
-// sweep.MaxHelloPayload nor inflates a compressed one; either way the
-// connection is dropped at once.
+// sweep.MaxHelloPayload nor accepts a first frame with any flag bit set;
+// either way the connection is dropped at once.
 func TestServeRefusesBadFirstFrame(t *testing.T) {
 	srv := startServer(t, testConfig(t))
 
-	huge := sweep.EncodeMessage(&sweep.Hello{})[:12] // the frame header alone
+	var hello bytes.Buffer
+	if err := sweep.WriteMessage(&hello, &sweep.ClientHello{Token: strings.Repeat("a", 255)}); err != nil {
+		t.Fatal(err)
+	}
+	plain := hello.Bytes()
+	huge := append([]byte(nil), plain[:12]...) // the frame header alone
 	binary.BigEndian.PutUint32(huge[4:8], 64<<20)
 
-	plain := sweep.EncodeMessage(&sweep.ClientHello{Token: strings.Repeat("a", 255)})
-	gzipped := sweep.AppendFrameFlags(nil, sweep.MsgClientHello, sweep.FlagGzip, plain[12:])
-	if gzipped[3]&sweep.FlagGzip == 0 {
-		t.Fatal("test ClientHello did not compress")
-	}
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zw.Write(plain[12:])
+	zw.Close()
+	gzipped := sweep.AppendFrame(nil, sweep.MsgClientHello, sweep.FlagGzip, z.Bytes())
+
+	// The retired capability bit makes the type byte an unknown type.
+	retired := append([]byte(nil), plain...)
+	retired[3] |= 0x40
 
 	for _, tc := range []struct {
 		name  string
@@ -95,6 +106,7 @@ func TestServeRefusesBadFirstFrame(t *testing.T) {
 	}{
 		{"64 MiB hello header", huge},
 		{"gzipped client hello", gzipped},
+		{"client hello with the retired 0x40 flag", retired},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialRaw(t, srv)

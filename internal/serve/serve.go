@@ -321,7 +321,7 @@ func (s *Server) acceptLoop() {
 // demux is the server's one handshake. It reads the first frame within
 // the pool's lease and under MaxHelloPayload, so an unauthenticated peer
 // can hold neither a goroutine nor memory for long (no Hello needs
-// compression, so FlagGzip is refused too), checks the shared secret,
+// compression, so a flagged frame is refused too), checks the shared secret,
 // and routes the connection: a worker Hello to the shard pool (which
 // owns it until it dies), a ClientHello to the campaign surface.
 // Anything else is dropped.
@@ -332,8 +332,8 @@ func (s *Server) demux(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 	conn.SetReadDeadline(time.Now().Add(s.pool.Lease()))
-	t, flags, payload, err := sweep.ReadFrameLimit(conn, sweep.MaxHelloPayload)
-	if err != nil || flags&sweep.FlagGzip != 0 {
+	t, flags, payload, err := sweep.ReadFrame(conn, sweep.MaxHelloPayload)
+	if err != nil || flags != 0 {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -344,7 +344,7 @@ func (s *Server) demux(conn net.Conn) {
 	switch hello := msg.(type) {
 	case *sweep.Hello:
 		if s.authorized(conn, hello.Auth) {
-			s.pool.AdmitWorker(conn, hello, flags)
+			s.pool.AdmitWorker(conn, hello)
 			s.sched.poke() // the pool just shrank; re-fit the gate
 		}
 	case *sweep.ClientHello:
@@ -437,7 +437,7 @@ func (s *Server) handleClient(conn net.Conn, hello *sweep.ClientHello) {
 	}
 
 	for {
-		t, payload, err := sweep.ReadFrame(conn)
+		t, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("serve: client %s connection dropped: %v", cl.token, err)
@@ -492,10 +492,7 @@ func (s *Server) handleSubmit(cl *client, m *sweep.Submit) {
 		return
 	}
 	s.nextJob++
-	priority := int(m.Priority)
-	if priority < 1 {
-		priority = 1
-	}
+	priority := max(m.Priority, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &servJob{
 		id:         s.nextJob,
@@ -525,20 +522,8 @@ func (s *Server) handleSubmit(cl *client, m *sweep.Submit) {
 // gated through the fair-share scheduler, and delivers the final.
 func (s *Server) runJob(j *servJob, m *sweep.Submit) {
 	defer s.wg.Done()
-	base := &exp.Runner{
-		Workers:  m.Workers,
-		Quick:    m.Quick,
-		Accum:    m.Accum,
-		Bins:     m.Bins,
-		Progress: j.note,
-	}
-	if m.HasSeed {
-		seed := m.Seed
-		base.Seed = &seed
-	}
-	if len(m.Params) > 0 {
-		base.Params = json.RawMessage(m.Params)
-	}
+	base := m.Spec.Runner()
+	base.Progress = j.note
 	rc, err := s.pool.DistributedRunner(base)
 	if err != nil {
 		s.finishJob(j, nil, err)

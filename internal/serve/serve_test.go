@@ -513,6 +513,45 @@ func TestServeAuth(t *testing.T) {
 	}
 }
 
+// TestServeLongStrings: strings on the wire have no length cap. A server
+// whose shared secret is 300 bytes admits a client and a worker that
+// present it, and a 300-byte label is admitted and echoed by List.
+func TestServeLongStrings(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.AuthToken = strings.Repeat("s", 300)
+	srv := startServer(t, cfg)
+	c := dial(t, srv, serve.Options{Auth: cfg.AuthToken})
+
+	wctx, wcancel := context.WithCancel(context.Background())
+	wdone := make(chan struct{})
+	go func() {
+		defer close(wdone)
+		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
+			AuthToken:    cfg.AuthToken,
+			Heartbeat:    50 * time.Millisecond,
+			ReconnectMin: 10 * time.Millisecond,
+			ReconnectMax: 50 * time.Millisecond,
+			Logf:         t.Logf,
+		})
+	}()
+	t.Cleanup(func() { wcancel(); <-wdone })
+	waitWorkers(t, srv, 1)
+
+	label := strings.Repeat("l", 300)
+	if f := submitAndWait(t, c, serve.Campaign{Experiment: "sleepy-short", Label: label}); f.Err != "" {
+		t.Fatalf("job with a long label failed: %s", f.Err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	list, err := c.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].Label != label {
+		t.Fatalf("list = %+v, want one job with the 300-byte label", list)
+	}
+}
+
 // TestServeRejectsUnknownExperiment: submissions of unregistered names
 // fail loudly with the registry vocabulary.
 func TestServeRejectsUnknownExperiment(t *testing.T) {

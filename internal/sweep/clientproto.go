@@ -3,17 +3,15 @@ package sweep
 import (
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/binary"
 
-	"faultmem/internal/yield"
+	"faultmem/internal/wire"
 )
 
 // The client half of the protocol: the campaign-submission messages of
-// `faultmem serve`. They ride the same frame layer as the worker
-// messages (magic, version, CRC, gzip flags), use the same strict
-// length-validated codecs, and share the listening port — the first
-// frame's type (Hello vs ClientHello) routes a connection to the worker
-// pool or the client surface.
+// `faultmem serve`. They ride the same frame layer and codec as the
+// worker messages and share the listening port — the first frame's type
+// (Hello vs ClientHello) routes a connection to the worker pool or the
+// client surface.
 
 // AuthEqual reports whether a presented shared secret matches the
 // configured one, in constant time (both sides are hashed first so the
@@ -38,20 +36,12 @@ type ClientHello struct {
 	Auth  string
 }
 
-func (m *ClientHello) encode() []byte {
-	b := appendStr8(nil, MsgClientHello, "token", m.Token)
-	return appendStr8(b, MsgClientHello, "auth", m.Auth)
+func (m *ClientHello) appendTo(b []byte) []byte {
+	b = wire.AppendString(b, m.Token)
+	return wire.AppendString(b, m.Auth)
 }
 
-func decodeClientHello(p []byte) (*ClientHello, error) {
-	r := &reader{t: MsgClientHello, b: p}
-	m := &ClientHello{Token: r.str8("token")}
-	m.Auth = r.str8("auth")
-	return m, r.done()
-}
-
-// clientWelcome flag bits.
-const welcomeFlagDraining = 1 << 0
+func (m *ClientHello) readFrom(r *wire.Reader) { m.Token, m.Auth = r.Str(), r.Str() }
 
 // ClientWelcome acknowledges a ClientHello and carries the session
 // token the client presents on reconnect. Draining tells the client the
@@ -62,86 +52,53 @@ type ClientWelcome struct {
 	Draining bool
 }
 
-func (m *ClientWelcome) encode() []byte {
-	b := appendStr8(nil, MsgClientWelcome, "token", m.Token)
-	var flags byte
+func (m *ClientWelcome) appendTo(b []byte) []byte {
+	var draining byte
 	if m.Draining {
-		flags |= welcomeFlagDraining
+		draining = 1
 	}
-	return append(b, flags)
+	return append(wire.AppendString(b, m.Token), draining)
 }
 
-func decodeClientWelcome(p []byte) (*ClientWelcome, error) {
-	r := &reader{t: MsgClientWelcome, b: p}
-	m := &ClientWelcome{Token: r.str8("token")}
-	flags := r.u8()
-	m.Draining = flags&welcomeFlagDraining != 0
-	if r.err == nil && m.Token == "" {
-		r.fail("empty session token")
+func (m *ClientWelcome) readFrom(r *wire.Reader) {
+	m.Token = r.Str()
+	draining := r.Byte()
+	m.Draining = draining == 1
+	switch {
+	case m.Token == "":
+		r.Fail("empty session token")
+	case draining > 1:
+		r.Fail("draining byte %d", draining)
 	}
-	return m, r.done()
 }
 
-// Submit asks the server to admit one campaign: a registry name plus
-// the runner knobs, carried in exactly the wire form exp.Runner already
-// accepts (Params is a strict JSON override of the experiment's default
-// parameter struct). Ref correlates the SubmitReply; Priority weights
-// the fair-share scheduler (0 means the default weight 1; higher gets
+// Submit asks the server to admit one campaign: a registry name plus its
+// Spec. Ref correlates the SubmitReply; Priority weights the fair-share
+// scheduler (below 1 means the default weight 1; higher gets
 // proportionally more concurrent shards); Label is a free-form client
 // annotation echoed in status listings.
 type Submit struct {
 	Ref        uint64
 	Experiment string
 	Label      string
-	Priority   uint32
-	HasSeed    bool
-	Seed       int64
-	Quick      bool
-	Workers    int
-	Accum      yield.AccumMode
-	Bins       int
-	Params     []byte // JSON override, empty = experiment defaults
+	Priority   int
+	Spec       Spec
 }
 
-func (m *Submit) encode() []byte {
-	var flags byte
-	if m.HasSeed {
-		flags |= jobFlagSeed
-	}
-	if m.Quick {
-		flags |= jobFlagQuick
-	}
-	b := binary.BigEndian.AppendUint64(nil, m.Ref)
-	b = appendStr8(b, MsgSubmit, "experiment", m.Experiment)
-	b = appendStr8(b, MsgSubmit, "label", m.Label)
-	b = binary.BigEndian.AppendUint32(b, m.Priority)
-	b = append(b, flags)
-	b = binary.BigEndian.AppendUint64(b, uint64(m.Seed))
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Workers))
-	b = append(b, byte(m.Accum))
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Bins))
-	return appendBlob32(b, m.Params)
+func (m *Submit) appendTo(b []byte) []byte {
+	b = wire.AppendUint64(b, m.Ref)
+	b = wire.AppendString(b, m.Experiment)
+	b = wire.AppendString(b, m.Label)
+	b = wire.AppendInt(b, m.Priority)
+	return m.Spec.appendTo(b)
 }
 
-func decodeSubmit(p []byte) (*Submit, error) {
-	r := &reader{t: MsgSubmit, b: p}
-	m := &Submit{}
-	m.Ref = r.u64()
-	m.Experiment = r.str8("experiment name")
-	m.Label = r.str8("label")
-	m.Priority = r.u32()
-	flags := r.u8()
-	m.HasSeed = flags&jobFlagSeed != 0
-	m.Quick = flags&jobFlagQuick != 0
-	m.Seed = int64(r.u64())
-	m.Workers = int(r.u32())
-	m.Accum = yield.AccumMode(r.u8())
-	m.Bins = int(r.u32())
-	m.Params = r.blob32("params")
-	if r.err == nil && m.Experiment == "" {
-		r.fail("empty experiment name")
+func (m *Submit) readFrom(r *wire.Reader) {
+	m.Ref, m.Experiment, m.Label, m.Priority = r.Uint64(), r.Str(), r.Str(), r.Int()
+	m.Spec.readFrom(r)
+	if m.Experiment == "" {
+		r.Fail("empty experiment name")
 	}
-	return m, r.done()
 }
 
 // SubmitReply answers a Submit: the admitted job ID, or a rejection
@@ -152,19 +109,14 @@ type SubmitReply struct {
 	ErrMsg string
 }
 
-func (m *SubmitReply) encode() []byte {
-	b := binary.BigEndian.AppendUint64(nil, m.Ref)
-	b = binary.BigEndian.AppendUint64(b, m.JobID)
-	return appendBlob32(b, []byte(m.ErrMsg))
+func (m *SubmitReply) appendTo(b []byte) []byte {
+	b = wire.AppendUint64(b, m.Ref)
+	b = wire.AppendUint64(b, m.JobID)
+	return wire.AppendString(b, m.ErrMsg)
 }
 
-func decodeSubmitReply(p []byte) (*SubmitReply, error) {
-	r := &reader{t: MsgSubmitReply, b: p}
-	m := &SubmitReply{}
-	m.Ref = r.u64()
-	m.JobID = r.u64()
-	m.ErrMsg = string(r.blob32("error message"))
-	return m, r.done()
+func (m *SubmitReply) readFrom(r *wire.Reader) {
+	m.Ref, m.JobID, m.ErrMsg = r.Uint64(), r.Uint64(), r.Str()
 }
 
 // ControlVerb enumerates the job-lifecycle verbs of MsgJobControl.
@@ -204,22 +156,16 @@ type JobControl struct {
 	JobID uint64
 }
 
-func (m *JobControl) encode() []byte {
-	b := binary.BigEndian.AppendUint64(nil, m.Ref)
-	b = append(b, byte(m.Verb))
-	return binary.BigEndian.AppendUint64(b, m.JobID)
+func (m *JobControl) appendTo(b []byte) []byte {
+	b = append(wire.AppendUint64(b, m.Ref), byte(m.Verb))
+	return wire.AppendUint64(b, m.JobID)
 }
 
-func decodeJobControl(p []byte) (*JobControl, error) {
-	r := &reader{t: MsgJobControl, b: p}
-	m := &JobControl{}
-	m.Ref = r.u64()
-	m.Verb = ControlVerb(r.u8())
-	m.JobID = r.u64()
-	if r.err == nil && !m.Verb.valid() {
-		r.fail("unknown verb %d", byte(m.Verb))
+func (m *JobControl) readFrom(r *wire.Reader) {
+	m.Ref, m.Verb, m.JobID = r.Uint64(), ControlVerb(r.Byte()), r.Uint64()
+	if !m.Verb.valid() {
+		r.Fail("unknown verb %d", byte(m.Verb))
 	}
-	return m, r.done()
 }
 
 // JobInfo answers a JobControl: a JSON status blob (one serve.JobStatus
@@ -230,20 +176,13 @@ type JobInfo struct {
 	Data   []byte // JSON
 }
 
-func (m *JobInfo) encode() []byte {
-	b := binary.BigEndian.AppendUint64(nil, m.Ref)
-	b = appendBlob32(b, []byte(m.ErrMsg))
-	return appendBlob32(b, m.Data)
+func (m *JobInfo) appendTo(b []byte) []byte {
+	b = wire.AppendUint64(b, m.Ref)
+	b = wire.AppendString(b, m.ErrMsg)
+	return wire.AppendString(b, m.Data)
 }
 
-func decodeJobInfo(p []byte) (*JobInfo, error) {
-	r := &reader{t: MsgJobInfo, b: p}
-	m := &JobInfo{}
-	m.Ref = r.u64()
-	m.ErrMsg = string(r.blob32("error message"))
-	m.Data = r.blob32("status JSON")
-	return m, r.done()
-}
+func (m *JobInfo) readFrom(r *wire.Reader) { m.Ref, m.ErrMsg, m.Data = r.Uint64(), r.Str(), r.Bytes() }
 
 // Snapshot is one periodic partial-state push for a running job: Seq
 // increments per push so a resumed client can discard stale snapshots,
@@ -255,19 +194,14 @@ type Snapshot struct {
 	Data  []byte // JSON
 }
 
-func (m *Snapshot) encode() []byte {
-	b := binary.BigEndian.AppendUint64(nil, m.JobID)
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	return appendBlob32(b, m.Data)
+func (m *Snapshot) appendTo(b []byte) []byte {
+	b = wire.AppendUint64(b, m.JobID)
+	b = wire.AppendUint64(b, m.Seq)
+	return wire.AppendString(b, m.Data)
 }
 
-func decodeSnapshot(p []byte) (*Snapshot, error) {
-	r := &reader{t: MsgSnapshot, b: p}
-	m := &Snapshot{}
-	m.JobID = r.u64()
-	m.Seq = r.u64()
-	m.Data = r.blob32("snapshot JSON")
-	return m, r.done()
+func (m *Snapshot) readFrom(r *wire.Reader) {
+	m.JobID, m.Seq, m.Data = r.Uint64(), r.Uint64(), r.Bytes()
 }
 
 // Final is one job's terminal push: the full ExperimentResult JSON
@@ -280,34 +214,21 @@ type Final struct {
 	Result []byte // ExperimentResult JSON
 }
 
-func (m *Final) encode() []byte {
-	b := binary.BigEndian.AppendUint64(nil, m.JobID)
-	b = appendBlob32(b, []byte(m.ErrMsg))
-	return appendBlob32(b, m.Result)
+func (m *Final) appendTo(b []byte) []byte {
+	b = wire.AppendUint64(b, m.JobID)
+	b = wire.AppendString(b, m.ErrMsg)
+	return wire.AppendString(b, m.Result)
 }
 
-func decodeFinal(p []byte) (*Final, error) {
-	r := &reader{t: MsgFinal, b: p}
-	m := &Final{}
-	m.JobID = r.u64()
-	m.ErrMsg = string(r.blob32("error message"))
-	m.Result = r.blob32("result JSON")
-	return m, r.done()
+func (m *Final) readFrom(r *wire.Reader) {
+	m.JobID, m.ErrMsg, m.Result = r.Uint64(), r.Str(), r.Bytes()
 }
 
 func (m *ClientHello) msgType() MsgType   { return MsgClientHello }
-func (m *ClientHello) payload() []byte    { return m.encode() }
 func (m *ClientWelcome) msgType() MsgType { return MsgClientWelcome }
-func (m *ClientWelcome) payload() []byte  { return m.encode() }
 func (m *Submit) msgType() MsgType        { return MsgSubmit }
-func (m *Submit) payload() []byte         { return m.encode() }
 func (m *SubmitReply) msgType() MsgType   { return MsgSubmitReply }
-func (m *SubmitReply) payload() []byte    { return m.encode() }
 func (m *JobControl) msgType() MsgType    { return MsgJobControl }
-func (m *JobControl) payload() []byte     { return m.encode() }
 func (m *JobInfo) msgType() MsgType       { return MsgJobInfo }
-func (m *JobInfo) payload() []byte        { return m.encode() }
 func (m *Snapshot) msgType() MsgType      { return MsgSnapshot }
-func (m *Snapshot) payload() []byte       { return m.encode() }
 func (m *Final) msgType() MsgType         { return MsgFinal }
-func (m *Final) payload() []byte          { return m.encode() }

@@ -4,19 +4,16 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"faultmem/internal/exp"
 	"faultmem/internal/mc"
-	"faultmem/internal/yield"
 )
 
 // Config tunes the coordinator's fault-tolerance clocks. The zero value
@@ -94,20 +91,6 @@ func (s *statsCounters) snapshot() Stats {
 	}
 }
 
-// campaign is the replayable description of one distributed run: every
-// runner knob a worker needs to reproduce the coordinator's campaign
-// exactly. It is pinned at Run time and immutable afterwards.
-type campaign struct {
-	experiment string
-	hasSeed    bool
-	seed       int64
-	quick      bool
-	workers    int // resolved (never 0), so machine-dependent plans match
-	accum      yield.AccumMode
-	bins       int
-	params     []byte
-}
-
 // job states.
 const (
 	jobQueued = iota // waiting for a worker slot
@@ -124,7 +107,7 @@ type outcome struct {
 // job is one shard in flight through the coordinator.
 type job struct {
 	id         uint64
-	camp       *campaign
+	spec       *Spec // the campaign's, shared by its jobs
 	sj         mc.ShardJob
 	state      int
 	attempts   int       // remote dispatch count
@@ -227,7 +210,7 @@ func (c *Coordinator) Close() error {
 		c.mu.Unlock()
 		for _, f := range conns {
 			f.s.writeMu.Lock()
-			WriteFrame(f.conn, MsgDone, (&Done{}).encode())
+			WriteMessage(f.conn, &Done{})
 			f.conn.Close()
 			f.s.writeMu.Unlock()
 		}
@@ -285,73 +268,38 @@ func (c *Coordinator) notifyConnChange() {
 // campaign run with the clone fans its engine shards out to the
 // connected workers, falling back to local compute per shard on worker
 // failure, and its result is bit-identical to exp.Run with r on a
-// single host. The campaign the executor ships is pinned per engine run
-// from the resolved runner knobs, so a worker's replay and the
-// coordinator's plan agree on every machine-dependent default.
+// single host.
 func (c *Coordinator) DistributedRunner(r *exp.Runner) (*exp.Runner, error) {
-	rc := &exp.Runner{}
-	if r != nil {
-		*rc = *r
+	spec, err := newSpec(r)
+	if err != nil {
+		return nil, err
 	}
 	// The wire carries the coordinator's resolved worker count: stage
 	// plans that depend on parallelism (Fig. 7 spans) must come out the
 	// same on the worker's machine. The local runner keeps the caller's
 	// raw value — it resolves to the same plan here, and experiments echo
 	// it into their reported params, which must match a single-host run.
-	camp := &campaign{
-		quick:   rc.Quick,
-		accum:   rc.Accum,
-		bins:    rc.Bins,
-		workers: mc.Workers(rc.Workers),
+	spec.Workers = mc.Workers(spec.Workers)
+	rc := &exp.Runner{}
+	if r != nil {
+		*rc = *r
 	}
-	if rc.Seed != nil {
-		camp.hasSeed, camp.seed = true, *rc.Seed
-	}
-	switch p := rc.Params.(type) {
-	case nil:
-	case json.RawMessage:
-		camp.params = append([]byte(nil), p...)
-	case []byte:
-		camp.params = append([]byte(nil), p...)
-	default:
-		// A concrete params struct can cross the wire as its JSON
-		// encoding: the worker decodes it strictly over the defaults,
-		// and float64 JSON round-trips are exact.
-		b, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: params override is not wireable: %w", err)
-		}
-		camp.params = b
-	}
-	rc.Exec = func(sj mc.ShardJob) (any, error) {
-		// The campaign's experiment name is the tag's first component
-		// ("experiment" or "experiment/stage") — the engine run names
-		// itself, so nested helper runs inside other experiments replay
-		// under the right registry entry.
-		camp := *camp
-		camp.experiment = sj.Tag
-		if i := strings.IndexByte(sj.Tag, '/'); i >= 0 {
-			camp.experiment = sj.Tag[:i]
-		}
-		return c.execute(&camp, sj)
-	}
+	rc.Exec = func(sj mc.ShardJob) (any, error) { return c.execute(&spec, sj) }
 	return rc, nil
 }
 
 // execute is the mc.ExecFunc of a distributed campaign: enqueue the
-// shard, wait for a worker (or the local fallback) to deliver it.
-func (c *Coordinator) execute(camp *campaign, sj mc.ShardJob) (any, error) {
-	if camp.experiment == "" {
-		// An untagged engine run cannot be named on the wire; compute it
-		// here rather than fail the campaign.
+// shard, wait for a worker (or the local fallback) to deliver it. The
+// engine run's tag names its experiment, so nested helper runs inside
+// other experiments replay under the right registry entry.
+func (c *Coordinator) execute(spec *Spec, sj mc.ShardJob) (any, error) {
+	if _, ok := exp.Lookup(experimentOf(sj.Tag)); !ok {
+		// An untagged engine run cannot be named on the wire, and helper
+		// engine runs inside an experiment (sub-sweeps with their own
+		// tags) are not registry entries; they stay local.
 		return sj.Run(), nil
 	}
-	if _, ok := exp.Lookup(camp.experiment); !ok {
-		// Helper engine runs inside an experiment (sub-sweeps with their
-		// own tags) are not registry entries; they stay local.
-		return sj.Run(), nil
-	}
-	j := &job{camp: camp, sj: sj, result: make(chan outcome, 1)}
+	j := &job{spec: spec, sj: sj, result: make(chan outcome, 1)}
 
 	c.mu.Lock()
 	c.nextID++
@@ -442,7 +390,7 @@ func (c *Coordinator) abandon(j *job) {
 	}
 	c.mu.Unlock()
 	if owner != nil {
-		go c.send(owner, MsgCancel, (&Cancel{IDs: []uint64{j.id}}).encode())
+		go c.send(owner, &Cancel{IDs: []uint64{j.id}})
 	}
 }
 
@@ -542,22 +490,9 @@ func (c *Coordinator) assignOne() bool {
 	j.attempts++
 	j.leaseUntil = time.Now().Add(c.cfg.Lease)
 	best.leased[j.id] = j
-	msg := &Job{
-		ID:         j.id,
-		Experiment: j.camp.experiment,
-		Tag:        j.sj.Tag,
-		Shard:      j.sj.Shard,
-		Shards:     j.sj.Shards,
-		HasSeed:    j.camp.hasSeed,
-		Seed:       j.camp.seed,
-		Quick:      j.camp.quick,
-		Workers:    j.camp.workers,
-		Accum:      j.camp.accum,
-		Bins:       j.camp.bins,
-		Params:     j.camp.params,
-	}
+	msg := &Job{ID: j.id, Tag: j.sj.Tag, Shard: j.sj.Shard, Shards: j.sj.Shards, Spec: *j.spec}
 	c.mu.Unlock()
-	if err := c.send(best, MsgJob, msg.encode()); err != nil {
+	if err := c.send(best, msg); err != nil {
 		// The write failed: the connection is dead. The lease keeps the
 		// job recoverable; detach so the janitor sees the disconnect.
 		c.detach(best)
@@ -565,15 +500,10 @@ func (c *Coordinator) assignOne() bool {
 	return true
 }
 
-// send writes one frame on a session's current connection.
-func (c *Coordinator) send(s *session, t MsgType, payload []byte) error {
-	return c.sendFlags(s, t, 0, payload)
-}
-
-// sendFlags is send with frame flags (the Welcome gzip negotiation
-// echo; job and control frames stay plain — result blobs, the payloads
-// worth compressing, flow the other way).
-func (c *Coordinator) sendFlags(s *session, t MsgType, flags byte, payload []byte) error {
+// send writes one message on a session's current connection. Job and
+// control frames stay plain: result blobs, the payloads worth
+// compressing, flow the other way.
+func (c *Coordinator) send(s *session, m Message) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	c.mu.Lock()
@@ -582,7 +512,7 @@ func (c *Coordinator) sendFlags(s *session, t MsgType, flags byte, payload []byt
 	if conn == nil {
 		return errors.New("sweep: session disconnected")
 	}
-	return WriteFrameFlags(conn, t, flags, payload)
+	return WriteMessage(conn, m)
 }
 
 // detach marks a session disconnected (its conn closed), leaving it
@@ -676,12 +606,8 @@ func NewToken() string {
 // skipped; a desynchronized stream drops only this connection. It blocks
 // until the connection dies, closes conn on return, and leaves the
 // session — with its leased shards — resumable until SessionTTL.
-func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello, flags byte) {
+func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello) {
 	defer conn.Close()
-	// FlagGzipOK on Hello advertises a flags-aware worker; echoing it on
-	// Welcome — and only then — turns compression on for this
-	// connection. A pre-flags worker never sees a flagged frame.
-	gzipOK := flags&FlagGzipOK != 0
 
 	c.mu.Lock()
 	s := c.sessions[hello.Token]
@@ -709,18 +635,14 @@ func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello, flags byte) {
 	c.notifyConnChange()
 	c.mu.Unlock()
 
-	welcomeFlags := byte(0)
-	if gzipOK {
-		welcomeFlags = FlagGzipOK
-	}
-	if err := c.sendFlags(s, MsgWelcome, welcomeFlags, (&Welcome{Token: token}).encode()); err != nil {
+	if err := c.send(s, &Welcome{Token: token}); err != nil {
 		c.detach(s)
 		return
 	}
 	c.kickScheduler()
 
 	for {
-		t, payload, err := ReadFrame(conn)
+		t, _, payload, err := ReadFrame(conn, MaxFramePayload)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				c.logf("sweep: session %s connection dropped: %v", token, err)
@@ -836,7 +758,7 @@ func (c *Coordinator) handleJobError(s *session, m *JobError) {
 	}
 	for owner, ids := range cancels {
 		owner, ids := owner, ids
-		go c.send(owner, MsgCancel, (&Cancel{IDs: ids}).encode())
+		go c.send(owner, &Cancel{IDs: ids})
 	}
 }
 
@@ -851,5 +773,5 @@ func (c *Coordinator) handleHeartbeat(s *session, m *Heartbeat) {
 		}
 	}
 	c.mu.Unlock()
-	c.send(s, MsgHeartbeat, (&Heartbeat{}).encode())
+	c.send(s, &Heartbeat{})
 }

@@ -594,18 +594,19 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(sweep.EncodeMessage(&sweep.Hello{})); err != nil {
+	if err := sweep.WriteMessage(conn, &sweep.Hello{}); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := sweep.ReadFrame(conn)
+	typ, _, _, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
 	if err != nil || typ != sweep.MsgWelcome {
 		t.Fatalf("handshake got %v, %v; want welcome", typ, err)
 	}
 	go func() {
 		for {
-			typ, payload, err := sweep.ReadFrame(conn)
+			typ, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
+			var fe *sweep.FrameError
 			if err != nil {
-				if sweep.IsFatalFrameError(err) || !isFrameError(err) {
+				if !errors.As(err, &fe) || fe.Fatal {
 					return
 				}
 				continue
@@ -615,7 +616,7 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 				continue
 			}
 			if j, ok := m.(*sweep.Job); ok {
-				conn.Write(sweep.EncodeMessage(&sweep.JobError{ID: j.ID, Msg: "synthetic failure"}))
+				sweep.WriteMessage(conn, &sweep.JobError{ID: j.ID, Msg: "synthetic failure"})
 			}
 		}
 	}()
@@ -697,72 +698,6 @@ func TestNonSkippingStageFallsBackToLocal(t *testing.T) {
 	}
 	if st := c.PoolStats(); st.JobErrors == 0 || st.RemoteShards != 4 || st.LocalShards != 4 {
 		t.Fatalf("want stage a remote (4 shards) and stage b local (4 shards) after a JobError: %+v", st)
-	}
-}
-
-func isFrameError(err error) bool {
-	var fe *sweep.FrameError
-	return errors.As(err, &fe)
-}
-
-// TestWorkerLegacyHelloFallback: a coordinator that predates frame
-// flags reads a flagged Hello as an unknown frame type and hangs up
-// without a Welcome. The worker must downgrade to a plain Hello on its
-// next attempt and complete the session.
-func TestWorkerLegacyHelloFallback(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	srvErr := make(chan error, 1)
-	go func() {
-		srvErr <- func() error {
-			// First connection: the flagged Hello an old coordinator
-			// cannot parse — it drops the connection.
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
-			}
-			raw, err := sweep.ReadRawFrame(conn)
-			if err != nil {
-				return fmt.Errorf("first hello: %v", err)
-			}
-			if raw[3] != byte(sweep.MsgHello)|sweep.FlagGzipOK {
-				return fmt.Errorf("first hello type byte = %#02x, want flagged hello %#02x",
-					raw[3], byte(sweep.MsgHello)|sweep.FlagGzipOK)
-			}
-			conn.Close()
-			// Second connection: the worker must have downgraded.
-			conn, err = ln.Accept()
-			if err != nil {
-				return err
-			}
-			defer conn.Close()
-			raw, err = sweep.ReadRawFrame(conn)
-			if err != nil {
-				return fmt.Errorf("second hello: %v", err)
-			}
-			if raw[3] != byte(sweep.MsgHello) {
-				return fmt.Errorf("second hello type byte = %#02x, want plain hello %#02x",
-					raw[3], byte(sweep.MsgHello))
-			}
-			if _, err := conn.Write(sweep.EncodeMessage(&sweep.Welcome{Token: "legacy"})); err != nil {
-				return err
-			}
-			_, err = conn.Write(sweep.EncodeMessage(&sweep.Done{}))
-			return err
-		}()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := sweep.RunWorker(ctx, ln.Addr().String(), testWorkerConfig(t)); err != nil {
-		t.Fatalf("worker did not finish cleanly against a pre-flags coordinator: %v", err)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatal(err)
 	}
 }
 

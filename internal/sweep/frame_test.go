@@ -7,28 +7,28 @@ import (
 	"io"
 	"net"
 	"testing"
+	"testing/iotest"
 )
 
-// validFrame builds one well-formed frame for corruption tests.
+// validFrame builds one well-formed plain frame for corruption tests.
 func validFrame(t MsgType, payload []byte) []byte {
-	return AppendFrame(nil, t, payload)
+	return AppendFrame(nil, t, 0, payload)
 }
 
-// TestFrameRoundTrip: what AppendFrame writes, ReadFrame and ParseFrame
-// read back byte-identically.
+// readFrame reads one frame at the full payload limit.
+func readFrame(r io.Reader) (MsgType, byte, []byte, error) {
+	return ReadFrame(r, MaxFramePayload)
+}
+
+// TestFrameRoundTrip: what AppendFrame writes, ReadFrame reads back
+// byte-identically, consuming exactly the frame.
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
 	for _, p := range payloads {
-		raw := validFrame(MsgResult, p)
-
-		typ, got, n, err := ParseFrame(raw)
-		if err != nil || typ != MsgResult || !bytes.Equal(got, p) || n != len(raw) {
-			t.Fatalf("ParseFrame(%d-byte payload) = %v,%v,%d,%v", len(p), typ, got, n, err)
-		}
-
-		typ, got, err = ReadFrame(bytes.NewReader(raw))
-		if err != nil || typ != MsgResult || !bytes.Equal(got, p) {
-			t.Fatalf("ReadFrame(%d-byte payload) = %v,%v,%v", len(p), typ, got, err)
+		r := bytes.NewReader(validFrame(MsgResult, p))
+		typ, flags, got, err := readFrame(r)
+		if err != nil || typ != MsgResult || flags != 0 || !bytes.Equal(got, p) || r.Len() != 0 {
+			t.Fatalf("ReadFrame(%d-byte payload) = %v,%#02x,%v,%v with %d bytes left", len(p), typ, flags, got, err, r.Len())
 		}
 	}
 }
@@ -37,18 +37,18 @@ func TestFrameRoundTrip(t *testing.T) {
 // ending with a clean io.EOF at the boundary.
 func TestFrameStreamRoundTrip(t *testing.T) {
 	var stream []byte
-	stream = AppendFrame(stream, MsgHello, []byte("a"))
-	stream = AppendFrame(stream, MsgHeartbeat, nil)
-	stream = AppendFrame(stream, MsgDone, []byte("bb"))
+	stream = AppendFrame(stream, MsgHello, 0, []byte("a"))
+	stream = AppendFrame(stream, MsgHeartbeat, 0, nil)
+	stream = AppendFrame(stream, MsgDone, 0, []byte("bb"))
 	r := bytes.NewReader(stream)
 	want := []MsgType{MsgHello, MsgHeartbeat, MsgDone}
 	for i, w := range want {
-		typ, _, err := ReadFrame(r)
+		typ, _, _, err := readFrame(r)
 		if err != nil || typ != w {
 			t.Fatalf("frame %d: %v, %v (want %v)", i, typ, err, w)
 		}
 	}
-	if _, _, err := ReadFrame(r); err != io.EOF {
+	if _, _, _, err := readFrame(r); err != io.EOF {
 		t.Fatalf("stream end: %v, want io.EOF", err)
 	}
 }
@@ -67,6 +67,7 @@ var corruptFrameCases = []struct {
 	{"swapped magic", func(b []byte) []byte { b[0], b[1] = b[1], b[0]; return b }, true},
 	{"future version", func(b []byte) []byte { b[2] = ProtocolVersion + 1; return b }, true},
 	{"zero version", func(b []byte) []byte { b[2] = 0; return b }, true},
+	{"version 2", func(b []byte) []byte { b[2] = 2; return b }, true},
 	{"oversized length", func(b []byte) []byte {
 		binary.BigEndian.PutUint32(b[4:8], MaxFramePayload+1)
 		return b
@@ -83,19 +84,23 @@ var corruptFrameCases = []struct {
 		return b
 	}, false},
 	{"zero type", func(b []byte) []byte { b[3] = 0; return b }, false},
+	// The retired capability bit reads as part of the type, so a frame
+	// carrying it is an unknown type.
+	{"retired 0x40 flag", func(b []byte) []byte { b[3] |= 0x40; return b }, false},
 }
 
-// TestReadFrameRejectsCorruptFrames drives the catalogue through the
-// stream reader and checks both the classification and that a recoverable
-// rejection leaves the stream aligned for the next frame.
+// TestReadFrameRejectsCorruptFrames drives the catalogue through a
+// stream that delivers one byte per Read, and checks both the
+// classification and that a recoverable rejection leaves the stream
+// aligned for the next frame.
 func TestReadFrameRejectsCorruptFrames(t *testing.T) {
 	for _, tc := range corruptFrameCases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := tc.mut(validFrame(MsgHeartbeat, []byte("abcd")))
-			stream := append(append([]byte{}, bad...), validFrame(MsgDone, nil)...)
-			r := bytes.NewReader(stream)
+			stream := append(bad, validFrame(MsgDone, nil)...)
+			r := iotest.OneByteReader(bytes.NewReader(stream))
 
-			_, _, err := ReadFrame(r)
+			_, _, _, err := readFrame(r)
 			var fe *FrameError
 			if !errors.As(err, &fe) {
 				t.Fatalf("corrupt frame returned %v, want *FrameError", err)
@@ -104,10 +109,7 @@ func TestReadFrameRejectsCorruptFrames(t *testing.T) {
 				t.Fatalf("Fatal = %v, want %v (%v)", fe.Fatal, tc.fatal, fe)
 			}
 			if !tc.fatal {
-				// The rejected frame must have been fully consumed: the
-				// following good frame decodes.
-				typ, _, err := ReadFrame(r)
-				if err != nil || typ != MsgDone {
+				if typ, _, _, err := readFrame(r); err != nil || typ != MsgDone {
 					t.Fatalf("stream lost alignment after recoverable reject: %v, %v", typ, err)
 				}
 			}
@@ -115,28 +117,29 @@ func TestReadFrameRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestParseFrameRejectsCorruptFrames drives the same catalogue through
-// the pure parser, checking the consumed-byte contract: recoverable
-// errors report the frame's full size so buffer-based callers can skip
-// it; fatal errors report zero.
+// TestParseFrameRejectsCorruptFrames parses each catalogue frame out of a
+// byte buffer and checks the consumed-byte contract: a fatal rejection
+// reads the header alone, no payload byte, and a recoverable one consumes
+// exactly the rejected frame, so a buffer-based caller can skip it.
 func TestParseFrameRejectsCorruptFrames(t *testing.T) {
 	for _, tc := range corruptFrameCases {
 		t.Run(tc.name, func(t *testing.T) {
-			good := validFrame(MsgHeartbeat, []byte("abcd"))
-			bad := tc.mut(append([]byte{}, good...))
-			_, _, n, err := ParseFrame(bad)
+			bad := tc.mut(validFrame(MsgHeartbeat, []byte("abcd")))
+			r := bytes.NewReader(bad)
+			_, _, _, err := readFrame(r)
 			var fe *FrameError
 			if !errors.As(err, &fe) {
-				t.Fatalf("ParseFrame = %v, want *FrameError", err)
+				t.Fatalf("ReadFrame = %v, want *FrameError", err)
 			}
 			if fe.Fatal != tc.fatal {
 				t.Fatalf("Fatal = %v, want %v (%v)", fe.Fatal, tc.fatal, fe)
 			}
-			if !tc.fatal && n != len(good) {
-				t.Fatalf("recoverable reject consumed %d bytes, want %d", n, len(good))
+			n := len(bad) - r.Len()
+			if tc.fatal && n != headerSize {
+				t.Fatalf("fatal reject consumed %d bytes, want %d (the header alone)", n, headerSize)
 			}
-			if tc.fatal && n != 0 {
-				t.Fatalf("fatal reject consumed %d bytes, want 0", n)
+			if !tc.fatal && n != len(bad) {
+				t.Fatalf("recoverable reject consumed %d bytes, want %d", n, len(bad))
 			}
 		})
 	}
@@ -148,13 +151,13 @@ func TestParseFrameRejectsCorruptFrames(t *testing.T) {
 func TestReadFrameTruncation(t *testing.T) {
 	raw := validFrame(MsgJob, []byte("payload-bytes"))
 	for cut := 1; cut < len(raw); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(raw[:cut]))
+		_, _, _, err := readFrame(bytes.NewReader(raw[:cut]))
 		var fe *FrameError
 		if !errors.As(err, &fe) || !fe.Fatal {
 			t.Fatalf("cut at %d/%d bytes: %v, want fatal *FrameError", cut, len(raw), err)
 		}
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
 }
@@ -164,11 +167,11 @@ func TestReadFrameTruncation(t *testing.T) {
 // inflate past the cap either.
 func TestReadFrameLimit(t *testing.T) {
 	raw := validFrame(MsgHello, bytes.Repeat([]byte{'a'}, 100))
-	if _, _, _, err := ReadFrameLimit(bytes.NewReader(raw), 100); err != nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader(raw), 100); err != nil {
 		t.Fatalf("frame at the cap: %v", err)
 	}
 	r := bytes.NewReader(raw)
-	_, _, _, err := ReadFrameLimit(r, 99)
+	_, _, _, err := ReadFrame(r, 99)
 	var fe *FrameError
 	if !errors.As(err, &fe) || !fe.Fatal {
 		t.Fatalf("over-cap frame: %v, want fatal *FrameError", err)
@@ -177,8 +180,8 @@ func TestReadFrameLimit(t *testing.T) {
 		t.Fatalf("read %d payload bytes past an over-cap header", len(raw)-headerSize-r.Len())
 	}
 
-	z := AppendFrameFlags(nil, MsgResult, FlagGzip, make([]byte, 1000))
-	if _, _, _, err := ReadFrameLimit(bytes.NewReader(z), 999); !errors.As(err, &fe) || fe.Fatal {
+	z := AppendFrame(nil, MsgResult, FlagGzip, new(gzipWriter).compress(make([]byte, 1000)))
+	if _, _, _, err := ReadFrame(bytes.NewReader(z), 999); !errors.As(err, &fe) || fe.Fatal {
 		t.Fatalf("payload inflating past the cap: %v, want recoverable *FrameError", err)
 	}
 }
@@ -197,21 +200,32 @@ func TestFrameErrorUnwrapsClosedConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	_, _, err = ReadFrame(conn)
-	if !IsFatalFrameError(err) || !errors.Is(err, net.ErrClosed) {
+	_, _, _, err = readFrame(conn)
+	var fe *FrameError
+	if !errors.As(err, &fe) || !fe.Fatal || !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("read from a closed conn: %v, want a fatal frame error matching net.ErrClosed", err)
 	}
 }
 
-// TestParseFrameShortBuffer: an incomplete buffer asks for more bytes
-// rather than erroring — streaming callers accumulate and retry.
+// TestParseFrameShortBuffer: a buffer cut short of a whole frame is a
+// fatal error that unwraps to the read error that cut it (so a caller can
+// tell truncation from corruption) and is never mistaken for a clean end;
+// only the empty buffer is io.EOF.
 func TestParseFrameShortBuffer(t *testing.T) {
 	raw := validFrame(MsgResult, []byte("abc"))
-	for cut := 0; cut < len(raw); cut++ {
-		_, _, n, err := ParseFrame(raw[:cut])
-		if err != io.ErrUnexpectedEOF || n != 0 {
-			t.Fatalf("cut at %d: n=%d err=%v, want 0, io.ErrUnexpectedEOF", cut, n, err)
+	for cut := 1; cut < len(raw); cut++ {
+		want := io.ErrUnexpectedEOF
+		if cut == headerSize {
+			want = io.EOF // the header is whole and no payload byte follows
 		}
+		_, _, _, err := readFrame(bytes.NewReader(raw[:cut]))
+		var fe *FrameError
+		if err == io.EOF || !errors.As(err, &fe) || !fe.Fatal || !errors.Is(err, want) {
+			t.Fatalf("cut at %d: %v, want a fatal *FrameError wrapping %v", cut, err, want)
+		}
+	}
+	if _, _, _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty buffer: %v, want io.EOF", err)
 	}
 }
 
@@ -227,7 +241,8 @@ func TestReadRawFrameForwardsCorruptPayloads(t *testing.T) {
 	}
 
 	raw[0] = 0x00 // now break the magic: the tap itself must bail
-	if _, err := ReadRawFrame(bytes.NewReader(raw)); !IsFatalFrameError(err) {
+	var fe *FrameError
+	if _, err := ReadRawFrame(bytes.NewReader(raw)); !errors.As(err, &fe) || !fe.Fatal {
 		t.Fatalf("raw read of desynced stream: %v, want fatal", err)
 	}
 }
@@ -240,33 +255,43 @@ func TestAppendFramePanicsOnOversizedPayload(t *testing.T) {
 			t.Fatal("no panic for oversized payload")
 		}
 	}()
-	AppendFrame(nil, MsgResult, make([]byte, MaxFramePayload+1))
+	AppendFrame(nil, MsgResult, 0, make([]byte, MaxFramePayload+1))
 }
 
-// FuzzParseFrame: no input may crash the parser, and every accepted
-// frame must re-encode to exactly the bytes consumed.
+// FuzzParseFrame: no input may crash ReadFrame, read frame after frame
+// from one stream until it ends or desynchronizes; every error is a
+// *FrameError or a clean io.EOF; and every accepted plain frame
+// re-encodes to exactly the bytes it consumed.
 func FuzzParseFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(validFrame(MsgHello, []byte("tok")))
-	f.Add(validFrame(MsgHeartbeat, nil))
+	f.Add(append(validFrame(MsgHeartbeat, nil), validFrame(MsgDone, nil)...))
 	f.Add(validFrame(MsgJob, bytes.Repeat([]byte{0x5A}, 64)))
 	bad := validFrame(MsgResult, []byte("abcd"))
 	bad[9] ^= 0x10
-	f.Add(bad)
+	f.Add(append(bad, validFrame(MsgDone, nil)...))
 	f.Add([]byte{magic0, magic1, ProtocolVersion, byte(MsgDone), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	f.Add(AppendFrame(nil, MsgResult, FlagGzip, new(gzipWriter).compress(bytes.Repeat([]byte("shard "), 300))))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		typ, payload, n, err := ParseFrame(b)
-		if err != nil {
-			if n < 0 || n > len(b) {
-				t.Fatalf("consumed %d of %d bytes on error", n, len(b))
+		r := bytes.NewReader(b)
+		for {
+			start := len(b) - r.Len()
+			typ, flags, payload, err := readFrame(r)
+			var fe *FrameError
+			switch {
+			case err == io.EOF:
+				return
+			case errors.As(err, &fe) && fe.Fatal:
+				return
+			case err != nil && fe == nil:
+				t.Fatalf("ReadFrame returned %v, want a *FrameError or io.EOF", err)
+			case err != nil:
+				continue // a recoverable rejection consumed one whole frame
+			case !typ.valid() || flags&^FlagGzip != 0:
+				t.Fatalf("accepted type %v with flags %#02x", typ, flags)
+			case flags == 0 && !bytes.Equal(AppendFrame(nil, typ, 0, payload), b[start:len(b)-r.Len()]):
+				t.Fatal("accepted frame does not re-encode to its own bytes")
 			}
-			return
-		}
-		if !typ.valid() {
-			t.Fatalf("accepted invalid type %v", typ)
-		}
-		if re := AppendFrame(nil, typ, payload); !bytes.Equal(re, b[:n]) {
-			t.Fatal("accepted frame does not re-encode to its own bytes")
 		}
 	})
 }

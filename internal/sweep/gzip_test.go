@@ -2,28 +2,26 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/binary"
-	"io"
+	"errors"
 	"math/rand"
 	"net"
 	"runtime"
 	"testing"
 )
 
-// TestGzipFrameRoundTrip: a FlagGzip frame must shrink a compressible
-// payload on the wire and hand the original bytes back to the reader.
+// TestGzipFrameRoundTrip: a FlagGzip frame hands the inflated payload
+// back to the reader, flag visible.
 func TestGzipFrameRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("faultmem shard result "), 512)
-	plain := AppendFrame(nil, MsgResult, payload)
-	flagged := AppendFrameFlags(nil, MsgResult, FlagGzip, payload)
-	if len(flagged) >= len(plain) {
+	flagged := AppendFrame(nil, MsgResult, FlagGzip, new(gzipWriter).compress(payload))
+	if plain := validFrame(MsgResult, payload); len(flagged) >= len(plain) {
 		t.Fatalf("gzip frame is %d bytes, plain is %d — compression bought nothing", len(flagged), len(plain))
 	}
-	typ, flags, got, err := ReadFrameFlags(bytes.NewReader(flagged))
+	typ, flags, got, err := readFrame(bytes.NewReader(flagged))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgResult || flags&FlagGzip == 0 {
+	if typ != MsgResult || flags != FlagGzip {
 		t.Fatalf("got type %v flags %#02x, want result with FlagGzip", typ, flags)
 	}
 	if !bytes.Equal(got, payload) {
@@ -32,45 +30,14 @@ func TestGzipFrameRoundTrip(t *testing.T) {
 }
 
 // TestGzipFrameIncompressibleFallsBackToPlain: when compression does
-// not shrink the payload the flag clears itself and the wire bytes are
-// exactly the plain frame's.
+// not shrink a large result the worker sends the byte-identical plain
+// frame.
 func TestGzipFrameIncompressibleFallsBackToPlain(t *testing.T) {
-	payload := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(payload)
-	flagged := AppendFrameFlags(nil, MsgResult, FlagGzip, payload)
-	plain := AppendFrame(nil, MsgResult, payload)
-	if !bytes.Equal(flagged, plain) {
+	data := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(data)
+	m := &Result{ID: 1, Data: data}
+	if got, want := workerFrame(t, m), validFrame(MsgResult, m.appendTo(nil)); !bytes.Equal(got, want) {
 		t.Fatal("incompressible payload must travel as a byte-identical plain frame")
-	}
-}
-
-// TestFrameFlagsWireCompatibility: zero flags reproduce the pre-flags
-// encoding bit for bit; FlagGzipOK touches only the type byte; and a
-// flags-blind receiver (ParseFrame, the pre-flags logic) sees a flagged
-// frame as a recoverable unknown type, never a dropped connection.
-func TestFrameFlagsWireCompatibility(t *testing.T) {
-	payload := []byte("hello payload")
-	plain := AppendFrame(nil, MsgHello, payload)
-	if zero := AppendFrameFlags(nil, MsgHello, 0, payload); !bytes.Equal(zero, plain) {
-		t.Fatal("zero-flag frame is not byte-identical to the pre-flags encoding")
-	}
-	adv := AppendFrameFlags(nil, MsgHello, FlagGzipOK, payload)
-	if adv[3] != byte(MsgHello)|FlagGzipOK {
-		t.Fatalf("type byte = %#02x, want %#02x", adv[3], byte(MsgHello)|FlagGzipOK)
-	}
-	if !bytes.Equal(adv[:3], plain[:3]) || !bytes.Equal(adv[4:], plain[4:]) {
-		t.Fatal("FlagGzipOK must change only the type byte")
-	}
-	typ, flags, got, err := ReadFrameFlags(bytes.NewReader(adv))
-	if err != nil || typ != MsgHello || flags != FlagGzipOK || !bytes.Equal(got, payload) {
-		t.Fatalf("flagged frame read back as %v/%#02x/%q, %v", typ, flags, got, err)
-	}
-	// The pre-flags receiver's view: an unknown type, recoverable.
-	if MsgType(adv[3]).valid() {
-		t.Fatal("a flagged type byte must be invalid to a flags-blind receiver")
-	}
-	if _, _, n, err := ParseFrame(adv); IsFatalFrameError(err) || n != len(adv) {
-		t.Fatalf("flags-blind parse must skip the whole frame recoverably, got n=%d err=%v", n, err)
 	}
 }
 
@@ -80,15 +47,14 @@ func TestFrameFlagsWireCompatibility(t *testing.T) {
 func TestGzipFrameCorruptPayloadIsRecoverable(t *testing.T) {
 	// The CRC covers the payload only, so flipping the flag bit on a
 	// plain frame forges exactly this corruption.
-	frame := AppendFrame(nil, MsgResult, []byte("definitely not a gzip stream"))
-	frame[3] |= FlagGzip
-	stream := append(frame, AppendFrame(nil, MsgDone, nil)...)
+	frame := AppendFrame(nil, MsgResult, FlagGzip, []byte("definitely not a gzip stream"))
+	stream := append(frame, validFrame(MsgDone, nil)...)
 	r := bytes.NewReader(stream)
-	_, _, _, err := ReadFrameFlags(r)
-	if err == nil || IsFatalFrameError(err) {
+	var fe *FrameError
+	if _, _, _, err := readFrame(r); !errors.As(err, &fe) || fe.Fatal {
 		t.Fatalf("bad gzip payload: got %v, want recoverable frame error", err)
 	}
-	if typ, _, err := ReadFrame(r); err != nil || typ != MsgDone {
+	if typ, _, _, err := readFrame(r); err != nil || typ != MsgDone {
 		t.Fatalf("stream lost alignment after rejected frame: %v, %v", typ, err)
 	}
 }
@@ -98,10 +64,9 @@ func TestGzipFrameCorruptPayloadIsRecoverable(t *testing.T) {
 // the plain length field never could.
 func TestGzipFrameBombIsBounded(t *testing.T) {
 	z := new(gzipWriter).compress(make([]byte, MaxFramePayload+1))
-	frame := AppendFrame(nil, MsgResult, z)
-	frame[3] |= FlagGzip
-	_, _, _, err := ReadFrameFlags(bytes.NewReader(frame))
-	if err == nil || IsFatalFrameError(err) {
+	frame := AppendFrame(nil, MsgResult, FlagGzip, z)
+	var fe *FrameError
+	if _, _, _, err := readFrame(bytes.NewReader(frame)); !errors.As(err, &fe) || fe.Fatal {
 		t.Fatalf("decompression bomb: got %v, want recoverable frame error", err)
 	}
 }
@@ -138,13 +103,13 @@ func TestGzipWriterResetMatchesFresh(t *testing.T) {
 func TestGzipFrameLyingTrailerIsRecoverable(t *testing.T) {
 	z := new(gzipWriter).compress(bytes.Repeat([]byte("shard "), 100))
 	copy(z[len(z)-4:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-	frame := AppendFrame(nil, MsgResult, z)
-	frame[3] |= FlagGzip
+	frame := AppendFrame(nil, MsgResult, FlagGzip, z)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, err := ReadFrameFlags(bytes.NewReader(frame))
+	_, _, _, err := readFrame(bytes.NewReader(frame))
 	runtime.ReadMemStats(&after)
-	if err == nil || IsFatalFrameError(err) {
+	var fe *FrameError
+	if !errors.As(err, &fe) || fe.Fatal {
 		t.Fatalf("lying trailer: got %v, want recoverable frame error", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
@@ -152,16 +117,29 @@ func TestGzipFrameLyingTrailerIsRecoverable(t *testing.T) {
 	}
 }
 
-// TestWorkerSendCompressesLargeResults: on a gzip-negotiated connection
-// the worker compresses result blobs past CompressMin and leaves small
-// control messages plain.
+// workerFrame returns the frame a connected worker sends for m.
+func workerFrame(t *testing.T, m Message) []byte {
+	t.Helper()
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	w := &worker{cfg: WorkerConfig{}.withDefaults(), conn: c1}
+	go w.sendMsg(m)
+	frame, err := ReadRawFrame(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestWorkerSendCompressesLargeResults: the worker compresses result
+// blobs of at least CompressMin bytes and leaves small control messages
+// plain.
 func TestWorkerSendCompressesLargeResults(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	w := &worker{cfg: WorkerConfig{}.withDefaults()}
-	w.conn = c1
-	w.gzip = true
+	w := &worker{cfg: WorkerConfig{}.withDefaults(), conn: c1}
 
 	// Two results in a row: the second frame goes through the writer
 	// the first one used, and both must be the frames a fresh writer
@@ -172,23 +150,16 @@ func TestWorkerSendCompressesLargeResults(t *testing.T) {
 	} {
 		m := &Result{ID: uint64(i), Shard: i, Data: data}
 		go w.sendMsg(m)
-		frame := make([]byte, headerSize)
-		if _, err := io.ReadFull(c2, frame); err != nil {
-			t.Fatal(err)
-		}
-		frame = append(frame, make([]byte, binary.BigEndian.Uint32(frame[4:8]))...)
-		if _, err := io.ReadFull(c2, frame[headerSize:]); err != nil {
-			t.Fatal(err)
-		}
-		if want := AppendFrameFlags(nil, MsgResult, FlagGzip, m.payload()); !bytes.Equal(frame, want) {
-			t.Fatalf("result %d: worker frame differs from a fresh writer's", i)
-		}
-		typ, flags, payload, err := ReadFrameFlags(bytes.NewReader(frame))
+		frame, err := ReadRawFrame(c2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != MsgResult || flags&FlagGzip == 0 {
-			t.Fatalf("large result went out as %v flags %#02x, want gzip-framed result", typ, flags)
+		if want := AppendFrame(nil, MsgResult, FlagGzip, new(gzipWriter).compress(m.appendTo(nil))); !bytes.Equal(frame, want) {
+			t.Fatalf("result %d: worker frame differs from a fresh writer's", i)
+		}
+		typ, _, payload, err := readFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
 		}
 		back, err := DecodeMessage(typ, payload)
 		if err != nil {
@@ -199,8 +170,8 @@ func TestWorkerSendCompressesLargeResults(t *testing.T) {
 		}
 	}
 
-	go w.sendMsg(&Heartbeat{InFlight: []uint64{1}})
-	if _, flags, _, err := ReadFrameFlags(c2); err != nil || flags != 0 {
-		t.Fatalf("small message flags = %#02x (%v), want plain", flags, err)
+	m := &Heartbeat{InFlight: []uint64{1}}
+	if got := workerFrame(t, m); !bytes.Equal(got, validFrame(MsgHeartbeat, m.appendTo(nil))) {
+		t.Fatal("a small message did not travel as a plain frame")
 	}
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -71,18 +70,8 @@ type worker struct {
 	mu       sync.Mutex
 	token    string // session token; empty until the first Welcome
 	conn     net.Conn
-	gzip     bool // coordinator echoed FlagGzipOK on this connection
 	inflight map[uint64]context.CancelFunc
 	pending  []Message // results awaiting a live connection
-
-	// legacyHello strips the FlagGzipOK advertisement from the next
-	// handshake. It is set when a flagged handshake dies before Welcome:
-	// a pre-flags coordinator reads the flagged Hello as an unknown
-	// frame type and hangs up, so the worker retries plain — trading
-	// compression away for interop. (A transient network failure at
-	// exactly the wrong moment costs the same downgrade; that only
-	// forgoes an optimization, never correctness.)
-	legacyHello bool
 
 	sendMu      sync.Mutex
 	zw          gzipWriter   // compresses result frames; guarded by sendMu
@@ -176,28 +165,15 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 
 	w.mu.Lock()
 	token := w.token
-	helloFlags := byte(FlagGzipOK)
-	if w.legacyHello {
-		helloFlags = 0
-	}
 	w.mu.Unlock()
-	if err := WriteFrameFlags(conn, MsgHello, helloFlags, (&Hello{Token: token, Auth: w.cfg.AuthToken}).encode()); err != nil {
+	if err := WriteMessage(conn, &Hello{Token: token, Auth: w.cfg.AuthToken}); err != nil {
 		return false, err
 	}
-	t, flags, payload, err := ReadFrameFlags(conn)
-	if err != nil || t != MsgWelcome {
-		if helloFlags != 0 {
-			// A coordinator that predates frame flags reads a flagged
-			// Hello as an unknown frame type and drops the connection
-			// before any Welcome. Retry plain from now on.
-			w.mu.Lock()
-			w.legacyHello = true
-			w.mu.Unlock()
-			w.logf("sweep worker: flagged handshake failed, retrying without frame flags")
-		}
-		if err != nil {
-			return false, err
-		}
+	t, _, payload, err := ReadFrame(conn, MaxFramePayload)
+	if err != nil {
+		return false, err
+	}
+	if t != MsgWelcome {
 		return false, fmt.Errorf("sweep worker: handshake got %v, want welcome", t)
 	}
 	m, err := DecodeMessage(t, payload)
@@ -210,13 +186,11 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 	resumed := w.token != "" && w.token == welcome.Token
 	w.token = welcome.Token
 	w.conn = conn
-	w.gzip = flags&FlagGzipOK != 0
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
 		if w.conn == conn {
 			w.conn = nil
-			w.gzip = false
 		}
 		w.mu.Unlock()
 	}()
@@ -244,7 +218,7 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 	}()
 
 	for {
-		t, payload, err := ReadFrame(conn)
+		t, _, payload, err := ReadFrame(conn, MaxFramePayload)
 		if ctx.Err() != nil {
 			return true, ctx.Err()
 		}
@@ -316,26 +290,28 @@ func (w *worker) heartbeatLoop(conn net.Conn, stop <-chan struct{}) {
 	}
 }
 
-// sendMsg writes one message on the current connection, gzip-framing
-// payloads worth compressing when the coordinator negotiated FlagGzipOK
-// on this connection (in practice that is shard-result blobs — every
-// other worker message is far below CompressMin). Sends are serialized
-// under sendMu, so every frame reuses the worker's one gzip writer.
+// sendMsg writes one message on the current connection. A payload of at
+// least CompressMin bytes (in practice a shard-result blob — every other
+// worker message is far smaller) travels gzip-compressed unless that
+// does not shrink it. Sends are serialized under sendMu, so every frame
+// reuses the worker's one gzip writer.
 func (w *worker) sendMsg(m Message) error {
 	w.sendMu.Lock()
 	defer w.sendMu.Unlock()
 	w.mu.Lock()
-	conn, gz := w.conn, w.gzip
+	conn := w.conn
 	w.mu.Unlock()
 	if conn == nil {
 		return errors.New("sweep worker: not connected")
 	}
-	payload := m.payload()
-	var flags byte
-	if gz && len(payload) >= CompressMin {
-		flags = FlagGzip
+	payload, flags := m.appendTo(nil), byte(0)
+	if len(payload) >= CompressMin {
+		if z := w.zw.compress(payload); len(z) < len(payload) {
+			payload, flags = z, FlagGzip
+		}
 	}
-	return writeFrame(conn, m.msgType(), flags, payload, &w.zw)
+	_, err := conn.Write(AppendFrame(nil, m.msgType(), flags, payload))
+	return err
 }
 
 // deliver sends a result, buffering it for the next successful handshake
@@ -436,19 +412,7 @@ func (w *worker) computeJob(ctx context.Context, jm *Job) Message {
 // experiment does not skip its other stages; that fails the job, and
 // the coordinator's JobError handling computes the tag locally.
 func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
-	r := &exp.Runner{
-		Workers: jm.Workers,
-		Quick:   jm.Quick,
-		Accum:   jm.Accum,
-		Bins:    jm.Bins,
-	}
-	if jm.HasSeed {
-		seed := jm.Seed
-		r.Seed = &seed
-	}
-	if len(jm.Params) > 0 {
-		r.Params = json.RawMessage(jm.Params)
-	}
+	r := jm.Spec.Runner()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var mu sync.Mutex
@@ -498,7 +462,7 @@ func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
 		cancel()
 		return v, nil
 	}
-	runErr := exp.RunStage(runCtx, jm.Experiment, r, jm.Tag)
+	runErr := exp.RunStage(runCtx, experimentOf(jm.Tag), r, jm.Tag)
 	mu.Lock()
 	defer mu.Unlock()
 	if capErr != nil {
@@ -512,7 +476,7 @@ func (w *worker) replayShard(ctx context.Context, jm *Job) ([]byte, error) {
 	}
 	if runErr == nil {
 		return nil, fmt.Errorf("sweep worker: replay of %s finished without reaching shard %d of run %q",
-			jm.Experiment, jm.Shard, jm.Tag)
+			experimentOf(jm.Tag), jm.Shard, jm.Tag)
 	}
 	return nil, runErr
 }

@@ -1,13 +1,13 @@
-// Package wire holds the little-endian primitives of the shard binary
-// forms: the bytes a Monte-Carlo shard's value takes between a sweep
-// worker and the coordinator (docs/PROTOCOL.md lists each layout).
-// Every field is fixed width: a count or integer is 8 bytes, a float its
-// 8 IEEE-754 bytes, a string a count followed by its bytes.
+// Package wire holds the little-endian primitives of every payload the
+// sweep protocol carries: its messages and the binary forms of the
+// Monte-Carlo shard values inside them (docs/PROTOCOL.md lists each
+// layout). A count or integer is 8 bytes, a float its 8 IEEE-754 bytes,
+// and a string or blob a count followed by its bytes.
 //
-// Reader is the decoding half. It is as strict as the sweep message
-// decoders: every count is checked against the bytes left before
-// anything is allocated, decoded slices are fresh copies that never
-// alias the input, and Close refuses trailing bytes.
+// Reader is the decoding half. It is strict: every count is checked
+// against the bytes left before anything is allocated, decoded slices
+// are fresh copies that never alias the input, and Close refuses
+// trailing bytes.
 package wire
 
 import (
@@ -33,8 +33,8 @@ func AppendFloat64s(b []byte, xs []float64) []byte {
 	return b
 }
 
-// AppendString appends len(s) and then s.
-func AppendString(b []byte, s string) []byte {
+// AppendString appends len(s) and then s, a string or a byte blob.
+func AppendString[S ~string | ~[]byte](b []byte, s S) []byte {
 	return append(AppendUint64(b, uint64(len(s))), s...)
 }
 
@@ -137,6 +137,9 @@ func (r *Reader) Float64s(n int) []float64 {
 	}
 	return xs
 }
+
+// Bytes reads a count-prefixed blob into a fresh slice (nil when empty).
+func (r *Reader) Bytes() []byte { return append([]byte(nil), r.take(r.Count(1))...) }
 
 // Str reads a count-prefixed string. (It is not named String, which
 // would make a Reader a fmt.Stringer that consumes input when printed.)

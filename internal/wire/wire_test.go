@@ -19,6 +19,8 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendUint64(b, uint64(len(xs)))
 	b = AppendFloat64s(b, xs)
 	b = AppendString(b, "shard")
+	b = AppendString(b, []byte("blob"))
+	b = AppendString(b, []byte(nil))
 	b = append(b, 0xAB)
 
 	r := NewReader(b)
@@ -43,6 +45,13 @@ func TestRoundTrip(t *testing.T) {
 	if s := r.Str(); s != "shard" {
 		t.Fatalf("String = %q", s)
 	}
+	blob := r.Bytes()
+	if string(blob) != "blob" {
+		t.Fatalf("Bytes = %q", blob)
+	}
+	if empty := r.Bytes(); empty != nil {
+		t.Fatalf("empty Bytes = %#v, want nil", empty)
+	}
 	if v := r.Byte(); v != 0xAB {
 		t.Fatalf("Byte = %#x", v)
 	}
@@ -53,6 +62,9 @@ func TestRoundTrip(t *testing.T) {
 	clear(b)
 	if math.Float64bits(got[2]) != math.Float64bits(1.5) {
 		t.Fatal("Float64s aliases its input")
+	}
+	if string(blob) != "blob" {
+		t.Fatal("Bytes aliases its input")
 	}
 }
 
@@ -65,7 +77,7 @@ func TestReaderFailures(t *testing.T) {
 		t.Fatal("a truncated Uint64 read succeeded")
 	}
 	first := r.Err()
-	if r.Byte() != 0 || r.Float64s(1) != nil || r.Str() != "" || r.Close() != first {
+	if r.Byte() != 0 || r.Float64s(1) != nil || r.Str() != "" || r.Bytes() != nil || r.Close() != first {
 		t.Fatal("reads after a failure did not return zero values and the first failure")
 	}
 
@@ -73,11 +85,15 @@ func TestReaderFailures(t *testing.T) {
 		"count past the end":  append(AppendUint64(nil, 2), make([]byte, 15)...),
 		"count of all ones":   append(bytes.Repeat([]byte{0xFF}, 8), make([]byte, 64)...),
 		"string past the end": append(AppendUint64(nil, 4), "abc"...),
+		"blob past the end":   append(AppendUint64(nil, 4), "abc"...),
 	} {
 		r := NewReader(b)
-		if name == "string past the end" {
+		switch name {
+		case "string past the end":
 			r.Str()
-		} else {
+		case "blob past the end":
+			r.Bytes()
+		default:
 			r.Float64s(r.Count(8))
 		}
 		if r.Close() == nil {

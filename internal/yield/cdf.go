@@ -9,8 +9,8 @@ import (
 	"faultmem/internal/stats"
 )
 
-// AccumMode selects the statistics accumulator MSECDFAll builds its CDFs
-// on.
+// AccumMode selects the statistics accumulator MSECDFAllEnv builds its
+// CDFs on.
 type AccumMode int
 
 const (
@@ -238,33 +238,25 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int, err error) {
 // prompt against any realistic budget (a shard holds thousands of samples).
 const cancelPollMask = 1<<12 - 1
 
-// MSECDFAll runs the Fig. 5 Monte Carlo for every scheme at once on the
-// parallel engine, with common random numbers across the arms: each fault
-// map is drawn once (per-row bitmasks, no allocations) and scored by all
-// schemes, so fault-map generation is paid once instead of once per arm
-// and between-arm comparisons such as ReductionAtYield see the same
-// samples on both sides (variance reduction by positive correlation).
+// MSECDFAllEnv runs the Fig. 5 Monte Carlo for every scheme at once on
+// the parallel engine: for every failure count n = 1..Nmax it draws
+// samples(n) ~ Pr(N=n)*Trun random fault maps (Eq. 4 prior, uniform fault
+// placement), computes each scheme's post-mitigation MSE of Eq. (6), and
+// accumulates the weighted CDF of Eq. (5). The arms share common random
+// numbers: each fault map is drawn once (per-row bitmasks, no
+// allocations) and scored by all schemes, so fault-map generation is
+// paid once instead of once per arm and between-arm comparisons such as
+// ReductionAtYield see the same samples on both sides (variance
+// reduction by positive correlation).
 //
 // The sample budget is split into p.Shards deterministic RNG streams
 // executed by p.Workers goroutines; shard outputs merge in shard order,
-// so every result is bit-identical for any worker count.
-func MSECDFAll(p CDFParams, schemes []Scheme) []CDFResult {
-	rs, err := MSECDFAllEnv(mc.Env{}, p, schemes)
-	if err != nil {
-		// The zero Env's background context never cancels, so only bad
-		// params (which MSECDFAllEnv reports as errors) land here.
-		panic(fmt.Sprintf("yield: background CDF run failed: %v", err))
-	}
-	return rs
-}
-
-// MSECDFAllEnv is MSECDFAll under an execution environment: identical
-// samples and accumulators when the context stays live (the campaign is
-// bit-identical to MSECDFAll for any worker count), ctx.Err() without
-// results when it is cancelled or deadlined mid-flight. Cancellation is
-// polled between shards by the engine and every few thousand samples
-// inside each shard, so even single-shard budgets return promptly. The
-// environment's OnShard callback sees each completed shard.
+// so every result is bit-identical for any worker count. A campaign
+// whose context is cancelled or deadlined mid-flight returns ctx.Err()
+// without results. Cancellation is polled between shards by the engine
+// and every few thousand samples inside each shard, so even single-shard
+// budgets return promptly. The environment's OnShard callback sees each
+// completed shard.
 //
 // Bad params, an exact-store budget above maxExactSamples, and shard
 // results from env.Exec that do not hold one accumulator of the
@@ -401,14 +393,6 @@ func checkShard(i int, accs, merged []stats.Accumulator) error {
 		}
 	}
 	return nil
-}
-
-// MSECDF runs the Fig. 5 Monte Carlo for one scheme: for every failure
-// count n = 1..Nmax, it draws samples(n) ~ Pr(N=n)*Trun random fault maps
-// (Eq. 4 prior, uniform fault placement), computes the post-mitigation
-// MSE of Eq. (6), and accumulates the weighted CDF of Eq. (5).
-func MSECDF(p CDFParams, s Scheme) CDFResult {
-	return MSECDFAll(p, []Scheme{s})[0]
 }
 
 // YieldAtMSE returns the quality-aware yield at a target MSE: the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"faultmem/internal/core"
+	"faultmem/internal/mc"
 	"faultmem/internal/stats"
 )
 
@@ -17,6 +18,17 @@ func fig5Schemes() []Scheme {
 	}
 }
 
+// msecdfAll runs MSECDFAllEnv under the zero Env, whose context never
+// cancels, so any error fails the test.
+func msecdfAll(tb testing.TB, p CDFParams, schemes []Scheme) []CDFResult {
+	tb.Helper()
+	rs, err := MSECDFAllEnv(mc.Env{}, p, schemes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rs
+}
+
 func TestMSECDFAllWorkerCountInvariance(t *testing.T) {
 	// The determinism contract: same seed => byte-identical CDFs for any
 	// worker count. Compared via Float64bits so even a ULP of drift
@@ -26,7 +38,7 @@ func TestMSECDFAllWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []CDFResult {
 		q := p
 		q.Workers = workers
-		return MSECDFAll(q, fig5Schemes())
+		return msecdfAll(t, q, fig5Schemes())
 	}
 	ref := run(1)
 	for _, w := range []int{2, runtime.GOMAXPROCS(0), 13} {
@@ -68,10 +80,10 @@ func TestMSECDFAllShardCountChangesStreamsOnly(t *testing.T) {
 	// carry the same sample plan.
 	p := DefaultCDFParams()
 	p.Trun = 1e4
-	a := MSECDFAll(p, fig5Schemes()[:1])[0]
+	a := msecdfAll(t, p, fig5Schemes()[:1])[0]
 	p.Shards = 7
-	b1 := MSECDFAll(p, fig5Schemes()[:1])[0]
-	b2 := MSECDFAll(p, fig5Schemes()[:1])[0]
+	b1 := msecdfAll(t, p, fig5Schemes()[:1])[0]
+	b2 := msecdfAll(t, p, fig5Schemes()[:1])[0]
 	if a.Samples != b1.Samples {
 		t.Fatal("shard count changed the sample plan")
 	}
@@ -181,7 +193,7 @@ func TestMSECDFAllHistWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []CDFResult {
 		q := p
 		q.Workers = workers
-		return MSECDFAll(q, fig5Schemes())
+		return msecdfAll(t, q, fig5Schemes())
 	}
 	ref := run(1)
 	for _, w := range []int{2, runtime.GOMAXPROCS(0), 13} {
@@ -227,11 +239,11 @@ func TestHistogramAgreesWithExactOracle(t *testing.T) {
 
 	pe := p
 	pe.Accum = AccumExact
-	exact := MSECDFAll(pe, schemes)
+	exact := msecdfAll(t, pe, schemes)
 
 	ph := p
 	ph.Accum = AccumHist
-	hist := MSECDFAll(ph, schemes)
+	hist := msecdfAll(t, ph, schemes)
 
 	for j := range schemes {
 		e, h := exact[j], hist[j]
@@ -276,12 +288,12 @@ func TestHistogramModeFlatMemoryAtPaperBudget(t *testing.T) {
 	p.MaxPerCount = 0 // the paper's full per-count budget
 	p.Accum = AccumAuto
 	schemes := fig5Schemes()
-	results := MSECDFAll(p, schemes)
+	results := msecdfAll(t, p, schemes)
 
 	small := DefaultCDFParams()
 	small.Trun = 1e5
 	small.Accum = AccumHist
-	smallRes := MSECDFAll(small, schemes[:1])[0]
+	smallRes := msecdfAll(t, small, schemes[:1])[0]
 	smallHist := smallRes.CDF.(*stats.LogHistogram)
 
 	for _, r := range results {
@@ -311,7 +323,7 @@ func TestHistogramModeFlatMemoryAtPaperBudget(t *testing.T) {
 func TestAccumAutoStaysExactBelowThreshold(t *testing.T) {
 	p := DefaultCDFParams()
 	p.Trun = 1e4
-	r := MSECDFAll(p, fig5Schemes()[:1])[0]
+	r := msecdfAll(t, p, fig5Schemes()[:1])[0]
 	if r.Histogram {
 		t.Fatalf("auto mode picked the histogram at %d samples", r.Samples)
 	}
@@ -359,7 +371,7 @@ func BenchmarkMSECDFAllFig5(b *testing.B) {
 	schemes := fig5Schemes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MSECDFAll(p, schemes)
+		_ = msecdfAll(b, p, schemes)
 	}
 }
 
@@ -373,7 +385,7 @@ func BenchmarkMSECDFAllFig5Hist(b *testing.B) {
 	schemes := fig5Schemes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MSECDFAll(p, schemes)
+		_ = msecdfAll(b, p, schemes)
 	}
 }
 
@@ -387,6 +399,6 @@ func BenchmarkMSECDFAllFig5Serial(b *testing.B) {
 	schemes := fig5Schemes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MSECDFAll(p, schemes)
+		_ = msecdfAll(b, p, schemes)
 	}
 }

@@ -64,7 +64,7 @@ func histDigest(t *testing.T, rs []CDFResult) string {
 }
 
 func TestFig5HistogramGolden(t *testing.T) {
-	rs := MSECDFAll(fig5HistGoldenParams(), fig5Schemes())
+	rs := msecdfAll(t, fig5HistGoldenParams(), fig5Schemes())
 	if got := histDigest(t, rs); got != fig5HistGolden {
 		t.Fatalf("histogram-mode Fig. 5 digest %s, want %s", got, fig5HistGolden)
 	}

@@ -4,7 +4,21 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"faultmem/internal/mc"
 )
+
+// msecdfSweep runs MSECDFSweepMapEnv under the zero Env and keeps every
+// point's results.
+func msecdfSweep(tb testing.TB, base CDFParams, pcells []float64, schemes []Scheme) [][]CDFResult {
+	tb.Helper()
+	out, err := MSECDFSweepMapEnv(mc.Env{}, base, pcells, schemes,
+		func(_ int, rs []CDFResult) []CDFResult { return rs })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
 
 // TestMSECDFSweepMatchesSerial is the contract the yieldcalc -sweep CLI
 // rides on: evaluating the voltage points concurrently on the engine
@@ -17,14 +31,14 @@ func TestMSECDFSweepMatchesSerial(t *testing.T) {
 	schemes := fig5Schemes()[:3]
 	pcells := []float64{5e-6, 1e-4, 1e-3, 5e-3}
 
-	sweep := MSECDFSweep(base, pcells, schemes)
+	sweep := msecdfSweep(t, base, pcells, schemes)
 	if len(sweep) != len(pcells) {
 		t.Fatalf("%d sweep points, want %d", len(sweep), len(pcells))
 	}
 	for i, pc := range pcells {
 		q := base
 		q.Pcell = pc
-		serial := MSECDFAll(q, schemes)
+		serial := msecdfAll(t, q, schemes)
 		for j := range schemes {
 			a, b := serial[j], sweep[i][j]
 			if a.Samples != b.Samples {
@@ -56,7 +70,7 @@ func TestMSECDFSweepWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) [][]CDFResult {
 		b := base
 		b.Workers = workers
-		return MSECDFSweep(b, pcells, schemes)
+		return msecdfSweep(t, b, pcells, schemes)
 	}
 	ref := run(1)
 	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {

@@ -130,10 +130,10 @@ func TestMSECDFOrderingFig5(t *testing.T) {
 	// must be ordered No-Correction >> nFM=1 >= nFM=2 >= ... >= nFM=5.
 	p := DefaultCDFParams()
 	p.Trun = 3e4 // keep the test fast; ordering is robust
-	un := MSECDF(p, Unprotected{})
+	un := msecdfAll(t, p, []Scheme{Unprotected{}})[0]
 	results := []CDFResult{un}
 	for nfm := 1; nfm <= 5; nfm++ {
-		results = append(results, MSECDF(p, NewShuffled(nfm)))
+		results = append(results, msecdfAll(t, p, []Scheme{NewShuffled(nfm)})[0])
 	}
 	q := 0.9
 	prev := math.Inf(1)
@@ -152,8 +152,8 @@ func TestMSECDF30xReductionClaim(t *testing.T) {
 	// achieve a given target yield, even for the nFM=1 case".
 	p := DefaultCDFParams()
 	p.Trun = 3e4
-	un := MSECDF(p, Unprotected{})
-	s1 := MSECDF(p, NewShuffled(1))
+	un := msecdfAll(t, p, []Scheme{Unprotected{}})[0]
+	s1 := msecdfAll(t, p, []Scheme{NewShuffled(1)})[0]
 	for _, q := range []float64{0.8, 0.9, 0.99} {
 		red := ReductionAtYield(s1, un, q)
 		if red < 30 {
@@ -173,11 +173,11 @@ func TestYieldAtMSETargetNFM1(t *testing.T) {
 	p := DefaultCDFParams()
 	p.Trun = 2e6
 	p.MaxPerCount = 200000
-	s1 := MSECDF(p, NewShuffled(1))
+	s1 := msecdfAll(t, p, []Scheme{NewShuffled(1)})[0]
 	if y := s1.YieldAtMSE(1e6); y < 0.9999 {
 		t.Errorf("nFM=1 yield at MSE<1e6 = %.6f, want ~1", y)
 	}
-	un := MSECDF(p, Unprotected{})
+	un := msecdfAll(t, p, []Scheme{Unprotected{}})[0]
 	yU := un.YieldAtMSE(1e6)
 	yS := s1.YieldAtMSE(1e6)
 	if yS <= yU {
@@ -189,9 +189,9 @@ func TestPECCBetweenUnprotectedAndNFM2(t *testing.T) {
 	// Fig. 5: P-ECC clearly beats no protection; nFM=2..5 beat P-ECC.
 	p := DefaultCDFParams()
 	p.Trun = 3e4
-	un := MSECDF(p, Unprotected{})
-	pecc := MSECDF(p, PriorityECC{})
-	s2 := MSECDF(p, NewShuffled(2))
+	un := msecdfAll(t, p, []Scheme{Unprotected{}})[0]
+	pecc := msecdfAll(t, p, []Scheme{PriorityECC{}})[0]
+	s2 := msecdfAll(t, p, []Scheme{NewShuffled(2)})[0]
 	q := 0.9
 	if !(pecc.MSEAtYield(q) < un.MSEAtYield(q)) {
 		t.Error("P-ECC does not beat no-correction")
@@ -204,7 +204,7 @@ func TestPECCBetweenUnprotectedAndNFM2(t *testing.T) {
 func TestCDFResultBasics(t *testing.T) {
 	p := DefaultCDFParams()
 	p.Trun = 1e4
-	r := MSECDF(p, Unprotected{})
+	r := msecdfAll(t, p, []Scheme{Unprotected{}})[0]
 	if r.Samples == 0 {
 		t.Fatal("no samples drawn")
 	}
@@ -227,7 +227,7 @@ func TestCDFResultBasics(t *testing.T) {
 func TestMSEAtYieldBelowP0IsZero(t *testing.T) {
 	p := DefaultCDFParams()
 	p.Trun = 1e4
-	r := MSECDF(p, NewShuffled(5))
+	r := msecdfAll(t, p, []Scheme{NewShuffled(5)})[0]
 	if got := r.MSEAtYield(r.PZeroFailures / 2); got != 0 {
 		t.Errorf("MSE at yield below P0 = %g, want 0", got)
 	}
@@ -236,8 +236,8 @@ func TestMSEAtYieldBelowP0IsZero(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	p := DefaultCDFParams()
 	p.Trun = 5e3
-	a := MSECDF(p, NewShuffled(3))
-	b := MSECDF(p, NewShuffled(3))
+	a := msecdfAll(t, p, []Scheme{NewShuffled(3)})[0]
+	b := msecdfAll(t, p, []Scheme{NewShuffled(3)})[0]
 	if a.Samples != b.Samples {
 		t.Fatal("sample counts differ")
 	}
@@ -247,13 +247,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestCommonRandomNumbersAcrossArms(t *testing.T) {
-	// MSECDFAll evaluates every scheme on the same fault maps (common
+	// MSECDFAllEnv evaluates every scheme on the same fault maps (common
 	// random numbers), so running a scheme alongside others must give
 	// exactly the result of running it alone at the same params.
 	p := DefaultCDFParams()
 	p.Trun = 5e3
-	alone := MSECDF(p, NewShuffled(2))
-	together := MSECDFAll(p, []Scheme{Unprotected{}, NewShuffled(2), FullECC{}})[1]
+	alone := msecdfAll(t, p, []Scheme{NewShuffled(2)})[0]
+	together := msecdfAll(t, p, []Scheme{Unprotected{}, NewShuffled(2), FullECC{}})[1]
 	if alone.Samples != together.Samples {
 		t.Fatal("sample counts differ")
 	}
