@@ -3,12 +3,14 @@
 // a Jacobi eigensolver for symmetric matrices (used by PCA).
 //
 // It is deliberately minimal and allocation-transparent; everything is
-// float64 and row-major.
+// float64 and row-major, except Panels, the 4-row panel layout of the
+// matrix-vector product and the two-query distance scan.
 //
-// The rank-4 column update that MulInto and CovarianceInto share
-// (addRank4) has one assembly kernel, for amd64 CPUs with AVX, chosen
-// once at package init. Its Go loop is the reference the kernel must
-// match bit for bit, and the code that runs everywhere else.
+// Three loops have an assembly kernel for amd64 CPUs with AVX, chosen
+// once at package init (UseAVX): the rank-4 column update that MulInto
+// and CovarianceInto share (addRank4), Panels.MulVecInto and
+// Panels.ScanPair. Each Go loop is the reference its kernel must match
+// bit for bit, and the code that runs everywhere else.
 package mat
 
 import (

@@ -1,10 +1,12 @@
 package mat
 
-// useAVX selects the amd64 AVX version of addRank4. Package init sets it
+// UseAVX selects the amd64 AVX kernels: addRank4's and the two panel
+// kernels (Panels.MulVecInto, Panels.ScanPair). Package init sets it
 // once from the CPU's features (haveAVX); on every other GOARCH it is
-// false. Tests clear it to run the Go loop, the reference both paths
+// false. Tests and benchmarks, here and in the packages that call the
+// kernels, clear it to run the Go loops, the reference every kernel
 // must match bit for bit.
-var useAVX = haveAVX()
+var UseAVX = haveAVX()
 
 // addRank4 applies the rank-4 update shared by MulInto and
 // CovarianceInto to every element of dst:
@@ -16,7 +18,7 @@ var useAVX = haveAVX()
 // the same order as the Go loop (no fused multiply-add), so the two
 // paths agree bit for bit.
 func addRank4(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	if useAVX {
+	if UseAVX {
 		n := len(dst)
 		addRank4AVX(dst, b0[:n], b1[:n], b2[:n], b3[:n], a0, a1, a2, a3)
 		return

@@ -7,6 +7,20 @@ package mat
 //go:noescape
 func addRank4AVX(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
 
+// panelMulVecAVX is Panels.MulVecInto in AVX assembly for the
+// len(dst)/4 full panels in a: four panels (sixteen rows) per pass,
+// then one at a time. v holds one entry per column; init is nil or
+// holds len(dst) entries.
+//
+//go:noescape
+func panelMulVecAVX(dst, a, v, init []float64)
+
+// scanPairAVX is Panels.ScanPair in AVX assembly over panels
+// from..full-1 of a, whose columns number len(qa) == len(qb).
+//
+//go:noescape
+func scanPairAVX(a, qa, qb []float64, from, full int, boundA, boundB float64, sums *[8]float64) int
+
 // cpuid1ECX returns ECX of CPUID leaf 1; xgetbv0 returns the low 32
 // bits of XCR0. Both are in kernel_amd64.s.
 func cpuid1ECX() uint32

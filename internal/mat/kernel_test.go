@@ -6,17 +6,16 @@ import (
 	"testing"
 )
 
-// kernelPaths runs f once on each addRank4 path this CPU can take: the
-// AVX kernel when present, then the Go loop.
-func kernelPaths(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	saved := useAVX
-	defer func() { useAVX = saved }()
+// kernelPaths runs f once on each kernel path this CPU can take, as a
+// subtest or sub-benchmark: "avx" when the CPU has AVX, then "go".
+func kernelPaths[T interface{ Run(string, func(T)) bool }](tb T, f func(T)) {
+	saved := UseAVX
+	defer func() { UseAVX = saved }()
 	if saved {
-		t.Run("avx", f)
+		tb.Run("avx", f)
 	}
-	useAVX = false
-	t.Run("go", f)
+	UseAVX = false
+	tb.Run("go", f)
 }
 
 // wideValue draws a float64 whose magnitude spans 1e-300 to 1e300, with
@@ -42,7 +41,7 @@ func wideValue(rng *rand.Rand) float64 {
 // NaN and products underflow to subnormals and zero; every output must
 // still match, NaN bits included.
 func TestAddRank4AVXMatchesGo(t *testing.T) {
-	if !useAVX {
+	if !UseAVX {
 		t.Skip("no AVX on this CPU or GOARCH")
 	}
 	rng := rand.New(rand.NewSource(83))
@@ -134,18 +133,6 @@ func TestCovarianceIntoKernelPaths(t *testing.T) {
 	})
 }
 
-// benchPaths runs f as one sub-benchmark per addRank4 path this CPU can
-// take.
-func benchPaths(b *testing.B, f func(b *testing.B)) {
-	saved := useAVX
-	defer func() { useAVX = saved }()
-	if saved {
-		b.Run("avx", f)
-	}
-	useAVX = false
-	b.Run("go", f)
-}
-
 // BenchmarkCovarianceInto is the PCA fit's covariance at the Fig. 7b
 // geometry, 1600 x 100. Each op first copies the pristine input back,
 // because CovarianceInto centres its input in place; the copy takes
@@ -155,7 +142,7 @@ func BenchmarkCovarianceInto(b *testing.B) {
 	m := NewDense(1600, 100)
 	dst := NewDense(100, 100)
 	mu := make([]float64, 100)
-	benchPaths(b, func(b *testing.B) {
+	kernelPaths(b, func(b *testing.B) {
 		for b.Loop() {
 			m.Copy(src)
 			CovarianceInto(dst, m, mu)
@@ -171,7 +158,7 @@ func BenchmarkMulInto(b *testing.B) {
 	qt := randMat(rng, 18, 100)
 	cov := structuredCovariance(rng, 1600, 100, 10)
 	dst := NewDense(18, 100)
-	benchPaths(b, func(b *testing.B) {
+	kernelPaths(b, func(b *testing.B) {
 		for b.Loop() {
 			MulInto(dst, qt, cov)
 		}

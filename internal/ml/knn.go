@@ -22,8 +22,15 @@ type KNN struct {
 
 	scaler *mat.Standardizer
 	train  *mat.Dense
+	panels *mat.Panels // train in 4-row panels, when at most pairMaxCols wide
 	labels []float64
 }
+
+// pairMaxCols is the widest training set PredictIn scans two queries at
+// a time (predictPair): at <= 32 columns predictOne's blocked scan takes
+// no early-abandon checkpoints, so nothing is lost by pairing queries,
+// and each training-row load is amortized across both.
+const pairMaxCols = 32
 
 // NewKNN returns a classifier with k neighbors on raw features
 // (Scikit-Learn-compatible behaviour).
@@ -62,6 +69,10 @@ func (m *KNN) FitIn(ws *Workspace, x *mat.Dense, y []float64) error {
 		ws.train.Copy(x)
 	}
 	m.train = ws.train
+	m.panels = nil
+	if d <= pairMaxCols {
+		m.panels = ws.trainPanels.PackDense(ws.train)
+	}
 	m.labels = floats(&ws.labels, len(y))
 	copy(m.labels, y)
 	return nil
@@ -102,14 +113,11 @@ func (m *KNN) PredictIn(ws *Workspace, x *mat.Dense) []float64 {
 	n, _ := z.Dims()
 	out := floats(&ws.preds, n)
 	i := 0
-	// Narrow-feature fast path: at <= 32 columns predictOne's blocked
-	// scan takes no early-abandon checkpoints, so nothing is lost by
-	// scanning for two queries at once — and each training-row load is
-	// amortized across both queries while the eight independent
-	// accumulator chains keep the FPU pipelined. Distances accumulate in
-	// exactly the same per-pair order, so predictions are bit-identical
-	// to the one-query path (pinned by TestKNNPairedMatchesOne).
-	if qd <= 32 {
+	// Narrow-feature fast path (see pairMaxCols): distances accumulate
+	// in exactly the same per-pair order, so predictions are
+	// bit-identical to the one-query path (pinned by
+	// TestKNNPairedMatchesOne).
+	if m.panels != nil {
 		if cap(ws.neighborsB) < m.K {
 			ws.neighborsB = make([]neighbor, 0, m.K)
 		}
@@ -213,86 +221,41 @@ outer:
 }
 
 // predictPair classifies two query rows in one pass over the training
-// matrix (the narrow-feature path of PredictIn). Each of the four
-// training rows per block is loaded once and charged against both
-// queries; every (query, row) distance still adds its squared terms in
-// ascending feature order — exactly SqDist's order — so both results
-// are bit-identical to predictOne on the same query. Once both
-// K-buffers are full, a single mid-row checkpoint abandons a block
-// whose eight partial sums all already exceed their query's kth-best
+// matrix (the narrow-feature path of PredictIn). The full four-row
+// panels go through mat.Panels.ScanPair, which charges each training
+// row against both queries and adds every (query, row) distance's
+// squared terms in ascending feature order — exactly SqDist's order —
+// so both results are bit-identical to predictOne on the same query.
+// Once both K-buffers are full, ScanPair abandons a panel whose eight
+// half-way partial sums all already reach their query's kth-best
 // distance: squared terms only grow the sums, so every skipped row is
 // one consider would have rejected (d >= bound), and the kept neighbor
-// multisets — hence the votes — are unchanged.
+// multisets — hence the votes — are unchanged. Until then the bounds
+// are NaN, which abandons nothing.
 func (m *KNN) predictPair(qa, qb []float64, bestA, bestB []neighbor) (float64, float64) {
 	nTrain, _ := m.train.Dims()
-	dl := len(qa)
-	qb = qb[:dl] // prove len(qb) == len(qa): drops the qb[j] bounds check
-	half := dl / 2
-	t := 0
-	for ; t+4 <= nTrain; t += 4 {
-		r0 := m.train.RawRow(t)[:dl]
-		r1 := m.train.RawRow(t + 1)[:dl]
-		r2 := m.train.RawRow(t + 2)[:dl]
-		r3 := m.train.RawRow(t + 3)[:dl]
-		var a0, a1, a2, a3, b0, b1, b2, b3 float64
-		j := 0
+	rows, _ := m.panels.Dims()
+	full := rows / 4
+	var sums [8]float64
+	for p := 0; ; p++ {
+		boundA, boundB := math.NaN(), math.NaN()
 		if len(bestA) == m.K && len(bestB) == m.K {
-			for ; j < half; j++ {
-				qav, qbv := qa[j], qb[j]
-				r0v, r1v, r2v, r3v := r0[j], r1[j], r2[j], r3[j]
-				da0 := qav - r0v
-				a0 += da0 * da0
-				da1 := qav - r1v
-				a1 += da1 * da1
-				da2 := qav - r2v
-				a2 += da2 * da2
-				da3 := qav - r3v
-				a3 += da3 * da3
-				db0 := qbv - r0v
-				b0 += db0 * db0
-				db1 := qbv - r1v
-				b1 += db1 * db1
-				db2 := qbv - r2v
-				b2 += db2 * db2
-				db3 := qbv - r3v
-				b3 += db3 * db3
-			}
-			ba, bb := bestA[m.K-1].dist, bestB[m.K-1].dist
-			if a0 >= ba && a1 >= ba && a2 >= ba && a3 >= ba &&
-				b0 >= bb && b1 >= bb && b2 >= bb && b3 >= bb {
-				continue
-			}
+			boundA, boundB = bestA[m.K-1].dist, bestB[m.K-1].dist
 		}
-		for ; j < dl; j++ {
-			qav, qbv := qa[j], qb[j]
-			r0v, r1v, r2v, r3v := r0[j], r1[j], r2[j], r3[j]
-			da0 := qav - r0v
-			a0 += da0 * da0
-			da1 := qav - r1v
-			a1 += da1 * da1
-			da2 := qav - r2v
-			a2 += da2 * da2
-			da3 := qav - r3v
-			a3 += da3 * da3
-			db0 := qbv - r0v
-			b0 += db0 * db0
-			db1 := qbv - r1v
-			b1 += db1 * db1
-			db2 := qbv - r2v
-			b2 += db2 * db2
-			db3 := qbv - r3v
-			b3 += db3 * db3
+		if p = m.panels.ScanPair(p, qa, qb, boundA, boundB, &sums); p == full {
+			break
 		}
-		bestA = m.consider(bestA, a0, t)
-		bestA = m.consider(bestA, a1, t+1)
-		bestA = m.consider(bestA, a2, t+2)
-		bestA = m.consider(bestA, a3, t+3)
-		bestB = m.consider(bestB, b0, t)
-		bestB = m.consider(bestB, b1, t+1)
-		bestB = m.consider(bestB, b2, t+2)
-		bestB = m.consider(bestB, b3, t+3)
+		t := 4 * p
+		bestA = m.consider(bestA, sums[0], t)
+		bestA = m.consider(bestA, sums[1], t+1)
+		bestA = m.consider(bestA, sums[2], t+2)
+		bestA = m.consider(bestA, sums[3], t+3)
+		bestB = m.consider(bestB, sums[4], t)
+		bestB = m.consider(bestB, sums[5], t+1)
+		bestB = m.consider(bestB, sums[6], t+2)
+		bestB = m.consider(bestB, sums[7], t+3)
 	}
-	for ; t < nTrain; t++ {
+	for t := 4 * full; t < nTrain; t++ {
 		row := m.train.RawRow(t)
 		boundA := math.Inf(1)
 		if len(bestA) == m.K {

@@ -10,6 +10,18 @@ import (
 	"faultmem/internal/stats"
 )
 
+// kernelPaths runs f once on each mat kernel path this CPU can take, as
+// a subtest or sub-benchmark: "avx" when the CPU has AVX, then "go".
+func kernelPaths[T interface{ Run(string, func(T)) bool }](tb T, f func(T)) {
+	saved := mat.UseAVX
+	defer func() { mat.UseAVX = saved }()
+	if saved {
+		tb.Run("avx", f)
+	}
+	mat.UseAVX = false
+	tb.Run("go", f)
+}
+
 // naiveKNNPredict is the reference full-scan classifier: every
 // distance computed with mat.SqDist, the K nearest kept by a stable
 // sort on (distance, training index), and the same
@@ -48,8 +60,12 @@ func naiveKNNPredict(train *mat.Dense, labels []float64, k int, q []float64) flo
 // multiset, so every prediction is bit-identical to the naive
 // full-scan reference — across narrow (no checkpoints) and wide
 // (checkpointed) feature counts, including non-multiple-of-4 training
-// sizes that exercise the scalar remainder.
+// sizes that exercise the scalar remainder, on both mat kernel paths.
 func TestKNNPrunedMatchesNaive(t *testing.T) {
+	kernelPaths(t, testKNNPrunedMatchesNaive)
+}
+
+func testKNNPrunedMatchesNaive(t *testing.T) {
 	rng := stats.NewRand(31)
 	for _, tc := range []struct{ n, d, k int }{
 		{203, 15, 5},
@@ -131,8 +147,13 @@ func TestKNNPrunedMatchesNaiveWithTies(t *testing.T) {
 // prediction from predictPair must be bit-identical to predictOne on
 // the same query, including duplicate-row ties and the
 // non-multiple-of-4 training remainder, and across odd query counts
-// (where the last query falls back to the one-query path).
+// (where the last query falls back to the one-query path), on both mat
+// kernel paths.
 func TestKNNPairedMatchesOne(t *testing.T) {
+	kernelPaths(t, testKNNPairedMatchesOne)
+}
+
+func testKNNPairedMatchesOne(t *testing.T) {
 	rng := stats.NewRand(19)
 	for _, tc := range []struct{ n, d, k, nq int }{
 		{203, 15, 5, 51},
@@ -194,15 +215,16 @@ func harPredictSetup(b *testing.B) (*KNN, *mat.Dense, *dataset.Dataset) {
 
 // BenchmarkKNNPredict measures the shipped blocked/pruned prediction
 // path at the Fig. 7c geometry (1200 training rows x 15 features, 300
-// queries per op).
+// queries per op), on each mat kernel path.
 func BenchmarkKNNPredict(b *testing.B) {
 	m, q, _ := harPredictSetup(b)
 	var ws Workspace
 	m.PredictIn(&ws, q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictIn(&ws, q)
-	}
+	kernelPaths(b, func(b *testing.B) {
+		for b.Loop() {
+			m.PredictIn(&ws, q)
+		}
+	})
 }
 
 // unprunedPredictOne is the pre-PR scan — one running sum per

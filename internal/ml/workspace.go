@@ -54,12 +54,14 @@ type Workspace struct {
 	eig   mat.EigenScratch
 	vecT  *mat.Dense
 
-	// KNN: cloned training matrix, label copy, neighbor buffers (the
-	// paired narrow-feature scan tracks two queries at once).
-	train      *mat.Dense
-	labels     []float64
-	neighbors  []neighbor
-	neighborsB []neighbor
+	// KNN: cloned training matrix and its 4-row panel copy, label copy,
+	// neighbor buffers (the paired narrow-feature scan tracks two queries
+	// at once).
+	train       *mat.Dense
+	trainPanels mat.Panels
+	labels      []float64
+	neighbors   []neighbor
+	neighborsB  []neighbor
 }
 
 // floats resizes *p to length n, reusing its storage when the capacity

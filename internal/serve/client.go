@@ -165,14 +165,17 @@ func (c *Client) fail(err error) {
 func (c *Client) readLoop() {
 	for {
 		t, _, payload, err := sweep.ReadFrame(c.conn, sweep.MaxFramePayload)
+		var msg sweep.Message
+		if err == nil {
+			msg, err = sweep.DecodeMessage(t, payload)
+		}
+		if sweep.Recoverable(err) {
+			c.logf("serve client: corrupt frame, skipped: %v", err)
+			continue
+		}
 		if err != nil {
 			c.fail(fmt.Errorf("serve: connection lost: %w", err))
 			return
-		}
-		msg, err := sweep.DecodeMessage(t, payload)
-		if err != nil {
-			c.logf("serve client: corrupt frame, skipped: %v", err)
-			continue
 		}
 		switch m := msg.(type) {
 		case *sweep.SubmitReply:

@@ -3,8 +3,11 @@ package serve_test
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -115,5 +118,123 @@ func TestServeRefusesBadFirstFrame(t *testing.T) {
 			}
 			expectHangUp(t, conn, time.Second)
 		})
+	}
+}
+
+// corruptFrame returns m framed with its checksum broken: a complete,
+// well-delimited frame every receiver must reject and skip.
+func corruptFrame(m sweep.Message) []byte {
+	var b bytes.Buffer
+	sweep.WriteMessage(&b, m) // a bytes.Buffer takes every write
+	frame := b.Bytes()
+	frame[8] ^= 0xff // the first byte of the CRC-32
+	return frame
+}
+
+// readMessage reads and decodes one frame from conn.
+func readMessage(t *testing.T, conn net.Conn) sweep.Message {
+	t.Helper()
+	mt, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	m, err := sweep.DecodeMessage(mt, payload)
+	if err != nil {
+		t.Fatalf("decode %v: %v", mt, err)
+	}
+	return m
+}
+
+// TestServeCorruptFrameKeepsClientSession: the server skips a
+// checksum-corrupt frame on a live client session and still serves the
+// next frame on the same connection.
+func TestServeCorruptFrameKeepsClientSession(t *testing.T) {
+	srv := startServer(t, testConfig(t))
+	conn := dialRaw(t, srv)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := sweep.WriteMessage(conn, &sweep.ClientHello{}); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := readMessage(t, conn).(*sweep.ClientWelcome); !ok {
+		t.Fatalf("handshake answered with %T", m)
+	}
+	if _, err := conn.Write(corruptFrame(&sweep.Submit{Ref: 1, Experiment: "fig5"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := sweep.WriteMessage(conn, &sweep.Submit{Ref: 2, Experiment: "no-such-experiment"}); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := readMessage(t, conn).(*sweep.SubmitReply)
+	if !ok || m.Ref != 2 || m.ErrMsg == "" {
+		t.Fatalf("submit after a corrupt frame answered with %+v", m)
+	}
+}
+
+// TestClientSkipsCorruptFrame: the client skips a checksum-corrupt frame
+// from the server and still takes the next frame on the same
+// connection, the reply its Submit waits for.
+func TestClientSkipsCorruptFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			for _, want := range []sweep.MsgType{sweep.MsgClientHello, sweep.MsgSubmit} {
+				mt, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
+				if err != nil {
+					return err
+				}
+				if mt != want {
+					return fmt.Errorf("got a %v frame, want %v", mt, want)
+				}
+				if mt == sweep.MsgClientHello {
+					if err := sweep.WriteMessage(conn, &sweep.ClientWelcome{Token: "t"}); err != nil {
+						return err
+					}
+					continue
+				}
+				m, err := sweep.DecodeMessage(mt, payload)
+				if err != nil {
+					return err
+				}
+				ref := m.(*sweep.Submit).Ref
+				if _, err := conn.Write(corruptFrame(&sweep.SubmitReply{Ref: ref, JobID: 41})); err != nil {
+					return err
+				}
+				if err := sweep.WriteMessage(conn, &sweep.SubmitReply{Ref: ref, JobID: 42}); err != nil {
+					return err
+				}
+			}
+			// Hold the connection until the client hangs up.
+			_, err = conn.Read(make([]byte, 1))
+			if err == io.EOF {
+				err = nil
+			}
+			return err
+		}()
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := serve.Dial(ctx, ln.Addr().String(), serve.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(ctx, serve.Campaign{Experiment: "fig5"})
+	if err != nil || id != 42 {
+		t.Fatalf("Submit = %d, %v; want job 42 from the frame after the corrupt one", id, err)
+	}
+	c.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }

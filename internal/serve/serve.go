@@ -438,16 +438,19 @@ func (s *Server) handleClient(conn net.Conn, hello *sweep.ClientHello) {
 
 	for {
 		t, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
+		var msg sweep.Message
+		if err == nil {
+			msg, err = sweep.DecodeMessage(t, payload)
+		}
+		if sweep.Recoverable(err) {
+			s.logf("serve: client %s sent a corrupt frame, rejected: %v", cl.token, err)
+			continue
+		}
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("serve: client %s connection dropped: %v", cl.token, err)
 			}
 			break
-		}
-		msg, err := sweep.DecodeMessage(t, payload)
-		if err != nil {
-			s.logf("serve: client %s sent a corrupt frame, rejected: %v", cl.token, err)
-			continue
 		}
 		s.mu.Lock()
 		cl.lastSeen = time.Now()

@@ -643,17 +643,20 @@ func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello) {
 
 	for {
 		t, _, payload, err := ReadFrame(conn, MaxFramePayload)
+		var msg Message
+		if err == nil {
+			msg, err = DecodeMessage(t, payload)
+		}
+		if Recoverable(err) {
+			c.stats.framesRejected.Add(1)
+			c.logf("sweep: session %s sent a corrupt frame, rejected: %v", token, err)
+			continue
+		}
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				c.logf("sweep: session %s connection dropped: %v", token, err)
 			}
 			break
-		}
-		msg, err := DecodeMessage(t, payload)
-		if err != nil {
-			c.stats.framesRejected.Add(1)
-			c.logf("sweep: session %s sent a corrupt frame, rejected: %v", token, err)
-			continue
 		}
 		c.mu.Lock()
 		s.lastSeen = time.Now()

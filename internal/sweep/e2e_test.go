@@ -722,3 +722,57 @@ func TestCancelledCampaignReleasesPromptly(t *testing.T) {
 		t.Fatalf("cancelled campaign took %v to unwind", elapsed)
 	}
 }
+
+// corruptFrame returns m framed with its checksum broken: a complete,
+// well-delimited frame every receiver must reject and skip.
+func corruptFrame(m sweep.Message) []byte {
+	var b bytes.Buffer
+	sweep.WriteMessage(&b, m) // a bytes.Buffer takes every write
+	frame := b.Bytes()
+	frame[8] ^= 0xff // the first byte of the CRC-32
+	return frame
+}
+
+// TestCorruptFrameKeepsWorkerSession: a checksum-corrupt frame on a
+// live worker connection is counted in FramesRejected and skipped, and
+// the next frame on the same connection is still served (a heartbeat
+// gets its pong).
+func TestCorruptFrameKeepsWorkerSession(t *testing.T) {
+	c := startCoordinator(t)
+	conn, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	read := func() sweep.Message {
+		t.Helper()
+		mt, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		m, err := sweep.DecodeMessage(mt, payload)
+		if err != nil {
+			t.Fatalf("decode %v: %v", mt, err)
+		}
+		return m
+	}
+	if err := sweep.WriteMessage(conn, &sweep.Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := read().(*sweep.Welcome); !ok {
+		t.Fatalf("handshake answered with %T", m)
+	}
+	if _, err := conn.Write(corruptFrame(&sweep.Heartbeat{})); err != nil {
+		t.Fatal(err)
+	}
+	if err := sweep.WriteMessage(conn, &sweep.Heartbeat{}); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := read().(*sweep.Heartbeat); !ok {
+		t.Fatalf("heartbeat after a corrupt frame answered with %T", m)
+	}
+	if got := c.PoolStats().FramesRejected; got != 1 {
+		t.Errorf("FramesRejected = %d, want 1", got)
+	}
+}

@@ -28,6 +28,7 @@ package sweep
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -180,6 +181,14 @@ type FrameError struct {
 
 // Unwrap returns the read error behind a truncated frame.
 func (e *FrameError) Unwrap() error { return e.Err }
+
+// Recoverable reports whether err, from ReadFrame or DecodeMessage, is a
+// non-fatal *FrameError: one complete, well-delimited frame was read and
+// rejected, so the receiver skips it and keeps the connection.
+func Recoverable(err error) bool {
+	var fe *FrameError
+	return errors.As(err, &fe) && !fe.Fatal
+}
 
 func (e *FrameError) Error() string {
 	kind := "recoverable"

@@ -223,8 +223,7 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 			return true, ctx.Err()
 		}
 		if err != nil {
-			var fe *FrameError
-			if errors.As(err, &fe) && !fe.Fatal {
+			if Recoverable(err) {
 				// Corrupt but well-delimited: skip the frame, keep the
 				// connection.
 				w.logf("sweep worker: rejected corrupt frame: %v", err)

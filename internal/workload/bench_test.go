@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"faultmem/internal/exp"
+	"faultmem/internal/mat"
 	"faultmem/internal/stats"
 	"faultmem/internal/workload"
 )
@@ -50,11 +51,24 @@ func BenchmarkWorkloadTrial(b *testing.B) {
 	}
 }
 
+// kernelPaths runs f once on each mat kernel path this CPU can take, as
+// a sub-benchmark: "avx" when the CPU has AVX, then "go".
+func kernelPaths(b *testing.B, f func(b *testing.B)) {
+	saved := mat.UseAVX
+	defer func() { mat.UseAVX = saved }()
+	if saved {
+		b.Run("avx", f)
+	}
+	mat.UseAVX = false
+	b.Run("go", f)
+}
+
 // BenchmarkRecoveryTrial measures one warm trial across all eight arms
 // per workload and recovery policy, with soft errors enabled so the
 // detect-and-recover machinery actually engages: cgsolve's checked
 // round trips over the plain cached baseline ("none"), and cgrestart's
 // guarded iterates on top of them — the recovery-mem campaign's trial.
+// Each runs on both mat kernel paths, which carry the CG's A·p.
 func BenchmarkRecoveryTrial(b *testing.B) {
 	prots := exp.AllProtections()
 	arms := make([]workload.Arm, len(prots))
@@ -86,13 +100,14 @@ func BenchmarkRecoveryTrial(b *testing.B) {
 					if buf, err = runner.RunTrial(seedBase, 0, buf[:0]); err != nil {
 						b.Fatal(err) // warm every arm's scratch before timing
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if buf, err = runner.RunTrial(seedBase, i+1, buf[:0]); err != nil {
-							b.Fatal(err)
+					kernelPaths(b, func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; b.Loop(); i++ {
+							if buf, err = runner.RunTrial(seedBase, i+1, buf[:0]); err != nil {
+								b.Fatal(err)
+							}
 						}
-					}
+					})
 				})
 			}
 		})

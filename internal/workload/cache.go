@@ -56,14 +56,6 @@ func EnableInstanceCache(capacity int) {
 	evictLocked()
 }
 
-// DisableInstanceCache turns the cache off and drops every entry.
-func DisableInstanceCache() {
-	instCache.Lock()
-	defer instCache.Unlock()
-	instCache.enabled = false
-	instCache.entries = nil
-}
-
 // InstanceCacheStats returns the cumulative hit/miss counters (misses
 // count uncached Prepare calls too, so hits/(hits+misses) is the true
 // cross-request reuse rate).

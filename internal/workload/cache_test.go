@@ -2,13 +2,22 @@ package workload
 
 import "testing"
 
+// disableInstanceCache turns the cache off and drops every entry, so
+// each test starts from an empty cache.
+func disableInstanceCache() {
+	instCache.Lock()
+	defer instCache.Unlock()
+	instCache.enabled = false
+	instCache.entries = nil
+}
+
 // TestPrepareSharedCaching verifies the instance cache returns the very
 // same Instance for repeated (id, Params) keys when enabled, keeps
 // distinct Params distinct, and stops sharing once disabled.
 func TestPrepareSharedCaching(t *testing.T) {
-	DisableInstanceCache()
+	disableInstanceCache()
 	EnableInstanceCache(4)
-	defer DisableInstanceCache()
+	defer disableInstanceCache()
 
 	p := Params{Seed: 7, Keys: 256}
 	a, err := PrepareShared(RSort, p)
@@ -35,7 +44,7 @@ func TestPrepareSharedCaching(t *testing.T) {
 		t.Fatalf("different Params shared one instance")
 	}
 
-	DisableInstanceCache()
+	disableInstanceCache()
 	d, err := PrepareShared(RSort, p)
 	if err != nil {
 		t.Fatalf("PrepareShared (disabled): %v", err)
@@ -48,9 +57,9 @@ func TestPrepareSharedCaching(t *testing.T) {
 // TestPrepareSharedEviction verifies the LRU bound holds: with capacity
 // one, alternating keys always miss.
 func TestPrepareSharedEviction(t *testing.T) {
-	DisableInstanceCache()
+	disableInstanceCache()
 	EnableInstanceCache(1)
-	defer DisableInstanceCache()
+	defer disableInstanceCache()
 
 	p1 := Params{Seed: 1, Keys: 64}
 	p2 := Params{Seed: 2, Keys: 64}

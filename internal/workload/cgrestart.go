@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"faultmem/internal/mat"
 	"faultmem/internal/mem"
 	"faultmem/internal/memstore"
 	"faultmem/internal/stats"
@@ -38,10 +39,12 @@ func (cgrestartWorkload) Name() string   { return "cgrestart" }
 func (cgrestartWorkload) Metric() string { return "Relative Residual" }
 
 // cgrestartInstance is read-only after Prepare: the clean flattened
-// system [A row-major | b], the control-loop geometry, and the
-// fault-free reference residual.
+// system [A row-major | b], the clean A in 4-row panels for the judging
+// residual, the control-loop geometry, and the fault-free reference
+// residual.
 type cgrestartInstance struct {
 	flat       []float64 // codec-exact A (dim*dim) then b (dim)
+	a          mat.Panels
 	dim        int
 	iters      int
 	checkpoint int
@@ -54,12 +57,14 @@ type cgrestartInstance struct {
 // iterate vectors x, r and p side by side in v (transiently, between
 // the store and the load of each step), their words and the memory
 // image of those words, the read-back's DUE flags, the matrix-vector
-// product, and the checkpoint copy of x.
+// product, the checkpoint copy of x, and the trial's (possibly
+// corrupted) A in 4-row panels.
 type cgrestartScratch struct {
 	v, ap, ck []float64
 	words     []uint32
 	img       []uint64
 	due       mem.DUESet
+	a         mat.Panels
 }
 
 func (w cgrestartWorkload) Prepare(p Params) (Instance, error) {
@@ -103,6 +108,7 @@ func (w cgrestartWorkload) Prepare(p Params) (Instance, error) {
 	if inst.normB == 0 {
 		return nil, fmt.Errorf("workload: cgrestart zero right-hand side")
 	}
+	inst.a.Pack(inst.flat, dim, dim)
 
 	// Fault-free reference: the guarded iteration with no memory attached
 	// runs the identical quantized recurrence (every iterate is snapped to
@@ -111,7 +117,7 @@ func (w cgrestartWorkload) Prepare(p Params) (Instance, error) {
 	// scores exactly 1.0.
 	s := &cgrestartScratch{}
 	x, _ := inst.runGuarded(s, inst.flat[:dim*dim], inst.flat[dim*dim:], nil, memstore.DefaultCodec())
-	inst.res0 = cleanRelResidual(inst.flat, dim, inst.normB, x)
+	inst.res0 = inst.relResidual(s, x)
 	if !(inst.res0 < 1) {
 		return nil, fmt.Errorf("workload: fault-free guarded CG did not converge (relative residual %g)", inst.res0)
 	}
@@ -140,7 +146,14 @@ func (inst *cgrestartInstance) RunTrial(ws *Workspace, _ *rand.Rand) (float64, e
 	// the iterate vectors take it every step via the guarded store/load
 	// cycle against the live memory.
 	x, _ := inst.runGuarded(s, vals[:d*d], vals[d*d:], ws.Mem, ws.Codec)
-	return qualityFromResidual(cleanRelResidual(inst.flat, d, inst.normB, x), inst.res0), nil
+	return qualityFromResidual(inst.relResidual(s, x), inst.res0), nil
+}
+
+// relResidual returns ||b - A x|| / ||b|| under the CLEAN system, with
+// s's ap and ck (free once runGuarded returns x) as its scratch.
+func (inst *cgrestartInstance) relResidual(s *cgrestartScratch, x []float64) float64 {
+	d := inst.dim
+	return cleanRelResidual(&inst.a, inst.flat[d*d:], inst.normB, x, s.ap[:d], s.ck[:d])
 }
 
 // runGuarded runs the checksum-guarded CG iteration on the (possibly
@@ -165,6 +178,7 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 	v, words, img := s.v[:3*d], s.words[:3*d], s.img[:3*d]
 	x, r, p := v[:d], v[d:2*d], v[2*d:]
 	ap, ck := s.ap[:d], s.ck[:d]
+	s.a.Pack(a, d, d)
 	for i := range x {
 		x[i] = 0
 		r[i] = b[i]
@@ -190,7 +204,7 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 		if rs == 0 || !isFinite(rs) {
 			break
 		}
-		mulVec(ap, a, p, nil)
+		s.a.MulVecInto(ap, p, nil)
 		pap := dot(p, ap)
 		if pap == 0 || !isFinite(pap) {
 			// Breakdown of the step scalars is itself evidence of corrupted
@@ -199,7 +213,7 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 			if guards && restarts < inst.restarts {
 				restarts++
 				off = nextWindow(off, memWords, d)
-				inst.rollback(s, a, b, codec)
+				inst.rollback(s, b, codec)
 				ckStep = step
 				continue
 			}
@@ -240,7 +254,7 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 			if restarts < inst.restarts {
 				restarts++
 				off = nextWindow(off, memWords, d)
-				inst.rollback(s, a, b, codec)
+				inst.rollback(s, b, codec)
 				ckStep = step
 				continue
 			}
@@ -260,10 +274,10 @@ func (inst *cgrestartInstance) runGuarded(s *cgrestartScratch, a, b []float64, m
 
 // rollback restores the solver to the last checkpoint: x from the safe
 // copy, r recomputed as b - A x against the (corrupted) coefficient
-// snapshot, p reset to r — a cold CG restart warm-started at the
+// snapshot in s.a, p reset to r — a cold CG restart warm-started at the
 // checkpointed solution. The recomputed vectors are grid-snapped like
 // every other iterate.
-func (inst *cgrestartInstance) rollback(s *cgrestartScratch, a, b []float64, codec memstore.Codec) {
+func (inst *cgrestartInstance) rollback(s *cgrestartScratch, b []float64, codec memstore.Codec) {
 	d := inst.dim
 	x, r, p := s.v[:d], s.v[d:2*d], s.v[2*d:3*d]
 	copy(x, s.ck[:d])
@@ -274,48 +288,10 @@ func (inst *cgrestartInstance) rollback(s *cgrestartScratch, a, b []float64, cod
 	for i, f := range x {
 		negX[i] = -f
 	}
-	mulVec(r, a, negX, b)
+	s.a.MulVecInto(r, negX, b)
 	codec.EncodeInto(s.words[:d], r)
 	codec.DecodeInto(r, s.words[:d])
 	copy(p, r)
-}
-
-// mulVec sets dst[i] = init[i] + Σ_j a[i*d+j]·v[j] for the d×d matrix a
-// and d = len(v); a nil init starts every row at 0. Each row keeps one
-// serial sum in column order, exactly as a one-row loop would, so every
-// output keeps its bits; the rows go four at a time so their four add
-// chains overlap.
-func mulVec(dst, a, v, init []float64) {
-	d := len(v)
-	i := 0
-	for ; i+4 <= d; i += 4 {
-		var s0, s1, s2, s3 float64
-		if init != nil {
-			s0, s1, s2, s3 = init[i], init[i+1], init[i+2], init[i+3]
-		}
-		a0 := a[i*d:][:d]
-		a1 := a[(i+1)*d:][:d]
-		a2 := a[(i+2)*d:][:d]
-		a3 := a[(i+3)*d:][:d]
-		for j, f := range v {
-			s0 += a0[j] * f
-			s1 += a1[j] * f
-			s2 += a2[j] * f
-			s3 += a3[j] * f
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
-	}
-	for ; i < d; i++ {
-		var s0 float64
-		if init != nil {
-			s0 = init[i]
-		}
-		a0 := a[i*d:][:d]
-		for j, f := range v {
-			s0 += a0[j] * f
-		}
-		dst[i] = s0
-	}
 }
 
 // nextWindow relocates the 3-vector window after a trip so the restart

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"faultmem/internal/mat"
 	"faultmem/internal/memstore"
 	"faultmem/internal/stats"
 )
@@ -30,19 +31,22 @@ func (cgWorkload) Name() string   { return "cgsolve" }
 func (cgWorkload) Metric() string { return "Relative Residual" }
 
 // cgInstance is read-only after Prepare: the clean flattened system
-// [A row-major | b], its geometry, and the fault-free reference
-// residual.
+// [A row-major | b], the clean A in 4-row panels for the judging
+// residual, its geometry, and the fault-free reference residual.
 type cgInstance struct {
 	flat  []float64 // codec-exact A (dim*dim) then b (dim)
+	a     mat.Panels
 	dim   int
 	iters int
 	res0  float64 // fault-free relative residual after iters steps
 	normB float64
 }
 
-// cgScratch is the per-shard safe-memory working set.
+// cgScratch is the per-shard safe-memory working set: the iterate
+// vectors and the trial's (possibly corrupted) A in 4-row panels.
 type cgScratch struct {
 	x, r, p, ap []float64
+	a           mat.Panels
 }
 
 func (w cgWorkload) Prepare(p Params) (Instance, error) {
@@ -66,11 +70,12 @@ func (w cgWorkload) Prepare(p Params) (Instance, error) {
 	if inst.normB == 0 {
 		return nil, fmt.Errorf("workload: cgsolve zero right-hand side")
 	}
+	inst.a.Pack(inst.flat, dim, dim)
 
 	// Fault-free reference: CG on the clean coefficients.
 	s := &cgScratch{}
 	x := runCG(s, inst.flat[:dim*dim], inst.flat[dim*dim:], dim, iters)
-	inst.res0 = inst.relResidual(x)
+	inst.res0 = inst.relResidual(s, x)
 	if !(inst.res0 < 1) {
 		return nil, fmt.Errorf("workload: fault-free CG did not converge (relative residual %g)", inst.res0)
 	}
@@ -99,7 +104,7 @@ func (inst *cgInstance) RunTrial(ws *Workspace, _ *rand.Rand) (float64, error) {
 	// every read of a cell sees the same corruption, so one snapshot per
 	// trial is exact), judge against the clean system.
 	x := runCG(s, vals[:d*d], vals[d*d:], d, inst.iters)
-	return qualityFromResidual(inst.relResidual(x), inst.res0), nil
+	return qualityFromResidual(inst.relResidual(s, x), inst.res0), nil
 }
 
 // genCGSystem fills flat = [A row-major | b] with a codec-snapped SPD
@@ -154,31 +159,35 @@ func qualityFromResidual(res, res0 float64) float64 {
 	}
 }
 
-// relResidual returns ||b - A x|| / ||b|| under the CLEAN system.
-func (inst *cgInstance) relResidual(x []float64) float64 {
-	return cleanRelResidual(inst.flat, inst.dim, inst.normB, x)
+// relResidual returns ||b - A x|| / ||b|| under the CLEAN system, with
+// s's r and p (free once runCG returns x) as its scratch.
+func (inst *cgInstance) relResidual(s *cgScratch, x []float64) float64 {
+	d := inst.dim
+	return cleanRelResidual(&inst.a, inst.flat[d*d:], inst.normB, x, s.r[:d], s.p[:d])
 }
 
-// cleanRelResidual returns ||b - A x|| / ||b|| for the clean flattened
-// system [A row-major | b] — the judging metric both CG workloads share.
-func cleanRelResidual(flat []float64, dim int, normB float64, x []float64) float64 {
-	a, b := flat[:dim*dim], flat[dim*dim:]
+// cleanRelResidual returns ||b - A x|| / ||b|| for the clean system (A
+// in panels, b) — the judging metric both CG workloads share. b - Ax is
+// computed row by row as b + A(-x): a negated product is exact, and
+// t - u is t + (-u) in IEEE arithmetic, so every row keeps the bits of
+// a subtracting serial sum. negX and res are scratch of len(x) each.
+func cleanRelResidual(a *mat.Panels, b []float64, normB float64, x, negX, res []float64) float64 {
+	for i, f := range x {
+		negX[i] = -f
+	}
+	a.MulVecInto(res, negX, b)
 	var ss float64
-	for i := 0; i < dim; i++ {
-		ri := b[i]
-		row := a[i*dim : (i+1)*dim]
-		for j, v := range row {
-			ri -= v * x[j]
-		}
+	for _, ri := range res {
 		ss += ri * ri
 	}
 	return math.Sqrt(ss) / normB
 }
 
 // runCG runs the conjugate-gradient iteration x_0 = 0 on the (possibly
-// corrupted) system, reusing the scratch vectors, and returns s.x. It
-// stops early only on exact or non-finite residual breakdown; the
-// returned x is whatever the iteration reached.
+// corrupted) system, reusing the scratch vectors, and returns s.x. A·p
+// is the shared panel kernel, one serial sum per row. It stops early
+// only on exact or non-finite residual breakdown; the returned x is
+// whatever the iteration reached.
 func runCG(s *cgScratch, a, b []float64, dim, iters int) []float64 {
 	if cap(s.x) < dim {
 		s.x = make([]float64, dim)
@@ -187,6 +196,7 @@ func runCG(s *cgScratch, a, b []float64, dim, iters int) []float64 {
 		s.ap = make([]float64, dim)
 	}
 	x, r, p, ap := s.x[:dim], s.r[:dim], s.p[:dim], s.ap[:dim]
+	s.a.Pack(a, dim, dim)
 	for i := range x {
 		x[i] = 0
 		r[i] = b[i]
@@ -197,15 +207,7 @@ func runCG(s *cgScratch, a, b []float64, dim, iters int) []float64 {
 		if rs == 0 || !isFinite(rs) {
 			break
 		}
-		// ap = A p
-		for i := 0; i < dim; i++ {
-			row := a[i*dim : (i+1)*dim]
-			s := 0.0
-			for j, v := range row {
-				s += v * p[j]
-			}
-			ap[i] = s
-		}
+		s.a.MulVecInto(ap, p, nil)
 		pap := dot(p, ap)
 		if pap == 0 || !isFinite(pap) {
 			break
