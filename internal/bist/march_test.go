@@ -158,7 +158,7 @@ func TestRunLeavesDeterministicState(t *testing.T) {
 
 func BenchmarkMarchCMinus16KB(b *testing.B) {
 	rng := stats.NewRand(1)
-	arr := sram.New16KB()
+	arr := sram.NewArray(sram.Rows16KB(32), 32)
 	if err := arr.SetFaults(fault.GenerateCount(rng, arr.Rows(), 32, 131, fault.Flip)); err != nil {
 		b.Fatal(err)
 	}

@@ -11,14 +11,19 @@ import (
 func (s *Shuffled) ReadChecked(addr int) (uint32, bool) { return s.Read(addr), false }
 
 // ReadBatch reads addr+i into dst[i]: one bulk fetch, then each row's
-// read-path rotation restoring the original bit order. It never flags
-// (see ReadChecked).
+// read-path rotation restoring the original bit order. A row whose
+// FM-LUT entry is 0 (every fault-free row) has shift 0, the identity,
+// so it only takes the width mask. It never flags (see ReadChecked).
 func (s *Shuffled) ReadBatch(addr int, dst []uint32, _ *mem.DUESet, _ int) {
 	s.buf = growBuf(s.buf, len(dst))
 	s.arr.ReadBatch(addr, s.buf)
 	x := s.lut.x[addr : addr+len(dst)]
 	for i, w := range s.buf {
-		dst[i] = uint32(s.rot[x[i]].read(w, s.mask))
+		if x[i] == 0 {
+			dst[i] = uint32(w & s.mask)
+		} else {
+			dst[i] = uint32(s.rot[x[i]].read(w, s.mask))
+		}
 	}
 }
 
@@ -33,13 +38,17 @@ func (s *Shuffled) ImageKey() string { return mem.ImageKeyRaw32 }
 func (s *Shuffled) EncodeImage(img []uint64, src []uint32) { mem.EncodeRaw32(img, src) }
 
 // WriteImage stores a precomputed image at addr+i, applying the current
-// FM-LUT's per-row rotations and the array's stuck-at masks. img is not
-// modified.
+// FM-LUT's per-row rotations (none where the entry is 0, as in
+// ReadBatch) and the array's stuck-at masks. img is not modified.
 func (s *Shuffled) WriteImage(addr int, img []uint64) {
 	s.buf = growBuf(s.buf, len(img))
 	x := s.lut.x[addr : addr+len(img)]
 	for i, w := range img {
-		s.buf[i] = s.rot[x[i]].write(w, s.mask)
+		if x[i] == 0 {
+			s.buf[i] = w & s.mask
+		} else {
+			s.buf[i] = s.rot[x[i]].write(w, s.mask)
+		}
 	}
 	s.arr.WriteBatch(addr, s.buf)
 }

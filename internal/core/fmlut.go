@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"faultmem/internal/fault"
 )
@@ -14,10 +15,11 @@ import (
 type FMLUT struct {
 	cfg Config
 	x   []uint8
-	// Reprogram scratch: a sortable fault-map copy and a per-row column
-	// buffer, reused so per-trial table rebuilds are allocation-free.
-	scratch []fault.Fault
-	cols    []int
+	// Reprogram scratch: the fault map's cells as (row, col) sort keys
+	// and a per-row column buffer, reused so per-trial table rebuilds
+	// are allocation-free.
+	keys []uint64
+	cols []int
 }
 
 // NewFMLUT returns an all-zero (no shift) FM-LUT for the given row count.
@@ -30,61 +32,76 @@ func NewFMLUT(cfg Config, rows int) *FMLUT {
 }
 
 // BuildFMLUT constructs the FM-LUT for a fault map in data geometry
-// (rows x Width), choosing the best entry for every faulty row. This is
-// the functional equivalent of running BIST and programming the table
-// (§3, step 1).
+// (rows x Width): a fresh table programmed by Reprogram.
 func BuildFMLUT(cfg Config, rows int, faults fault.Map) (*FMLUT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := faults.Validate(rows, cfg.Width); err != nil {
-		return nil, fmt.Errorf("core: bad fault map: %w", err)
-	}
 	l := NewFMLUT(cfg, rows)
-	for row, cols := range faults.ByRow() {
-		l.x[row] = uint8(cfg.BestXCode(cols))
+	if err := l.Reprogram(faults); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
-// Reprogram rebuilds the table in place for a new fault map — the
-// per-trial path of Monte-Carlo loops that reuse one memory per arm. It
-// produces exactly the entries BuildFMLUT would, but groups faults by
-// row with an internal scratch sort instead of allocating per-row maps,
-// so warm calls never touch the allocator.
+// A Reprogram sort key is row<<colBits | col; colBits holds every
+// column of every Width a Config accepts (at most 64).
+const (
+	colBits = 6
+	colMask = 1<<colBits - 1
+)
+
+// Reprogram rebuilds the table in place for a fault map in data
+// geometry (rows x Width), choosing the best entry for every faulty
+// row: the functional equivalent of running BIST and programming the
+// table (§3, step 1), and the per-trial path of Monte-Carlo loops that
+// reuse one memory per arm.
+//
+// It sorts the map's cells by (row, col) in a reused scratch, which puts
+// a duplicate cell next to its twin and each row's columns in ascending
+// order, so the work is O(faults log faults) besides clearing the table
+// and warm calls never touch the allocator. A row with one fault at
+// column f gets f / SegmentSize(), the unique argmin of BestXCode there
+// (any other entry moves the fault up by a multiple of the segment
+// size); a row with more faults gets BestXCode of its columns. A map
+// with a fault outside the table or a cell listed twice is rejected and
+// leaves the table as it was.
 func (l *FMLUT) Reprogram(faults fault.Map) error {
-	rows := len(l.x)
-	if err := faults.Validate(rows, l.cfg.Width); err != nil {
-		return fmt.Errorf("core: bad fault map: %w", err)
+	rows, w := len(l.x), l.cfg.Width
+	keys := l.keys[:0]
+	for i, f := range faults {
+		if f.Row < 0 || f.Row >= rows || f.Col < 0 || f.Col >= w {
+			return fmt.Errorf("core: bad fault map: fault %d at (%d,%d) outside %dx%d array", i, f.Row, f.Col, rows, w)
+		}
+		keys = append(keys, uint64(f.Row)<<colBits|uint64(f.Col))
+	}
+	l.keys = keys
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return fmt.Errorf("core: bad fault map: duplicate fault at (%d,%d)", keys[i]>>colBits, keys[i]&colMask)
+		}
 	}
 	clear(l.x)
-	if cap(l.scratch) < len(faults) {
-		l.scratch = make([]fault.Fault, len(faults))
-	}
-	s := l.scratch[:len(faults)]
-	copy(s, faults)
-	// Insertion sort by (row, col): allocation-free, and ascending cols
-	// per row matches the ByRow ordering BuildFMLUT feeds BestXCode.
-	for i := 1; i < len(s); i++ {
-		f := s[i]
-		j := i
-		for j > 0 && (s[j-1].Row > f.Row || (s[j-1].Row == f.Row && s[j-1].Col > f.Col)) {
-			s[j] = s[j-1]
-			j--
+	seg := l.cfg.SegmentSize()
+	for i := 0; i < len(keys); {
+		row := keys[i] >> colBits
+		j := i + 1
+		for j < len(keys) && keys[j]>>colBits == row {
+			j++
 		}
-		s[j] = f
-	}
-	l.scratch = s
-	cols := l.cols[:0]
-	for i := 0; i < len(s); {
-		row := s[i].Row
-		cols = cols[:0]
-		for ; i < len(s) && s[i].Row == row; i++ {
-			cols = append(cols, s[i].Col)
+		if j == i+1 {
+			l.x[row] = uint8(int(keys[i]&colMask) / seg)
+		} else {
+			cols := l.cols[:0]
+			for _, k := range keys[i:j] {
+				cols = append(cols, int(k&colMask))
+			}
+			l.cols = cols
+			l.x[row] = uint8(l.cfg.BestXCode(cols))
 		}
-		l.x[row] = uint8(l.cfg.BestXCode(cols))
+		i = j
 	}
-	l.cols = cols
 	return nil
 }
 
@@ -98,15 +115,6 @@ func (l *FMLUT) Rows() int { return len(l.x) }
 func (l *FMLUT) X(row int) int {
 	l.check(row)
 	return int(l.x[row])
-}
-
-// SetX programs the entry of the given row; the BIST flow uses this.
-func (l *FMLUT) SetX(row, x int) {
-	l.check(row)
-	if x < 0 || x >= l.cfg.NumSegments() {
-		panic(fmt.Sprintf("core: xFM %d outside [0,%d)", x, l.cfg.NumSegments()))
-	}
-	l.x[row] = uint8(x)
 }
 
 // Shift returns the rotation amount T(row) of Eq. (2).

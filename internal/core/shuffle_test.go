@@ -230,7 +230,7 @@ func TestRotationMatchesBitsOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for x := 0; x < c.NumSegments(); x++ {
-				s.LUT().SetX(0, x)
+				setX(s.LUT(), 0, x)
 				for _, v := range vals {
 					s.WriteWide(0, v)
 					if got, want := s.Array().Peek(0), bits.RotateRight(v, w, c.ShiftForX(x)); got != want {
@@ -270,9 +270,9 @@ func TestFMLUTBuildAndProgram(t *testing.T) {
 	if lut.Shift(1) != 0 {
 		t.Errorf("clean row T = %d, want 0", lut.Shift(1))
 	}
-	lut.SetX(1, 7)
-	if lut.X(1) != 7 {
-		t.Error("SetX failed")
+	setX(lut, 1, 7)
+	if lut.X(1) != 7 || lut.Shift(1) != 25 {
+		t.Errorf("row 1 programmed to x 7: x = %d, T = %d", lut.X(1), lut.Shift(1))
 	}
 	if lut.Rows() != 4 || lut.StorageBits() != 4*5 {
 		t.Errorf("rows=%d storage=%d", lut.Rows(), lut.StorageBits())

@@ -81,16 +81,19 @@ func NewShuffled(cfg Config, rows int, faults fault.Map) (*Shuffled, error) {
 	return newShuffled(arr, lut), nil
 }
 
-// Reset reinstalls a new data-geometry fault map in place: the array's
-// fault masks and the FM-LUT are rebuilt without reallocating, so
-// per-trial Monte-Carlo loops can reuse one memory per arm. Previously
-// stored words remain (a write-then-read cycle behaves exactly like a
-// freshly built memory).
+// Reset reinstalls a new data-geometry fault map in place (see
+// mem.Resetter): the array's fault masks and the FM-LUT are rebuilt
+// without reallocating, so per-trial Monte-Carlo loops can reuse one
+// memory per arm. Previously stored words remain (a write-then-read
+// cycle behaves exactly like a freshly built memory). The array takes
+// the map first: Reprogram's checks are a subset of SetFaults' on the
+// same geometry, so a map the array accepts programs the table, and a
+// rejected map changes neither.
 func (s *Shuffled) Reset(faults fault.Map) error {
-	if err := s.lut.Reprogram(faults); err != nil {
+	if err := s.arr.SetFaults(faults); err != nil {
 		return err
 	}
-	return s.arr.SetFaults(faults)
+	return s.lut.Reprogram(faults)
 }
 
 // NewShuffledWithLUT builds the memory with an externally programmed

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -201,41 +202,112 @@ func BenchmarkShuffledReadWrite(b *testing.B) {
 	}
 }
 
-// TestReprogramMatchesBuildFMLUT pins the in-place rebuild against the
-// map-based builder, including rows with multiple faults (where the
-// per-row column ordering fed to BestXCode matters).
+// setX programs one FM-LUT entry by hand, as a BIST flow writing the
+// table would.
+func setX(l *FMLUT, row, x int) {
+	l.check(row)
+	if x < 0 || x >= l.cfg.NumSegments() {
+		panic(fmt.Sprintf("core: xFM %d outside [0,%d)", x, l.cfg.NumSegments()))
+	}
+	l.x[row] = uint8(x)
+}
+
+// referenceX is the FM-LUT programming rule written out independently
+// of Reprogram: group the faults by row with fault.Map.ByRow (columns
+// ascending) and give every faulty row BestXCode of its columns.
+func referenceX(cfg Config, rows int, faults fault.Map) []int {
+	x := make([]int, rows)
+	for row, cols := range faults.ByRow() {
+		x[row] = cfg.BestXCode(cols)
+	}
+	return x
+}
+
+// TestReprogramMatchesBuildFMLUT pins the in-place rebuild and the
+// fresh build against the reference rule, over maps whose faulty rows
+// hold one to five faults (where the per-row column ordering fed to
+// BestXCode matters), at every nFM.
 func TestReprogramMatchesBuildFMLUT(t *testing.T) {
-	cfg := cfg32(2)
 	const rows = 32
 	rng := rand.New(rand.NewSource(51))
-	lut := NewFMLUT(cfg, rows)
-	for rep := 0; rep < 30; rep++ {
-		n := 1 + rng.Intn(20)
-		fm := make(fault.Map, 0, n)
-		seen := map[[2]int]bool{}
-		for len(fm) < n {
-			r, c := rng.Intn(rows), rng.Intn(32)
-			if seen[[2]int{r, c}] {
-				continue
+	for nfm := 1; nfm <= 5; nfm++ {
+		cfg := cfg32(nfm)
+		lut := NewFMLUT(cfg, rows)
+		perRow := map[int]bool{}
+		for rep := 0; rep < 40; rep++ {
+			var fm fault.Map
+			for _, r := range rng.Perm(rows)[:1+rng.Intn(12)] {
+				n := 1 + rng.Intn(5)
+				perRow[n] = true
+				for _, c := range stats.SampleDistinct(rng, 32, n) {
+					fm = append(fm, fault.Fault{Row: r, Col: c, Kind: fault.Flip})
+				}
 			}
-			seen[[2]int{r, c}] = true
-			fm = append(fm, fault.Fault{Row: r, Col: c, Kind: fault.Flip})
+			rng.Shuffle(len(fm), func(i, j int) { fm[i], fm[j] = fm[j], fm[i] })
+			want := referenceX(cfg, rows, fm)
+			built, err := BuildFMLUT(cfg, rows, fm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lut.Reprogram(fm); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rows; r++ {
+				if lut.X(r) != want[r] || built.X(r) != want[r] {
+					t.Fatalf("nFM %d rep %d row %d: Reprogram x=%d, BuildFMLUT x=%d, reference x=%d",
+						nfm, rep, r, lut.X(r), built.X(r), want[r])
+				}
+			}
 		}
-		want, err := BuildFMLUT(cfg, rows, fm)
-		if err != nil {
-			t.Fatal(err)
+		if len(perRow) != 5 {
+			t.Fatalf("nFM %d: rows held %v faults, want every count 1..5", nfm, perRow)
 		}
-		if err := lut.Reprogram(fm); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < rows; r++ {
-			if lut.X(r) != want.X(r) {
-				t.Fatalf("rep %d row %d: Reprogram x=%d, BuildFMLUT x=%d", rep, r, lut.X(r), want.X(r))
+	}
+}
+
+// TestBestXCodeSingleFault pins the shortcut Reprogram takes for a row
+// with one fault: BestXCode of the single column f is f / SegmentSize(),
+// at every power-of-two width, every nFM and every column.
+func TestBestXCodeSingleFault(t *testing.T) {
+	for w := 2; w <= 64; w *= 2 {
+		for nfm := 1; 1<<nfm <= w; nfm++ {
+			c := Config{Width: w, NFM: nfm}
+			for f := 0; f < w; f++ {
+				if got, want := c.BestXCode([]int{f}), f/c.SegmentSize(); got != want {
+					t.Fatalf("%+v: BestXCode([%d]) = %d, want %d", c, f, got, want)
+				}
 			}
 		}
 	}
-	if err := lut.Reprogram(fault.Map{{Row: 0, Col: 99, Kind: fault.Flip}}); err == nil {
-		t.Error("Reprogram accepted out-of-range fault")
+}
+
+// TestReprogramRejectsAndKeepsTable pins that a rejected map, out of
+// range or with a cell listed twice, leaves every entry as it was.
+func TestReprogramRejectsAndKeepsTable(t *testing.T) {
+	cfg := cfg32(3)
+	lut := NewFMLUT(cfg, 8)
+	installed := fault.Map{{Row: 1, Col: 31}, {Row: 4, Col: 9}, {Row: 4, Col: 20}}
+	if err := lut.Reprogram(installed); err != nil {
+		t.Fatal(err)
+	}
+	want := referenceX(cfg, 8, installed)
+	for _, m := range []fault.Map{
+		{{Row: 2, Col: 30}, {Row: 0, Col: 99}},
+		{{Row: 2, Col: 30}, {Row: 8, Col: 0}},
+		{{Row: -1, Col: 0}},
+		{{Row: 2, Col: 30}, {Row: 5, Col: 1}, {Row: 2, Col: 30, Kind: fault.StuckAt1}},
+	} {
+		if err := lut.Reprogram(m); err == nil {
+			t.Fatalf("Reprogram accepted %v", m)
+		}
+		for r := range want {
+			if lut.X(r) != want[r] {
+				t.Fatalf("after rejecting %v: row %d x=%d, want %d", m, r, lut.X(r), want[r])
+			}
+		}
+	}
+	if _, err := BuildFMLUT(cfg, 8, fault.Map{{Row: 3, Col: 3}, {Row: 3, Col: 3}}); err == nil {
+		t.Error("BuildFMLUT accepted a duplicate cell")
 	}
 }
 

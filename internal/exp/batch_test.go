@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"faultmem/internal/core"
 	"faultmem/internal/dataset"
 	"faultmem/internal/fault"
 	"faultmem/internal/mat"
@@ -125,6 +126,27 @@ func checkTwinsAgree(t *testing.T, arm workload.Arm, scalar, batch mem.Word32, w
 	}
 }
 
+// checkRotationCoverage fails unless a bit-shuffling memory's rows
+// [addr, addr+n) hold both FM-LUT entries that are 0, which take no
+// rotation on the bulk paths, and non-zero ones, which do, so an
+// oracle test over them covers both. Other arms pass.
+func checkRotationCoverage(t *testing.T, arm workload.Arm, m mem.Word32, addr, n int) {
+	t.Helper()
+	s, ok := m.(*core.Shuffled)
+	if !ok {
+		return
+	}
+	zero := 0
+	for r := addr; r < addr+n; r++ {
+		if s.LUT().X(r) == 0 {
+			zero++
+		}
+	}
+	if zero == 0 || zero == n {
+		t.Fatalf("%v: rows [%d,%d) hold %d zero FM-LUT entries of %d, want both kinds", arm, addr, addr+n, zero, n)
+	}
+}
+
 // TestBatchMatchesScalarOracle pins the bulk-transfer contract on every
 // protection arm and the repaired baseline: the image write and
 // ReadBatch are bit-identical to the word-at-a-time oracle loop under
@@ -137,6 +159,7 @@ func TestBatchMatchesScalarOracle(t *testing.T) {
 	words := testWords(rows)
 	for _, arm := range oracleArms() {
 		scalar, batch := twinMemories(t, arm, rows, fm)
+		checkRotationCoverage(t, arm, batch, 0, rows)
 
 		for i, w := range words {
 			scalar.Write(i, w)
@@ -160,6 +183,7 @@ func TestBatchMatchesScalarOracle(t *testing.T) {
 		// A batch that starts mid-array must hit the same rows' fault
 		// masks as the oracle loop at the same addresses.
 		const off, n = 17, 41
+		checkRotationCoverage(t, arm, batch, off, n)
 		for i := 0; i < n; i++ {
 			scalar.Write(off+i, words[i])
 		}
@@ -184,6 +208,7 @@ func TestImageWriteMatchesScalarOracle(t *testing.T) {
 	words := testWords(rows)
 	for _, arm := range oracleArms() {
 		scalar, batch := twinMemories(t, arm, rows, fm)
+		checkRotationCoverage(t, arm, batch, 0, rows)
 		key := batch.ImageKey()
 		if key == "" {
 			t.Fatalf("%v: empty image key", arm)

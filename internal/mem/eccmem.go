@@ -46,21 +46,44 @@ func NewECC(rows int, dataFaults, checkFaults fault.Map) (*ECC, error) {
 }
 
 // Reset reinstalls a new data-geometry fault map in place with
-// fault-free check bits and zeroed decode stats (see Resetter).
+// fault-free check bits and zeroed decode stats (see Resetter). It
+// checks only the column bound it needs to translate a fault: the
+// translation is one-to-one on the rows and data columns, so the
+// array's SetFaults catches bad rows, duplicate cells and unknown
+// kinds (its errors name the physical column).
 func (e *ECC) Reset(dataFaults fault.Map) error {
-	if err := dataFaults.Validate(e.arr.Rows(), e.code.DataBits()); err != nil {
-		return fmt.Errorf("mem: bad data fault map: %w", err)
-	}
-	if cap(e.physBuf) < len(dataFaults) {
-		e.physBuf = make(fault.Map, 0, len(dataFaults))
-	}
-	phys := e.physBuf[:0]
-	for _, f := range dataFaults {
-		phys = append(phys, fault.Fault{Row: f.Row, Col: e.dataPos[f.Col], Kind: f.Kind})
-	}
+	phys, err := translateData(e.physBuf, dataFaults, e.arr.Rows(), 0, e.dataPos)
 	e.physBuf = phys
+	if err != nil {
+		return err
+	}
+	if err := e.arr.SetFaults(phys); err != nil {
+		return err
+	}
 	e.stats = Stats{}
-	return e.arr.SetFaults(phys)
+	return nil
+}
+
+// translateData appends to buf[:0] the physical faults of a
+// data-geometry map for a row layout of lowBits raw data columns
+// followed by a codeword whose data bits sit at dataPos: data column c
+// is physical column c below lowBits and lowBits + dataPos[c-lowBits]
+// above. A fault outside the data columns gets Validate's message for
+// it, behind the "mem: bad data fault map" prefix.
+func translateData(buf, dataFaults fault.Map, rows, lowBits int, dataPos []int) (fault.Map, error) {
+	width := lowBits + len(dataPos)
+	phys := buf[:0]
+	for i, f := range dataFaults {
+		col := f.Col
+		if col < 0 || col >= width {
+			return phys, fmt.Errorf("mem: bad data fault map: fault %d at (%d,%d) outside %dx%d array", i, f.Row, f.Col, rows, width)
+		}
+		if col >= lowBits {
+			col = lowBits + dataPos[col-lowBits]
+		}
+		phys = append(phys, fault.Fault{Row: f.Row, Col: col, Kind: f.Kind})
+	}
+	return phys, nil
 }
 
 // translateCodewordFaults maps data-geometry and check-bit-geometry fault
@@ -238,25 +261,20 @@ func NewPartialECC(rows, protectedMSBs int, dataFaults, checkFaults fault.Map) (
 }
 
 // Reset reinstalls a new data-geometry fault map in place with
-// fault-free check bits and zeroed decode stats (see Resetter).
+// fault-free check bits and zeroed decode stats (see Resetter). As in
+// ECC.Reset, only the column bound is checked here and the array's
+// SetFaults catches the rest.
 func (p *PECC) Reset(dataFaults fault.Map) error {
-	if err := dataFaults.Validate(p.arr.Rows(), DataWidth); err != nil {
-		return fmt.Errorf("mem: bad data fault map: %w", err)
-	}
-	if cap(p.physBuf) < len(dataFaults) {
-		p.physBuf = make(fault.Map, 0, len(dataFaults))
-	}
-	phys := p.physBuf[:0]
-	for _, f := range dataFaults {
-		col := f.Col
-		if col >= p.lowBits {
-			col = p.lowBits + p.dataPos[f.Col-p.lowBits]
-		}
-		phys = append(phys, fault.Fault{Row: f.Row, Col: col, Kind: f.Kind})
-	}
+	phys, err := translateData(p.physBuf, dataFaults, p.arr.Rows(), p.lowBits, p.dataPos)
 	p.physBuf = phys
+	if err != nil {
+		return err
+	}
+	if err := p.arr.SetFaults(phys); err != nil {
+		return err
+	}
 	p.stats = Stats{}
-	return p.arr.SetFaults(phys)
+	return nil
 }
 
 // Read returns the word at addr: raw low bits, decoded high bits.

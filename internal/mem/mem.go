@@ -74,6 +74,11 @@ const DataWidth = 32
 // bits fault-free (the paper's Eq. 6 default), zeroes any decode
 // statistics, and leaves previously stored words in place: a subsequent
 // write-then-read cycle behaves exactly like a freshly built memory.
+//
+// A reset costs O(faults in the previous and the new map), not O(rows),
+// and a rejected map (a fault outside the memory, a cell listed twice,
+// an unknown kind) returns an error and changes nothing: reads, decode
+// statistics and the installed map stay as they were.
 type Resetter interface {
 	Reset(dataFaults fault.Map) error
 }

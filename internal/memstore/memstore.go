@@ -110,20 +110,31 @@ func (c Codec) checkFrac() {
 	}
 }
 
-// encodeScaled is Encode with the 2^Frac scale precomputed; identical
-// result word for word.
+// belowHalf is the largest float64 below 1/2.
+const belowHalf = 0.49999999999999994
+
+// encodeScaled is Encode with the 2^Frac scale precomputed: f*scale
+// rounded half away from zero (math.Round) and saturated to int32.
+//
+// After the NaN and saturation checks |v| < 2^31, and there adding
+// belowHalf with v's sign and truncating is exactly math.Round: when
+// v's fraction is 1/2 or more, the exact sum lies within half an ulp of
+// the next integer away from zero and rounds onto it (at v = ±1/2 it is
+// a tie, which goes to the even ±1); when the fraction is below 1/2,
+// the sum stays more than half an ulp short of it. That costs one add
+// and one truncating conversion; math.Round is the tests' reference.
 func encodeScaled(f, scale float64) uint32 {
 	if math.IsNaN(f) {
 		return 0
 	}
-	v := math.Round(f * scale)
-	if v > math.MaxInt32 {
-		v = math.MaxInt32
+	v := f * scale
+	if v >= math.MaxInt32 {
+		return math.MaxInt32
 	}
-	if v < math.MinInt32 {
-		v = math.MinInt32
+	if v <= math.MinInt32 {
+		return 1 << 31 // uint32(int32(math.MinInt32))
 	}
-	return uint32(int32(v))
+	return uint32(int32(v + math.Copysign(belowHalf, v)))
 }
 
 // RoundTripValues writes vals through the memory page by page and

@@ -49,33 +49,87 @@ func TestCodecSaturation(t *testing.T) {
 	}
 }
 
-// TestCodecMatchesLdexpFormula pins Encode and Decode to the formula
-// with 2^Frac from math.Ldexp: every Frac Encode accepts, over a value
-// sweep that covers rounding ties, saturation, signed zeros, NaN and
-// infinities. Decode and DecodeInto, which multiply by 2^-Frac for
-// Frac 0..31, must equal the division there, on random words, 0, ±1,
-// MinInt32 and MaxInt32, and at Fracs outside 0..31, where they divide.
+// roundEncode is the encode rule written out with math.Round: f times
+// 2^Frac (math.Ldexp), rounded half away from zero and saturated to
+// int32, NaN to 0. It is the reference Encode and EncodeInto are held
+// to.
+func roundEncode(f float64, frac int) uint32 {
+	if math.IsNaN(f) {
+		return 0
+	}
+	v := math.Round(f * math.Ldexp(1, frac))
+	if v > math.MaxInt32 {
+		v = math.MaxInt32
+	}
+	if v < math.MinInt32 {
+		v = math.MinInt32
+	}
+	return uint32(int32(v))
+}
+
+// encodeProbes returns the scaled values the encode must round like
+// math.Round: every tie k+1/2 and both its float neighbours, for k
+// across the int32 range; the neighbours of ±(2^31 ± 1/2) and of the
+// limits themselves; ±0, ±Inf, NaN and extremes; and random bit
+// patterns. Dividing one by 2^Frac gives an input whose product with
+// 2^Frac is that value again.
+func encodeProbes(rng *rand.Rand) []float64 {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0.49999999999999994, -0.49999999999999994, math.Pi, -math.E}
+	around := func(v float64) {
+		vals = append(vals, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+	}
+	ks := []float64{0, 1, 2, 3, 4, 7, 1 << 20, 1<<20 + 1, 1<<30 - 1, 1 << 30, 1<<31 - 2, 1<<31 - 1}
+	for i := 0; i < 200; i++ {
+		ks = append(ks, float64(rng.Int63n(1<<31)))
+	}
+	for _, k := range ks {
+		around(k + 0.5)
+		around(-k - 0.5)
+		around(k)
+		around(-k)
+	}
+	for _, v := range []float64{1 << 31, 1<<31 + 0.5, 1<<31 - 0.5, math.MaxInt32, math.MinInt32} {
+		around(v)
+		around(-v)
+	}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	return vals
+}
+
+// TestCodecMatchesLdexpFormula pins Encode and EncodeInto to
+// roundEncode, the math.Round formula, at every Frac Encode accepts,
+// over encodeProbes scaled into each format. Decode and DecodeInto,
+// which multiply by 2^-Frac for Frac 0..31, must equal the division
+// there, on random words, 0, ±1, MinInt32 and MaxInt32, and at Fracs
+// outside 0..31, where they divide.
 func TestCodecMatchesLdexpFormula(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -2.5, 1e-12, -1e-12,
-		math.Pi, -math.E, 65535.99999, 32767.5, -32768.5, 1e9, -1e9,
-		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-		math.SmallestNonzeroFloat64, 2147483647, -2147483648, 0x1p-31, 3 * 0x1p-32}
 	rng := stats.NewRand(11)
-	for i := 0; i < 400; i++ {
-		vals = append(vals, rng.NormFloat64()*math.Pow(2, float64(rng.Intn(64)-32)))
+	probes := encodeProbes(rng)
+	in := make([]float64, len(probes))
+	out := make([]uint32, len(probes))
+	for frac := 0; frac <= 31; frac++ {
+		c := Codec{Frac: frac}
+		for i, v := range probes {
+			in[i] = v / math.Ldexp(1, frac)
+		}
+		c.EncodeInto(out, in)
+		for i, f := range in {
+			want := roundEncode(f, frac)
+			if got := c.Encode(f); got != want {
+				t.Fatalf("Frac %d: Encode(%v) = %#x, want %#x", frac, f, got, want)
+			}
+			if out[i] != want {
+				t.Fatalf("Frac %d: EncodeInto(%v) = %#x, want %#x", frac, f, out[i], want)
+			}
+		}
 	}
 	words := []uint32{0, 1, 0x7fffffff, 0x80000000, 0xffffffff, 0x00010000, 0xdeadbeef}
 	for i := 0; i < 200; i++ {
 		words = append(words, rng.Uint32())
-	}
-	for frac := 0; frac <= 31; frac++ {
-		c := Codec{Frac: frac}
-		scale := math.Ldexp(1, frac)
-		for _, v := range vals {
-			if got, want := c.Encode(v), encodeScaled(v, scale); got != want {
-				t.Fatalf("Frac %d: Encode(%g) = %#x, want %#x", frac, v, got, want)
-			}
-		}
 	}
 	fracs := []int{-1100, -1060, -40, -1, 32, 40, 1100}
 	for frac := 0; frac <= 31; frac++ {
@@ -95,6 +149,21 @@ func TestCodecMatchesLdexpFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCodecEncode checks Encode against roundEncode on any float64 at
+// any Frac Encode accepts.
+func FuzzCodecEncode(f *testing.F) {
+	for _, v := range []float64{0, 0.5, -0.5, 2.5, -2.5, 1<<31 - 0.5, -1<<31 - 0.5, 0.49999999999999994, math.Inf(1), math.NaN()} {
+		f.Add(v, uint8(0))
+		f.Add(v, uint8(16))
+	}
+	f.Fuzz(func(t *testing.T, v float64, fracRaw uint8) {
+		frac := int(fracRaw % 32)
+		if got, want := (Codec{Frac: frac}).Encode(v), roundEncode(v, frac); got != want {
+			t.Fatalf("Frac %d: Encode(%v) = %#x, want %#x", frac, v, got, want)
+		}
+	})
 }
 
 // TestCodecEncodeIsIdempotent pins Encode(Decode(Encode(f))) ==

@@ -74,9 +74,6 @@ func Rows16KB(width int) int {
 	return bits16KB / width
 }
 
-// New16KB creates a fault-free 16 KB array of 32-bit words.
-func New16KB() *Array { return NewArray(Rows16KB(32), 32) }
-
 // Rows returns the number of rows (words).
 func (a *Array) Rows() int { return a.rows }
 
@@ -89,34 +86,80 @@ func (a *Array) Cells() int { return a.rows * a.width }
 // SetFaults installs a fault map, replacing any previous one. The stored
 // data is preserved, but stuck-at faults immediately overwrite the
 // affected stored bits (the cell physically cannot hold the datum).
+//
+// A call costs O(faults in the previous and the new map), not O(rows):
+// only the previous map's rows are cleared, the duplicate check reads
+// the row masks being built, and only rows with a stuck-at fault have
+// their stored word touched. A map with a fault outside the array, a
+// cell listed twice or an unknown kind is rejected with the error
+// fault.Map.Validate (or the kind check) would give, and leaves the
+// array exactly as it was.
 func (a *Array) SetFaults(m fault.Map) error {
-	if err := m.Validate(a.rows, a.width); err != nil {
-		return err
+	for _, f := range a.faults {
+		a.flip[f.Row], a.sa0[f.Row], a.sa1[f.Row] = 0, 0, 0
 	}
-	for r := range a.flip {
-		a.flip[r], a.sa0[r], a.sa1[r] = 0, 0, 0
-	}
-	for _, f := range m {
-		b := uint64(1) << uint(f.Col)
+	badKind := -1
+	for i, f := range m {
+		if f.Row < 0 || f.Row >= a.rows || f.Col < 0 || f.Col >= a.width {
+			a.restoreMasks(m[:i])
+			return fmt.Errorf("fault %d at (%d,%d) outside %dx%d array", i, f.Row, f.Col, a.rows, a.width)
+		}
+		if (a.flip[f.Row]|a.sa0[f.Row]|a.sa1[f.Row])&(1<<uint(f.Col)) != 0 {
+			a.restoreMasks(m[:i])
+			return fmt.Errorf("duplicate fault at (%d,%d)", f.Row, f.Col)
+		}
 		switch f.Kind {
-		case fault.Flip:
-			a.flip[f.Row] |= b
-		case fault.StuckAt0:
-			a.sa0[f.Row] |= b
-		case fault.StuckAt1:
-			a.sa1[f.Row] |= b
+		case fault.Flip, fault.StuckAt0, fault.StuckAt1:
 		default:
-			return fmt.Errorf("sram: unknown fault kind %v", f.Kind)
+			// The map is rejected after the loop, so that a later
+			// fault outside the array or a duplicate of this cell is
+			// reported first, as Validate would.
+			if badKind < 0 {
+				badKind = i
+			}
+		}
+		a.mark(f)
+	}
+	if badKind >= 0 {
+		a.restoreMasks(m)
+		return fmt.Errorf("sram: unknown fault kind %v", m[badKind].Kind)
+	}
+	// storeEffect is the identity on a row without stuck-at faults.
+	for _, f := range m {
+		if f.Kind != fault.Flip {
+			a.data[f.Row] = a.storeEffect(f.Row, a.data[f.Row])
 		}
 	}
 	// Keep a private copy of the map, reusing the previous copy's
 	// storage: repeated SetFaults on one array (the per-trial
 	// Monte-Carlo path) stay allocation-free once warm.
 	a.faults = append(a.faults[:0], m...)
-	for r := range a.data {
-		a.data[r] = a.storeEffect(r, a.data[r])
-	}
 	return nil
+}
+
+// mark sets f's cell in the mask of its kind; a kind SetFaults rejects
+// claims its cell in the flip mask until the rejection restores them.
+func (a *Array) mark(f fault.Fault) {
+	b := uint64(1) << uint(f.Col)
+	switch f.Kind {
+	case fault.StuckAt0:
+		a.sa0[f.Row] |= b
+	case fault.StuckAt1:
+		a.sa1[f.Row] |= b
+	default:
+		a.flip[f.Row] |= b
+	}
+}
+
+// restoreMasks undoes a rejected SetFaults: it clears the rows of the
+// part of the new map already marked, then marks the installed map.
+func (a *Array) restoreMasks(marked fault.Map) {
+	for _, f := range marked {
+		a.flip[f.Row], a.sa0[f.Row], a.sa1[f.Row] = 0, 0, 0
+	}
+	for _, f := range a.faults {
+		a.mark(f)
+	}
 }
 
 // Faults returns a copy of the installed fault map.

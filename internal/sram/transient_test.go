@@ -156,7 +156,7 @@ func BenchmarkTransientRead(b *testing.B) {
 		{"rand.Rand", rand.New(rand.NewSource(1))},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			a := New16KB()
+			a := NewArray(Rows16KB(32), 32)
 			a.SetTransient(1e-4, c.src)
 			out := make([]uint64, a.Rows())
 			b.ReportAllocs()
