@@ -66,39 +66,6 @@ func Bit(v uint64, i int) uint64 {
 	return (v >> uint(i)) & 1
 }
 
-// SetBit returns v with bit i set to b (b must be 0 or 1).
-func SetBit(v uint64, i int, b uint64) uint64 {
-	if i < 0 || i >= MaxWidth {
-		panic(fmt.Sprintf("bits: bit index %d out of range", i))
-	}
-	if b > 1 {
-		panic("bits: bit value must be 0 or 1")
-	}
-	return (v &^ (uint64(1) << uint(i))) | (b << uint(i))
-}
-
-// FlipBit returns v with bit i inverted.
-func FlipBit(v uint64, i int) uint64 {
-	if i < 0 || i >= MaxWidth {
-		panic(fmt.Sprintf("bits: bit index %d out of range", i))
-	}
-	return v ^ (uint64(1) << uint(i))
-}
-
-// Segment extracts the seg-th S-bit segment of a w-bit word
-// (segment 0 holds bits [0, S), the least significant).
-func Segment(v uint64, w, segSize, seg int) uint64 {
-	CheckWidth(w)
-	if segSize <= 0 || w%segSize != 0 {
-		panic(fmt.Sprintf("bits: segment size %d does not divide width %d", segSize, w))
-	}
-	n := w / segSize
-	if seg < 0 || seg >= n {
-		panic(fmt.Sprintf("bits: segment %d out of range [0,%d)", seg, n))
-	}
-	return (v >> uint(seg*segSize)) & Mask(segSize)
-}
-
 // ErrorMagnitude2c returns |decode(v ^ e) - decode(v)| interpreted as
 // w-bit two's complement integers, where e is an error pattern
 // (XOR mask). This is the output error magnitude a set of bit flips
@@ -112,17 +79,6 @@ func ErrorMagnitude2c(v, e uint64, w int) uint64 {
 		d = -d
 	}
 	return uint64(d)
-}
-
-// FlipMagnitude2c returns the error magnitude that a single bit flip at
-// position b inflicts on a w-bit two's complement value: 2^b. Per Eq. (6)
-// of the paper, this is independent of the stored datum.
-func FlipMagnitude2c(b, w int) uint64 {
-	CheckWidth(w)
-	if b < 0 || b >= w {
-		panic(fmt.Sprintf("bits: bit position %d out of range [0,%d)", b, w))
-	}
-	return uint64(1) << uint(b)
 }
 
 // SignExtend interprets the low w bits of v as a two's complement integer
@@ -150,20 +106,4 @@ func OnesCount(v uint64, w int) int {
 		n++
 	}
 	return n
-}
-
-// Parity returns the XOR of the low w bits of v (0 or 1).
-func Parity(v uint64, w int) uint64 {
-	return uint64(OnesCount(v, w) & 1)
-}
-
-// Reverse returns the low w bits of v in reversed order (bit 0 swaps with
-// bit w-1, and so on).
-func Reverse(v uint64, w int) uint64 {
-	CheckWidth(w)
-	var r uint64
-	for i := 0; i < w; i++ {
-		r = (r << 1) | ((v >> uint(i)) & 1)
-	}
-	return r
 }

@@ -110,52 +110,14 @@ func TestRotateBitMapping(t *testing.T) {
 }
 
 func TestBitSetFlip(t *testing.T) {
-	v := uint64(0)
-	v = SetBit(v, 5, 1)
-	if Bit(v, 5) != 1 {
-		t.Error("SetBit(5,1) then Bit(5) != 1")
+	// Bit reads a bit set and flipped with the word operators.
+	v := uint64(1) << 5
+	if Bit(v, 5) != 1 || Bit(v, 4) != 0 {
+		t.Errorf("Bit of %#x: bit 5 = %d, bit 4 = %d", v, Bit(v, 5), Bit(v, 4))
 	}
-	v = SetBit(v, 5, 0)
-	if v != 0 {
-		t.Errorf("SetBit(5,0) left %#x", v)
-	}
-	v = FlipBit(v, 63)
+	v ^= 1 << 63
 	if Bit(v, 63) != 1 {
-		t.Error("FlipBit(63) did not set bit 63")
-	}
-	v = FlipBit(v, 63)
-	if v != 0 {
-		t.Error("double FlipBit not identity")
-	}
-}
-
-func TestSegment(t *testing.T) {
-	v := uint64(0xAABBCCDD)
-	if got := Segment(v, 32, 8, 0); got != 0xDD {
-		t.Errorf("segment 0 = %#x, want 0xDD", got)
-	}
-	if got := Segment(v, 32, 8, 3); got != 0xAA {
-		t.Errorf("segment 3 = %#x, want 0xAA", got)
-	}
-	if got := Segment(v, 32, 16, 1); got != 0xAABB {
-		t.Errorf("high half = %#x, want 0xAABB", got)
-	}
-	if got := Segment(v, 32, 32, 0); got != v {
-		t.Errorf("whole word segment = %#x", got)
-	}
-}
-
-func TestSegmentReassembly(t *testing.T) {
-	f := func(v uint64) bool {
-		v &= Mask(32)
-		var r uint64
-		for s := 0; s < 4; s++ {
-			r |= Segment(v, 32, 8, s) << uint(8*s)
-		}
-		return r == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		t.Error("Bit(63) of a flipped bit 63 != 1")
 	}
 }
 
@@ -183,22 +145,13 @@ func TestSignExtend(t *testing.T) {
 	}
 }
 
-func TestFlipMagnitude2c(t *testing.T) {
-	// Per Eq. (6): a flip at bit b costs 2^b regardless of the datum.
-	for b := 0; b < 32; b++ {
-		if got := FlipMagnitude2c(b, 32); got != uint64(1)<<uint(b) {
-			t.Errorf("FlipMagnitude2c(%d) = %d", b, got)
-		}
-	}
-}
-
 func TestErrorMagnitudeMatchesFlipMagnitude(t *testing.T) {
 	// For a single-bit error pattern, the two's-complement error magnitude
 	// equals 2^b for every stored datum, including across the sign bit.
 	f := func(v uint64, bRaw uint8) bool {
 		b := int(bRaw) % 32
 		e := uint64(1) << uint(b)
-		return ErrorMagnitude2c(v, e, 32) == FlipMagnitude2c(b, 32)
+		return ErrorMagnitude2c(v, e, 32) == uint64(1)<<uint(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -219,25 +172,9 @@ func TestOnesCountAndParity(t *testing.T) {
 	if got := OnesCount(0xFF00, 8); got != 0 {
 		t.Errorf("OnesCount masks width: got %d", got)
 	}
-	if Parity(0b101, 3) != 0 {
-		t.Error("Parity(0b101) != 0")
-	}
-	if Parity(0b100, 3) != 1 {
-		t.Error("Parity(0b100) != 1")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	if got := Reverse(0b001, 3); got != 0b100 {
-		t.Errorf("Reverse(0b001,3) = %#b", got)
-	}
-	f := func(v uint64, wRaw uint8) bool {
-		w := int(wRaw)%64 + 1
-		v &= Mask(w)
-		return Reverse(Reverse(v, w), w) == v
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
+	// Parity is the count's low bit.
+	if OnesCount(0b101, 3)&1 != 0 || OnesCount(0b100, 3)&1 != 1 {
+		t.Error("OnesCount parity of 0b101 / 0b100 wrong")
 	}
 }
 

@@ -1,7 +1,8 @@
 package stats
 
 // Accumulator is the streaming-distribution abstraction the Monte-Carlo
-// stack is built on: weighted observations go in through Add, per-shard
+// stack is built on: weighted observations go in through Add, or a run of
+// equally weighted ones through AddBatch or AddIndexed; per-shard
 // accumulators combine through Merge (in shard order, so the combined
 // result is independent of how many workers produced the shards), and
 // the distribution is read back through P / Quantile / Points.
@@ -22,8 +23,22 @@ package stats
 // corrupt the distribution.
 type Accumulator interface {
 	// Add records an observation x with non-negative finite weight w
-	// (zero-weight observations are dropped).
+	// (zero-weight observations are dropped). It is AddBatch of one
+	// observation.
 	Add(x, w float64)
+	// AddBatch records every x of xs, in order, with the one weight w.
+	// It leaves the accumulator bit-identical to Add(x, w) for each x in
+	// turn, and panics where those Adds would: on an invalid w before
+	// adding anything (even for an empty xs), and on a NaN at xs[k] after
+	// adding the first k.
+	AddBatch(xs []float64, w float64)
+	// AddIndexed records vals[i] for every i of idx, in order, with the
+	// one weight w: AddBatch of the gathered values, bit for bit and
+	// panic for panic, where an index past the end of vals panics like a
+	// NaN. vals holds at most MaxIndexedValues entries, so a caller
+	// whose observations take few distinct values pays their lookups
+	// once per call rather than once per observation.
+	AddIndexed(vals []float64, idx []uint8, w float64)
 	// Merge folds another accumulator of the same kind into this one.
 	// Folding shard accumulators in shard order yields results that are
 	// bit-identical for any worker count.
@@ -49,3 +64,17 @@ var (
 	_ Accumulator = (*WeightedCDF)(nil)
 	_ Accumulator = (*LogHistogram)(nil)
 )
+
+// MaxIndexedValues bounds the vals of one AddIndexed call. It is also the
+// run length in which AddBatch feeds its observations through the same
+// indexed update rule, so every add has one rule per accumulator.
+const MaxIndexedValues = 64
+
+// identity[i] is i: the index run that turns a slice of observations into
+// an indexed add of the slice itself.
+var identity = func() (t [MaxIndexedValues]uint8) {
+	for i := range t {
+		t[i] = uint8(i)
+	}
+	return t
+}()

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"faultmem/internal/wire"
 )
 
 // FuzzAccumulatorGobDecode feeds arbitrary bytes to the decoder a
@@ -110,4 +113,92 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// FuzzBatchAdd checks the batch adds against addOne, the one-at-a-time
+// rule. The input's first three bytes pick a histogram geometry (a zero
+// first byte picks the Fig. 5 engine's), the next eight a weight, and
+// the rest observations, eight bytes each; the observation bytes double
+// as AddIndexed's indices into the first 64 observations, one in nine or
+// so past them. For a WeightedCDF and a LogHistogram,
+// AddBatch of the observations and AddIndexed of the indices must each
+// panic exactly when the one-at-a-time adds do and leave the same binary
+// form.
+func FuzzBatchAdd(f *testing.F) {
+	seed := func(geom [3]byte, w float64, xs ...float64) []byte {
+		b := wire.AppendFloat64(geom[:], w)
+		return wire.AppendFloat64s(b, xs)
+	}
+	f.Add(seed([3]byte{}, 1e-6, 0, 1e-9, 3e-4, 1, 1e20, 1e25))
+	f.Add(seed([3]byte{5, 0xFD, 8}, 0.5, -1, 0x1p-1030, 1, 7, 1e3, math.Inf(1)))
+	f.Add(seed([3]byte{1, 0, 1}, 0, 2, math.NaN(), 3))
+	f.Add(seed([3]byte{31, 0x7F, 0xFF}, 3, 1, 2, math.NaN()))
+	f.Add(seed([3]byte{2, 3, 4}, -1, 1))
+	f.Add(seed([3]byte{2, 3, 4}, math.Inf(1)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 11 {
+			return
+		}
+		geom, w, rest := b[:3], math.Float64frombits(binary.LittleEndian.Uint64(b[3:11])), b[11:]
+		newHist := func() *LogHistogram { return NewLogHistogram(0, -8, 20) }
+		if geom[0] != 0 {
+			logMin := float64(int8(geom[1]) % 16)
+			newHist = func() *LogHistogram {
+				return NewLogHistogram(int(geom[0]%32)+1, logMin, logMin+float64(geom[2]%24)+1)
+			}
+		}
+		xs := make([]float64, len(rest)/8)
+		for k := range xs {
+			xs[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*k:]))
+		}
+		vals := xs[:min(len(xs), MaxIndexedValues)]
+		idx := make([]uint8, len(rest))
+		for k, v := range rest {
+			idx[k] = uint8(int(v) % (len(vals) + 1 + len(vals)/8))
+		}
+		// The one-at-a-time form of each batch add checks the weight
+		// first, even for an empty batch, and panics at an index past vals
+		// where its add would go.
+		checkWeight := func() {
+			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+				panic("invalid weight")
+			}
+		}
+		for _, newAcc := range []func() Accumulator{
+			func() Accumulator { return &WeightedCDF{} },
+			func() Accumulator { return newHist() },
+		} {
+			for _, c := range []struct {
+				name  string
+				batch func(Accumulator)
+				one   func(Accumulator)
+			}{
+				{"AddBatch", func(a Accumulator) { a.AddBatch(xs, w) }, func(a Accumulator) {
+					checkWeight()
+					for _, x := range xs {
+						addOne(a, x, w)
+					}
+				}},
+				{"AddIndexed", func(a Accumulator) { a.AddIndexed(vals, idx, w) }, func(a Accumulator) {
+					checkWeight()
+					for _, i := range idx {
+						if int(i) >= len(vals) {
+							panic("index out of range")
+						}
+						addOne(a, vals[i], w)
+					}
+				}},
+			} {
+				want, got := newAcc(), newAcc()
+				wantPanic := panicOf(func() { c.one(want) }) != nil
+				gotPanic := panicOf(func() { c.batch(got) }) != nil
+				if gotPanic != wantPanic {
+					t.Fatalf("%T %s: panicked %t, one at a time %t", want, c.name, gotPanic, wantPanic)
+				}
+				if !bytes.Equal(encoded(t, got), encoded(t, want)) {
+					t.Fatalf("%T %s: state differs from the one-at-a-time adds'", want, c.name)
+				}
+			}
+		}
+	})
 }

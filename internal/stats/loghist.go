@@ -165,39 +165,118 @@ func (h *LogHistogram) bucketLog10(x float64) int {
 	return b
 }
 
-// Add records an observation x with weight w. The weight rules match
-// WeightedCDF: w must be non-negative and finite, zero-weight
-// observations are dropped, NaN observations panic. Observations at or
-// below zero land in the underflow bin (the MSE domain's exact-zero
-// mass).
+// Add records an observation x with weight w: AddBatch of one. The
+// weight rules match WeightedCDF: w must be non-negative and finite,
+// zero-weight observations are dropped, NaN observations panic.
+// Observations at or below zero land in the underflow bin (the MSE
+// domain's exact-zero mass).
 func (h *LogHistogram) Add(x, w float64) {
-	if !(w >= 0 && w <= math.MaxFloat64) { // negative, NaN or +Inf
+	checkHistWeight(w)
+	h.addRun([]float64{x}, nil, identity[:1], w)
+}
+
+// AddBatch records every x of xs with weight w, as the Accumulator
+// contract defines: bit-identical to one Add per x, in order.
+func (h *LogHistogram) AddBatch(xs []float64, w float64) {
+	checkHistWeight(w)
+	for len(xs) > 0 {
+		run := xs[:min(len(xs), MaxIndexedValues)]
+		xs = xs[len(run):]
+		h.addRun(run, nil, identity[:len(run)], w)
+	}
+}
+
+// AddIndexed records vals[i] for every i of idx with weight w, as the
+// Accumulator contract defines. It bins each of the at most
+// MaxIndexedValues vals once per call, however long idx is.
+func (h *LogHistogram) AddIndexed(vals []float64, idx []uint8, w float64) {
+	checkHistWeight(w)
+	if len(vals) > MaxIndexedValues {
+		panic(fmt.Sprintf("stats: %d indexed values exceed %d", len(vals), MaxIndexedValues))
+	}
+	var bins [MaxIndexedValues]int32
+	for k, x := range vals {
+		bins[k] = -1
+		if x == x {
+			bins[k] = int32(h.bucket(x))
+		}
+	}
+	h.addRun(vals, &bins, idx, w)
+}
+
+// checkHistWeight panics on a weight no add accepts: negative, NaN or
+// +Inf.
+func checkHistWeight(w float64) {
+	if !(w >= 0 && w <= math.MaxFloat64) {
 		panic("stats: invalid histogram weight")
 	}
-	if x != x { // NaN
+}
+
+// addRun is the update rule of every add: for each i of idx in turn it
+// adds w to the bin of vals[i] and folds vals[i] into the running total,
+// count, moments and extrema, which it keeps in locals until the run
+// ends. The bin is bins[i] (-1 marking a NaN) when bins is not nil, and
+// bucket's answer otherwise. At the first i that is out of range or
+// names a NaN it stores what the earlier ones added and panics; a zero w
+// adds nothing but still panics there.
+func (h *LogHistogram) addRun(vals []float64, bins *[MaxIndexedValues]int32, idx []uint8, w float64) {
+	var tab *binTable
+	if bins == nil {
+		tab = h.table()
+	}
+	wts := h.w
+	total, count := h.total, h.count
+	sumX, sumXX := h.sumX, h.sumXX
+	lo, hi := h.min, h.max
+	bad := -1
+	for k, i := range idx {
+		if int(i) >= len(vals) {
+			bad = k
+			break
+		}
+		x := vals[i]
+		// bucket, spelled out: this is the hot path of every
+		// paper-scale campaign, and bucket is too large to inline.
+		b := -1
+		switch {
+		case bins != nil:
+			b = int(bins[i])
+		case x > 0:
+			b = tab.bin(x)
+		case x == x:
+			b = 0
+		}
+		if b < 0 {
+			bad = k
+			break
+		}
+		if w == 0 {
+			continue
+		}
+		wts[b] += w
+		total += w
+		count++
+		sumX += w * x
+		sumXX += w * x * x
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	if count != h.count {
+		h.total, h.count = total, count
+		h.sumX, h.sumXX = sumX, sumXX
+		h.min, h.max = lo, hi
+		h.dirty = true
+	}
+	if bad >= 0 {
+		if i := idx[bad]; int(i) >= len(vals) {
+			panic(fmt.Sprintf("stats: index %d of %d indexed values", i, len(vals)))
+		}
 		panic("stats: NaN histogram observation")
 	}
-	if w == 0 {
-		return
-	}
-	// bucket, spelled out: this is the hot path of every paper-scale
-	// campaign, and bucket itself is too large to inline.
-	b := 0
-	if x > 0 {
-		b = h.table().bin(x)
-	}
-	h.w[b] += w
-	h.total += w
-	h.count++
-	h.sumX += w * x
-	h.sumXX += w * x * x
-	if x < h.min {
-		h.min = x
-	}
-	if x > h.max {
-		h.max = x
-	}
-	h.dirty = true
 }
 
 // Merge folds o (which must be a *LogHistogram of identical geometry)

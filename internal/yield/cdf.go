@@ -233,11 +233,6 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int, err error) {
 	return plans, total, nmax, nil
 }
 
-// cancelPollMask gates how often the per-sample hot loop polls the run's
-// done channel: every 4096 samples, cheap against the per-sample work yet
-// prompt against any realistic budget (a shard holds thousands of samples).
-const cancelPollMask = 1<<12 - 1
-
 // MSECDFAllEnv runs the Fig. 5 Monte Carlo for every scheme at once on
 // the parallel engine: for every failure count n = 1..Nmax it draws
 // samples(n) ~ Pr(N=n)*Trun random fault maps (Eq. 4 prior, uniform fault
@@ -254,7 +249,7 @@ const cancelPollMask = 1<<12 - 1
 // so every result is bit-identical for any worker count. A campaign
 // whose context is cancelled or deadlined mid-flight returns ctx.Err()
 // without results. Cancellation is polled between shards by the engine
-// and every few thousand samples inside each shard, so even single-shard
+// and at every block boundary inside each shard, so even single-shard
 // budgets return promptly. The environment's OnShard callback sees each
 // completed shard.
 //
@@ -262,8 +257,15 @@ const cancelPollMask = 1<<12 - 1
 // results from env.Exec that do not hold one accumulator of the
 // campaign's kind and geometry per scheme are reported as errors.
 //
-// Each die is scored under every scheme in one pass over its faulty rows
-// (armCosts), with every MSE bit-identical to RowSampler.MSE.
+// Each shard scores its dies a block at a time (shardRun): up to
+// blockDies consecutive dies of one failure count, and so of one weight.
+// A single-fault block draws one column per die and adds each arm's MSEs
+// from a per-campaign table (armCosts) through AddIndexed; any other
+// block draws each die into the row sampler, scores it under every scheme
+// in one pass over its faulty rows, and hands each arm its block of MSEs
+// through AddBatch. Every accumulator ends bit-identical to one Add per
+// (die, arm) of RowSampler.MSE's value, in die order, and the random
+// stream is the one RowSampler.Draw would consume.
 func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -277,7 +279,7 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 	}
 	spans := mc.Split(total, p.Shards)
 	cancel := env.Done()
-	costs := newArmCosts(schemes, p.Width)
+	costs := newArmCosts(schemes, p.Rows, p.Width)
 
 	// Accumulator factory: exact retention for small budgets (and as the
 	// test oracle), the fixed-bin log-histogram above the auto threshold
@@ -302,39 +304,33 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		for j := range accs {
 			accs[j] = newAcc(span.End - span.Start)
 		}
-		sampler := NewRowSampler(p.Rows, p.Width)
-		mse := make([]float64, len(schemes))
+		run := newShardRun(costs, accs, p.Rows)
 		// Locate the span's first (count, sample) pair, then stream
-		// through the count-major global order. Everything below Add is
-		// allocation-free: the sampler reuses its masks, the arms' MSEs
-		// land in one reused slice, and each accumulator is either
-		// pre-reserved to the span size or fixed-size bins.
+		// through the count-major global order a block at a time. A
+		// block ends at blockDies, at the end of its count and at the
+		// end of the span, so it holds one count and one weight.
 		idx, off := 0, span.Start
 		for idx < len(plans) && off >= plans[idx].k {
 			off -= plans[idx].k
 			idx++
 		}
-		for g := span.Start; g < span.End; g++ {
-			if g&cancelPollMask == 0 {
-				select {
-				case <-cancel:
-					// Abandon the shard; the engine reports ctx.Err() and
-					// the partial accumulators are discarded with it.
-					return accs
-				default:
-				}
+		for g := span.Start; g < span.End; {
+			select {
+			case <-cancel:
+				// Abandon the shard; the engine reports ctx.Err() and
+				// the partial accumulators are discarded with it.
+				return accs
+			default:
 			}
 			for off >= plans[idx].k {
 				off = 0
 				idx++
 			}
-			sampler.Draw(rng, plans[idx].n)
-			costs.mseAll(sampler, mse)
-			per := plans[idx].per
-			for j, acc := range accs {
-				acc.Add(mse[j], per)
-			}
-			off++
+			pl := plans[idx]
+			dies := min(blockDies, pl.k-off, span.End-g)
+			run.block(rng, pl.n, dies, pl.per)
+			g += dies
+			off += dies
 		}
 		return accs
 	})
@@ -393,6 +389,68 @@ func checkShard(i int, accs, merged []stats.Accumulator) error {
 		}
 	}
 	return nil
+}
+
+// blockDies is the most dies a shard scores in one block. Each arm's
+// accumulator takes a block in one call, which spreads the per-call costs
+// (the interface call, loading and storing the running sums, binning a
+// single-fault block's table) over up to this many dies. The shard loop
+// polls for cancellation once per block.
+const blockDies = 256
+
+// shardRun is one shard's scratch for scoring dies a block at a time.
+// Built once per shard, it allocates nothing afterwards: the sampler
+// reuses its masks, the block buffers are sized up front, and each
+// accumulator is either pre-reserved to the span or fixed-size bins.
+type shardRun struct {
+	costs   *armCosts
+	accs    stats.Accumulators
+	sampler *RowSampler
+	// cols holds a single-fault block's fault columns, one per die.
+	cols []uint8
+	// die is one multi-fault die's MSE per arm; mse holds the block's,
+	// arm-major: mse[j*blockDies+i] is arm j's MSE of die i.
+	die, mse []float64
+}
+
+func newShardRun(costs *armCosts, accs stats.Accumulators, rows int) *shardRun {
+	return &shardRun{
+		costs:   costs,
+		accs:    accs,
+		sampler: NewRowSampler(rows, costs.width),
+		cols:    make([]uint8, blockDies),
+		die:     make([]float64, len(accs)),
+		mse:     make([]float64, len(accs)*blockDies),
+	}
+}
+
+// block draws dies dies (1..blockDies) of n faults each and adds every
+// arm's MSEs, at weight per, to that arm's accumulator. A die of one
+// fault is the one rng.Intn(cells) that RowSampler.Draw(rng, 1) makes,
+// kept as its column; every other die is drawn by the sampler and scored
+// by mseAll.
+func (s *shardRun) block(rng *rand.Rand, n, dies int, per float64) {
+	if n == 1 {
+		cols := s.cols[:dies]
+		cells, width := s.sampler.cells, s.sampler.width
+		for i := range cols {
+			cols[i] = uint8(rng.Intn(cells) % width)
+		}
+		for j, acc := range s.accs {
+			acc.AddIndexed(s.costs.singleFaultMSEs(j), cols, per)
+		}
+		return
+	}
+	for i := 0; i < dies; i++ {
+		s.sampler.Draw(rng, n)
+		s.costs.mseAll(s.sampler, s.die)
+		for j, v := range s.die {
+			s.mse[j*blockDies+i] = v
+		}
+	}
+	for j, acc := range s.accs {
+		acc.AddBatch(s.mse[j*blockDies:j*blockDies+dies], per)
+	}
 }
 
 // YieldAtMSE returns the quality-aware yield at a target MSE: the

@@ -1,7 +1,9 @@
 package yield
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -93,50 +95,169 @@ func TestMSECDFAllShardCountChangesStreamsOnly(t *testing.T) {
 }
 
 func TestHotPathZeroAllocs(t *testing.T) {
-	// The per-sample hot path — fault-map draw, residual evaluation for
-	// every Fig. 5 arm, accumulation — must not allocate, in both
-	// accumulator modes. This is the regression gate for the
-	// allocation-free engine rewrite and its histogram extension.
+	// Once a shard is set up, scoring its dies must not allocate, in both
+	// accumulator modes: the engine's blocks of single-fault dies (column
+	// draws, indexed adds) and of multi-fault dies (sampler draws, all-arm
+	// row costs, batch adds), and the per-call path the layer probes time
+	// (Draw, RowSampler.MSE, one Add per arm). This is the regression gate
+	// for the allocation-free engine and its histogram extension.
 	schemes := fig5Schemes()
 	const rounds = 200
 	for _, mode := range []string{"exact", "hist"} {
-		accs := make([]stats.Accumulator, len(schemes))
+		accs := make(stats.Accumulators, len(schemes))
 		for j := range accs {
 			if mode == "hist" {
 				accs[j] = stats.NewLogHistogram(0, -8, 20)
 			} else {
+				// AllocsPerRun makes one warm-up run before the rounds.
 				c := &stats.WeightedCDF{}
-				c.Reserve(rounds + 1)
+				c.Reserve((rounds + 1) * (blockDies + 1))
 				accs[j] = c
 			}
 		}
-		sampler := NewRowSampler(4096, 32)
+		run := newShardRun(newArmCosts(schemes, 4096, 32), accs, 4096)
 		rng := stats.NewRand(1)
 		n := 1
 		avg := testing.AllocsPerRun(rounds, func() {
+			run.block(rng, n, blockDies, 1e-6)
+			n = n%6 + 1 // cycle realistic failure counts, 1 included
+		})
+		if avg != 0 {
+			t.Fatalf("%s mode: a block of %d dies allocates %.1f times", mode, blockDies, avg)
+		}
+
+		sampler := run.sampler
+		avg = testing.AllocsPerRun(rounds, func() {
 			sampler.Draw(rng, n)
 			for j, s := range schemes {
 				accs[j].Add(sampler.MSE(s), 1e-6)
 			}
-			n = n%6 + 1 // cycle realistic failure counts
-		})
-		if avg != 0 {
-			t.Fatalf("%s mode: per-sample hot path allocates %.1f times", mode, avg)
-		}
-
-		// The engine's own path: all arms scored in one pass.
-		costs := newArmCosts(schemes, 32)
-		mse := make([]float64, len(schemes))
-		avg = testing.AllocsPerRun(rounds, func() {
-			sampler.Draw(rng, n)
-			costs.mseAll(sampler, mse)
-			for j, acc := range accs {
-				acc.Add(mse[j], 1e-6)
-			}
 			n = n%6 + 1
 		})
 		if avg != 0 {
-			t.Fatalf("%s mode: all-arm hot path allocates %.1f times", mode, avg)
+			t.Fatalf("%s mode: per-die Draw, MSE and Add allocate %.1f times", mode, avg)
+		}
+	}
+}
+
+// referenceAccumulators runs the die-at-a-time engine MSECDFAllEnv ran
+// before it scored dies in blocks — per die RowSampler.Draw, then
+// armCosts.mseAll, then one Add per arm — on the same mc shards and seeds,
+// and merges the shards in order into one accumulator per arm.
+func referenceAccumulators(t *testing.T, p CDFParams, schemes []Scheme) []stats.Accumulator {
+	t.Helper()
+	plans, total, _, err := p.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newAcc := func() stats.Accumulator {
+		if p.Accum == AccumHist {
+			return stats.NewLogHistogram(p.Bins, mseLogMin, mseLogMax)
+		}
+		return &stats.WeightedCDF{}
+	}
+	spans := mc.Split(total, p.Shards)
+	costs := newArmCosts(schemes, p.Rows, p.Width)
+	outs, err := mc.RunEnv(mc.Env{}, 1, len(spans), p.Seed, func(shard int, rng *rand.Rand) []stats.Accumulator {
+		span := spans[shard]
+		accs := make([]stats.Accumulator, len(schemes))
+		for j := range accs {
+			accs[j] = newAcc()
+		}
+		sampler := NewRowSampler(p.Rows, p.Width)
+		mse := make([]float64, len(schemes))
+		idx, off := 0, span.Start
+		for idx < len(plans) && off >= plans[idx].k {
+			off -= plans[idx].k
+			idx++
+		}
+		for g := span.Start; g < span.End; g++ {
+			for off >= plans[idx].k {
+				off = 0
+				idx++
+			}
+			sampler.Draw(rng, plans[idx].n)
+			costs.mseAll(sampler, mse)
+			for j, acc := range accs {
+				acc.Add(mse[j], plans[idx].per)
+			}
+			off++
+		}
+		return accs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := make([]stats.Accumulator, len(schemes))
+	for j := range merged {
+		merged[j] = newAcc()
+		for _, shard := range outs {
+			merged[j].Merge(shard[j])
+		}
+	}
+	return merged
+}
+
+// binaryForm is an accumulator's wire encoding: every bin, sum, count and
+// extremum, or every observation and weight in insertion order.
+func binaryForm(t *testing.T, a stats.Accumulator) []byte {
+	t.Helper()
+	b, err := stats.Accumulators{a}.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
+	// Scoring dies in blocks (table-driven single-fault blocks, batch
+	// adds) must leave every arm's accumulator byte for byte where the
+	// die-at-a-time loop leaves it: on the Fig. 5 geometry, an odd row
+	// count, a narrow and a 64-bit word; in both accumulator modes; and
+	// at shard counts whose span edges cut blocks inside a count. A
+	// MaxPerCount that caps several counts moves the count edges off the
+	// prior's own layout.
+	wide := append(fig5Schemes(), FullECC{}, PriorityECC{Protected: 8})
+	geoms := []struct {
+		rows, width int
+		pcell, trun float64
+		maxPer      int
+		schemes     []Scheme
+	}{
+		{4096, 32, 5e-6, 5e4, 1000, wide},
+		{37, 32, 2e-3, 2e4, 1500, wide},
+		{16, 16, 1e-2, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 16, NFM: 2})}},
+		{8, 64, 5e-3, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, PriorityECC{}, NewShuffledConfig(core.Config{Width: 64, NFM: 3})}},
+	}
+	for _, g := range geoms {
+		for _, accum := range []AccumMode{AccumExact, AccumHist} {
+			for _, shards := range []int{1, 3, 13} {
+				p := CDFParams{
+					Rows: g.rows, Width: g.width, Pcell: g.pcell, Trun: g.trun,
+					MaxPerCount: g.maxPer, Seed: int64(g.rows + shards), Shards: shards, Accum: accum,
+				}
+				plans, _, _, err := p.plan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				capped := 0
+				for _, pl := range plans {
+					if pl.k == g.maxPer {
+						capped++
+					}
+				}
+				if capped < 2 || plans[0].n != 1 || len(plans) < 4 {
+					t.Fatalf("%dx%d: plan %v does not cap several counts from n = 1", g.rows, g.width, plans)
+				}
+				want := referenceAccumulators(t, p, g.schemes)
+				got := msecdfAll(t, p, g.schemes)
+				for j, r := range got {
+					if !bytes.Equal(binaryForm(t, r.CDF), binaryForm(t, want[j])) {
+						t.Fatalf("%dx%d %v %d shards %s: block engine accumulator differs from the die-at-a-time loop's",
+							g.rows, g.width, accum, shards, r.Scheme)
+					}
+				}
+			}
 		}
 	}
 }
@@ -153,7 +274,7 @@ func TestArmCostsMatchRowSamplerMSEBitwise(t *testing.T) {
 		schemes     []Scheme
 	}{{4096, 32, wide}, {64, 32, wide}, {37, 32, wide}, {16, 16, narrow}} {
 		schemes := geom.schemes
-		costs := newArmCosts(schemes, geom.width)
+		costs := newArmCosts(schemes, geom.rows, geom.width)
 		sampler := NewRowSampler(geom.rows, geom.width)
 		rng := stats.NewRand(int64(geom.rows))
 		mse := make([]float64, len(schemes))

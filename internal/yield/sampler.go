@@ -91,27 +91,50 @@ func (s *RowSampler) MSE(sch Scheme) float64 {
 	return sum / float64(s.rows)
 }
 
-// armCosts scores a die under several schemes in one pass over its faulty
-// rows. At memory-scale Pcell nearly every faulty row holds one fault
-// (99.99% at Fig. 5's paper budget), so the costs of all single-fault
-// rows are tabulated once per campaign from Scheme.RowMSE and such a row
-// costs one table read per scheme; only multi-fault rows call RowMSE.
-// The table is immutable and shared by every shard of the campaign.
+// armCosts holds a campaign's per-arm costs, built once from
+// Scheme.RowMSE and shared read-only by every shard. At memory-scale
+// Pcell nearly every faulty row holds one fault (99.99% at Fig. 5's paper
+// budget), and most dies hold one faulty cell (70.8% there), so it keeps
+// two tables:
+//
+//   - single, the row cost of every single-fault mask, which mseAll reads
+//     for such rows, calling RowMSE only for multi-fault rows;
+//   - singleDie, the whole MSE of a die whose only fault sits in a given
+//     column, which the engine adds straight from the table for
+//     single-fault dies, without drawing them into a sampler.
 type armCosts struct {
 	schemes []Scheme
+	width   int
 	// single[c*len(schemes)+j] is schemes[j].RowMSE(1 << c).
 	single []float64
+	// singleDie[j*width+c] is (0 + single[c*len(schemes)+j]) / rows: the
+	// expression mseAll evaluates for a die whose one fault is in column
+	// c, so the table and mseAll agree bit for bit.
+	singleDie []float64
 }
 
-func newArmCosts(schemes []Scheme, width int) *armCosts {
+func newArmCosts(schemes []Scheme, rows, width int) *armCosts {
 	n := len(schemes)
-	a := &armCosts{schemes: schemes, single: make([]float64, width*n)}
+	a := &armCosts{
+		schemes:   schemes,
+		width:     width,
+		single:    make([]float64, width*n),
+		singleDie: make([]float64, n*width),
+	}
 	for c := 0; c < width; c++ {
 		for j, sch := range schemes {
-			a.single[c*n+j] = sch.RowMSE(uint64(1) << uint(c))
+			v := sch.RowMSE(uint64(1) << uint(c))
+			a.single[c*n+j] = v
+			a.singleDie[j*width+c] = (0 + v) / float64(rows)
 		}
 	}
 	return a
+}
+
+// singleFaultMSEs returns arm j's MSE of a single-fault die, indexed by
+// the fault's column.
+func (a *armCosts) singleFaultMSEs(j int) []float64 {
+	return a.singleDie[j*a.width : (j+1)*a.width]
 }
 
 // mseAll sets mse[j] to s.MSE(schemes[j]) for the current sample, bit for
