@@ -139,15 +139,14 @@ coordinate flags (before the experiment name; run flags after it):
                   while the campaign runs (default 127.0.0.1:7715)
   -min-workers N  workers to await before starting (default 1)
   -wait D         how long to await them before starting anyway (default 1m)
-  -lease D        shard lease before reassignment (0 = default)
-  -session-ttl D  resume window for disconnected workers (0 = default)
+  -lease D        shard lease before reassignment (0 = default 3s);
+                  workers heartbeat every third of it
   -auth-token S   shared secret required from workers (default $FAULTMEM_AUTH_TOKEN)
   -verbose        log worker churn and shard reassignment on stderr
 
 worker flags:
   -connect ADDR   coordinator address to dial (default 127.0.0.1:7715)
   -auth-token S   shared secret for the pool (default $FAULTMEM_AUTH_TOKEN)
-  -heartbeat D    liveness heartbeat cadence (0 = default)
   -workers N      concurrent shard computations (0 = all cores)
   -verbose        log transport events on stderr
 
@@ -159,6 +158,8 @@ serve flags:
   -client-inflight N  per-client concurrent shard cap (0 = uncapped)
   -snapshot-every D   partial-result push period (default 1s)
   -client-ttl D       client session resume window (default 30s)
+  -lease D            worker shard lease (0 = default 3s); workers
+                      heartbeat every third of it
   -drain-timeout D    drain wait bound on SIGTERM/Ctrl-C (default 1m)
   -verbose            log job lifecycle and churn on stderr
 
@@ -411,7 +412,6 @@ func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	minWorkers := fs.Int("min-workers", 1, "workers to await before starting (0 = start immediately)")
 	wait := fs.Duration("wait", time.Minute, "how long to await -min-workers before starting anyway")
 	lease := fs.Duration("lease", 0, "shard lease before reassignment (0 = default)")
-	sessionTTL := fs.Duration("session-ttl", 0, "resume window for disconnected workers (0 = default)")
 	authToken := fs.String("auth-token", os.Getenv(authTokenEnv),
 		"shared secret required from workers (default $"+authTokenEnv+")")
 	verbose := fs.Bool("verbose", false, "log worker churn and shard reassignment on stderr")
@@ -440,7 +440,6 @@ func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) in
 
 	cfg := faultmem.ServeConfig{AuthToken: *authToken}
 	cfg.Sweep.Lease = *lease
-	cfg.Sweep.SessionTTL = *sessionTTL
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "faultmem coordinate: "+format+"\n", args...)
@@ -477,8 +476,8 @@ func coordinate(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	code := runCampaign(ctx, poolExecutor{srv}, "coordinate", name, runArgs, stdout, stderr)
 	st := srv.PoolStats()
 	fmt.Fprintf(stderr,
-		"faultmem coordinate: %d shards remote, %d local, %d reassigned, %d duplicate results, %d frames rejected, %d sessions resumed\n",
-		st.RemoteShards, st.LocalShards, st.Reassigned, st.DuplicateResults, st.FramesRejected, st.SessionsResumed)
+		"faultmem coordinate: %d shards remote, %d local, %d reassigned, %d duplicate results, %d frames rejected\n",
+		st.RemoteShards, st.LocalShards, st.Reassigned, st.DuplicateResults, st.FramesRejected)
 	return code
 }
 
@@ -490,7 +489,6 @@ func workerCmd(ctx context.Context, args []string, stderr io.Writer) int {
 	connect := fs.String("connect", "127.0.0.1:7715", "coordinator address to dial")
 	authToken := fs.String("auth-token", os.Getenv(authTokenEnv),
 		"shared secret for the pool (default $"+authTokenEnv+")")
-	heartbeat := fs.Duration("heartbeat", 0, "liveness heartbeat cadence (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent shard computations (0 = all cores)")
 	verbose := fs.Bool("verbose", false, "log transport events on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -504,7 +502,7 @@ func workerCmd(ctx context.Context, args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := faultmem.SweepWorkerConfig{Heartbeat: *heartbeat, LocalWorkers: *workers, AuthToken: *authToken}
+	cfg := faultmem.SweepWorkerConfig{LocalWorkers: *workers, AuthToken: *authToken}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "faultmem worker: "+format+"\n", args...)

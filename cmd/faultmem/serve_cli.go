@@ -42,7 +42,6 @@ func serveCmd(ctx context.Context, args []string, stderr io.Writer) int {
 	snapshotEvery := fs.Duration("snapshot-every", 0, "partial-result push period (0 = default)")
 	clientTTL := fs.Duration("client-ttl", 0, "resume window for disconnected clients (0 = default)")
 	lease := fs.Duration("lease", 0, "worker shard lease before reassignment (0 = default)")
-	sessionTTL := fs.Duration("session-ttl", 0, "resume window for disconnected workers (0 = default)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long a drain waits for running campaigns (0 = forever)")
 	verbose := fs.Bool("verbose", false, "log job lifecycle, client and worker churn on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -65,7 +64,6 @@ func serveCmd(ctx context.Context, args []string, stderr io.Writer) int {
 		ClientTTL:      *clientTTL,
 	}
 	cfg.Sweep.Lease = *lease
-	cfg.Sweep.SessionTTL = *sessionTTL
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "faultmem serve: "+format+"\n", args...)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"faultmem/internal/core"
@@ -272,7 +273,7 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 				for r := 0; r < rows; r++ {
 					got := uint64(m.Read(r))
 					for v := got; v != 0; v &= v - 1 {
-						b := trailingZeros64(v)
+						b := bits.TrailingZeros64(v)
 						e := math.Ldexp(1, b)
 						sum += e * e
 					}
@@ -295,15 +296,6 @@ func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow
 		out = append(out, o.Row)
 	}
 	return out, nil
-}
-
-func trailingZeros64(v uint64) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // AblationTransientTable renders the soft-error study.

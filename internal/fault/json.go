@@ -33,31 +33,3 @@ func (m Map) WriteJSON(w io.Writer, rows, width int) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(f)
 }
-
-// ReadJSON deserializes a fault map and its geometry from r, validating
-// bounds and kinds.
-func ReadJSON(r io.Reader) (m Map, rows, width int, err error) {
-	var f mapFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, 0, 0, fmt.Errorf("fault: bad JSON: %w", err)
-	}
-	m = make(Map, len(f.Faults))
-	for i, jf := range f.Faults {
-		var kind Kind
-		switch jf.Kind {
-		case "flip":
-			kind = Flip
-		case "sa0":
-			kind = StuckAt0
-		case "sa1":
-			kind = StuckAt1
-		default:
-			return nil, 0, 0, fmt.Errorf("fault: unknown kind %q at entry %d", jf.Kind, i)
-		}
-		m[i] = Fault{Row: jf.Row, Col: jf.Col, Kind: kind}
-	}
-	if err := m.Validate(f.Rows, f.Width); err != nil {
-		return nil, 0, 0, err
-	}
-	return m, f.Rows, f.Width, nil
-}

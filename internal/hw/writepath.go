@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"faultmem/internal/core"
-	"faultmem/internal/ecc"
 )
 
 // LUTRealization selects how the bit-shuffling fault-map LUT is built —
@@ -45,20 +44,8 @@ type WriteOverhead struct {
 	// read-before-write serialization).
 	Delay float64
 	// LUTArea is the area of the fault-map storage under the chosen
-	// realization in µm² (0 for the ECC schemes).
+	// realization in µm².
 	LUTArea float64
-}
-
-// ECCWriteOverhead returns the write-path cost of a SECDED scheme: the
-// encoder XOR trees are on the write path, plus the parity-column write
-// energy.
-func ECCWriteOverhead(l Library, m Macro, c *ecc.Code) WriteOverhead {
-	enc := l.SECDEDEncoder(c)
-	return WriteOverhead{
-		Name:   c.Name() + " ECC",
-		Energy: enc.Energy + float64(c.ParityBits())*m.ColReadEnergy,
-		Delay:  enc.Delay,
-	}
 }
 
 // ShuffleWriteOverhead returns the write-path cost of bit-shuffling

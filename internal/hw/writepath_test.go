@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"faultmem/internal/core"
-	"faultmem/internal/ecc"
 )
 
 func TestLUTRealizationNames(t *testing.T) {
@@ -13,19 +12,6 @@ func TestLUTRealizationNames(t *testing.T) {
 	}
 	if LUTRealization(9).String() == "" {
 		t.Error("unknown realization empty")
-	}
-}
-
-func TestECCWriteOverheadStructure(t *testing.T) {
-	l := Lib28nm()
-	m := Macro28nm(4096)
-	w39 := ECCWriteOverhead(l, m, ecc.H39_32())
-	w22 := ECCWriteOverhead(l, m, ecc.H22_16())
-	if w39.Energy <= w22.Energy {
-		t.Error("bigger code should cost more write energy")
-	}
-	if w39.Delay <= 0 || w39.LUTArea != 0 {
-		t.Errorf("ECC write overhead malformed: %+v", w39)
 	}
 }
 

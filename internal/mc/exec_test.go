@@ -42,17 +42,17 @@ func execFn(shard int, rng *rand.Rand) execShard {
 }
 
 // TestExecLocalPassthroughIsBitIdentical: an executor that runs every
-// shard through Run (the coordinator's local-fallback path) must yield
+// shard through job.Run (the coordinator's local-fallback path) must yield
 // exactly what the plain engine yields.
 func TestExecLocalPassthroughIsBitIdentical(t *testing.T) {
-	want := Run(4, 16, 42, execFn)
+	want := run(t, 4, 16, 42, execFn)
 	env := Env{Tag: "t", Exec: func(job ShardJob) (any, error) { return job.Run(), nil }}
 	got, err := RunEnv(env, 4, 16, 42, execFn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("executor passthrough diverged from plain Run")
+		t.Fatal("executor passthrough diverged from the plain engine")
 	}
 }
 
@@ -60,7 +60,7 @@ func TestExecLocalPassthroughIsBitIdentical(t *testing.T) {
 // codec (Encode then Decode, the remote path without a network) must be
 // bit-identical to the plain engine.
 func TestExecEncodeDecodeRoundTrip(t *testing.T) {
-	want := Run(4, 16, 42, execFn)
+	want := run(t, 4, 16, 42, execFn)
 	env := Env{Tag: "t", Exec: func(job ShardJob) (any, error) {
 		b, err := job.Encode(job.Run())
 		if err != nil {
@@ -73,14 +73,14 @@ func TestExecEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("wire round trip diverged from plain Run")
+		t.Fatal("wire round trip diverged from the plain engine")
 	}
 }
 
 // TestExecShardWithoutBinaryFormStaysLocal: a shard type without the
 // two methods fails Encode and Decode, the signal executors take to
 // compute the shard on their own host, and the run still completes
-// through Run.
+// through job.Run.
 func TestExecShardWithoutBinaryFormStaysLocal(t *testing.T) {
 	type plain struct{ Shard int }
 	fn := func(shard int, _ *rand.Rand) plain { return plain{shard} }
@@ -99,8 +99,8 @@ func TestExecShardWithoutBinaryFormStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, Run(2, 8, 1, fn)) {
-		t.Fatal("local fallback diverged from plain Run")
+	if !reflect.DeepEqual(got, run(t, 2, 8, 1, fn)) {
+		t.Fatal("local fallback diverged from the plain engine")
 	}
 	if encodeFailed.Load() != 8 || decodeFailed.Load() != 8 {
 		t.Fatalf("%d of 8 encodes and %d of 8 decodes failed, want all", encodeFailed.Load(), decodeFailed.Load())

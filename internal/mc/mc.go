@@ -39,7 +39,7 @@ func Workers(n int) int {
 // Env carries the cross-cutting execution controls of one engine run:
 // cooperative cancellation, shard-completion progress, and (optionally)
 // an external shard executor. The zero value is a background context with
-// no progress reporting, making RunEnv behave exactly like Run.
+// no progress reporting and no executor.
 type Env struct {
 	// Ctx, when non-nil, cancels the run: workers stop claiming shards as
 	// soon as the context is done and RunEnv returns ctx.Err(). Shard
@@ -125,31 +125,18 @@ var ErrShardSkipped = errors.New("mc: shard skipped by executor")
 // merged as a complete result.
 var ErrPartialRun = errors.New("mc: executor skipped shards")
 
-// Run executes fn for every shard in [0, shards) on a pool of workers and
-// returns the per-shard results indexed by shard. Each shard receives an
-// RNG derived deterministically from (seed, shard), so the result slice —
-// and anything merged from it in shard order — is identical for every
-// worker count, including workers == 1.
+// RunEnv executes fn for every shard in [0, shards) on a pool of workers
+// and returns the per-shard results indexed by shard. Each shard receives
+// an RNG derived deterministically from (seed, shard), so the result
+// slice — and anything merged from it in shard order — is identical for
+// every worker count, including workers == 1. The environment adds
+// cooperative cancellation, per-shard progress notification and an
+// optional executor. When its context is cancelled, workers stop claiming
+// new shards, every in-flight shard is allowed to return (so no goroutine
+// leaks), and RunEnv returns nil results with ctx.Err().
 //
 // fn must not share mutable state across shards; everything it needs
 // should live in its closure or be allocated per call.
-func Run[T any](workers, shards int, seed int64, fn func(shard int, rng *rand.Rand) T) []T {
-	out, err := RunEnv(Env{}, workers, shards, seed, fn)
-	if err != nil {
-		// Unreachable: the zero Env's background context never cancels.
-		panic(fmt.Sprintf("mc: background run failed: %v", err))
-	}
-	return out
-}
-
-// RunEnv is Run under an execution environment: the same deterministic
-// sharded schedule — per-shard streams derived from (seed, shard), results
-// in shard order, bit-identical for any worker count — plus cooperative
-// cancellation and per-shard progress notification. When the environment's
-// context is cancelled, workers stop claiming new shards, every in-flight
-// shard is allowed to return (so no goroutine leaks), and RunEnv returns
-// nil results with ctx.Err(). An uncancelled RunEnv returns exactly what
-// Run would.
 func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, rng *rand.Rand) T) ([]T, error) {
 	if shards < 0 {
 		panic(fmt.Sprintf("mc: negative shard count %d", shards))
@@ -180,30 +167,7 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 	if env.Exec != nil {
 		return runExec(env, ctx, shards, seed, fn, out, note)
 	}
-	w := Workers(workers)
-	if w > shards {
-		w = shards
-	}
-	if w == 1 {
-		// Fast path: no goroutines and no atomics. Bit-identical to the
-		// parallel path by construction (same per-shard streams).
-		for s := 0; s < shards; s++ {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-			out[s] = fn(s, stats.Derive(seed, int64(s)))
-			note()
-		}
-		// A cancellation during the final shard must not surface as a
-		// clean result: shard functions may have bailed out early with
-		// partial output.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
+	w := min(Workers(workers), shards)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -226,6 +190,9 @@ func RunEnv[T any](env Env, workers, shards int, seed int64, fn func(shard int, 
 		}()
 	}
 	wg.Wait()
+	// A cancellation during the final shards must not surface as a clean
+	// result: shard functions may have bailed out early with partial
+	// output.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -10,15 +10,26 @@ import (
 	"time"
 )
 
+// run is RunEnv under the zero Env, whose background context never
+// cancels.
+func run[T any](t testing.TB, workers, shards int, seed int64, fn func(shard int, rng *rand.Rand) T) []T {
+	t.Helper()
+	out, err := RunEnv(Env{}, workers, shards, seed, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRunShardOrderAndDeterminism(t *testing.T) {
 	// Each shard reports its first RNG draw; the result must be identical
 	// for every worker count and indexed by shard.
-	run := func(workers int) []float64 {
-		return Run(workers, 32, 7, func(shard int, rng *rand.Rand) float64 {
+	runAt := func(workers int) []float64 {
+		return run(t, workers, 32, 7, func(shard int, rng *rand.Rand) float64 {
 			return float64(shard) + rng.Float64()
 		})
 	}
-	ref := run(1)
+	ref := runAt(1)
 	if len(ref) != 32 {
 		t.Fatalf("got %d results", len(ref))
 	}
@@ -28,7 +39,7 @@ func TestRunShardOrderAndDeterminism(t *testing.T) {
 		}
 	}
 	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0), 100} {
-		got := run(w)
+		got := runAt(w)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d shard %d: %g != %g", w, i, got[i], ref[i])
@@ -39,7 +50,7 @@ func TestRunShardOrderAndDeterminism(t *testing.T) {
 
 func TestRunStreamsIndependent(t *testing.T) {
 	// Different shards must draw from different streams.
-	out := Run(1, 8, 1, func(_ int, rng *rand.Rand) float64 { return rng.Float64() })
+	out := run(t, 1, 8, 1, func(_ int, rng *rand.Rand) float64 { return rng.Float64() })
 	seen := map[float64]bool{}
 	for _, v := range out {
 		if seen[v] {
@@ -50,7 +61,7 @@ func TestRunStreamsIndependent(t *testing.T) {
 }
 
 func TestRunZeroShards(t *testing.T) {
-	if out := Run[int](4, 0, 1, nil); out != nil {
+	if out := run[int](t, 4, 0, 1, nil); out != nil {
 		t.Fatalf("zero shards returned %v", out)
 	}
 }
@@ -88,22 +99,6 @@ func TestSplitCoversEverySample(t *testing.T) {
 					t.Fatalf("empty span with total=%d", tc.total)
 				}
 			}
-		}
-	}
-}
-
-func TestRunEnvMatchesRun(t *testing.T) {
-	// The zero Env must reproduce Run bit-for-bit: same shard streams,
-	// same shard order, nil error.
-	fn := func(shard int, rng *rand.Rand) float64 { return float64(shard) + rng.Float64() }
-	want := Run(3, 32, 11, fn)
-	got, err := RunEnv(Env{}, 3, 32, 11, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shard %d: RunEnv %g != Run %g", i, got[i], want[i])
 		}
 	}
 }

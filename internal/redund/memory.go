@@ -121,9 +121,4 @@ func (r *Repaired) WriteImage(addr int, img []uint64) {
 	}
 }
 
-// SparesUsed returns how many spare rows and columns the repair consumed.
-func (r *Repaired) SparesUsed() (rows, cols int) {
-	return len(r.rowRemap), len(r.colRemap)
-}
-
 var _ mem.Word32 = (*Repaired)(nil)

@@ -156,7 +156,7 @@ func TestRepairedMemoryFunctional(t *testing.T) {
 			t.Fatalf("addr %d: %#x != %#x after repair", a, got, v)
 		}
 	}
-	ur, uc := m.SparesUsed()
+	ur, uc := m.sparesUsed()
 	if ur+uc == 0 {
 		t.Error("no spares used despite faults")
 	}
@@ -287,4 +287,9 @@ func popcount(v int) int {
 		n++
 	}
 	return n
+}
+
+// sparesUsed returns how many spare rows and columns the repair consumed.
+func (r *Repaired) sparesUsed() (rows, cols int) {
+	return len(r.rowRemap), len(r.colRemap)
 }

@@ -78,6 +78,29 @@ func TestServeDropsSilentPeer(t *testing.T) {
 	expectHangUp(t, dialRaw(t, srv), 2*time.Second)
 }
 
+// TestServeDropsSilentWorker: an authenticated worker that sends nothing
+// after its Hello — no heartbeat, no result — is hung up on after two
+// leases of silence and leaves the pool, so it no longer counts toward
+// the scheduler's capacity or takes jobs.
+func TestServeDropsSilentWorker(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Sweep.Lease = 200 * time.Millisecond
+	srv := startServer(t, cfg)
+	conn := dialRaw(t, srv)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := sweep.WriteMessage(conn, &sweep.Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := readMessage(t, conn).(*sweep.Welcome); !ok {
+		t.Fatalf("handshake answered with %T", m)
+	}
+	waitWorkers(t, srv, 1)
+	expectHangUp(t, conn, 10*cfg.Sweep.Lease)
+	if n := srv.Workers(); n != 0 {
+		t.Fatalf("Workers() = %d after the silent worker was dropped, want 0", n)
+	}
+}
+
 // TestServeRefusesBadFirstFrame: before a peer has authenticated, the
 // server neither allocates what a first frame's header declares beyond
 // sweep.MaxHelloPayload nor accepts a first frame with any flag bit set;

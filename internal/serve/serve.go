@@ -12,6 +12,8 @@ package serve
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,10 +32,9 @@ import (
 // Config tunes the campaign server. The zero value selects production
 // defaults; tests shrink the clocks to milliseconds.
 type Config struct {
-	// Sweep configures the embedded shard coordinator (worker leases,
-	// worker-session TTLs, remote-attempt bounds). Its Logf defaults to
-	// the server's. The lease also bounds how long a new connection may
-	// take to send its first frame.
+	// Sweep configures the embedded shard coordinator (the worker
+	// lease). Its Logf defaults to the server's. The lease also bounds
+	// how long a new connection may take to send its first frame.
 	Sweep sweep.Config
 	// AuthToken, when non-empty, is the shared secret every worker and
 	// client must present in its handshake (constant-time compared;
@@ -77,8 +78,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// client is one client's identity across reconnects, mirroring the
-// worker sessions of the sweep coordinator: conn is nil while
+// client is one client's identity across reconnects: conn is nil while
 // disconnected, and the session (with its running jobs and buffered
 // finals) survives until ClientTTL.
 type client struct {
@@ -344,7 +344,7 @@ func (s *Server) demux(conn net.Conn) {
 	switch hello := msg.(type) {
 	case *sweep.Hello:
 		if s.authorized(conn, hello.Auth) {
-			s.pool.AdmitWorker(conn, hello)
+			s.pool.AdmitWorker(conn)
 			s.sched.poke() // the pool just shrank; re-fit the gate
 		}
 	case *sweep.ClientHello:
@@ -412,7 +412,7 @@ func (s *Server) handleClient(conn net.Conn, hello *sweep.ClientHello) {
 		s.logf("serve: client %s resumed from %v", cl.token, conn.RemoteAddr())
 	} else {
 		cl = &client{
-			token:    sweep.NewToken(),
+			token:    newToken(),
 			conn:     conn,
 			lastSeen: time.Now(),
 			jobs:     map[uint64]*servJob{},
@@ -465,6 +465,15 @@ func (s *Server) handleClient(conn net.Conn, hello *sweep.ClientHello) {
 		}
 	}
 	s.detachClient(cl, conn)
+}
+
+// newToken returns a fresh random client session token.
+func newToken() string {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic(fmt.Sprintf("serve: crypto/rand failed: %v", err))
+	}
+	return hex.EncodeToString(b[:])
 }
 
 // detachClient marks a client disconnected if conn is still its current

@@ -79,10 +79,7 @@ func init() {
 
 func testConfig(t *testing.T) serve.Config {
 	return serve.Config{
-		Sweep: sweep.Config{
-			Lease:      500 * time.Millisecond,
-			SessionTTL: time.Second,
-		},
+		Sweep:         sweep.Config{Lease: 500 * time.Millisecond},
 		SnapshotEvery: 10 * time.Millisecond,
 		ClientTTL:     time.Second,
 		Logf:          t.Logf,
@@ -204,7 +201,6 @@ func startWorker(t testing.TB, srv *serve.Server) {
 	go func() {
 		defer close(wdone)
 		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
-			Heartbeat:    50 * time.Millisecond,
 			ReconnectMin: 10 * time.Millisecond,
 			ReconnectMax: 50 * time.Millisecond,
 			Logf:         t.Logf,
@@ -499,7 +495,6 @@ func TestServeAuth(t *testing.T) {
 		defer close(wdone2)
 		sweep.RunWorker(wctx2, srv.Addr().String(), sweep.WorkerConfig{
 			AuthToken:    "s3cret",
-			Heartbeat:    50 * time.Millisecond,
 			ReconnectMin: 10 * time.Millisecond,
 			ReconnectMax: 50 * time.Millisecond,
 			Logf:         t.Logf,
@@ -528,7 +523,6 @@ func TestServeLongStrings(t *testing.T) {
 		defer close(wdone)
 		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
 			AuthToken:    cfg.AuthToken,
-			Heartbeat:    50 * time.Millisecond,
 			ReconnectMin: 10 * time.Millisecond,
 			ReconnectMax: 50 * time.Millisecond,
 			Logf:         t.Logf,
@@ -576,7 +570,6 @@ func TestServeCloseWithConnectedWorker(t *testing.T) {
 	go func() {
 		defer close(wdone)
 		sweep.RunWorker(wctx, srv.Addr().String(), sweep.WorkerConfig{
-			Heartbeat:    50 * time.Millisecond,
 			ReconnectMin: 10 * time.Millisecond,
 			ReconnectMax: 50 * time.Millisecond,
 			Logf:         t.Logf,

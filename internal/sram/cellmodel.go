@@ -224,23 +224,3 @@ func (s *SixT) EstimatePcellIS(rng *rand.Rand, vdd float64, directions int) floa
 	}
 	return sum / float64(directions)
 }
-
-// EstimatePcellMC estimates the same probability by plain Monte Carlo
-// (for cross-validation at voltages where the probability is not too
-// small).
-func (s *SixT) EstimatePcellMC(rng *rand.Rand, vdd float64, samples int) float64 {
-	if samples <= 0 {
-		panic("sram: non-positive sample count")
-	}
-	fails := 0
-	for i := 0; i < samples; i++ {
-		var x [6]float64
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		if s.Fails(x, vdd) {
-			fails++
-		}
-	}
-	return float64(fails) / float64(samples)
-}

@@ -2,6 +2,7 @@ package sram
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"faultmem/internal/stats"
@@ -118,7 +119,7 @@ func TestSixTISAgreesWithPlainMC(t *testing.T) {
 	s := NewSixT()
 	vdd := 0.62 // Pcell ~ 1e-2: MC resolvable with 2e5 samples
 	is := s.EstimatePcellIS(stats.NewRand(5), vdd, 20000)
-	mc := s.EstimatePcellMC(stats.NewRand(6), vdd, 200000)
+	mc := s.estimatePcellMC(stats.NewRand(6), vdd, 200000)
 	if mc == 0 {
 		t.Fatal("MC found no failures; pick a lower voltage")
 	}
@@ -169,4 +170,24 @@ func TestChi6Survival(t *testing.T) {
 	if chi6Survival(1) <= chi6Survival(2) {
 		t.Error("survival not decreasing")
 	}
+}
+
+// estimatePcellMC estimates EstimatePcellIS's probability by plain Monte
+// Carlo, the oracle for cross-validation at voltages where the
+// probability is not too small.
+func (s *SixT) estimatePcellMC(rng *rand.Rand, vdd float64, samples int) float64 {
+	if samples <= 0 {
+		panic("sram: non-positive sample count")
+	}
+	fails := 0
+	for i := 0; i < samples; i++ {
+		var x [6]float64
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		if s.Fails(x, vdd) {
+			fails++
+		}
+	}
+	return float64(fails) / float64(samples)
 }

@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -16,21 +14,16 @@ import (
 	"faultmem/internal/mc"
 )
 
-// Config tunes the coordinator's fault-tolerance clocks. The zero value
+// Config tunes the coordinator's fault-tolerance clock. The zero value
 // selects production defaults; tests shrink everything to milliseconds.
 type Config struct {
 	// Lease is how long a dispatched shard may go without a heartbeat
-	// from its worker before it is reassigned (default 3s).
+	// from its worker before it is reassigned (default 3s, at least
+	// 1ms). Workers learn it in the Welcome and heartbeat every third of
+	// it; a worker connection silent for two leases is dropped.
 	Lease time.Duration
-	// SessionTTL is how long a disconnected session is kept alive for
-	// resume — its in-flight shards stay leased and its buffered results
-	// stay acceptable — before it is pruned (default 10s).
-	SessionTTL time.Duration
-	// MaxRemoteAttempts bounds how many times one shard is dispatched
-	// remotely before the coordinator computes it locally (default 3).
-	MaxRemoteAttempts int
 	// Logf, when non-nil, receives one line per robustness event
-	// (reassignments, rejected frames, session churn).
+	// (reassignments, rejected frames, worker churn).
 	Logf func(format string, args ...any)
 }
 
@@ -38,14 +31,13 @@ func (c Config) withDefaults() Config {
 	if c.Lease <= 0 {
 		c.Lease = 3 * time.Second
 	}
-	if c.SessionTTL <= 0 {
-		c.SessionTTL = 10 * time.Second
-	}
-	if c.MaxRemoteAttempts <= 0 {
-		c.MaxRemoteAttempts = 3
-	}
+	c.Lease = max(c.Lease, minLease)
 	return c
 }
+
+// maxRemoteAttempts bounds how many times one shard is dispatched
+// remotely before the coordinator computes it locally.
+const maxRemoteAttempts = 3
 
 // Stats counts the coordinator's robustness events. All fields are
 // cumulative totals since the coordinator started.
@@ -65,16 +57,11 @@ type Stats struct {
 	// DuplicateResults counts late results for already-completed shards —
 	// the double-merge attempts the job-ID dedup absorbed.
 	DuplicateResults uint64
-	// SessionsOpened / SessionsResumed / SessionsPruned trace worker
-	// churn: fresh handshakes, token-resumed reconnects, and sessions
-	// that out-stayed SessionTTL.
-	SessionsOpened, SessionsResumed, SessionsPruned uint64
 }
 
 type statsCounters struct {
 	remoteShards, localShards, reassigned, jobErrors atomic.Uint64
 	framesRejected, duplicateResults                 atomic.Uint64
-	sessionsOpened, sessionsResumed, sessionsPruned  atomic.Uint64
 }
 
 func (s *statsCounters) snapshot() Stats {
@@ -85,9 +72,6 @@ func (s *statsCounters) snapshot() Stats {
 		JobErrors:        s.jobErrors.Load(),
 		FramesRejected:   s.framesRejected.Load(),
 		DuplicateResults: s.duplicateResults.Load(),
-		SessionsOpened:   s.sessionsOpened.Load(),
-		SessionsResumed:  s.sessionsResumed.Load(),
-		SessionsPruned:   s.sessionsPruned.Load(),
 	}
 }
 
@@ -112,19 +96,17 @@ type job struct {
 	state      int
 	attempts   int       // remote dispatch count
 	leaseUntil time.Time // meaningful in jobLeased
-	owner      *session  // meaningful in jobLeased
+	owner      *peer     // meaningful in jobLeased
 	result     chan outcome
 }
 
-// session is one worker's identity across reconnects. conn is nil while
-// the worker is disconnected; the session survives until SessionTTL so a
-// reconnecting worker can resume and deliver results computed offline.
-type session struct {
-	token    string
-	conn     net.Conn // guarded by Coordinator.mu
-	writeMu  sync.Mutex
-	lastSeen time.Time
-	leased   map[uint64]*job
+// peer is one worker connection, in Coordinator.peers while it is open.
+// A job leased to it stays leased after the connection closes, until the
+// lease expires or a heartbeat on another connection adopts the job.
+type peer struct {
+	conn    net.Conn
+	writeMu sync.Mutex
+	leased  map[uint64]*job // guarded by Coordinator.mu
 }
 
 // Coordinator is the worker pool of a distributed sweep: it fans the
@@ -139,8 +121,9 @@ type Coordinator struct {
 	stats statsCounters
 
 	mu          sync.Mutex
-	sessions    map[string]*session
-	jobs        map[uint64]*job // in-flight (not yet jobDone)
+	peers       map[*peer]struct{} // connected workers
+	lastLeft    time.Time          // when a worker last disconnected
+	jobs        map[uint64]*job    // in-flight (not yet jobDone)
 	queue       []*job
 	nextID      uint64
 	connChanged chan struct{} // replaced on every connect/disconnect
@@ -164,7 +147,7 @@ func NewCoordinator(cfg Config, localWorkers int) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:         cfg,
-		sessions:    map[string]*session{},
+		peers:       map[*peer]struct{}{},
 		jobs:        map[uint64]*job{},
 		localTags:   map[string]struct{}{},
 		connChanged: make(chan struct{}),
@@ -197,44 +180,28 @@ func (c *Coordinator) Close() error {
 	c.closed.Do(func() {
 		close(c.done)
 		c.mu.Lock()
-		type farewell struct {
-			s    *session
-			conn net.Conn
-		}
-		conns := make([]farewell, 0, len(c.sessions))
-		for _, s := range c.sessions {
-			if s.conn != nil {
-				conns = append(conns, farewell{s, s.conn})
-			}
+		peers := make([]*peer, 0, len(c.peers))
+		for p := range c.peers {
+			peers = append(peers, p)
 		}
 		c.mu.Unlock()
-		for _, f := range conns {
-			f.s.writeMu.Lock()
-			WriteMessage(f.conn, &Done{})
-			f.conn.Close()
-			f.s.writeMu.Unlock()
+		for _, p := range peers {
+			p.writeMu.Lock()
+			WriteMessage(p.conn, &Done{})
+			p.conn.Close()
+			p.writeMu.Unlock()
 		}
 	})
 	c.wg.Wait()
 	return nil
 }
 
-// ConnectedWorkers counts the worker sessions with a live connection
-// right now — the serve scheduler's capacity signal.
+// ConnectedWorkers counts the workers connected right now — the serve
+// scheduler's capacity signal.
 func (c *Coordinator) ConnectedWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.connectedLocked()
-}
-
-func (c *Coordinator) connectedLocked() int {
-	connected := 0
-	for _, s := range c.sessions {
-		if s.conn != nil {
-			connected++
-		}
-	}
-	return connected
+	return len(c.peers)
 }
 
 // AwaitWorkers blocks until at least n workers are connected (or ctx
@@ -242,7 +209,7 @@ func (c *Coordinator) connectedLocked() int {
 func (c *Coordinator) AwaitWorkers(ctx context.Context, n int) error {
 	for {
 		c.mu.Lock()
-		connected := c.connectedLocked()
+		connected := len(c.peers)
 		ch := c.connChanged
 		c.mu.Unlock()
 		if connected >= n {
@@ -311,7 +278,7 @@ func (c *Coordinator) execute(spec *Spec, sj mc.ShardJob) (any, error) {
 		j.state = jobLocal
 		c.mu.Unlock()
 		c.runLocal(j)
-	} else if c.liveSessionsLocked() == 0 {
+	} else if !c.poolAliveLocked() {
 		// No one to send it to and no one likely to return: degrade to
 		// local compute immediately.
 		j.state = jobLocal
@@ -333,17 +300,10 @@ func (c *Coordinator) execute(spec *Spec, sj mc.ShardJob) (any, error) {
 	}
 }
 
-// liveSessionsLocked counts sessions that are connected or still within
-// their resume window — the "someone may yet deliver results" set.
-func (c *Coordinator) liveSessionsLocked() int {
-	now := time.Now()
-	n := 0
-	for _, s := range c.sessions {
-		if s.conn != nil || now.Sub(s.lastSeen) <= c.cfg.SessionTTL {
-			n++
-		}
-	}
-	return n
+// poolAliveLocked reports whether a worker may yet take queued shards:
+// one is connected, or one left within the last lease and may be back.
+func (c *Coordinator) poolAliveLocked() bool {
+	return len(c.peers) > 0 || time.Since(c.lastLeft) <= c.cfg.Lease
 }
 
 func (c *Coordinator) kickScheduler() {
@@ -353,10 +313,12 @@ func (c *Coordinator) kickScheduler() {
 	}
 }
 
-// finalize completes a job exactly once. Reports whether this call won —
-// a false return means a duplicate (late result, racing local fallback)
-// that must be dropped.
-func (c *Coordinator) finalize(j *job, v any, err error) bool {
+// finalize completes a job exactly once, adding one to count (when
+// non-nil) before the campaign sees the outcome, so Stats read after a
+// campaign returns count all of its shards. Reports whether this call
+// won — a false return means a duplicate (late result, racing local
+// fallback) that must be dropped.
+func (c *Coordinator) finalize(j *job, v any, err error, count *atomic.Uint64) bool {
 	c.mu.Lock()
 	if j.state == jobDone {
 		c.mu.Unlock()
@@ -369,6 +331,9 @@ func (c *Coordinator) finalize(j *job, v any, err error) bool {
 		j.owner = nil
 	}
 	c.mu.Unlock()
+	if count != nil {
+		count.Add(1)
+	}
 	j.result <- outcome{v: v, err: err}
 	return true
 }
@@ -383,7 +348,7 @@ func (c *Coordinator) abandon(j *job) {
 	}
 	j.state = jobDone
 	delete(c.jobs, j.id)
-	var owner *session
+	var owner *peer
 	if j.owner != nil {
 		delete(j.owner.leased, j.id)
 		owner, j.owner = j.owner, nil
@@ -405,17 +370,14 @@ func (c *Coordinator) runLocal(j *job) {
 		case c.localSem <- struct{}{}:
 			defer func() { <-c.localSem }()
 		case <-j.sj.Ctx.Done():
-			c.finalize(j, nil, j.sj.Ctx.Err())
+			c.finalize(j, nil, j.sj.Ctx.Err(), nil)
 			return
 		}
 		if err := j.sj.Ctx.Err(); err != nil {
-			c.finalize(j, nil, err)
+			c.finalize(j, nil, err, nil)
 			return
 		}
-		v := j.sj.Run()
-		if c.finalize(j, v, nil) {
-			c.stats.localShards.Add(1)
-		}
+		c.finalize(j, j.sj.Run(), nil, &c.stats.localShards)
 	}()
 }
 
@@ -427,7 +389,7 @@ func (c *Coordinator) requeueLocked(j *job) {
 		delete(j.owner.leased, j.id)
 		j.owner = nil
 	}
-	if j.attempts >= c.cfg.MaxRemoteAttempts {
+	if j.attempts >= maxRemoteAttempts {
 		j.state = jobLocal
 		c.runLocal(j)
 		return
@@ -468,13 +430,10 @@ func (c *Coordinator) assignOne() bool {
 		c.mu.Unlock()
 		return false
 	}
-	var best *session
-	for _, s := range c.sessions {
-		if s.conn == nil {
-			continue
-		}
-		if best == nil || len(s.leased) < len(best.leased) {
-			best = s
+	var best *peer
+	for p := range c.peers {
+		if best == nil || len(p.leased) < len(best.leased) {
+			best = p
 		}
 	}
 	if best == nil {
@@ -494,43 +453,37 @@ func (c *Coordinator) assignOne() bool {
 	c.mu.Unlock()
 	if err := c.send(best, msg); err != nil {
 		// The write failed: the connection is dead. The lease keeps the
-		// job recoverable; detach so the janitor sees the disconnect.
-		c.detach(best)
+		// job recoverable.
+		c.drop(best)
 	}
 	return true
 }
 
-// send writes one message on a session's current connection. Job and
-// control frames stay plain: result blobs, the payloads worth
-// compressing, flow the other way.
-func (c *Coordinator) send(s *session, m Message) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	c.mu.Lock()
-	conn := s.conn
-	c.mu.Unlock()
-	if conn == nil {
-		return errors.New("sweep: session disconnected")
-	}
-	return WriteMessage(conn, m)
+// send writes one message on a worker's connection. Job and control
+// frames stay plain: result blobs, the payloads worth compressing, flow
+// the other way.
+func (c *Coordinator) send(p *peer, m Message) error {
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	return WriteMessage(p.conn, m)
 }
 
-// detach marks a session disconnected (its conn closed), leaving it
-// resumable until SessionTTL.
-func (c *Coordinator) detach(s *session) {
+// drop takes a worker out of the pool and closes its connection. Its
+// leased jobs keep their leases.
+func (c *Coordinator) drop(p *peer) {
 	c.mu.Lock()
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-		s.lastSeen = time.Now()
+	if _, open := c.peers[p]; open {
+		delete(c.peers, p)
+		c.lastLeft = time.Now()
 		c.notifyConnChange()
 	}
 	c.mu.Unlock()
+	p.conn.Close()
 }
 
-// janitor is the churn clock: it expires shard leases, prunes sessions
-// past their resume window, degrades the queue to local compute when the
-// pool is gone, and re-kicks the scheduler.
+// janitor is the churn clock: it expires shard leases, degrades the
+// queue to local compute when the pool is gone, and re-kicks the
+// scheduler.
 func (c *Coordinator) janitor() {
 	defer c.wg.Done()
 	tick := c.cfg.Lease / 4
@@ -558,20 +511,9 @@ func (c *Coordinator) janitor() {
 				c.requeueLocked(j)
 			}
 		}
-		// Sessions past the resume window.
-		for token, s := range c.sessions {
-			if s.conn == nil && now.Sub(s.lastSeen) > c.cfg.SessionTTL {
-				delete(c.sessions, token)
-				c.stats.sessionsPruned.Add(1)
-				c.logf("sweep: pruned session %s after %v offline", token, now.Sub(s.lastSeen))
-				for _, j := range s.leased {
-					c.requeueLocked(j)
-				}
-			}
-		}
 		// Pool drained: no worker will ever take the queue — finish the
 		// campaign locally.
-		if len(c.queue) > 0 && c.liveSessionsLocked() == 0 {
+		if len(c.queue) > 0 && !c.poolAliveLocked() {
 			queued := c.queue
 			c.queue = nil
 			n := 0
@@ -591,57 +533,31 @@ func (c *Coordinator) janitor() {
 	}
 }
 
-// NewToken returns a fresh random session token.
-func NewToken() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("sweep: crypto/rand failed: %v", err))
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // AdmitWorker runs one worker connection whose Hello frame the caller
-// has already read and authenticated: the session open or resume, then
-// the inbound message loop. Corrupt-but-delimited frames are counted and
-// skipped; a desynchronized stream drops only this connection. It blocks
-// until the connection dies, closes conn on return, and leaves the
-// session — with its leased shards — resumable until SessionTTL.
-func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello) {
-	defer conn.Close()
-
-	c.mu.Lock()
-	s := c.sessions[hello.Token]
-	if s != nil {
-		// Resume: adopt the new connection, dropping any stale one.
-		if s.conn != nil {
-			s.conn.Close()
-		}
-		s.conn = conn
-		s.lastSeen = time.Now()
-		c.stats.sessionsResumed.Add(1)
-		c.logf("sweep: session %s resumed from %v", s.token, conn.RemoteAddr())
-	} else {
-		s = &session{
-			token:    NewToken(),
-			conn:     conn,
-			lastSeen: time.Now(),
-			leased:   map[uint64]*job{},
-		}
-		c.sessions[s.token] = s
-		c.stats.sessionsOpened.Add(1)
-		c.logf("sweep: session %s opened from %v", s.token, conn.RemoteAddr())
-	}
-	token := s.token
-	c.notifyConnChange()
-	c.mu.Unlock()
-
-	if err := c.send(s, &Welcome{Token: token}); err != nil {
-		c.detach(s)
+// has already read and authenticated: the Welcome, then the inbound
+// message loop. Each frame must arrive within two leases — the worker
+// heartbeats every third of one — or the worker is dropped as silent.
+// Corrupt-but-delimited frames are counted and skipped; a desynchronized
+// stream drops only this connection. It blocks until the connection
+// dies and closes conn on return; the worker's leased jobs stay leased
+// until a heartbeat on its next connection adopts them or they expire.
+func (c *Coordinator) AdmitWorker(conn net.Conn) {
+	p := &peer{conn: conn, leased: map[uint64]*job{}}
+	defer c.drop(p)
+	// The Welcome goes out before the scheduler can see the peer, so it
+	// is the worker's first frame.
+	if err := WriteMessage(conn, &Welcome{Lease: c.cfg.Lease}); err != nil {
 		return
 	}
+	c.mu.Lock()
+	c.peers[p] = struct{}{}
+	c.notifyConnChange()
+	c.mu.Unlock()
+	c.logf("sweep: worker %v connected", conn.RemoteAddr())
 	c.kickScheduler()
 
 	for {
+		conn.SetReadDeadline(time.Now().Add(2 * c.cfg.Lease))
 		t, _, payload, err := ReadFrame(conn, MaxFramePayload)
 		var msg Message
 		if err == nil {
@@ -649,47 +565,39 @@ func (c *Coordinator) AdmitWorker(conn net.Conn, hello *Hello) {
 		}
 		if Recoverable(err) {
 			c.stats.framesRejected.Add(1)
-			c.logf("sweep: session %s sent a corrupt frame, rejected: %v", token, err)
+			c.logf("sweep: worker %v sent a corrupt frame, rejected: %v", conn.RemoteAddr(), err)
 			continue
 		}
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.logf("sweep: session %s connection dropped: %v", token, err)
+			var ne net.Error
+			switch {
+			case errors.As(err, &ne) && ne.Timeout():
+				c.logf("sweep: worker %v silent for %v, dropped", conn.RemoteAddr(), 2*c.cfg.Lease)
+			case err != io.EOF && !errors.Is(err, net.ErrClosed):
+				c.logf("sweep: worker %v connection dropped: %v", conn.RemoteAddr(), err)
 			}
-			break
+			return
 		}
-		c.mu.Lock()
-		s.lastSeen = time.Now()
-		c.mu.Unlock()
 		switch m := msg.(type) {
 		case *Result:
-			c.handleResult(s, m)
+			c.handleResult(m)
 		case *JobError:
-			c.handleJobError(s, m)
+			c.handleJobError(m)
 		case *Heartbeat:
-			c.handleHeartbeat(s, m)
+			c.handleHeartbeat(p, m)
 		default:
 			// A worker has no business sending Job/Welcome/etc; treat it
 			// like a corrupt frame.
 			c.stats.framesRejected.Add(1)
 		}
 	}
-	// The conn died (or the worker closed it). Keep the session; only
-	// clear this connection if it is still the session's current one.
-	c.mu.Lock()
-	if s.conn == conn {
-		s.conn = nil
-		s.lastSeen = time.Now()
-		c.notifyConnChange()
-	}
-	c.mu.Unlock()
 }
 
 // handleResult merges one remotely computed shard. Results are
 // deduplicated by job ID: whatever arrives after a shard completed —
 // a slow worker's answer to a reassigned shard, a duplicated frame —
 // is dropped, so double-merging is structurally impossible.
-func (c *Coordinator) handleResult(s *session, m *Result) {
+func (c *Coordinator) handleResult(m *Result) {
 	c.mu.Lock()
 	j := c.jobs[m.ID]
 	done := j != nil && j.state == jobDone
@@ -717,9 +625,7 @@ func (c *Coordinator) handleResult(s *session, m *Result) {
 		c.kickScheduler()
 		return
 	}
-	if c.finalize(j, v, nil) {
-		c.stats.remoteShards.Add(1)
-	} else {
+	if !c.finalize(j, v, nil, &c.stats.remoteShards) {
 		c.stats.duplicateResults.Add(1)
 	}
 }
@@ -730,7 +636,7 @@ func (c *Coordinator) handleResult(s *session, m *Result) {
 // fail everywhere. The whole engine run is poisoned along with it —
 // every sibling shard of the same tag, queued or in flight, moves to
 // local compute and the workers are told to abandon theirs.
-func (c *Coordinator) handleJobError(s *session, m *JobError) {
+func (c *Coordinator) handleJobError(m *JobError) {
 	c.stats.jobErrors.Add(1)
 	c.mu.Lock()
 	j := c.jobs[m.ID]
@@ -742,7 +648,7 @@ func (c *Coordinator) handleJobError(s *session, m *JobError) {
 	c.logf("sweep: [job %d] worker failed shard %d of %s (%s); computing that run locally", j.id, j.sj.Shard, tag, m.Msg)
 	c.localTags[tag] = struct{}{}
 	var toLocal []*job
-	cancels := map[*session][]uint64{}
+	cancels := map[*peer][]uint64{}
 	for _, sib := range c.jobs {
 		if sib.sj.Tag != tag || (sib.state != jobQueued && sib.state != jobLeased) {
 			continue
@@ -765,16 +671,28 @@ func (c *Coordinator) handleJobError(s *session, m *JobError) {
 	}
 }
 
-// handleHeartbeat refreshes the leases the worker claims in flight and
-// pongs, so both sides can distinguish silent-alive from dead.
-func (c *Coordinator) handleHeartbeat(s *session, m *Heartbeat) {
+// handleHeartbeat refreshes the leases of the jobs the worker lists in
+// flight and pongs, so both sides can distinguish silent-alive from
+// dead. A listed job leased to a connection that has closed — the
+// worker's previous one, typically — is adopted by this connection.
+func (c *Coordinator) handleHeartbeat(p *peer, m *Heartbeat) {
 	now := time.Now()
 	c.mu.Lock()
 	for _, id := range m.InFlight {
-		if j, ok := s.leased[id]; ok {
-			j.leaseUntil = now.Add(c.cfg.Lease)
+		j := c.jobs[id]
+		if j == nil || j.state != jobLeased {
+			continue
 		}
+		if j.owner != p {
+			if _, open := c.peers[j.owner]; open {
+				continue // another live worker's job
+			}
+			delete(j.owner.leased, id)
+			j.owner = p
+			p.leased[id] = j
+		}
+		j.leaseUntil = now.Add(c.cfg.Lease)
 	}
 	c.mu.Unlock()
-	c.send(s, &Heartbeat{})
+	c.send(p, &Heartbeat{})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -21,21 +22,17 @@ import (
 	"faultmem/internal/wire"
 )
 
-// Churn-clock settings shrunk to test scale: leases expire in hundreds of
-// milliseconds, reconnects take tens.
+// testLease is the churn clock shrunk to test scale: leases expire in
+// hundreds of milliseconds, so workers heartbeat every 100 ms and drop a
+// link silent for 400 ms; reconnects take tens.
+const testLease = 300 * time.Millisecond
+
 func testConfig(t *testing.T) sweep.Config {
-	return sweep.Config{
-		Lease:             300 * time.Millisecond,
-		SessionTTL:        time.Second,
-		MaxRemoteAttempts: 3,
-		Logf:              t.Logf,
-	}
+	return sweep.Config{Lease: testLease, Logf: t.Logf}
 }
 
 func testWorkerConfig(t *testing.T) sweep.WorkerConfig {
 	return sweep.WorkerConfig{
-		Heartbeat:    50 * time.Millisecond,
-		PongTimeout:  2 * time.Second,
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 50 * time.Millisecond,
 		Logf:         t.Logf,
@@ -293,8 +290,8 @@ func TestChaosDropDupCorrupt(t *testing.T) {
 
 // TestHardDisconnectResume: the proxy kills the worker's connection by
 // desynchronizing the stream every few frames. The worker must reconnect,
-// resume its session by token, re-deliver results computed while
-// disconnected, and the campaign must still match the golden run.
+// re-deliver results computed while disconnected, and the campaign must
+// still match the golden run.
 func TestHardDisconnectResume(t *testing.T) {
 	c := startCoordinator(t)
 	policy := func(dir chaostest.Dir, n int, frame []byte) chaostest.Verdict {
@@ -322,11 +319,111 @@ func TestHardDisconnectResume(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged across forced reconnects")
 	}
-	st := c.PoolStats()
-	if st.SessionsResumed == 0 {
-		t.Fatalf("expected session resumes under rolling disconnects: %+v", st)
+	t.Logf("resume stats: %+v", c.PoolStats())
+}
+
+// helloWorker opens a protocol-level worker connection: it sends a plain
+// Hello and requires a Welcome carrying the coordinator's lease.
+func helloWorker(t *testing.T, c *serve.Server) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("resume stats: %+v", st)
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := sweep.WriteMessage(conn, &sweep.Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	m := readMessage(t, conn)
+	if w, ok := m.(*sweep.Welcome); !ok || w.Lease != testLease {
+		t.Fatalf("handshake answered with %T %+v, want a Welcome with lease %v", m, m, testLease)
+	}
+	return conn
+}
+
+// readMessage reads and decodes one frame from conn.
+func readMessage(t *testing.T, conn net.Conn) sweep.Message {
+	t.Helper()
+	mt, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	m, err := sweep.DecodeMessage(mt, payload)
+	if err != nil {
+		t.Fatalf("decode %v: %v", mt, err)
+	}
+	return m
+}
+
+// TestLeaseAdoptedAcrossReconnect: a worker whose connection drops while
+// it computes a shard keeps the shard through its next connection. A
+// protocol-level worker takes the only job of oneshard, hangs up,
+// reconnects with a plain Hello and heartbeats the job for more than
+// three leases before it sends the result. Its heartbeats on the new
+// connection adopt the job, so the job is never reassigned, and the
+// campaign matches the single-host run.
+func TestLeaseAdoptedAcrossReconnect(t *testing.T) {
+	c := startCoordinator(t)
+	// The shard's bytes, as a real worker computes them.
+	var data []byte
+	r := testRunner()
+	r.Exec = func(sj mc.ShardJob) (any, error) {
+		v := sj.Run()
+		b, err := sj.Encode(v)
+		data = b
+		return v, err
+	}
+	if _, err := exp.Run(context.Background(), "oneshard", r); err != nil {
+		t.Fatal(err)
+	}
+
+	conn := helloWorker(t, c)
+	type outcome struct {
+		res *exp.Result
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		res, err := runDistributed(ctx, c, "oneshard", testRunner())
+		ran <- outcome{res, err}
+	}()
+	m := readMessage(t, conn)
+	job, ok := m.(*sweep.Job)
+	if !ok {
+		t.Fatalf("the worker was sent %T, want its job", m)
+	}
+	conn.Close()
+
+	conn = helloWorker(t, c)
+	go io.Copy(io.Discard, conn) // the pongs
+	tick := time.NewTicker(testLease / 3)
+	defer tick.Stop()
+	for end := time.Now().Add(4 * testLease); time.Now().Before(end); <-tick.C {
+		if err := sweep.WriteMessage(conn, &sweep.Heartbeat{InFlight: []uint64{job.ID}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sweep.WriteMessage(conn, &sweep.Result{ID: job.ID, Shard: job.Shard, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+
+	out := <-ran
+	if out.err != nil {
+		t.Fatalf("distributed oneshard: %v", out.err)
+	}
+	got, err := out.res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenJSON(t, "oneshard"); !bytes.Equal(got, want) {
+		t.Fatalf("output diverged across the reconnect:\n%s\n%s", got, want)
+	}
+	if st := c.PoolStats(); st.Reassigned != 0 || st.RemoteShards != 1 || st.LocalShards != 0 {
+		t.Fatalf("want the shard remote once and never reassigned: %+v", st)
+	}
 }
 
 // TestTruncatedMidFrameConnection: a connection cut mid-frame (a crash
@@ -677,7 +774,33 @@ func (s *stageShard) UnmarshalBinary(b []byte) error {
 	return r.Close()
 }
 
-func init() { exp.Register(twoStageExp{}) }
+// oneShardExp is a registry experiment whose campaign is one engine run
+// of one shard, so a test can hold that shard's lease by hand.
+type oneShardExp struct{}
+
+func (oneShardExp) Name() string       { return "oneshard" }
+func (oneShardExp) DefaultParams() any { return &struct{}{} }
+
+func (oneShardExp) Run(ctx context.Context, r *exp.Runner) (*exp.Result, error) {
+	env := mc.Env{Ctx: ctx, Tag: "oneshard"}
+	if r != nil {
+		env.Exec = r.Exec
+	}
+	out, err := mc.RunEnv(env, 0, 1, 11, func(_ int, rng *rand.Rand) stageShard {
+		return stageShard(rng.Int63n(1000))
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := &exp.Table{Title: "oneshard", Header: []string{"value"}}
+	t.AddRow(fmt.Sprint(out[0]))
+	return &exp.Result{Experiment: "oneshard", Tables: []*exp.Table{t}}, nil
+}
+
+func init() {
+	exp.Register(twoStageExp{})
+	exp.Register(oneShardExp{})
+}
 
 // TestNonSkippingStageFallsBackToLocal: a worker's replay of stage b of
 // twostage opens stage a first, which a stage-only replay refuses as a
@@ -739,37 +862,14 @@ func corruptFrame(m sweep.Message) []byte {
 // gets its pong).
 func TestCorruptFrameKeepsWorkerSession(t *testing.T) {
 	c := startCoordinator(t)
-	conn, err := net.Dial("tcp", c.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	read := func() sweep.Message {
-		t.Helper()
-		mt, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		m, err := sweep.DecodeMessage(mt, payload)
-		if err != nil {
-			t.Fatalf("decode %v: %v", mt, err)
-		}
-		return m
-	}
-	if err := sweep.WriteMessage(conn, &sweep.Hello{}); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := read().(*sweep.Welcome); !ok {
-		t.Fatalf("handshake answered with %T", m)
-	}
+	conn := helloWorker(t, c)
 	if _, err := conn.Write(corruptFrame(&sweep.Heartbeat{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := sweep.WriteMessage(conn, &sweep.Heartbeat{}); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := read().(*sweep.Heartbeat); !ok {
+	if m, ok := readMessage(t, conn).(*sweep.Heartbeat); !ok {
 		t.Fatalf("heartbeat after a corrupt frame answered with %T", m)
 	}
 	if got := c.PoolStats().FramesRejected; got != 1 {

@@ -13,15 +13,15 @@
 //
 //   - every frame is validated (magic, version, type, bounded length,
 //     payload CRC) before a byte of it is trusted; corrupt payloads are
-//     rejected without killing the session, desynchronized streams drop
-//     only the connection;
+//     rejected without killing the connection, desynchronized streams
+//     drop only the connection;
 //   - every dispatched shard holds a lease refreshed by worker
 //     heartbeats; expired leases reassign the shard, and results are
 //     deduplicated by job ID so a slow worker's late answer can never
 //     double-merge;
-//   - workers reconnect with jittered exponential backoff and resume
-//     their session by token, re-delivering results computed while
-//     disconnected;
+//   - workers reconnect with jittered exponential backoff, re-deliver
+//     results computed while disconnected, and their heartbeats on the
+//     new connection adopt the leases of the jobs still computing;
 //   - when the worker pool drains to zero the coordinator finishes the
 //     campaign locally.
 package sweep
@@ -47,8 +47,9 @@ const (
 	magic0, magic1 = 0xFA, 0x51
 	// ProtocolVersion is bumped on any incompatible frame or payload
 	// change; a coordinator rejects other versions at the frame layer.
-	// Version 3 encodes every message with internal/wire.
-	ProtocolVersion = 3
+	// Version 4 has no worker sessions: Hello carries the shared secret
+	// alone and Welcome the shard lease.
+	ProtocolVersion = 4
 	headerSize      = 12
 	// MaxFramePayload bounds a single frame. A shard result is at most a
 	// few hundred KB of accumulator state at paper-scale budgets; 64 MB
@@ -56,9 +57,10 @@ const (
 	// length field detectable before any allocation happens.
 	MaxFramePayload = 64 << 20
 	// MaxHelloPayload caps a connection's first frame, read before the
-	// peer has authenticated. Hello and ClientHello are a token and a
-	// shared secret, each behind an 8-byte count, so the two strings fit
-	// when together they are at most MaxHelloPayload-16 bytes.
+	// peer has authenticated. Hello is a shared secret and ClientHello a
+	// token and a shared secret, each string behind an 8-byte count, so a
+	// client's two strings fit when together they are at most
+	// MaxHelloPayload-16 bytes.
 	MaxHelloPayload = 4 << 10
 )
 
@@ -79,11 +81,11 @@ const (
 type MsgType byte
 
 const (
-	// MsgHello opens a connection (worker -> coordinator): an empty token
-	// requests a new session, a previous token requests session resume.
+	// MsgHello opens a worker connection (worker -> coordinator) and
+	// carries the shared secret.
 	MsgHello MsgType = iota + 1
 	// MsgWelcome acknowledges Hello (coordinator -> worker) and carries
-	// the session token the worker must present on reconnect.
+	// the shard lease the worker's heartbeat follows.
 	MsgWelcome
 	// MsgJob assigns one shard of a campaign to a worker.
 	MsgJob
@@ -92,8 +94,8 @@ const (
 	// MsgJobError reports that a worker could not compute an assigned
 	// shard (unencodable shard type, plan mismatch, experiment error).
 	MsgJobError
-	// MsgHeartbeat refreshes the session and the leases of the in-flight
-	// jobs it lists; the coordinator echoes an empty heartbeat as a pong.
+	// MsgHeartbeat refreshes the leases of the in-flight jobs it lists;
+	// the coordinator echoes an empty heartbeat as a pong.
 	MsgHeartbeat
 	// MsgCancel tells a worker to abandon the listed jobs (all in-flight
 	// jobs when the list is empty).
@@ -167,7 +169,7 @@ func (t MsgType) String() string {
 // FrameError is a frame-layer validation failure. Fatal errors mean the
 // byte stream can no longer be trusted to be frame-aligned (bad magic,
 // bad version, oversized length, truncation mid-frame): the receiver
-// must drop the connection — the session survives and the peer
+// must drop the connection — the leases survive and the peer
 // reconnects. Non-fatal errors (checksum mismatch, unknown type, a
 // payload that does not decode) consumed a complete, well-delimited
 // frame: the receiver rejects the frame and keeps the connection.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"faultmem/internal/exp"
 	"faultmem/internal/wire"
@@ -148,32 +149,28 @@ func experimentOf(tag string) string {
 	return name
 }
 
-// Hello opens a connection. An empty token requests a fresh session; a
-// token from a previous Welcome asks the coordinator to resume that
-// session (re-binding its in-flight jobs and accepting its buffered
-// results). Auth carries the listener's shared secret ("" when the
-// server runs open).
-type Hello struct {
-	Token string
-	Auth  string
-}
+// Hello opens a worker connection. Auth carries the listener's shared
+// secret ("" when the server runs open).
+type Hello struct{ Auth string }
 
-func (m *Hello) appendTo(b []byte) []byte {
-	b = wire.AppendString(b, m.Token)
-	return wire.AppendString(b, m.Auth)
-}
+func (m *Hello) appendTo(b []byte) []byte { return wire.AppendString(b, m.Auth) }
 
-func (m *Hello) readFrom(r *wire.Reader) { m.Token, m.Auth = r.Str(), r.Str() }
+func (m *Hello) readFrom(r *wire.Reader) { m.Auth = r.Str() }
 
-// Welcome acknowledges a Hello and carries the session token the worker
-// presents on reconnect.
-type Welcome struct{ Token string }
+// minLease is the shortest lease a Welcome carries: the worker heartbeats
+// every third of it, and a ticker period must be positive.
+const minLease = time.Millisecond
 
-func (m *Welcome) appendTo(b []byte) []byte { return wire.AppendString(b, m.Token) }
+// Welcome acknowledges a Hello and carries the coordinator's shard lease,
+// which sets the worker's clocks: it heartbeats every third of the lease
+// and drops a link that stays silent for four heartbeats.
+type Welcome struct{ Lease time.Duration }
+
+func (m *Welcome) appendTo(b []byte) []byte { return wire.AppendUint64(b, uint64(m.Lease)) }
 
 func (m *Welcome) readFrom(r *wire.Reader) {
-	if m.Token = r.Str(); m.Token == "" {
-		r.Fail("empty session token")
+	if m.Lease = time.Duration(r.Uint64()); m.Lease < minLease {
+		r.Fail("lease %v below %v", m.Lease, minLease)
 	}
 }
 
@@ -245,10 +242,10 @@ func (m *JobError) appendTo(b []byte) []byte {
 
 func (m *JobError) readFrom(r *wire.Reader) { m.ID, m.Msg = r.Uint64(), r.Str() }
 
-// Heartbeat refreshes the worker's session and the leases of the listed
-// in-flight jobs. The coordinator answers with an empty Heartbeat (a
-// pong), so a silent-but-alive connection is distinguishable from a dead
-// one in both directions.
+// Heartbeat refreshes the leases of the listed in-flight jobs, adopting
+// those whose connection has closed. The coordinator answers with an
+// empty Heartbeat (a pong), so a silent-but-alive connection is
+// distinguishable from a dead one in both directions.
 type Heartbeat struct{ InFlight []uint64 }
 
 func (m *Heartbeat) appendTo(b []byte) []byte {

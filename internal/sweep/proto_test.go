@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"faultmem/internal/exp"
 	"faultmem/internal/wire"
@@ -48,8 +49,9 @@ func TestMessageRoundTrips(t *testing.T) {
 	long := strings.Repeat("x", 300)
 	msgs := []Message{
 		&Hello{},
-		&Hello{Token: "resume-me", Auth: long},
-		&Welcome{Token: "a1b2c3d4"},
+		&Hello{Auth: long},
+		&Welcome{Lease: 3 * time.Second},
+		&Welcome{Lease: time.Millisecond},
 		&Job{ID: 7, Tag: "fig5", Shard: 3, Shards: 64, Spec: fullSpec()},
 		&Job{ID: 8, Tag: "fig7/knn", Shard: 0, Shards: 1},
 		&Result{ID: 7, Shard: 3, Data: bytes.Repeat([]byte{0x00, 0xFF}, 500)},
@@ -191,8 +193,9 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 	}
 	cases := []tc{
 		{"hello: token length beyond payload", MsgHello, append(wire.AppendUint64(nil, 10), "ab"...)},
-		{"hello: trailing bytes", MsgHello, append((&Hello{Token: "a"}).appendTo(nil), 'x')},
-		{"welcome: empty token", MsgWelcome, (&Welcome{}).appendTo(nil)},
+		{"hello: trailing bytes", MsgHello, append((&Hello{Auth: "a"}).appendTo(nil), 'x')},
+		{"welcome: lease below 1 ms", MsgWelcome, (&Welcome{Lease: time.Millisecond - 1}).appendTo(nil)},
+		{"welcome: negative lease", MsgWelcome, wire.AppendUint64(nil, 1<<63)},
 		{"welcome: truncated", MsgWelcome, []byte{}},
 		{"job: empty payload", MsgJob, []byte{}},
 		{"job: truncated after id", MsgJob, goodJob[:8]},
@@ -272,8 +275,10 @@ func TestDecodedBlobsDoNotAliasInput(t *testing.T) {
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range []Message{
 		&Hello{},
-		&Hello{Token: "resume-me", Auth: "s3cret"},
-		&Welcome{Token: "a1b2c3d4"},
+		&Hello{Auth: "s3cret"},
+		&Hello{Auth: "9f86d081884c7d659a2feaa0c55ad015"},
+		&Welcome{Lease: 3 * time.Second},
+		&Welcome{Lease: time.Millisecond},
 		&Job{ID: 7, Tag: "fig5/x", Shard: 3, Shards: 64, Spec: fullSpec()},
 		&Result{ID: 7, Shard: 3, Data: []byte("shard")},
 		&JobError{ID: 7, Msg: "no"},

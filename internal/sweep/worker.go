@@ -15,18 +15,12 @@ import (
 	"faultmem/internal/mc"
 )
 
-// WorkerConfig tunes a worker's liveness clocks. The zero value selects
-// production defaults; tests shrink everything to milliseconds.
+// WorkerConfig tunes a worker's reconnects and compute. Its liveness
+// clocks come from the lease in the coordinator's Welcome: a heartbeat
+// every third of the lease, and a link silent for four heartbeats is
+// dropped. The zero value selects production defaults; tests shrink the
+// backoff to milliseconds.
 type WorkerConfig struct {
-	// Heartbeat is the interval between lease-refreshing heartbeats
-	// (default 1s). It must be comfortably below the coordinator's Lease
-	// or healthy shards get reassigned mid-compute.
-	Heartbeat time.Duration
-	// PongTimeout is how long the connection may stay silent (no pong,
-	// no job, nothing) before the worker declares it dead and reconnects
-	// — the defense against a black-holed-but-open TCP connection
-	// (default 4x Heartbeat).
-	PongTimeout time.Duration
 	// ReconnectMin/ReconnectMax bound the jittered exponential backoff
 	// between connection attempts (defaults 100ms / 5s).
 	ReconnectMin, ReconnectMax time.Duration
@@ -41,12 +35,6 @@ type WorkerConfig struct {
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = time.Second
-	}
-	if c.PongTimeout <= 0 {
-		c.PongTimeout = 4 * c.Heartbeat
-	}
 	if c.ReconnectMin <= 0 {
 		c.ReconnectMin = 100 * time.Millisecond
 	}
@@ -62,13 +50,12 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // worker is the client side of the sweep protocol: it computes assigned
 // shards by replaying their campaign, survives coordinator restarts and
-// network churn by reconnecting with backoff and resuming its session,
-// and buffers results computed while disconnected for redelivery.
+// network churn by reconnecting with backoff, and buffers results
+// computed while disconnected for redelivery.
 type worker struct {
 	cfg WorkerConfig
 
 	mu       sync.Mutex
-	token    string // session token; empty until the first Welcome
 	conn     net.Conn
 	inflight map[uint64]context.CancelFunc
 	pending  []Message // results awaiting a live connection
@@ -83,8 +70,9 @@ type worker struct {
 // RunWorker connects to a coordinator at addr and serves shard jobs until
 // the coordinator says Done (returns nil) or ctx dies (returns ctx.Err()).
 // Connection loss is not an exit condition: the worker reconnects with
-// jittered exponential backoff, resumes its session by token, and
-// re-delivers any results it computed while disconnected.
+// jittered exponential backoff, re-delivers any results it computed while
+// disconnected, and its heartbeats on the new connection keep the leases
+// of the jobs it is still computing.
 func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	w := &worker{
 		cfg:      cfg.withDefaults(),
@@ -156,17 +144,13 @@ func (w *worker) logf(format string, args ...any) {
 	}
 }
 
-// serveConn runs one connection: handshake (new session or token
-// resume), pending-result flush, then the job loop. It reports finished
-// = true only on a clean Done or a dead ctx; everything else means
-// "reconnect and carry on".
+// serveConn runs one connection: handshake, pending-result flush, then
+// the job loop. It reports finished = true only on a clean Done or a dead
+// ctx; everything else means "reconnect and carry on".
 func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, err error) {
 	defer conn.Close()
 
-	w.mu.Lock()
-	token := w.token
-	w.mu.Unlock()
-	if err := WriteMessage(conn, &Hello{Token: token, Auth: w.cfg.AuthToken}); err != nil {
+	if err := WriteMessage(conn, &Hello{Auth: w.cfg.AuthToken}); err != nil {
 		return false, err
 	}
 	t, _, payload, err := ReadFrame(conn, MaxFramePayload)
@@ -180,11 +164,9 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 	if err != nil {
 		return false, err
 	}
-	welcome := m.(*Welcome)
+	lease := m.(*Welcome).Lease
 
 	w.mu.Lock()
-	resumed := w.token != "" && w.token == welcome.Token
-	w.token = welcome.Token
 	w.conn = conn
 	w.mu.Unlock()
 	defer func() {
@@ -195,11 +177,7 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 		w.mu.Unlock()
 	}()
 	w.lastInbound.Store(time.Now().UnixNano())
-	if resumed {
-		w.logf("sweep worker: session %s resumed", welcome.Token)
-	} else {
-		w.logf("sweep worker: session %s opened", welcome.Token)
-	}
+	w.logf("sweep worker: connected (lease %v)", lease)
 
 	// Results computed while disconnected go first — the slow worker's
 	// late answer is the coordinator's problem to dedup, not ours to drop.
@@ -207,7 +185,7 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 
 	hbStop := make(chan struct{})
 	defer close(hbStop)
-	go w.heartbeatLoop(conn, hbStop)
+	go w.heartbeatLoop(conn, lease/3, hbStop)
 	go func() {
 		// Unblock the read loop if ctx dies mid-read.
 		select {
@@ -257,12 +235,12 @@ func (w *worker) serveConn(ctx context.Context, conn net.Conn) (finished bool, e
 	}
 }
 
-// heartbeatLoop refreshes the leases of in-flight jobs and watches for a
-// silent connection: if nothing valid arrives within PongTimeout the link
-// is presumed black-holed and closed, which sends the read loop into the
-// reconnect path.
-func (w *worker) heartbeatLoop(conn net.Conn, stop <-chan struct{}) {
-	t := time.NewTicker(w.cfg.Heartbeat)
+// heartbeatLoop refreshes the leases of in-flight jobs every period and
+// watches for a silent connection: if nothing valid arrives within four
+// periods the link is presumed black-holed and closed, which sends the
+// read loop into the reconnect path.
+func (w *worker) heartbeatLoop(conn net.Conn, period time.Duration, stop <-chan struct{}) {
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
@@ -271,7 +249,7 @@ func (w *worker) heartbeatLoop(conn net.Conn, stop <-chan struct{}) {
 		case <-t.C:
 		}
 		silent := time.Since(time.Unix(0, w.lastInbound.Load()))
-		if silent > w.cfg.PongTimeout {
+		if silent > 4*period {
 			w.logf("sweep worker: no traffic for %v, dropping connection", silent)
 			conn.Close()
 			return

@@ -27,24 +27,24 @@ type ServeServer = serve.Server
 
 // ServeConfig tunes the campaign server: auth secret, scheduler
 // capacity knobs, snapshot cadence, client resume window, and the
-// embedded sweep coordinator's clocks. The zero value selects
+// embedded sweep coordinator's lease. The zero value selects
 // production defaults.
 type ServeConfig = serve.Config
 
 // SweepConfig (ServeConfig.Sweep) tunes the worker pool's fault-tolerance
-// clocks (shard lease, session resume window, remote retry budget). The
+// clock, the shard lease, which also sets every worker's heartbeat. The
 // zero value selects production defaults.
 type SweepConfig = sweep.Config
 
 // SweepStats (ServeServer.PoolStats) are the pool's cumulative
-// robustness counters: where shards ran, how many leases expired, how
-// many corrupt frames and duplicate results were absorbed, and how the
-// worker pool churned.
+// robustness counters: where shards ran, how many leases expired, and
+// how many worker failures, corrupt frames and duplicate results were
+// absorbed.
 type SweepStats = sweep.Stats
 
-// SweepWorkerConfig tunes a worker's liveness clocks (heartbeat cadence,
-// silent-connection timeout, reconnect backoff bounds). The zero value
-// selects production defaults.
+// SweepWorkerConfig tunes a worker's reconnect backoff bounds, compute
+// parallelism and shared secret; its heartbeat follows the server's
+// lease. The zero value selects production defaults.
 type SweepWorkerConfig = sweep.WorkerConfig
 
 // ServeClient is one connection to a campaign server: Submit/Wait for
@@ -95,8 +95,8 @@ func DialServe(ctx context.Context, addr string, opts ServeOptions) (*ServeClien
 // RunSweepWorker connects to a server at addr and computes assigned
 // shards until the server finishes the sweep (returns nil) or ctx dies
 // (returns ctx.Err()). Lost connections are survived by reconnecting
-// with jittered backoff and resuming the session; results computed while
-// disconnected are re-delivered.
+// with jittered backoff; results computed while disconnected are
+// re-delivered, and the jobs still computing keep their leases.
 func RunSweepWorker(ctx context.Context, addr string, cfg SweepWorkerConfig) error {
 	return sweep.RunWorker(ctx, addr, cfg)
 }
