@@ -7,8 +7,8 @@
 // matrix-vector product and the two-query distance scan.
 //
 // Three loops have an assembly kernel for amd64 CPUs with AVX, chosen
-// once at package init (UseAVX): the rank-4 column update that MulInto
-// and CovarianceInto share (addRank4), Panels.MulVecInto and
+// once at package init (UseAVX): the register-tiled rank-4 update that
+// MulInto and CovarianceInto share (rank4Tile), Panels.MulVecInto and
 // Panels.ScanPair. Each Go loop is the reference its kernel must match
 // bit for bit, and the code that runs everywhere else.
 package mat
@@ -206,28 +206,41 @@ func MulInto(dst, a, b *Dense) *Dense {
 	}
 	out := dst
 	clear(out.data)
-	bc := b.cols
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		// Process the summation index in blocks of 4: one pass over orow
-		// per four contributions instead of four, with the four products
-		// combined pairwise so the adds form a short tree instead of a
-		// serial dependency chain (the chain's add latency, not flop
-		// throughput, bounds the naive loop). Blocks containing a zero
-		// multiplier fall back to the per-k loop so exact zeros still
-		// skip their row of b (0 * Inf must not inject NaN).
-		k := 0
-		for ; k+4 <= len(arow); k += 4 {
-			av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if av0 == 0 || av1 == 0 || av2 == 0 || av3 == 0 {
-				mulIntoTail(orow, arow[k:k+4], b.data[k*bc:], bc)
-				continue
+	bc, kc := b.cols, a.cols
+	// The summation index runs in ascending panels of 4*tileBlocks, each
+	// split into blocks of four: one rank4Tile call adds a run of blocks
+	// to an output row, whose elements stay in registers across the run
+	// on the AVX path, and each block's four products combine pairwise
+	// so the adds form a short tree instead of a serial dependency chain
+	// (the chain's add latency, not flop throughput, bounds the naive
+	// loop). A block containing a zero multiplier takes the per-k loop
+	// in its place in the sequence, so exact zeros still skip their row
+	// of b (0 * Inf must not inject NaN). The panel is the outer loop so
+	// its rows of b stay in cache across the rows of a.
+	blocked := kc &^ 3
+	for k0 := 0; k0 < blocked; k0 += 4 * tileBlocks {
+		kEnd := min(k0+4*tileBlocks, blocked)
+		for i := 0; i < a.rows; i++ {
+			arow := a.data[i*kc : (i+1)*kc]
+			orow := out.data[i*bc : (i+1)*bc]
+			for k := k0; k < kEnd; {
+				run := k
+				for run < kEnd && arow[run] != 0 && arow[run+1] != 0 && arow[run+2] != 0 && arow[run+3] != 0 {
+					run += 4
+				}
+				if run > k {
+					rank4Tile(orow, arow[k:], 1, b.data[k*bc:], bc, (run-k)/4)
+					k = run
+				}
+				if k < kEnd {
+					mulIntoTail(orow, arow[k:k+4], b.data[k*bc:], bc)
+					k += 4
+				}
 			}
-			addRank4(orow, b.data[k*bc:], b.data[(k+1)*bc:], b.data[(k+2)*bc:], b.data[(k+3)*bc:],
-				av0, av1, av2, av3)
 		}
-		mulIntoTail(orow, arow[k:], b.data[k*bc:], bc)
+	}
+	for i := 0; i < a.rows; i++ {
+		mulIntoTail(out.data[i*bc:(i+1)*bc], a.data[i*kc+blocked:(i+1)*kc], b.data[blocked*bc:], bc)
 	}
 	return out
 }
@@ -257,6 +270,23 @@ func Dot(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
+}
+
+// Dot4 returns x·y0, x·y1, x·y2 and x·y3, each the serial sum Dot
+// computes, run side by side so the four add chains overlap. It panics
+// unless every y has x's length.
+func Dot4(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
+	if len(y0) != len(x) || len(y1) != len(x) || len(y2) != len(x) || len(y3) != len(x) {
+		panic("mat: Dot4 length mismatch")
+	}
+	var s0, s1, s2, s3 float64
+	for i, v := range x {
+		s0 += v * y0[i]
+		s1 += v * y1[i]
+		s2 += v * y2[i]
+		s3 += v * y3[i]
+	}
+	return s0, s1, s2, s3
 }
 
 // SqDist returns the squared Euclidean distance between x and y.
@@ -379,6 +409,10 @@ func (s *Standardizer) Apply(m *Dense) *Dense {
 // ApplyInto writes the standardized transform of m into dst (which must
 // have m's dimensions) and returns dst. Prior contents of dst are
 // discarded; dst must not alias m unless they are the same matrix.
+//
+// When every Std is 1 (the models that only centre their features),
+// it subtracts the means and skips the divide: x/1 is x exactly, so the
+// bits are the divide loop's.
 func (s *Standardizer) ApplyInto(dst, m *Dense) *Dense {
 	if m.cols != len(s.Mean) {
 		panic("mat: Standardizer dimension mismatch")
@@ -387,11 +421,22 @@ func (s *Standardizer) ApplyInto(dst, m *Dense) *Dense {
 		panic(fmt.Sprintf("mat: ApplyInto destination %dx%d, want %dx%d",
 			dst.rows, dst.cols, m.rows, m.cols))
 	}
+	mean, std := s.Mean, s.Std[:len(s.Mean)]
+	unit := true
+	for _, sd := range std {
+		unit = unit && sd == 1
+	}
 	for i := 0; i < m.rows; i++ {
 		src := m.data[i*m.cols : (i+1)*m.cols]
 		row := dst.data[i*dst.cols : (i+1)*dst.cols]
+		if unit {
+			for j := range row {
+				row[j] = src[j] - mean[j]
+			}
+			continue
+		}
 		for j := range row {
-			row[j] = (src[j] - s.Mean[j]) / s.Std[j]
+			row[j] = (src[j] - mean[j]) / std[j]
 		}
 	}
 	return dst
@@ -432,19 +477,21 @@ func CovarianceInto(dst *Dense, m *Dense, mu []float64) *Dense {
 	}
 	c := dst
 	clear(c.data)
-	// Accumulate the upper triangle four rows at a time: each C element
-	// is loaded and stored once per four rank-1 updates instead of once
-	// per row, and the four products combine pairwise so the adds form
-	// a short tree instead of a serial dependency chain. Roughly halves
-	// the wall time of the O(n*d^2) pass at the Fig. 7 PCA geometry.
-	i := 0
-	for ; i+4 <= m.rows; i += 4 {
-		r0 := m.data[i*d : (i+1)*d]
-		r1 := m.data[(i+1)*d : (i+2)*d]
-		r2 := m.data[(i+2)*d : (i+3)*d]
-		r3 := m.data[(i+3)*d : (i+4)*d]
+	// Accumulate the upper triangle in panels of 4*tileBlocks rows: for
+	// each row a of C, one rank4Tile call adds the panel's four-row
+	// blocks in turn, so each C element is loaded and stored once per
+	// panel on the AVX path instead of once per row, and each block's
+	// four products combine pairwise so the adds form a short tree
+	// instead of a serial dependency chain. Row a's strip starts at
+	// a&^3 rather than a, which keeps every strip a multiple of four
+	// wide when d is; the few elements left of the diagonal it also
+	// updates are overwritten by the mirror below.
+	i := m.rows &^ 3
+	for p := 0; p < i; p += 4 * tileBlocks {
+		blocks := min(tileBlocks, (i-p)/4)
 		for a := 0; a < d; a++ {
-			addRank4(c.data[a*d+a:(a+1)*d], r0[a:], r1[a:], r2[a:], r3[a:], r0[a], r1[a], r2[a], r3[a])
+			s := a &^ 3
+			rank4Tile(c.data[a*d+s:(a+1)*d], m.data[p*d+a:], d, m.data[p*d+s:], d, blocks)
 		}
 	}
 	for ; i < m.rows; i++ {

@@ -153,7 +153,10 @@ func EigenSymIn(s *EigenScratch, a *Dense) (values []float64, vectors *Dense) {
 }
 
 // checkSquareSym validates that a is square and numerically symmetric,
-// returning its order.
+// returning its order. The solver's own inputs are mirrored by
+// construction, so an exactly equal pair skips the tolerance
+// arithmetic, which could not reject it: its difference is 0, or NaN
+// for two equal infinities. A pair with a NaN never panics either.
 func checkSquareSym(a *Dense) int {
 	n, c := a.Dims()
 	if n != c {
@@ -161,9 +164,14 @@ func checkSquareSym(a *Dense) int {
 	}
 	const symTol = 1e-8
 	for i := 0; i < n; i++ {
+		row := a.data[i*n : (i+1)*n]
 		for j := i + 1; j < n; j++ {
-			d := math.Abs(a.At(i, j) - a.At(j, i))
-			scale := math.Max(math.Abs(a.At(i, j)), math.Abs(a.At(j, i)))
+			aij, aji := row[j], a.data[j*n+i]
+			if aij == aji {
+				continue
+			}
+			d := math.Abs(aij - aji)
+			scale := math.Max(math.Abs(aij), math.Abs(aji))
 			if d > symTol*math.Max(scale, 1) {
 				panic(fmt.Sprintf("mat: EigenSym input not symmetric at (%d,%d)", i, j))
 			}
@@ -357,14 +365,7 @@ func EigenSymTopKWarmIn(s *EigenScratch, a *Dense, k int, warmT *Dense) (values 
 		MulInto(s.yt, s.qt, a)
 		// Projected problem S = Q^T A Q = Qt * Yt^T, built as an exactly
 		// symmetric matrix (compute the upper triangle, mirror it).
-		for i := 0; i < p; i++ {
-			qi := s.qt.RawRow(i)
-			for j := i; j < p; j++ {
-				v := dotUnchecked(qi, s.yt.RawRow(j))
-				s.small.data[i*p+j] = v
-				s.small.data[j*p+i] = v
-			}
-		}
+		projectInto(s.small, s.qt, s.yt)
 		ritzVals, u := EigenSymIn(s, s.small)
 		copy(s.ritz, ritzVals[:p])
 		if it > 0 {
@@ -428,28 +429,68 @@ func eigenTopKViaFull(s *EigenScratch, a *Dense, k int) ([]float64, *Dense) {
 	return s.topVals, s.topVecs
 }
 
+// projectInto sets the p x p matrix small to Qt * Ytᵀ, computing its
+// upper triangle and mirroring it, so it is exactly symmetric. Each
+// element is one serial dot product in index order; four of them run
+// side by side, so their add chains overlap instead of waiting on one
+// another.
+func projectInto(small, qt, yt *Dense) {
+	p := qt.rows
+	for i := 0; i < p; i++ {
+		qi := qt.RawRow(i)
+		j := i
+		for ; j+4 <= p; j += 4 {
+			v0, v1, v2, v3 := Dot4(qi, yt.RawRow(j), yt.RawRow(j+1), yt.RawRow(j+2), yt.RawRow(j+3))
+			for l, v := range [4]float64{v0, v1, v2, v3} {
+				small.data[i*p+j+l] = v
+				small.data[(j+l)*p+i] = v
+			}
+		}
+		for ; j < p; j++ {
+			v := dotUnchecked(qi, yt.RawRow(j))
+			small.data[i*p+j] = v
+			small.data[j*p+i] = v
+		}
+	}
+}
+
 // orthonormalizeRows makes the rows of qt orthonormal with modified
 // Gram–Schmidt. A row that collapses to (numerical) zero after
 // projection — a rank-deficient basis, e.g. iterating on a low-rank
 // matrix — is replaced by a fresh direction from the deterministic
 // stream and re-projected, so the basis always has full row rank.
+//
+// Each projection ri -= proj·rj runs in one pass with the next dot
+// product, ri·r_{j+1} (ri·ri after the last), over the elements it has
+// just updated; ri's starting norm and its first projection run side by
+// side. Every product and sum is the one the separate passes computed,
+// in the same order, so the bits are theirs (pinned by
+// TestOrthonormalizeRowsMatchesTwoPass).
 func orthonormalizeRows(qt *Dense, rngState *uint64) {
 	p, d := qt.Dims()
 	for i := 0; i < p; i++ {
 		ri := qt.RawRow(i)
 		for {
-			pre := math.Sqrt(dotUnchecked(ri, ri))
+			// next is ri·r_j (the projection) at the top of step j, and
+			// ri·ri after the last step.
+			first := ri
+			if i > 0 {
+				first = qt.RawRow(0)
+			}
+			pre2, next := dot2(ri, ri, first)
+			pre := math.Sqrt(pre2)
 			for j := 0; j < i; j++ {
-				rj := qt.RawRow(j)
-				proj := dotUnchecked(ri, rj)
-				if proj == 0 {
-					continue
+				rn := ri
+				if j+1 < i {
+					rn = qt.RawRow(j + 1)
 				}
-				for l := range ri {
-					ri[l] -= proj * rj[l]
+				if next != 0 {
+					next = subScaledDot(ri, qt.RawRow(j), next, rn)
+				} else {
+					next = dotUnchecked(ri, rn)
 				}
 			}
-			norm := math.Sqrt(dotUnchecked(ri, ri))
+			norm := math.Sqrt(next)
 			if norm > 1e-14*pre && norm > 0 {
 				inv := 1 / norm
 				for l := range ri {
@@ -470,6 +511,31 @@ func dotUnchecked(x, y []float64) float64 {
 	s := 0.0
 	for i, v := range x {
 		s += v * y[i]
+	}
+	return s
+}
+
+// dot2 returns x·y0 and x·y1, each dotUnchecked's serial sum, computed
+// side by side.
+func dot2(x, y0, y1 []float64) (float64, float64) {
+	y0, y1 = y0[:len(x)], y1[:len(x)]
+	var s0, s1 float64
+	for i, v := range x {
+		s0 += v * y0[i]
+		s1 += v * y1[i]
+	}
+	return s0, s1
+}
+
+// subScaledDot sets x[i] -= c*y[i] for every i and returns the dot
+// product of the updated x with z, summed serially as dotUnchecked
+// would after the update. z may be x itself.
+func subScaledDot(x, y []float64, c float64, z []float64) float64 {
+	y, z = y[:len(x)], z[:len(x)]
+	s := 0.0
+	for i := range x {
+		x[i] -= c * y[i]
+		s += x[i] * z[i]
 	}
 	return s
 }

@@ -1,11 +1,12 @@
 package mat
 
-// addRank4AVX is addRank4 in AVX assembly (kernel_amd64.s): four output
-// elements per step in one 256-bit register, then a scalar tail. Every
-// b must hold at least len(dst) elements; addRank4 slices them to that.
+// rank4TileAVX is rank4Tile in AVX assembly (kernel_amd64.s): the
+// outputs in strips of 16, then 4, then 1, each strip kept in registers
+// across all the blocks. blocks >= 1, len(dst) >= 1, and a and b hold
+// every element the strides reach; rank4Tile checks them.
 //
 //go:noescape
-func addRank4AVX(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+func rank4TileAVX(dst, a []float64, as int, b []float64, bs, blocks int)
 
 // panelMulVecAVX is Panels.MulVecInto in AVX assembly for the
 // len(dst)/4 full panels in a: four panels (sixteen rows) per pass,

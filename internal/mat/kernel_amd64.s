@@ -1,59 +1,154 @@
 #include "textflag.h"
 
-// func addRank4AVX(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64)
+// func rank4TileAVX(dst, a []float64, as int, b []float64, bs, blocks int)
 //
-// dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j]) with the
-// operations of the Go loop in its order: each lane of a Y register is
-// one j, every multiply and add rounds on its own (AVX only, no FMA),
-// and the scalar tail repeats the same sequence on the low lane.
-TEXT ·addRank4AVX(SB), NOSPLIT, $0-152
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         b0_base+24(FP), R8
-	MOVQ         b1_base+48(FP), R9
-	MOVQ         b2_base+72(FP), R10
-	MOVQ         b3_base+96(FP), R11
-	VBROADCASTSD a0+120(FP), Y0
-	VBROADCASTSD a1+128(FP), Y1
-	VBROADCASTSD a2+136(FP), Y2
-	VBROADCASTSD a3+144(FP), Y3
-	XORQ         AX, AX
-	MOVQ         CX, DX
-	ANDQ         $-4, DX
-	JZ           tail
+// For each block q in 0..blocks-1, in order:
+// dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j]), with
+// multiplier l at a[(4q+l)*as] and row l at b[(4q+l)*bs:]. Each lane of
+// a Y register is one j, every multiply and add rounds on its own (AVX
+// only, no FMA), in the Go loop's order. A strip of 16 outputs stays in
+// Y0..Y3 across all the blocks, then strips of 4 in Y0, then single
+// outputs in the low lane of X0. blocks >= 1 and len(dst) >= 1.
+TEXT ·rank4TileAVX(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX     // outputs left
+	MOVQ a_base+24(FP), SI
+	MOVQ as+48(FP), R12
+	SHLQ $3, R12               // multiplier stride in bytes
+	LEAQ (R12)(R12*2), R13     // 3 multiplier strides
+	MOVQ b_base+56(FP), R8     // the strip's first column in row 0
+	MOVQ bs+80(FP), R9
+	SHLQ $3, R9                // row stride in bytes
+	LEAQ (R9)(R9*2), R10       // 3 row strides
+	MOVQ blocks+88(FP), R11
 
-vec:
-	VMULPD  (R8)(AX*8), Y0, Y4  // a0*b0
-	VMULPD  (R9)(AX*8), Y1, Y5  // a1*b1
-	VADDPD  Y5, Y4, Y4          // a0*b0 + a1*b1
-	VMULPD  (R10)(AX*8), Y2, Y6 // a2*b2
-	VMULPD  (R11)(AX*8), Y3, Y7 // a3*b3
-	VADDPD  Y7, Y6, Y6          // a2*b2 + a3*b3
-	VADDPD  Y6, Y4, Y4          // (..) + (..)
-	VMOVUPD (DI)(AX*8), Y5
-	VADDPD  Y4, Y5, Y5          // dst + (..)
-	VMOVUPD Y5, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, DX
-	JLT     vec
+strip16:
+	CMPQ    CX, $16
+	JLT     strip4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, AX             // block q's multiplier 0
+	MOVQ    R8, DX             // block q's row 0 at the strip
+	MOVQ    R11, BX            // blocks left
 
-tail:
-	CMPQ   AX, CX
-	JGE    done
-	VMULSD (R8)(AX*8), X0, X4
-	VMULSD (R9)(AX*8), X1, X5
-	VADDSD X5, X4, X4
-	VMULSD (R10)(AX*8), X2, X6
-	VMULSD (R11)(AX*8), X3, X7
-	VADDSD X7, X6, X6
-	VADDSD X6, X4, X4
-	VMOVSD (DI)(AX*8), X5
-	VADDSD X4, X5, X5
-	VMOVSD X5, (DI)(AX*8)
-	INCQ   AX
-	JMP    tail
+block16:
+	VBROADCASTSD (AX), Y4
+	VBROADCASTSD (AX)(R12*1), Y5
+	VBROADCASTSD (AX)(R12*2), Y6
+	VBROADCASTSD (AX)(R13*1), Y7
+	VMULPD       (DX), Y4, Y8          // a0*b0
+	VMULPD       (DX)(R9*1), Y5, Y9    // a1*b1
+	VADDPD       Y9, Y8, Y8            // a0*b0 + a1*b1
+	VMULPD       (DX)(R9*2), Y6, Y10   // a2*b2
+	VMULPD       (DX)(R10*1), Y7, Y11  // a3*b3
+	VADDPD       Y11, Y10, Y10         // a2*b2 + a3*b3
+	VADDPD       Y10, Y8, Y8           // (..) + (..)
+	VADDPD       Y8, Y0, Y0            // dst + (..)
+	VMULPD       32(DX), Y4, Y8
+	VMULPD       32(DX)(R9*1), Y5, Y9
+	VADDPD       Y9, Y8, Y8
+	VMULPD       32(DX)(R9*2), Y6, Y10
+	VMULPD       32(DX)(R10*1), Y7, Y11
+	VADDPD       Y11, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VADDPD       Y8, Y1, Y1
+	VMULPD       64(DX), Y4, Y8
+	VMULPD       64(DX)(R9*1), Y5, Y9
+	VADDPD       Y9, Y8, Y8
+	VMULPD       64(DX)(R9*2), Y6, Y10
+	VMULPD       64(DX)(R10*1), Y7, Y11
+	VADDPD       Y11, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VADDPD       Y8, Y2, Y2
+	VMULPD       96(DX), Y4, Y8
+	VMULPD       96(DX)(R9*1), Y5, Y9
+	VADDPD       Y9, Y8, Y8
+	VMULPD       96(DX)(R9*2), Y6, Y10
+	VMULPD       96(DX)(R10*1), Y7, Y11
+	VADDPD       Y11, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	LEAQ         (AX)(R12*4), AX       // next block's multipliers
+	LEAQ         (DX)(R9*4), DX        // next block's rows
+	DECQ         BX
+	JNZ          block16
 
-done:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R8
+	SUBQ    $16, CX
+	JMP     strip16
+
+strip4:
+	CMPQ    CX, $4
+	JLT     strip1
+	VMOVUPD (DI), Y0
+	MOVQ    SI, AX
+	MOVQ    R8, DX
+	MOVQ    R11, BX
+
+block4:
+	VBROADCASTSD (AX), Y4
+	VBROADCASTSD (AX)(R12*1), Y5
+	VBROADCASTSD (AX)(R12*2), Y6
+	VBROADCASTSD (AX)(R13*1), Y7
+	VMULPD       (DX), Y4, Y8
+	VMULPD       (DX)(R9*1), Y5, Y9
+	VADDPD       Y9, Y8, Y8
+	VMULPD       (DX)(R9*2), Y6, Y10
+	VMULPD       (DX)(R10*1), Y7, Y11
+	VADDPD       Y11, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	LEAQ         (AX)(R12*4), AX
+	LEAQ         (DX)(R9*4), DX
+	DECQ         BX
+	JNZ          block4
+
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	SUBQ    $4, CX
+	JMP     strip4
+
+strip1:
+	TESTQ  CX, CX
+	JZ     tiledone
+	VMOVSD (DI), X0
+	MOVQ   SI, AX
+	MOVQ   R8, DX
+	MOVQ   R11, BX
+
+block1:
+	VMOVSD (AX), X4
+	VMOVSD (AX)(R12*1), X5
+	VMOVSD (AX)(R12*2), X6
+	VMOVSD (AX)(R13*1), X7
+	VMULSD (DX), X4, X8
+	VMULSD (DX)(R9*1), X5, X9
+	VADDSD X9, X8, X8
+	VMULSD (DX)(R9*2), X6, X10
+	VMULSD (DX)(R10*1), X7, X11
+	VADDSD X11, X10, X10
+	VADDSD X10, X8, X8
+	VADDSD X8, X0, X0
+	LEAQ   (AX)(R12*4), AX
+	LEAQ   (DX)(R9*4), DX
+	DECQ   BX
+	JNZ    block1
+
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, R8
+	DECQ   CX
+	JMP    strip1
+
+tiledone:
 	VZEROUPPER
 	RET
 
@@ -170,10 +265,10 @@ mvdone:
 // and Y1 (qb[j]-a[.][j])², lane l being row 4p+l, one subtract, one
 // multiply and one add per step in the Go loop's order (no FMA). After
 // cols/2 columns, a panel whose eight partial sums all reach their
-// bounds (ordered >=, so a NaN bound never does) is abandoned; the
-// first panel that is not gets its remaining columns, its sums stored
-// to *sums and its index returned. full is returned when every panel is
-// abandoned.
+// bounds (ordered >=, so a NaN bound never does) is abandoned, and so
+// is one whose eight full sums all reach them after the last column;
+// the first panel that is not has its sums stored to *sums and its
+// index returned. full is returned when every panel is abandoned.
 TEXT ·scanPairAVX(SB), NOSPLIT, $0-120
 	MOVQ         a_base+0(FP), SI
 	MOVQ         qa_base+24(FP), R8
@@ -225,7 +320,7 @@ check:
 
 rest:
 	CMPQ         BX, CX
-	JGE          found
+	JGE          last
 	VMOVUPD      (SI)(DX*1), Y2
 	VBROADCASTSD (R8)(BX*8), Y3
 	VSUBPD       Y2, Y3, Y3
@@ -238,6 +333,14 @@ rest:
 	ADDQ         $32, DX
 	INCQ         BX
 	JMP          rest
+
+last:
+	VCMPPD    $0x1d, Y8, Y0, Y5     // the same check on the full sums
+	VCMPPD    $0x1d, Y9, Y1, Y6
+	VANDPD    Y6, Y5, Y5
+	VMOVMSKPD Y5, R13
+	CMPQ      R13, $15
+	JEQ       next
 
 found:
 	MOVQ    sums+104(FP), DI

@@ -7,8 +7,8 @@ func haveAVX() bool { return false }
 // The AVX kernels exist only so their callers compile everywhere;
 // UseAVX is always false off amd64, so they are never called.
 
-func addRank4AVX(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
-	addRank4Go(dst, b0, b1, b2, b3, a0, a1, a2, a3)
+func rank4TileAVX(dst, a []float64, as int, b []float64, bs, blocks int) {
+	rank4TileGo(dst, a, as, b, bs, blocks)
 }
 
 func panelMulVecAVX(dst, a, v, init []float64) { panelMulVecGo(dst, a, v, init, 0) }

@@ -504,7 +504,7 @@ func TestCovarianceIntoMatchesCovariance(t *testing.T) {
 }
 
 // covarianceRef is CovarianceInto as it was before the input was
-// centred in place and the rank-4 updates went through addRank4: the
+// centred in place and the rank-4 updates went through a kernel: the
 // reference its bits are checked against. m is not modified.
 func covarianceRef(m *Dense) *Dense {
 	mu := ColMeans(m)
@@ -960,4 +960,156 @@ func BenchmarkTranspose(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestApplyIntoUnitScale pins ApplyInto's subtract-only path, taken
+// when every Std is 1, to the divide loop, and checks that a single
+// non-unit scale still divides. The inputs and means hold ±0, ±Inf,
+// subnormals and NaN.
+func TestApplyIntoUnitScale(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), sub, -3 * sub, math.NaN(), 1.5, -2e300, 1e-310}
+	n := len(vals)
+	m := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			m.Set(i, j, vals[(i+j)%n])
+		}
+	}
+	mean := make([]float64, n)
+	for j := range mean {
+		mean[j] = vals[(3*j+1)%n]
+	}
+	for _, scale := range []float64{1, 0.5, 3, sub} {
+		std := make([]float64, n)
+		for j := range std {
+			std[j] = 1
+		}
+		std[n/2] = scale
+		s := &Standardizer{Mean: mean, Std: std}
+		got := s.ApplyInto(NewDense(n, n), m)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := (m.At(i, j) - mean[j]) / std[j]
+				if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(want) && !(math.IsNaN(g) && math.IsNaN(want)) {
+					t.Fatalf("Std[%d] = %g: (%d,%d) = %x, divide loop %x", n/2, scale, i, j,
+						math.Float64bits(g), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestCheckSquareSym pins the symmetry check: an asymmetric pair beyond
+// the tolerance panics with the message naming it, a pair within it
+// does not, and neither do NaN entries (their difference fails every
+// compare) or infinite pairs, exactly equal or not.
+func TestCheckSquareSym(t *testing.T) {
+	panicMsg := func(a *Dense) (msg any) {
+		defer func() { msg = recover() }()
+		checkSquareSym(a)
+		return nil
+	}
+	asym := FromRows([][]float64{{1, 2, 0}, {2, 1, 5}, {0, 4, 1}})
+	if msg := panicMsg(asym); msg != "mat: EigenSym input not symmetric at (1,2)" {
+		t.Errorf("asymmetric input: panic %v", msg)
+	}
+	if msg := panicMsg(NewDense(2, 3)); msg != "mat: EigenSym of non-square 2x3" {
+		t.Errorf("non-square input: panic %v", msg)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, rows := range [][][]float64{
+		{{1, 2 + 1e-9}, {2, 1}},
+		{{1, nan}, {nan, 1}},
+		{{1, nan}, {3, nan}},
+		{{inf, inf}, {inf, -inf}},
+		{{1, inf}, {-inf, 1}},
+		{{1, inf}, {7, 1}},
+	} {
+		if msg := panicMsg(FromRows(rows)); msg != nil {
+			t.Errorf("%v: panic %v", rows, msg)
+		}
+	}
+}
+
+// orthonormalizeRowsRef is orthonormalizeRows with a separate pass for
+// every dot product and every projection: the loop the fused one must
+// match bit for bit.
+func orthonormalizeRowsRef(qt *Dense, rngState *uint64) {
+	p, d := qt.Dims()
+	for i := 0; i < p; i++ {
+		ri := qt.RawRow(i)
+		for {
+			pre := math.Sqrt(dotUnchecked(ri, ri))
+			for j := 0; j < i; j++ {
+				rj := qt.RawRow(j)
+				proj := dotUnchecked(ri, rj)
+				if proj == 0 {
+					continue
+				}
+				for l := range ri {
+					ri[l] -= proj * rj[l]
+				}
+			}
+			norm := math.Sqrt(dotUnchecked(ri, ri))
+			if norm > 1e-14*pre && norm > 0 {
+				inv := 1 / norm
+				for l := range ri {
+					ri[l] *= inv
+				}
+				break
+			}
+			for l := 0; l < d; l++ {
+				ri[l] = splitmixUniform(rngState)
+			}
+		}
+	}
+}
+
+// TestEigenLoopsMatchTwoPass pins the eigensolver's interleaved loops
+// to their one-chain forms: the fused Gram–Schmidt on a random basis, a
+// rank-deficient one (a combination of earlier rows, a zero row and a
+// duplicate, which collapse and are refilled from the stream) and one
+// whose rows are exactly orthogonal (every projection is 0 and
+// skipped); and the four-way Rayleigh–Ritz projection at block sizes on
+// and off a multiple of four.
+func TestEigenLoopsMatchTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	random := randMat(rng, 18, 100)
+	deficient := randMat(rng, 7, 10)
+	for l := 0; l < 10; l++ {
+		deficient.Set(3, l, 2*deficient.At(0, l)-deficient.At(1, l))
+		deficient.Set(4, l, 0)
+		deficient.Set(6, l, deficient.At(2, l))
+	}
+	orthogonal := NewDense(5, 12)
+	for i := 0; i < 5; i++ {
+		orthogonal.Set(i, 2*i, rng.NormFloat64())
+		orthogonal.Set(i, 2*i+1, rng.NormFloat64())
+	}
+	for name, basis := range map[string]*Dense{"random": random, "deficient": deficient, "orthogonal": orthogonal} {
+		got, want := basis.Clone(), basis.Clone()
+		gotState, wantState := uint64(131), uint64(131)
+		orthonormalizeRows(got, &gotState)
+		orthonormalizeRowsRef(want, &wantState)
+		if !sameDense(got, want) || gotState != wantState {
+			t.Errorf("%s basis: fused Gram–Schmidt differs from the two-pass loop", name)
+		}
+		if refilled := wantState != 131; refilled != (name == "deficient") {
+			t.Errorf("%s basis: refilled %v", name, refilled)
+		}
+	}
+	for _, p := range []int{1, 4, 7, 18} {
+		qt, yt := randMat(rng, p, 30), randMat(rng, p, 30)
+		got := NewDense(p, p)
+		projectInto(got, qt, yt)
+		for i := 0; i < p; i++ {
+			for j := i; j < p; j++ {
+				v := dotUnchecked(qt.RawRow(i), yt.RawRow(j))
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(v) || math.Float64bits(got.At(j, i)) != math.Float64bits(v) {
+					t.Fatalf("p=%d: projection (%d,%d) differs from its dot product", p, i, j)
+				}
+			}
+		}
+	}
 }

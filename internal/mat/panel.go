@@ -110,16 +110,18 @@ func panelSums(blk, v []float64, s0, s1, s2, s3 float64) (float64, float64, floa
 // not abandoned and returns its index, with the squared distances of
 // its four rows to the query rows qa and qb in sums: sums[l] =
 // Σ_j (qa[j] − a[4p+l][j])² and sums[4+l] the same for qb, each summed
-// serially in column order. A panel is abandoned when, after its first
-// cols/2 columns, all four partial sums for qa are >= boundA and all
-// four for qb are >= boundB: squared terms never make a partial sum
-// smaller, so each of its eight distances would reach its bound too. A
-// NaN bound abandons nothing. When every panel from `from` on is
-// abandoned, ScanPair returns the number of full panels, rows/4; rows
-// past the last full panel are the caller's to scan. qa and qb hold at
-// least cols entries. The AVX kernel computes one row per lane with the
-// Go loop's operations in its order, so both paths return the same
-// panel and the same bits.
+// serially in column order. A panel is abandoned when all four sums for
+// qa are >= boundA and all four for qb are >= boundB, checked twice:
+// on the partial sums after its first cols/2 columns (squared terms
+// never make a partial sum smaller, so each of its eight distances
+// would reach its bound too), and on the full sums after the last. So
+// every panel returned holds a row below a bound. A NaN bound abandons
+// nothing. When every panel from `from` on is abandoned, ScanPair
+// returns the number of full panels, rows/4; rows past the last full
+// panel are the caller's to scan. qa and qb hold at least cols entries.
+// The AVX kernel computes one row per lane with the Go loop's
+// operations in its order, so both paths return the same panel and the
+// same bits.
 func (p *Panels) ScanPair(from int, qa, qb []float64, boundA, boundB float64, sums *[8]float64) int {
 	full := p.rows / 4
 	if from < 0 {
@@ -144,8 +146,8 @@ panels:
 	for p := from; p < full; p++ {
 		blk := a[4*p*cols : 4*(p+1)*cols]
 		var a0, a1, a2, a3, b0, b1, b2, b3 float64
-		// One loop body, run to two stops: the abandon check sits
-		// between columns cols/2-1 and cols/2.
+		// One loop body, run to two stops, each followed by the abandon
+		// check: between columns cols/2-1 and cols/2, and after the last.
 		j, stop, checked := 0, cols/2, false
 		for {
 			for ; j < stop; j++ {
@@ -168,12 +170,12 @@ panels:
 				db3 := qbv - c[3]
 				b3 += db3 * db3
 			}
-			if checked {
-				break
-			}
 			if a0 >= boundA && a1 >= boundA && a2 >= boundA && a3 >= boundA &&
 				b0 >= boundB && b1 >= boundB && b2 >= boundB && b3 >= boundB {
 				continue panels
+			}
+			if checked {
+				break
 			}
 			checked, stop = true, cols
 		}

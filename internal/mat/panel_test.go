@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,13 +31,14 @@ func rowMulVec(dst, a, v, init []float64) {
 	}
 }
 
-// rowScanPair is the row-major reference of ScanPair.
-func rowScanPair(a []float64, rows int, qa, qb []float64, from int, boundA, boundB float64, sums *[8]float64) int {
+// rowScanPair is the row-major reference of ScanPair. It adds to *late
+// (when not nil) the panels abandoned on their full sums.
+func rowScanPair(a []float64, rows int, qa, qb []float64, from int, boundA, boundB float64, sums *[8]float64, late *int) int {
 	cols := len(qa)
-	half := cols / 2
 	for p := from; p < rows/4; p++ {
 		var s [8]float64
-		partial := func(to int) {
+		sum := func(to int) {
+			s = [8]float64{}
 			for l := 0; l < 4; l++ {
 				row := a[(4*p+l)*cols:]
 				for j := 0; j < to; j++ {
@@ -46,16 +48,23 @@ func rowScanPair(a []float64, rows int, qa, qb []float64, from int, boundA, boun
 				}
 			}
 		}
-		partial(half)
-		abandon := true
-		for l := 0; l < 4; l++ {
-			abandon = abandon && s[l] >= boundA && s[4+l] >= boundB
+		reach := func() bool {
+			for l := 0; l < 4; l++ {
+				if !(s[l] >= boundA && s[4+l] >= boundB) {
+					return false
+				}
+			}
+			return true
 		}
-		if abandon {
+		if sum(cols / 2); reach() {
 			continue
 		}
-		s = [8]float64{}
-		partial(cols)
+		if sum(cols); reach() {
+			if late != nil {
+				*late++
+			}
+			continue
+		}
 		*sums = s
 		return p
 	}
@@ -143,13 +152,16 @@ func TestPanelMulVecMatchesRowLoop(t *testing.T) {
 // TestPanelScanPairMatchesRowScan pins ScanPair on both paths to the
 // row-major reference: a full scan that, like the KNN caller, tightens
 // the bounds after every panel it returns, so some panels are abandoned
-// and some are not; then a scan under NaN bounds, which abandons
-// nothing, and under bounds of zero, which abandons every panel whose
-// partial sums are all zero, including the one-column case that checks
-// before any column.
+// and some are not; a scan under fixed bounds at the tenth percentile
+// of each query's distances, where most panels pass the half-way check
+// and are abandoned on their full sums; then a scan under NaN bounds,
+// which abandons nothing, and under bounds of zero, which abandons
+// every panel whose partial sums are all zero, including the
+// one-column case that checks before any column.
 func TestPanelScanPairMatchesRowScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	kernelPaths(t, func(t *testing.T) {
+		lateAbandons := 0
 		for _, rows := range []int{0, 3, 4, 7, 40, 203} {
 			for _, cols := range []int{1, 2, 3, 15, 32} {
 				a := make([]float64, rows*cols)
@@ -165,9 +177,11 @@ func TestPanelScanPairMatchesRowScan(t *testing.T) {
 				}
 				var p Panels
 				p.Pack(a, rows, cols)
-				for _, mode := range []string{"tighten", "nan", "zero"} {
+				for _, mode := range []string{"tighten", "late", "nan", "zero"} {
 					boundA, boundB := math.Inf(1), math.Inf(1)
 					switch mode {
+					case "late":
+						boundA, boundB = tenthPercentiles(a, rows, qa, qb)
 					case "nan":
 						boundA, boundB = math.NaN(), math.NaN()
 					case "zero":
@@ -176,7 +190,7 @@ func TestPanelScanPairMatchesRowScan(t *testing.T) {
 					var got, want [8]float64
 					for from := 0; ; from++ {
 						g := p.ScanPair(from, qa, qb, boundA, boundB, &got)
-						w := rowScanPair(a, rows, qa, qb, from, boundA, boundB, &want)
+						w := rowScanPair(a, rows, qa, qb, from, boundA, boundB, &want, &lateAbandons)
 						if g != w {
 							t.Fatalf("%dx%d %s from %d: panel %d, reference %d", rows, cols, mode, from, g, w)
 						}
@@ -197,7 +211,32 @@ func TestPanelScanPairMatchesRowScan(t *testing.T) {
 				}
 			}
 		}
+		if lateAbandons == 0 {
+			t.Error("no panel was abandoned on its full sums")
+		}
 	})
+}
+
+// tenthPercentiles returns the tenth percentile of the squared
+// distances from qa, and of those from qb, to the rows of the full
+// panels of the row-major a.
+func tenthPercentiles(a []float64, rows int, qa, qb []float64) (float64, float64) {
+	var da, db []float64
+	for i := 0; i < rows&^3; i++ {
+		row := a[i*len(qa):]
+		var sa, sb float64
+		for j := range qa {
+			sa += (qa[j] - row[j]) * (qa[j] - row[j])
+			sb += (qb[j] - row[j]) * (qb[j] - row[j])
+		}
+		da, db = append(da, sa), append(db, sb)
+	}
+	if len(da) == 0 {
+		return 0, 0
+	}
+	slices.Sort(da)
+	slices.Sort(db)
+	return da[len(da)/10], db[len(db)/10]
 }
 
 // fuzzValues turns raw fuzz bytes into n float64s, eight bytes each
@@ -222,7 +261,8 @@ func fuzzValues(data []byte, n int) []float64 {
 // FuzzPanelKernels checks both AVX panel kernels against their Go
 // loops on fuzzed shapes and operand bits: MulVecInto (with and without
 // init) and a full ScanPair walk, which must return the same panels
-// with the same sums. NaN results need only agree on being NaN.
+// with the same sums, whether a panel is abandoned half-way or on its
+// full sums. NaN results need only agree on being NaN.
 func FuzzPanelKernels(f *testing.F) {
 	sub := math.Float64bits(math.SmallestNonzeroFloat64 * 3)
 	seed := func(vals ...uint64) []byte {
@@ -236,6 +276,9 @@ func FuzzPanelKernels(f *testing.F) {
 	f.Add(uint8(16), uint8(9), seed(math.Float64bits(1), math.Float64bits(-1e-310), math.Float64bits(3e200)), math.Inf(1), 0.0)
 	f.Add(uint8(23), uint8(1), seed(math.Float64bits(0.25), 1<<63), math.NaN(), 1e-300)
 	f.Add(uint8(8), uint8(32), []byte("panels"), 1e10, 1e10)
+	// Rows and queries all near 10, one column: the half-way check sees
+	// zero sums, and every panel is abandoned on its full sums.
+	f.Add(uint8(12), uint8(1), seed(math.Float64bits(10)), 1e-40, 1e-40)
 	f.Fuzz(func(t *testing.T, rows, cols uint8, data []byte, boundA, boundB float64) {
 		if !UseAVX {
 			t.Skip("no AVX on this CPU or GOARCH")

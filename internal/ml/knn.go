@@ -227,11 +227,14 @@ outer:
 // squared terms in ascending feature order — exactly SqDist's order —
 // so both results are bit-identical to predictOne on the same query.
 // Once both K-buffers are full, ScanPair abandons a panel whose eight
-// half-way partial sums all already reach their query's kth-best
-// distance: squared terms only grow the sums, so every skipped row is
-// one consider would have rejected (d >= bound), and the kept neighbor
-// multisets — hence the votes — are unchanged. Until then the bounds
-// are NaN, which abandons nothing.
+// half-way partial sums, or failing that whose eight full distances,
+// all reach their query's kth-best distance: squared terms only grow
+// the sums, and the bounds fall only when consider inserts, so every
+// skipped row is one consider would have rejected (d >= bound), and the
+// kept neighbor multisets — hence the votes — are unchanged. The eight
+// consider calls therefore run only for panels that hold a candidate.
+// Until both buffers are full the bounds are NaN, which abandons
+// nothing.
 func (m *KNN) predictPair(qa, qb []float64, bestA, bestB []neighbor) (float64, float64) {
 	nTrain, _ := m.train.Dims()
 	rows, _ := m.panels.Dims()

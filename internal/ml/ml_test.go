@@ -293,3 +293,58 @@ func TestKNNOnHAR(t *testing.T) {
 		t.Errorf("HAR clean accuracy %.3f, want > 0.75", s)
 	}
 }
+
+// explainedVarianceRef is ExplainedVarianceOnIn with the scaler's
+// divide loop and one dot product at a time: the loop the four-way
+// projection must match bit for bit.
+func explainedVarianceRef(p *PCA, x *mat.Dense) float64 {
+	n, d := x.Dims()
+	vt := p.vectors.T()
+	total, kept := 0.0, 0.0
+	row := make([]float64, d)
+	for i := 0; i < n; i++ {
+		for a := range row {
+			row[a] = (x.At(i, a) - p.scaler.Mean[a]) / p.scaler.Std[a]
+		}
+		for j := 0; j < p.Components; j++ {
+			s := 0.0
+			vj := vt.RawRow(j)
+			for a, v := range row {
+				s += v * vj[a]
+			}
+			kept += s * s
+		}
+		for _, v := range row {
+			total += v * v
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	r := kept / total
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		return 0
+	}
+	return min(r, 1)
+}
+
+// TestExplainedVarianceMatchesOneChain pins the held-out score to
+// explainedVarianceRef at component counts on and off a multiple of
+// four, centred only (the unit-scale path) and standardized.
+func TestExplainedVarianceMatchesOneChain(t *testing.T) {
+	xTrain, _ := wsTestData(5, 80, 20)
+	xTest, _ := wsTestData(6, 30, 20)
+	var ws Workspace
+	for _, k := range []int{1, 3, 4, 6, 10} {
+		for _, standardize := range []bool{false, true} {
+			p := &PCA{Components: k, Standardize: standardize}
+			if err := p.FitIn(&ws, xTrain); err != nil {
+				t.Fatal(err)
+			}
+			got, want := p.ExplainedVarianceOnIn(&ws, xTest), explainedVarianceRef(p, xTest)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("k=%d standardize=%v: score %v, one-chain loop %v", k, standardize, got, want)
+			}
+		}
+	}
+}

@@ -132,16 +132,22 @@ func (p *PCA) ExplainedVarianceOnIn(ws *Workspace, x *mat.Dense) float64 {
 	k := p.Components
 	// Project against the transposed component matrix: each component
 	// becomes one contiguous row, so the per-sample projections are
-	// plain dot products instead of stride-k column walks.
+	// plain dot products instead of stride-k column walks, four of them
+	// side by side; kept still adds their squares in component order.
 	ws.vecT = mat.TransposeInto(mat.Reshape(ws.vecT, k, d), p.vectors)
+	vt := ws.vecT
 	for i := 0; i < n; i++ {
 		row := z.RawRow(i)
-		for j := 0; j < k; j++ {
-			s := 0.0
-			vj := ws.vecT.RawRow(j)
-			for a, v := range row {
-				s += v * vj[a]
-			}
+		j := 0
+		for ; j+4 <= k; j += 4 {
+			s0, s1, s2, s3 := mat.Dot4(row, vt.RawRow(j), vt.RawRow(j+1), vt.RawRow(j+2), vt.RawRow(j+3))
+			kept += s0 * s0
+			kept += s1 * s1
+			kept += s2 * s2
+			kept += s3 * s3
+		}
+		for ; j < k; j++ {
+			s := mat.Dot(row, vt.RawRow(j))
 			kept += s * s
 		}
 		for _, v := range row {

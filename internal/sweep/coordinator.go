@@ -635,12 +635,15 @@ func (c *Coordinator) handleResult(m *Result) {
 // replay error) are deterministic, so redispatching them remotely would
 // fail everywhere. The whole engine run is poisoned along with it —
 // every sibling shard of the same tag, queued or in flight, moves to
-// local compute and the workers are told to abandon theirs.
+// local compute and the workers are told to abandon theirs. A JobError
+// for a shard that is no longer queued or leased (done, or already
+// computing locally, typically because an earlier JobError poisoned its
+// tag) is only counted.
 func (c *Coordinator) handleJobError(m *JobError) {
 	c.stats.jobErrors.Add(1)
 	c.mu.Lock()
 	j := c.jobs[m.ID]
-	if j == nil || j.state == jobDone {
+	if j == nil || (j.state != jobQueued && j.state != jobLeased) {
 		c.mu.Unlock()
 		return
 	}

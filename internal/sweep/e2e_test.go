@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,11 +44,17 @@ func testWorkerConfig(t *testing.T) sweep.WorkerConfig {
 // campaign server, the one listener in front of the shard pool.
 func startCoordinator(t *testing.T) *serve.Server {
 	t.Helper()
+	return startCoordinatorWith(t, testConfig(t))
+}
+
+// startCoordinatorWith is startCoordinator with the pool's config.
+func startCoordinatorWith(t *testing.T, cfg sweep.Config) *serve.Server {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := serve.NewServer(ln, serve.Config{Sweep: testConfig(t)})
+	c := serve.NewServer(ln, serve.Config{Sweep: cfg})
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -683,9 +690,27 @@ func TestRecoveryWorkerKilledMidCampaign(t *testing.T) {
 // local-compute degradation end to end. (The organic driver went away:
 // fig7's shard output is wireable now, so a real worker never refuses
 // its stages.) The campaign must still finish bit-identically, with
-// zero remote shards merged from the lying worker.
+// zero remote shards merged from the lying worker. The worker also
+// fails the jobs it was handed before the coordinator moved their run
+// local: those JobErrors are counted, but only the first one of each
+// tag logs and reroutes.
 func TestJobErrorPoisonsTagToLocal(t *testing.T) {
-	c := startCoordinator(t)
+	var (
+		mu      sync.Mutex
+		poisons = map[string]int{}
+	)
+	poisoned := regexp.MustCompile(`worker failed shard \d+ of (.+) \(synthetic failure\); computing that run locally$`)
+	cfg := testConfig(t)
+	cfg.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		if m := poisoned.FindStringSubmatch(line); m != nil {
+			mu.Lock()
+			poisons[m[1]]++
+			mu.Unlock()
+		}
+		t.Log(line)
+	}
+	c := startCoordinatorWith(t, cfg)
 	conn, err := net.Dial("tcp", c.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -698,7 +723,10 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 	if err != nil || typ != sweep.MsgWelcome {
 		t.Fatalf("handshake got %v, %v; want welcome", typ, err)
 	}
+	var failed atomic.Uint64 // JobError frames written
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		for {
 			typ, _, payload, err := sweep.ReadFrame(conn, sweep.MaxFramePayload)
 			var fe *sweep.FrameError
@@ -713,7 +741,9 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 				continue
 			}
 			if j, ok := m.(*sweep.Job); ok {
-				sweep.WriteMessage(conn, &sweep.JobError{ID: j.ID, Msg: "synthetic failure"})
+				if sweep.WriteMessage(conn, &sweep.JobError{ID: j.ID, Msg: "synthetic failure"}) == nil {
+					failed.Add(1)
+				}
 			}
 		}
 	}()
@@ -722,12 +752,33 @@ func TestJobErrorPoisonsTagToLocal(t *testing.T) {
 	if want := goldenJSON(t, "fig5"); !bytes.Equal(got, want) {
 		t.Fatal("output diverged after JobError degradation")
 	}
+	// Stop the fake worker so the count of frames it wrote is final, then
+	// let the coordinator drain what it has not read yet.
+	conn.Close()
+	<-readerDone
 	st := c.PoolStats()
+	for deadline := time.Now().Add(10 * time.Second); st.JobErrors != failed.Load() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		st = c.PoolStats()
+	}
+	if st.JobErrors != failed.Load() {
+		t.Errorf("Stats.JobErrors = %d, the worker wrote %d JobError frames", st.JobErrors, failed.Load())
+	}
 	if st.JobErrors == 0 || st.LocalShards == 0 {
 		t.Fatalf("expected JobError-driven local degradation: %+v", st)
 	}
 	if st.RemoteShards != 0 {
 		t.Fatalf("a worker that failed every job cannot have produced results: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(poisons) == 0 {
+		t.Fatal("no tag was logged as poisoned")
+	}
+	for tag, n := range poisons {
+		if n != 1 {
+			t.Errorf("tag %s: %d \"computing that run locally\" lines, want 1", tag, n)
+		}
 	}
 }
 
