@@ -1,11 +1,15 @@
 package stats
 
+import "math"
+
 // Accumulator is the streaming-distribution abstraction the Monte-Carlo
 // stack is built on: weighted observations go in through Add, or a run of
-// equally weighted ones through AddBatch or AddIndexed; per-shard
-// accumulators combine through Merge (in shard order, so the combined
-// result is independent of how many workers produced the shards), and
-// the distribution is read back through P / Quantile / Points.
+// equally weighted ones through AddBatch; per-shard accumulators combine
+// through Merge (in shard order, so the combined result is independent
+// of how many workers produced the shards), and the distribution is read
+// back through P / Quantile / Points. A shard's accumulators, one per
+// arm, also take a run of observations that index a per-campaign Table
+// all at once, through Accumulators.AddTable.
 //
 // Two implementations exist:
 //
@@ -32,13 +36,6 @@ type Accumulator interface {
 	// adding anything (even for an empty xs), and on a NaN at xs[k] after
 	// adding the first k.
 	AddBatch(xs []float64, w float64)
-	// AddIndexed records vals[i] for every i of idx, in order, with the
-	// one weight w: AddBatch of the gathered values, bit for bit and
-	// panic for panic, where an index past the end of vals panics like a
-	// NaN. vals holds at most MaxIndexedValues entries, so a caller
-	// whose observations take few distinct values pays their lookups
-	// once per call rather than once per observation.
-	AddIndexed(vals []float64, idx []uint8, w float64)
 	// Merge folds another accumulator of the same kind into this one.
 	// Folding shard accumulators in shard order yields results that are
 	// bit-identical for any worker count.
@@ -65,16 +62,9 @@ var (
 	_ Accumulator = (*LogHistogram)(nil)
 )
 
-// MaxIndexedValues bounds the vals of one AddIndexed call. It is also the
-// run length in which AddBatch feeds its observations through the same
-// indexed update rule, so every add has one rule per accumulator.
-const MaxIndexedValues = 64
-
-// identity[i] is i: the index run that turns a slice of observations into
-// an indexed add of the slice itself.
-var identity = func() (t [MaxIndexedValues]uint8) {
-	for i := range t {
-		t[i] = uint8(i)
+// checkWeight panics on a weight no add accepts: negative, NaN or +Inf.
+func checkWeight(w float64) {
+	if !(w >= 0 && w <= math.MaxFloat64) {
+		panic("stats: invalid observation weight")
 	}
-	return t
-}()
+}

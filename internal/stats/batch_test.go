@@ -44,9 +44,9 @@ func batchValues(inf bool) []float64 {
 
 // addOne is the per-observation update rule as Add spelled it out before
 // the batch adds existed, binning by the bucketLog10 definition. It is
-// their oracle: AddBatch, AddIndexed and Add (now a batch of one) must
-// each leave the state a run of addOne calls leaves, and panic where it
-// panics.
+// their oracle: AddBatch, Add (now a batch of one) and every arm of
+// Accumulators.AddTable must each leave the state a run of addOne calls
+// leaves, and panic where it panics.
 func addOne(a Accumulator, x, w float64) {
 	switch a := a.(type) {
 	case *WeightedCDF:
@@ -140,8 +140,6 @@ func panicOf(f func()) (v any) {
 }
 
 func TestBatchAddsMatchAdds(t *testing.T) {
-	rng := NewRand(5)
-	idx := make([]uint8, 300)
 	negZero := math.Copysign(0, -1)
 	finite, inf := batchValues(false), batchValues(true)
 	for _, kind := range batchKinds {
@@ -175,36 +173,50 @@ func TestBatchAddsMatchAdds(t *testing.T) {
 			}
 			checkSameState(t, what+" Add, AddBatch", want, add, got)
 
-			// AddIndexed, over every 64-value window of xs.
-			want, got = kind.make(), kind.make()
-			for lo := 0; lo < len(xs); lo += MaxIndexedValues {
-				vals := xs[lo:min(lo+MaxIndexedValues, len(xs))]
-				for k := range idx {
-					idx[k] = uint8(rng.Intn(len(vals)))
+			// AddTable on both kernel paths: nine arms (two lane passes),
+			// each holding every x of xs, and runs of 0 to 300 indices
+			// that name every index at least once, many twice.
+			tab, vals := tableOf(xs, 9, kind.make())
+			kernelPaths(t, func(t *testing.T) {
+				want, got := armsOf(kind.make, 9), armsOf(kind.make, 9)
+				var s TableScratch
+				for _, run := range tableRuns(NewRand(5), len(xs)) {
+					addTableOne(want, vals, run, w)
+					got.AddTable(tab, run, w, &s)
 				}
-				for _, i := range idx {
-					addOne(want, vals[i], w)
+				for j := range got {
+					checkSameState(t, fmt.Sprintf("%s AddTable arm %d", what, j), want[j], got[j])
 				}
-				got.AddIndexed(vals, idx, w)
-			}
-			checkSameState(t, what+" AddIndexed", want, got)
+				checkScratchClear(t, &s)
+			})
 		}
 	}
 }
 
 func TestBatchAddWeightRules(t *testing.T) {
 	xs := batchValues(true)
-	idx := []uint8{3, 1, 4, 1, 5, 9, 2, 6}
+	idx := []uint16{3, 1, 4, 1, 5, 9, 2, 6}
+	var s TableScratch
 	for _, kind := range batchKinds {
+		tab, _ := tableOf(xs, 9, kind.make())
 		// Weight 0 drops every observation: the state stays the empty
-		// one, count included.
+		// one, count included, on both table-add paths.
 		a := kind.make()
 		a.AddBatch(xs, 0)
-		a.AddIndexed(xs[:MaxIndexedValues], idx, 0)
 		checkSameState(t, kind.name+" w=0", kind.make(), a)
 		if h, ok := a.(*LogHistogram); ok && h.Count() != 0 {
 			t.Fatalf("%s: zero-weight batch counted %d observations", kind.name, h.Count())
 		}
+		kernelPaths(t, func(t *testing.T) {
+			arms := armsOf(kind.make, 9)
+			arms.AddTable(tab, idx, 0, &s)
+			for j, a := range arms {
+				checkSameState(t, fmt.Sprintf("%s w=0 AddTable arm %d", kind.name, j), kind.make(), a)
+				if h, ok := a.(*LogHistogram); ok && h.Count() != 0 {
+					t.Fatalf("%s: zero-weight table add counted %d observations", kind.name, h.Count())
+				}
+			}
+		})
 
 		// An invalid weight panics before adding anything, even to an
 		// empty batch.
@@ -214,11 +226,14 @@ func TestBatchAddWeightRules(t *testing.T) {
 				addOne(want, x, 1)
 				addOne(got, x, 1)
 			}
+			arms := Accumulators{got}
+			tab, _ := tableOf(xs, 1, kind.make())
 			for name, add := range map[string]func(){
 				"Add":            func() { got.Add(xs[0], w) },
 				"AddBatch":       func() { got.AddBatch(xs, w) },
 				"AddBatch empty": func() { got.AddBatch(nil, w) },
-				"AddIndexed":     func() { got.AddIndexed(xs[:MaxIndexedValues], idx, w) },
+				"AddTable":       func() { arms.AddTable(tab, idx, w, &s) },
+				"AddTable empty": func() { arms.AddTable(tab, nil, w, &s) },
 			} {
 				if panicOf(add) == nil {
 					t.Fatalf("%s %s: weight %g did not panic", kind.name, name, w)
@@ -232,8 +247,9 @@ func TestBatchAddWeightRules(t *testing.T) {
 func TestBatchAddNaNLeavesPrefix(t *testing.T) {
 	// A NaN at position k panics as Add does, after exactly the first k
 	// observations went in, at any weight (a zero weight adds nothing
-	// but still panics). AddIndexed does the same for an index naming a
-	// NaN or past the end of vals.
+	// but still panics). A table holds no NaN: NewTable refuses one, and
+	// AddTable panics on an index past the table before any arm
+	// changes.
 	base := batchValues(false)[:150]
 	for _, kind := range batchKinds {
 		for _, k := range []int{0, 1, 63, 64, 65, 149} {
@@ -262,52 +278,74 @@ func TestBatchAddNaNLeavesPrefix(t *testing.T) {
 
 		vals := append([]float64(nil), base[:10]...)
 		vals[7] = math.NaN()
-		for _, idx := range [][]uint8{{0, 1, 2, 7, 3}, {1, 1, 10, 2}, {7}, {9, 200}} {
-			k := 0
-			for int(idx[k]) < len(vals) && vals[idx[k]] == vals[idx[k]] {
-				k++
-			}
-			want, got := kind.make(), kind.make()
-			for _, i := range idx[:k] {
-				addOne(want, vals[i], 2)
-			}
-			if panicOf(func() { got.AddIndexed(vals, idx, 2) }) == nil {
-				t.Fatalf("%s: AddIndexed(%v) did not panic", kind.name, idx)
-			}
-			checkSameState(t, fmt.Sprintf("%s AddIndexed %v", kind.name, idx), want, got)
+		h, _ := kind.make().(*LogHistogram)
+		if panicOf(func() { NewTable([][]float64{base[:10], vals}, h) }) == nil {
+			t.Fatalf("%s: NewTable took a NaN", kind.name)
 		}
-		if panicOf(func() { kind.make().AddIndexed(make([]float64, MaxIndexedValues+1), nil, 1) }) == nil {
-			t.Fatalf("%s: AddIndexed took more than %d values", kind.name, MaxIndexedValues)
+		tab, _ := tableOf(base[:10], 3, kind.make())
+		for _, idx := range [][]uint16{{0, 1, 2, 10, 3}, {1, 1, 10, 2}, {10}, {9, 200}, {3, 65535}} {
+			for _, w := range []float64{0, 2} {
+				kernelPaths(t, func(t *testing.T) {
+					want, got := armsOf(kind.make, 3), armsOf(kind.make, 3)
+					addTableOne(want, [][]float64{base[20:30], base[30:40], base[40:50]}, []uint16{0, 3, 9, 3}, 1)
+					addTableOne(got, [][]float64{base[20:30], base[30:40], base[40:50]}, []uint16{0, 3, 9, 3}, 1)
+					var s TableScratch
+					if panicOf(func() { got.AddTable(tab, idx, w, &s) }) == nil {
+						t.Fatalf("%s: AddTable(%v) did not panic", kind.name, idx)
+					}
+					for j := range got {
+						checkSameState(t, fmt.Sprintf("%s AddTable %v w=%g arm %d", kind.name, idx, w, j), want[j], got[j])
+					}
+					checkScratchClear(t, &s)
+				})
+			}
+		}
+	}
+	if panicOf(func() { NewTable([][]float64{make([]float64, MaxTableIndices+1)}, nil) }) == nil {
+		t.Fatalf("NewTable took more than %d indices", MaxTableIndices)
+	}
+	for _, bad := range [][][]float64{nil, {{}}, {{1, 2}, {3}}} {
+		if panicOf(func() { NewTable(bad, nil) }) == nil {
+			t.Fatalf("NewTable took %v", bad)
 		}
 	}
 }
 
 func TestBatchAddsZeroAllocs(t *testing.T) {
 	xs := batchValues(false)[:256]
-	idx := make([]uint8, 256)
+	idx := make([]uint16, 256)
 	for k := range idx {
-		idx[k] = uint8(k * 7 % MaxIndexedValues)
+		idx[k] = uint16(k * 7 % len(xs))
 	}
 	const runs = 100
 	for _, kind := range batchKinds {
-		a := kind.make()
-		if c, ok := a.(*WeightedCDF); ok {
-			// AllocsPerRun makes one warm-up run before the measured ones.
-			c.Reserve(2 * (runs + 1) * len(xs))
+		// AllocsPerRun makes one warm-up run before the measured ones.
+		reserve := func(a Accumulator) Accumulator {
+			if c, ok := a.(*WeightedCDF); ok {
+				c.Reserve(2 * (runs + 1) * len(xs))
+			}
+			return a
 		}
+		a := reserve(kind.make())
 		if avg := testing.AllocsPerRun(runs, func() { a.AddBatch(xs, 1e-6) }); avg != 0 {
 			t.Errorf("%s: AddBatch allocates %.1f times per call", kind.name, avg)
 		}
-		if avg := testing.AllocsPerRun(runs, func() { a.AddIndexed(xs[:MaxIndexedValues], idx, 1e-6) }); avg != 0 {
-			t.Errorf("%s: AddIndexed allocates %.1f times per call", kind.name, avg)
-		}
+		tab, _ := tableOf(xs, 7, kind.make())
+		arms := armsOf(func() Accumulator { return reserve(kind.make()) }, 7)
+		kernelPaths(t, func(t *testing.T) {
+			var s TableScratch
+			if avg := testing.AllocsPerRun(runs, func() { arms.AddTable(tab, idx, 1e-6, &s) }); avg != 0 {
+				t.Errorf("%s: AddTable allocates %.1f times per call", kind.name, avg)
+			}
+		})
 	}
 }
 
-// BenchmarkLogHistogramAddBatch and BenchmarkLogHistogramAddIndexed time
-// what one arm's accumulator takes per Fig. 5 engine block: 256 MSEs of
-// multi-fault dies, or 256 single-fault dies' columns into a 32-entry
-// table. Compare ns/op / 256 with BenchmarkLogHistogramAdd.
+// BenchmarkLogHistogramAddBatch times what one arm's accumulator takes
+// per block of the Fig. 5 engine's dies of three or more faults: 256
+// MSEs. Compare ns/op / 256 with BenchmarkLogHistogramAdd, and with
+// BenchmarkTableAdd, which adds a block of one- or two-fault dies to all
+// seven arms.
 func BenchmarkLogHistogramAddBatch(b *testing.B) {
 	h := NewLogHistogram(0, -8, 20)
 	rng := NewRand(1)
@@ -319,23 +357,5 @@ func BenchmarkLogHistogramAddBatch(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		h.AddBatch(xs, 1e-6)
-	}
-}
-
-func BenchmarkLogHistogramAddIndexed(b *testing.B) {
-	h := NewLogHistogram(0, -8, 20)
-	rng := NewRand(1)
-	vals := make([]float64, 32)
-	for c := range vals {
-		vals[c] = math.Ldexp(1, 2*c) / 4096
-	}
-	idx := make([]uint8, 256)
-	for i := range idx {
-		idx[i] = uint8(rng.Intn(len(vals)))
-	}
-	h.table()
-	b.ReportAllocs()
-	for b.Loop() {
-		h.AddIndexed(vals, idx, 1e-6)
 	}
 }

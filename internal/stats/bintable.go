@@ -114,7 +114,7 @@ var binTables struct {
 // on first use. Concurrent first uses of one geometry wait for a single
 // build.
 func sharedBinTable(h *LogHistogram) *binTable {
-	g := binGeometry{h.nbins, h.logMin, h.logMax}
+	g := h.geometry()
 	binTables.Lock()
 	defer binTables.Unlock()
 	if t, ok := binTables.m[g]; ok {

@@ -25,57 +25,28 @@ type WeightedCDF struct {
 
 // Add records an observation x with weight w (w must be non-negative and
 // finite; zero-weight observations are dropped): AddBatch of one.
-func (c *WeightedCDF) Add(x, w float64) {
-	checkCDFWeight(w)
-	c.addRun([]float64{x}, identity[:1], w)
-}
+func (c *WeightedCDF) Add(x, w float64) { c.AddBatch([]float64{x}, w) }
 
 // AddBatch records every x of xs with weight w, as the Accumulator
-// contract defines: bit-identical to one Add per x, in order.
+// contract defines: bit-identical to one Add per x, in order. It is the
+// update rule of both: for each x in turn it appends x with weight w and
+// adds w to the running total. At the first NaN it stores what the
+// earlier xs added and panics; a zero w appends nothing but still panics
+// there.
 func (c *WeightedCDF) AddBatch(xs []float64, w float64) {
-	checkCDFWeight(w)
-	for len(xs) > 0 {
-		run := xs[:min(len(xs), MaxIndexedValues)]
-		xs = xs[len(run):]
-		c.addRun(run, identity[:len(run)], w)
-	}
-}
-
-// AddIndexed records vals[i] for every i of idx with weight w, as the
-// Accumulator contract defines.
-func (c *WeightedCDF) AddIndexed(vals []float64, idx []uint8, w float64) {
-	checkCDFWeight(w)
-	if len(vals) > MaxIndexedValues {
-		panic(fmt.Sprintf("stats: %d indexed values exceed %d", len(vals), MaxIndexedValues))
-	}
-	c.addRun(vals, idx, w)
-}
-
-// checkCDFWeight panics on a weight no add accepts: negative, NaN or
-// infinite.
-func checkCDFWeight(w float64) {
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		panic("stats: invalid CDF weight")
-	}
-}
-
-// addRun is the update rule of every add: for each i of idx in turn it
-// appends vals[i] with weight w and adds w to the running total. At the
-// first i that is out of range or names a NaN it stores what the earlier
-// ones added and panics; a zero w appends nothing but still panics there.
-func (c *WeightedCDF) addRun(vals []float64, idx []uint8, w float64) {
+	checkWeight(w)
 	total := c.total
 	n := len(c.xs)
-	bad := -1
-	for k, i := range idx {
-		if int(i) >= len(vals) || vals[i] != vals[i] {
-			bad = k
+	nan := false
+	for _, x := range xs {
+		if x != x {
+			nan = true
 			break
 		}
 		if w == 0 {
 			continue
 		}
-		c.xs = append(c.xs, vals[i])
+		c.xs = append(c.xs, x)
 		c.ws = append(c.ws, w)
 		total += w
 	}
@@ -83,10 +54,7 @@ func (c *WeightedCDF) addRun(vals []float64, idx []uint8, w float64) {
 		c.total = total
 		c.sorted = false
 	}
-	if bad >= 0 {
-		if i := idx[bad]; int(i) >= len(vals) {
-			panic(fmt.Sprintf("stats: index %d of %d indexed values", i, len(vals)))
-		}
+	if nan {
 		panic("stats: NaN CDF observation")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"faultmem/internal/wire"
@@ -119,11 +120,12 @@ func sameBits(a, b []float64) bool {
 // rule. The input's first three bytes pick a histogram geometry (a zero
 // first byte picks the Fig. 5 engine's), the next eight a weight, and
 // the rest observations, eight bytes each; the observation bytes double
-// as AddIndexed's indices into the first 64 observations, one in nine or
-// so past them. For a WeightedCDF and a LogHistogram,
-// AddBatch of the observations and AddIndexed of the indices must each
-// panic exactly when the one-at-a-time adds do and leave the same binary
-// form.
+// as AddTable's indices into a one-arm table of the first 64
+// observations, one in nine or so past them. For a WeightedCDF and a
+// LogHistogram, AddBatch of the observations and AddTable of the indices
+// must each panic exactly when the one-at-a-time adds do and leave the
+// same binary form; an index past the table panics before anything
+// changes, and NewTable refuses observations that hold a NaN.
 func FuzzBatchAdd(f *testing.F) {
 	seed := func(geom [3]byte, w float64, xs ...float64) []byte {
 		b := wire.AppendFloat64(geom[:], w)
@@ -151,14 +153,20 @@ func FuzzBatchAdd(f *testing.F) {
 		for k := range xs {
 			xs[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*k:]))
 		}
-		vals := xs[:min(len(xs), MaxIndexedValues)]
-		idx := make([]uint8, len(rest))
+		vals := xs[:min(len(xs), 64)]
+		idx := make([]uint16, len(rest))
 		for k, v := range rest {
-			idx[k] = uint8(int(v) % (len(vals) + 1 + len(vals)/8))
+			idx[k] = uint16(int(v) % (len(vals) + 1 + len(vals)/8))
 		}
+		var tab *Table
+		nan := slices.ContainsFunc(vals, math.IsNaN)
+		if p := panicOf(func() { tab = NewTable([][]float64{vals}, newHist()) }); (p != nil) != (nan || len(vals) == 0) {
+			t.Fatalf("NewTable of %d values, NaN %t, panicked with %v", len(vals), nan, p)
+		}
+		var s TableScratch
 		// The one-at-a-time form of each batch add checks the weight
-		// first, even for an empty batch, and panics at an index past vals
-		// where its add would go.
+		// first, even for an empty batch; a table add then checks every
+		// index before it adds any.
 		checkWeight := func() {
 			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 				panic("invalid weight")
@@ -179,16 +187,21 @@ func FuzzBatchAdd(f *testing.F) {
 						addOne(a, x, w)
 					}
 				}},
-				{"AddIndexed", func(a Accumulator) { a.AddIndexed(vals, idx, w) }, func(a Accumulator) {
+				{"AddTable", func(a Accumulator) { Accumulators{a}.AddTable(tab, idx, w, &s) }, func(a Accumulator) {
 					checkWeight()
 					for _, i := range idx {
 						if int(i) >= len(vals) {
 							panic("index out of range")
 						}
+					}
+					for _, i := range idx {
 						addOne(a, vals[i], w)
 					}
 				}},
 			} {
+				if tab == nil && c.name == "AddTable" {
+					continue
+				}
 				want, got := newAcc(), newAcc()
 				wantPanic := panicOf(func() { c.one(want) }) != nil
 				gotPanic := panicOf(func() { c.batch(got) }) != nil

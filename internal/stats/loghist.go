@@ -123,7 +123,12 @@ func validLogDomain(logMin, logMax float64) bool {
 // SameGeometry reports whether o has h's bin count and domain, the
 // condition for Merge.
 func (h *LogHistogram) SameGeometry(o *LogHistogram) bool {
-	return o.nbins == h.nbins && o.logMin == h.logMin && o.logMax == h.logMax
+	return o.geometry() == h.geometry()
+}
+
+// geometry returns h's bin count and domain.
+func (h *LogHistogram) geometry() binGeometry {
+	return binGeometry{h.nbins, h.logMin, h.logMax}
 }
 
 // bucket maps an observation to its bin index in w: the bin bucketLog10
@@ -170,84 +175,31 @@ func (h *LogHistogram) bucketLog10(x float64) int {
 // zero-weight observations are dropped, NaN observations panic.
 // Observations at or below zero land in the underflow bin (the MSE
 // domain's exact-zero mass).
-func (h *LogHistogram) Add(x, w float64) {
-	checkHistWeight(w)
-	h.addRun([]float64{x}, nil, identity[:1], w)
-}
+func (h *LogHistogram) Add(x, w float64) { h.AddBatch([]float64{x}, w) }
 
 // AddBatch records every x of xs with weight w, as the Accumulator
-// contract defines: bit-identical to one Add per x, in order.
+// contract defines: bit-identical to one Add per x, in order. It is the
+// update rule of both: for each x in turn it adds w to x's bin and folds
+// x into the running total, count, moments and extrema, which it keeps
+// in locals until the run ends. At the first NaN it stores what the
+// earlier xs added and panics; a zero w adds nothing but still panics
+// there.
 func (h *LogHistogram) AddBatch(xs []float64, w float64) {
-	checkHistWeight(w)
-	for len(xs) > 0 {
-		run := xs[:min(len(xs), MaxIndexedValues)]
-		xs = xs[len(run):]
-		h.addRun(run, nil, identity[:len(run)], w)
-	}
-}
-
-// AddIndexed records vals[i] for every i of idx with weight w, as the
-// Accumulator contract defines. It bins each of the at most
-// MaxIndexedValues vals once per call, however long idx is.
-func (h *LogHistogram) AddIndexed(vals []float64, idx []uint8, w float64) {
-	checkHistWeight(w)
-	if len(vals) > MaxIndexedValues {
-		panic(fmt.Sprintf("stats: %d indexed values exceed %d", len(vals), MaxIndexedValues))
-	}
-	var bins [MaxIndexedValues]int32
-	for k, x := range vals {
-		bins[k] = -1
-		if x == x {
-			bins[k] = int32(h.bucket(x))
-		}
-	}
-	h.addRun(vals, &bins, idx, w)
-}
-
-// checkHistWeight panics on a weight no add accepts: negative, NaN or
-// +Inf.
-func checkHistWeight(w float64) {
-	if !(w >= 0 && w <= math.MaxFloat64) {
-		panic("stats: invalid histogram weight")
-	}
-}
-
-// addRun is the update rule of every add: for each i of idx in turn it
-// adds w to the bin of vals[i] and folds vals[i] into the running total,
-// count, moments and extrema, which it keeps in locals until the run
-// ends. The bin is bins[i] (-1 marking a NaN) when bins is not nil, and
-// bucket's answer otherwise. At the first i that is out of range or
-// names a NaN it stores what the earlier ones added and panics; a zero w
-// adds nothing but still panics there.
-func (h *LogHistogram) addRun(vals []float64, bins *[MaxIndexedValues]int32, idx []uint8, w float64) {
-	var tab *binTable
-	if bins == nil {
-		tab = h.table()
-	}
+	checkWeight(w)
+	tab := h.table()
 	wts := h.w
 	total, count := h.total, h.count
 	sumX, sumXX := h.sumX, h.sumXX
 	lo, hi := h.min, h.max
-	bad := -1
-	for k, i := range idx {
-		if int(i) >= len(vals) {
-			bad = k
-			break
-		}
-		x := vals[i]
-		// bucket, spelled out: this is the hot path of every
-		// paper-scale campaign, and bucket is too large to inline.
-		b := -1
-		switch {
-		case bins != nil:
-			b = int(bins[i])
-		case x > 0:
+	nan := false
+	for _, x := range xs {
+		// bucket, spelled out: this is the hot path of every batch add,
+		// and bucket is too large to inline.
+		b := 0
+		if x > 0 {
 			b = tab.bin(x)
-		case x == x:
-			b = 0
-		}
-		if b < 0 {
-			bad = k
+		} else if x != x {
+			nan = true
 			break
 		}
 		if w == 0 {
@@ -271,10 +223,7 @@ func (h *LogHistogram) addRun(vals []float64, bins *[MaxIndexedValues]int32, idx
 		h.min, h.max = lo, hi
 		h.dirty = true
 	}
-	if bad >= 0 {
-		if i := idx[bad]; int(i) >= len(vals) {
-			panic(fmt.Sprintf("stats: index %d of %d indexed values", i, len(vals)))
-		}
+	if nan {
 		panic("stats: NaN histogram observation")
 	}
 }

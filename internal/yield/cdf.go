@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"faultmem/internal/mc"
 	"faultmem/internal/stats"
@@ -259,13 +260,17 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int, err error) {
 //
 // Each shard scores its dies a block at a time (shardRun): up to
 // blockDies consecutive dies of one failure count, and so of one weight.
-// A single-fault block draws one column per die and adds each arm's MSEs
-// from a per-campaign table (armCosts) through AddIndexed; any other
-// block draws each die into the row sampler, scores it under every scheme
-// in one pass over its faulty rows, and hands each arm its block of MSEs
-// through AddBatch. Every accumulator ends bit-identical to one Add per
-// (die, arm) of RowSampler.MSE's value, in die order, and the random
-// stream is the one RowSampler.Draw would consume.
+// A block of one- or two-fault dies draws each die's cells, keeps it as
+// an index into a per-campaign table of every arm's MSE (armCosts), and
+// adds the block to all arms at once through Accumulators.AddTable; any
+// other block draws each die into the row sampler, scores it under every
+// scheme in one pass over its faulty rows, and hands each arm its block
+// of MSEs through AddBatch. Every accumulator ends bit-identical to one
+// Add per (die, arm) of RowSampler.MSE's value, in die order, and the
+// random stream is the one RowSampler.Draw would consume. A shard's
+// working memory (sampler, block buffers, the table adds' counts) comes
+// from a per-campaign pool, so only its accumulators, its result, are
+// allocated per shard.
 func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -279,7 +284,6 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 	}
 	spans := mc.Split(total, p.Shards)
 	cancel := env.Done()
-	costs := newArmCosts(schemes, p.Rows, p.Width)
 
 	// Accumulator factory: exact retention for small budgets (and as the
 	// test oracle), the fixed-bin log-histogram above the auto threshold
@@ -289,6 +293,12 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		return nil, fmt.Errorf("yield: %d planned samples exceed the exact store's cap of %d; use the histogram accumulator",
 			total, maxExactSamples)
 	}
+	var hist *stats.LogHistogram
+	if useHist {
+		hist = stats.NewLogHistogram(p.Bins, mseLogMin, mseLogMax)
+	}
+	costs := campaignCosts(schemes, p.Rows, p.Width, hist)
+	pool := &scratchPool{rows: p.Rows, width: p.Width, arms: len(schemes)}
 	newAcc := func(reserve int) stats.Accumulator {
 		if useHist {
 			return stats.NewLogHistogram(p.Bins, mseLogMin, mseLogMax)
@@ -304,7 +314,9 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		for j := range accs {
 			accs[j] = newAcc(span.End - span.Start)
 		}
-		run := newShardRun(costs, accs, p.Rows)
+		scratch := pool.get()
+		defer pool.put(scratch)
+		run := shardRun{costs, accs, scratch}
 		// Locate the span's first (count, sample) pair, then stream
 		// through the count-major global order a block at a time. A
 		// block ends at blockDies, at the end of its count and at the
@@ -391,54 +403,97 @@ func checkShard(i int, accs, merged []stats.Accumulator) error {
 	return nil
 }
 
-// blockDies is the most dies a shard scores in one block. Each arm's
-// accumulator takes a block in one call, which spreads the per-call costs
-// (the interface call, loading and storing the running sums, binning a
-// single-fault block's table) over up to this many dies. The shard loop
-// polls for cancellation once per block.
+// blockDies is the most dies a shard scores in one block. A block's
+// adds (one AddTable for all arms, or one AddBatch per arm) spread the
+// per-call costs (loading and storing the running sums, the interface
+// calls) over up to this many dies. The shard loop polls for
+// cancellation once per block.
 const blockDies = 256
 
-// shardRun is one shard's scratch for scoring dies a block at a time.
-// Built once per shard, it allocates nothing afterwards: the sampler
-// reuses its masks, the block buffers are sized up front, and each
-// accumulator is either pre-reserved to the span or fixed-size bins.
+// shardRun is one running shard: the campaign's costs, the shard's
+// accumulators and the working memory it scores its dies with.
 type shardRun struct {
-	costs   *armCosts
-	accs    stats.Accumulators
+	costs *armCosts
+	accs  stats.Accumulators
+	*shardScratch
+}
+
+// shardScratch is a running shard's working memory. Once taken from the
+// pool it allocates nothing more (beyond sizing the table adds' counts
+// on their first use): the sampler reuses its masks and the block
+// buffers are sized up front.
+type shardScratch struct {
 	sampler *RowSampler
-	// cols holds a single-fault block's fault columns, one per die.
-	cols []uint8
+	// ids holds a one- or two-fault block's table indices, one per die.
+	ids []uint16
 	// die is one multi-fault die's MSE per arm; mse holds the block's,
 	// arm-major: mse[j*blockDies+i] is arm j's MSE of die i.
 	die, mse []float64
+	table    stats.TableScratch
 }
 
-func newShardRun(costs *armCosts, accs stats.Accumulators, rows int) *shardRun {
-	return &shardRun{
-		costs:   costs,
-		accs:    accs,
-		sampler: NewRowSampler(rows, costs.width),
-		cols:    make([]uint8, blockDies),
-		die:     make([]float64, len(accs)),
-		mse:     make([]float64, len(accs)*blockDies),
+// scratchPool is a campaign's shard working memory: get hands a shard a
+// clean shardScratch, a returned one or a new one, and put takes it
+// back. So a campaign allocates one per shard that runs at a time
+// rather than one per shard.
+type scratchPool struct {
+	rows, width, arms int
+
+	mu   sync.Mutex
+	free []*shardScratch
+}
+
+func (p *scratchPool) get() *shardScratch {
+	p.mu.Lock()
+	if k := len(p.free); k > 0 {
+		s := p.free[k-1]
+		p.free = p.free[:k-1]
+		p.mu.Unlock()
+		return s
+	}
+	p.mu.Unlock()
+	return &shardScratch{
+		sampler: NewRowSampler(p.rows, p.width),
+		ids:     make([]uint16, blockDies),
+		die:     make([]float64, p.arms),
+		mse:     make([]float64, p.arms*blockDies),
 	}
 }
 
+// put returns s clean: its sampler reset (every table add already leaves
+// its counts zero).
+func (p *scratchPool) put(s *shardScratch) {
+	s.sampler.Reset()
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+}
+
 // block draws dies dies (1..blockDies) of n faults each and adds every
-// arm's MSEs, at weight per, to that arm's accumulator. A die of one
-// fault is the one rng.Intn(cells) that RowSampler.Draw(rng, 1) makes,
-// kept as its column; every other die is drawn by the sampler and scored
-// by mseAll.
+// arm's MSEs, at weight per, to that arm's accumulator. Each draw makes
+// the rng.Intn(cells) calls RowSampler.Draw(rng, n) would: a die of one
+// fault is one cell, kept as its column; a die of two is a cell, then a
+// second one redrawn until it differs, kept as pairIndex. Every other die
+// is drawn by the sampler and scored by mseAll.
 func (s *shardRun) block(rng *rand.Rand, n, dies int, per float64) {
-	if n == 1 {
-		cols := s.cols[:dies]
-		cells, width := s.sampler.cells, s.sampler.width
-		for i := range cols {
-			cols[i] = uint8(rng.Intn(cells) % width)
+	cells, width := s.sampler.cells, s.costs.width
+	switch ids := s.ids[:dies]; n {
+	case 1:
+		for i := range ids {
+			ids[i] = uint16(uint32(rng.Intn(cells)) % uint32(width))
 		}
-		for j, acc := range s.accs {
-			acc.AddIndexed(s.costs.singleFaultMSEs(j), cols, per)
+		s.accs.AddTable(s.costs.one, ids, per, &s.table)
+		return
+	case 2:
+		for i := range ids {
+			c1 := rng.Intn(cells)
+			c2 := rng.Intn(cells)
+			for c2 == c1 {
+				c2 = rng.Intn(cells)
+			}
+			ids[i] = s.costs.pairIndex(c1, c2)
 		}
+		s.accs.AddTable(s.costs.two, ids, per, &s.table)
 		return
 	}
 	for i := 0; i < dies; i++ {

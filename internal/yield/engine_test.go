@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"faultmem/internal/core"
+	"faultmem/internal/mat"
 	"faultmem/internal/mc"
 	"faultmem/internal/stats"
 )
@@ -18,6 +19,18 @@ func fig5Schemes() []Scheme {
 		Unprotected{}, NewShuffled(1), NewShuffled(2), NewShuffled(3),
 		NewShuffled(4), NewShuffled(5), PriorityECC{},
 	}
+}
+
+// kernelPaths runs f once on each path a table add can take, as a
+// subtest: "avx" when the CPU has AVX, then "go".
+func kernelPaths(t *testing.T, f func(*testing.T)) {
+	saved := mat.UseAVX
+	defer func() { mat.UseAVX = saved }()
+	if saved {
+		t.Run("avx", f)
+	}
+	mat.UseAVX = false
+	t.Run("go", f)
 }
 
 // msecdfAll runs MSECDFAllEnv under the zero Env, whose context never
@@ -95,48 +108,75 @@ func TestMSECDFAllShardCountChangesStreamsOnly(t *testing.T) {
 }
 
 func TestHotPathZeroAllocs(t *testing.T) {
-	// Once a shard is set up, scoring its dies must not allocate, in both
-	// accumulator modes: the engine's blocks of single-fault dies (column
-	// draws, indexed adds) and of multi-fault dies (sampler draws, all-arm
-	// row costs, batch adds), and the per-call path the layer probes time
-	// (Draw, RowSampler.MSE, one Add per arm). This is the regression gate
-	// for the allocation-free engine and its histogram extension.
+	// Once a shard holds warm working memory from the campaign's pool,
+	// scoring its dies must not allocate, in both accumulator modes and
+	// on both table-add paths: the engine's blocks of one- and two-fault
+	// dies (cell draws, table adds to every arm) and of dies of three or
+	// more (sampler draws, all-arm row costs, batch adds), and the
+	// per-call path the layer probes time (Draw, RowSampler.MSE, one Add
+	// per arm). This is the regression gate for the allocation-free
+	// engine and its histogram extension.
 	schemes := fig5Schemes()
 	const rounds = 200
 	for _, mode := range []string{"exact", "hist"} {
-		accs := make(stats.Accumulators, len(schemes))
-		for j := range accs {
-			if mode == "hist" {
-				accs[j] = stats.NewLogHistogram(0, -8, 20)
-			} else {
-				// AllocsPerRun makes one warm-up run before the rounds.
-				c := &stats.WeightedCDF{}
-				c.Reserve((rounds + 1) * (blockDies + 1))
-				accs[j] = c
-			}
-		}
-		run := newShardRun(newArmCosts(schemes, 4096, 32), accs, 4096)
-		rng := stats.NewRand(1)
-		n := 1
-		avg := testing.AllocsPerRun(rounds, func() {
-			run.block(rng, n, blockDies, 1e-6)
-			n = n%6 + 1 // cycle realistic failure counts, 1 included
+		t.Run(mode, func(t *testing.T) {
+			kernelPaths(t, func(t *testing.T) {
+				testHotPathZeroAllocs(t, mode, schemes, rounds)
+			})
 		})
-		if avg != 0 {
-			t.Fatalf("%s mode: a block of %d dies allocates %.1f times", mode, blockDies, avg)
-		}
+	}
+}
 
-		sampler := run.sampler
-		avg = testing.AllocsPerRun(rounds, func() {
-			sampler.Draw(rng, n)
-			for j, s := range schemes {
-				accs[j].Add(sampler.MSE(s), 1e-6)
-			}
-			n = n%6 + 1
-		})
-		if avg != 0 {
-			t.Fatalf("%s mode: per-die Draw, MSE and Add allocate %.1f times", mode, avg)
+func testHotPathZeroAllocs(t *testing.T, mode string, schemes []Scheme, rounds int) {
+	var hist *stats.LogHistogram
+	if mode == "hist" {
+		hist = stats.NewLogHistogram(0, -8, 20)
+	}
+	accs := make(stats.Accumulators, len(schemes))
+	for j := range accs {
+		if mode == "hist" {
+			accs[j] = stats.NewLogHistogram(0, -8, 20)
+		} else {
+			// The warm-up blocks and AllocsPerRun's own warm-up run
+			// come before the rounds.
+			c := &stats.WeightedCDF{}
+			c.Reserve((rounds + 7) * (blockDies + 1))
+			accs[j] = c
 		}
+	}
+	pool := &scratchPool{rows: 4096, width: 32, arms: len(schemes)}
+	run := shardRun{newArmCosts(schemes, 4096, 32, hist), accs, pool.get()}
+	rng := stats.NewRand(1)
+	// A scratch's table counts grow to each table on its first add.
+	for n := 1; n <= 6; n++ {
+		run.block(rng, n, blockDies, 1e-6)
+	}
+	n := 1
+	avg := testing.AllocsPerRun(rounds, func() {
+		run.block(rng, n, blockDies, 1e-6)
+		n = n%6 + 1 // cycle realistic failure counts, 1 and 2 included
+	})
+	if avg != 0 {
+		t.Fatalf("%s mode: a block of %d dies allocates %.1f times", mode, blockDies, avg)
+	}
+	avg = testing.AllocsPerRun(rounds, func() {
+		pool.put(run.shardScratch)
+		run.shardScratch = pool.get()
+	})
+	if avg != 0 {
+		t.Fatalf("%s mode: returning and taking shard scratch allocates %.1f times", mode, avg)
+	}
+
+	sampler := run.sampler
+	avg = testing.AllocsPerRun(rounds, func() {
+		sampler.Draw(rng, n)
+		for j, s := range schemes {
+			accs[j].Add(sampler.MSE(s), 1e-6)
+		}
+		n = n%6 + 1
+	})
+	if avg != 0 {
+		t.Fatalf("%s mode: per-die Draw, MSE and Add allocate %.1f times", mode, avg)
 	}
 }
 
@@ -157,7 +197,7 @@ func referenceAccumulators(t *testing.T, p CDFParams, schemes []Scheme) []stats.
 		return &stats.WeightedCDF{}
 	}
 	spans := mc.Split(total, p.Shards)
-	costs := newArmCosts(schemes, p.Rows, p.Width)
+	costs := newArmCosts(schemes, p.Rows, p.Width, nil)
 	outs, err := mc.RunEnv(mc.Env{}, 1, len(spans), p.Seed, func(shard int, rng *rand.Rand) []stats.Accumulator {
 		span := spans[shard]
 		accs := make([]stats.Accumulator, len(schemes))
@@ -210,13 +250,20 @@ func binaryForm(t *testing.T, a stats.Accumulator) []byte {
 }
 
 func TestBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
-	// Scoring dies in blocks (table-driven single-fault blocks, batch
-	// adds) must leave every arm's accumulator byte for byte where the
-	// die-at-a-time loop leaves it: on the Fig. 5 geometry, an odd row
-	// count, a narrow and a 64-bit word; in both accumulator modes; and
-	// at shard counts whose span edges cut blocks inside a count. A
-	// MaxPerCount that caps several counts moves the count edges off the
-	// prior's own layout.
+	// Scoring dies in blocks (table adds for one- and two-fault blocks,
+	// batch adds for the rest) must leave every arm's accumulator byte
+	// for byte where the die-at-a-time loop leaves it: on the Fig. 5
+	// geometry, an odd row count, a narrow and a 64-bit word, and a 4x8
+	// array where two-fault dies often share a row and redraw a
+	// duplicate cell; in both accumulator modes, on both table-add
+	// kernel paths (nine arms take two lane passes); and at shard counts
+	// whose span edges cut blocks inside a count. A MaxPerCount that
+	// caps several counts moves the count edges off the prior's own
+	// layout.
+	kernelPaths(t, testBlockEngineMatchesDieAtATimeLoop)
+}
+
+func testBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
 	wide := append(fig5Schemes(), FullECC{}, PriorityECC{Protected: 8})
 	geoms := []struct {
 		rows, width int
@@ -228,6 +275,7 @@ func TestBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
 		{37, 32, 2e-3, 2e4, 1500, wide},
 		{16, 16, 1e-2, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 16, NFM: 2})}},
 		{8, 64, 5e-3, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, PriorityECC{}, NewShuffledConfig(core.Config{Width: 64, NFM: 3})}},
+		{4, 8, 5e-2, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 8, NFM: 1}), NewShuffledConfig(core.Config{Width: 8, NFM: 2})}},
 	}
 	for _, g := range geoms {
 		for _, accum := range []AccumMode{AccumExact, AccumHist} {
@@ -262,6 +310,39 @@ func TestBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
 	}
 }
 
+// oddScheme is a Scheme of a type this package does not know, and not a
+// comparable one.
+type oddScheme struct {
+	Unprotected
+	tag []int
+}
+
+func TestCampaignCostsSharedOnlyWhenEqual(t *testing.T) {
+	// Replays of one campaign share its costs; a change in the schemes,
+	// the array or the histogram geometry builds new ones, and schemes of
+	// foreign types are never shared.
+	hist := func(bins int) *stats.LogHistogram { return stats.NewLogHistogram(bins, mseLogMin, mseLogMax) }
+	a := campaignCosts(fig5Schemes(), 64, 32, hist(0))
+	if b := campaignCosts(fig5Schemes(), 64, 32, hist(0)); b != a {
+		t.Fatal("equal arguments built new costs")
+	}
+	for name, other := range map[string]func() *armCosts{
+		"rows":     func() *armCosts { return campaignCosts(fig5Schemes(), 65, 32, hist(0)) },
+		"width":    func() *armCosts { return campaignCosts(fig5Schemes(), 64, 16, hist(0)) },
+		"geometry": func() *armCosts { return campaignCosts(fig5Schemes(), 64, 32, hist(7)) },
+		"exact":    func() *armCosts { return campaignCosts(fig5Schemes(), 64, 32, nil) },
+		"schemes":  func() *armCosts { return campaignCosts(fig5Schemes()[1:], 64, 32, hist(0)) },
+	} {
+		if other() == a {
+			t.Fatalf("costs shared across a change of %s", name)
+		}
+	}
+	odd := []Scheme{oddScheme{tag: []int{1}}}
+	if campaignCosts(odd, 64, 32, nil) == campaignCosts(odd, 64, 32, nil) {
+		t.Fatal("costs of a foreign scheme were shared")
+	}
+}
+
 func TestArmCostsMatchRowSamplerMSEBitwise(t *testing.T) {
 	// mseAll is the engine's one-pass replacement for calling
 	// RowSampler.MSE once per arm; every value must be the same bits, on
@@ -274,7 +355,7 @@ func TestArmCostsMatchRowSamplerMSEBitwise(t *testing.T) {
 		schemes     []Scheme
 	}{{4096, 32, wide}, {64, 32, wide}, {37, 32, wide}, {16, 16, narrow}} {
 		schemes := geom.schemes
-		costs := newArmCosts(schemes, geom.rows, geom.width)
+		costs := newArmCosts(schemes, geom.rows, geom.width, nil)
 		sampler := NewRowSampler(geom.rows, geom.width)
 		rng := stats.NewRand(int64(geom.rows))
 		mse := make([]float64, len(schemes))

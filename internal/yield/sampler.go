@@ -4,8 +4,11 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"faultmem/internal/fault"
+	"faultmem/internal/stats"
 )
 
 // RowSampler draws uniform distinct-cell fault maps for a rows x width
@@ -94,47 +97,117 @@ func (s *RowSampler) MSE(sch Scheme) float64 {
 // armCosts holds a campaign's per-arm costs, built once from
 // Scheme.RowMSE and shared read-only by every shard. At memory-scale
 // Pcell nearly every faulty row holds one fault (99.99% at Fig. 5's paper
-// budget), and most dies hold one faulty cell (70.8% there), so it keeps
-// two tables:
+// budget), and most dies hold one or two faulty cells (70.8% and 23.2%
+// there), so it keeps:
 //
 //   - single, the row cost of every single-fault mask, which mseAll reads
 //     for such rows, calling RowMSE only for multi-fault rows;
-//   - singleDie, the whole MSE of a die whose only fault sits in a given
-//     column, which the engine adds straight from the table for
-//     single-fault dies, without drawing them into a sampler.
+//   - one, every arm's MSE of a die whose only fault sits in column c, at
+//     index c, and two, every arm's MSE of a die of two faults, at
+//     pairIndex of its cells. The engine adds a block of such dies to
+//     every arm from these tables, without drawing them into a sampler.
+//
+// The tables hold the expressions mseAll evaluates for those dies, so
+// they agree bit for bit: from zero, each faulty row's cost in
+// first-touch order, then one division by the row count. A one-fault die
+// is (0 + s[c]) / rows, where s[c] is RowMSE(1 << c); a die of two faults
+// on two rows is ((0 + s[c1]) + s[c2]) / rows, in the order they were
+// drawn; and one of two faults on one row is
+// (0 + RowMSE(1<<c1 | 1<<c2)) / rows.
 type armCosts struct {
 	schemes []Scheme
 	width   int
 	// single[c*len(schemes)+j] is schemes[j].RowMSE(1 << c).
-	single []float64
-	// singleDie[j*width+c] is (0 + single[c*len(schemes)+j]) / rows: the
-	// expression mseAll evaluates for a die whose one fault is in column
-	// c, so the table and mseAll agree bit for bit.
-	singleDie []float64
+	single   []float64
+	one, two *stats.Table
 }
 
-func newArmCosts(schemes []Scheme, rows, width int) *armCosts {
+// newArmCosts builds the costs of schemes on a rows x width array, its
+// tables binned in hist's geometry when hist is not nil.
+func newArmCosts(schemes []Scheme, rows, width int, hist *stats.LogHistogram) *armCosts {
 	n := len(schemes)
-	a := &armCosts{
-		schemes:   schemes,
-		width:     width,
-		single:    make([]float64, width*n),
-		singleDie: make([]float64, n*width),
-	}
-	for c := 0; c < width; c++ {
-		for j, sch := range schemes {
+	a := &armCosts{schemes: schemes, width: width, single: make([]float64, width*n)}
+	one, two := make([][]float64, n), make([][]float64, n)
+	r := float64(rows)
+	for j, sch := range schemes {
+		one[j] = make([]float64, width)
+		for c := range width {
 			v := sch.RowMSE(uint64(1) << uint(c))
 			a.single[c*n+j] = v
-			a.singleDie[j*width+c] = (0 + v) / float64(rows)
+			one[j][c] = (0 + v) / r
+		}
+		two[j] = make([]float64, 2*width*width)
+		for c1 := range width {
+			for c2 := range width {
+				s1, s2 := a.single[c1*n+j], a.single[c2*n+j]
+				two[j][c1*width+c2] = ((0 + s1) + s2) / r
+				two[j][(width+c1)*width+c2] = (0 + sch.RowMSE(uint64(1)<<uint(c1)|uint64(1)<<uint(c2))) / r
+			}
 		}
 	}
+	a.one = stats.NewTable(one, hist)
+	a.two = stats.NewTable(two, hist)
 	return a
 }
 
-// singleFaultMSEs returns arm j's MSE of a single-fault die, indexed by
-// the fault's column.
-func (a *armCosts) singleFaultMSEs(j int) []float64 {
-	return a.singleDie[j*a.width : (j+1)*a.width]
+// lastCosts is the armCosts of the most recent campaign whose schemes
+// are all of this package's types. A sweep worker replays a campaign's
+// engine run once for every shard it computes (exp.RunStage), and the
+// tables cost more to build than a small campaign's shard costs to
+// score, so the replays of one campaign share them. An armCosts is a
+// pure function of its schemes (whose RowMSE is pure), the array and the
+// histogram geometry, so sharing one never changes a result.
+var lastCosts struct {
+	sync.Mutex
+	schemes     []Scheme
+	rows, width int
+	hist        *stats.LogHistogram
+	costs       *armCosts
+}
+
+// campaignCosts returns newArmCosts(schemes, rows, width, hist), or the
+// last campaign's when that was built from equal arguments.
+func campaignCosts(schemes []Scheme, rows, width int, hist *stats.LogHistogram) *armCosts {
+	l := &lastCosts
+	l.Lock()
+	costs := l.costs
+	if costs == nil || l.rows != rows || l.width != width || (l.hist == nil) != (hist == nil) ||
+		(hist != nil && !hist.SameGeometry(l.hist)) || !slices.Equal(l.schemes, schemes) {
+		costs = nil
+	}
+	l.Unlock()
+	if costs != nil {
+		return costs
+	}
+	costs = newArmCosts(schemes, rows, width, hist)
+	for _, s := range schemes {
+		switch s.(type) {
+		case Unprotected, Shuffled, FullECC, PriorityECC:
+		default:
+			// A foreign scheme may not be comparable, and equal values
+			// of it need not score alike.
+			return costs
+		}
+	}
+	l.Lock()
+	l.schemes, l.rows, l.width, l.hist, l.costs = slices.Clone(schemes), rows, width, hist, costs
+	l.Unlock()
+	return costs
+}
+
+// pairIndex returns the index in two of the die whose faults were drawn
+// at cells c1 then c2 (distinct): c1's column times width plus c2's,
+// offset by width*width when both sit on one row. (Entries of two faults
+// in one cell are never read.)
+func (a *armCosts) pairIndex(c1, c2 int) uint16 {
+	w := uint32(a.width)
+	r1, k1 := uint32(c1)/w, uint32(c1)%w
+	r2, k2 := uint32(c2)/w, uint32(c2)%w
+	i := k1*w + k2
+	if r1 == r2 {
+		i += w * w
+	}
+	return uint16(i)
 }
 
 // mseAll sets mse[j] to s.MSE(schemes[j]) for the current sample, bit for

@@ -33,8 +33,8 @@ type Scheme interface {
 	// Residual(cols) and is the Monte-Carlo engine's per-row hot path.
 	//
 	// RowMSE must be a pure function of mask (same mask, same bits, no
-	// state): the engine tabulates it once per campaign for every
-	// single-fault mask and reads the table instead of calling it.
+	// state): the engine tabulates it once per campaign for every one-
+	// and two-fault mask and reads the tables instead of calling it.
 	RowMSE(mask uint64) float64
 }
 
