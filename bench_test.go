@@ -67,7 +67,7 @@ func BenchmarkFig5MSECDF(b *testing.B) {
 	var res exp.Fig5Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = exp.Fig5Env(mc.Env{}, p); err != nil {
+		if res, err = exp.Fig5(mc.Env{}, p); err != nil {
 			b.Fatal(err)
 		}
 	}

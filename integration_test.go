@@ -139,8 +139,8 @@ func TestIntegrationExpDeterminism(t *testing.T) {
 	}
 	p := exp.DefaultFig5Params()
 	p.CDF.Trun = 2e3
-	x, errX := exp.Fig5Env(mc.Env{}, p)
-	y, errY := exp.Fig5Env(mc.Env{}, p)
+	x, errX := exp.Fig5(mc.Env{}, p)
+	y, errY := exp.Fig5(mc.Env{}, p)
 	if errX != nil || errY != nil {
 		t.Fatal(errX, errY)
 	}

@@ -40,7 +40,7 @@ func TestFig5CancelMidCampaign(t *testing.T) {
 			cancel()
 		}
 	}}
-	_, err := Fig5Env(env, p)
+	_, err := Fig5(env, p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -19,7 +19,7 @@ func TestFig5DeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) Fig5Result {
 		q := p
 		q.CDF.Workers = workers
-		res, err := Fig5Env(mc.Env{}, q)
+		res, err := Fig5(mc.Env{}, q)
 		if err != nil {
 			t.Fatal(err)
 		}

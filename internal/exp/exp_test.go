@@ -161,7 +161,7 @@ func TestFig4MatchesPaperProfile(t *testing.T) {
 func TestFig5EndToEnd(t *testing.T) {
 	p := DefaultFig5Params()
 	p.CDF.Trun = 1e4 // quick
-	res, err := Fig5Env(mc.Env{}, p)
+	res, err := Fig5(mc.Env{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

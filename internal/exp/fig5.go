@@ -51,15 +51,16 @@ type Fig5Result struct {
 	CDFs   []yield.CDFResult
 }
 
-// Fig5Env runs the Monte-Carlo MSE CDF for every arm in one pass of the
-// parallel engine: every fault map is drawn once and scored by all seven
-// schemes (common random numbers), so the fault-generation cost is paid
-// once instead of seven times and the between-arm reduction factors of
+// Fig5 runs the MSE CDF for every arm in one pass of the parallel
+// engine: the one- and two-fault strata are exact, and every fault map
+// of three or more faults is drawn once and scored by all seven schemes
+// (common random numbers), so the fault-generation cost is paid once
+// instead of seven times and the between-arm reduction factors of
 // YieldTable see the same samples on both sides. p.CDF.Workers sets the
 // engine's parallelism; results are identical for every worker count.
 // Bad CDF params return an error; a cancelled or deadlined context
 // returns ctx.Err(). Shard completions reach the environment's OnShard.
-func Fig5Env(env mc.Env, p Fig5Params) (Fig5Result, error) {
+func Fig5(env mc.Env, p Fig5Params) (Fig5Result, error) {
 	arms := Fig5Arms()
 	schemes := make([]yield.Scheme, len(arms))
 	for i, arm := range arms {
@@ -93,7 +94,7 @@ func (e fig5Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.quick() && p.CDF.Trun > 2e4 {
 		p.CDF.Trun = 2e4
 	}
-	res, err := Fig5Env(r.env(ctx, e.Name(), ""), p)
+	res, err := Fig5(r.env(ctx, e.Name(), ""), p)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +118,8 @@ func (r Fig5Result) CDFTable() *Table {
 		Header: header,
 		Notes: []string{
 			fmt.Sprintf("Pr(N=0) = %.4f (fault-free dies, MSE = 0, excluded from the curves as in Eq. 5's sum from i=1)", r.CDFs[0].PZeroFailures),
-			fmt.Sprintf("Monte-Carlo samples per arm: %d (Trun=%.0g; the paper uses 1e7); accumulator: %s",
-				r.CDFs[0].Samples, r.Params.CDF.Trun, acc),
+			fmt.Sprintf("Monte-Carlo dies per arm: %d, all of N>=3 failures (Trun=%.0g; the paper uses 1e7); N=1 and N=2, prior mass %.4f, computed exactly; accumulator: %s",
+				r.CDFs[0].Samples, r.Params.CDF.Trun, r.CDFs[0].ExactMass, acc),
 		},
 	}
 	for _, x := range r.Params.MSEGrid {

@@ -11,10 +11,11 @@ import (
 )
 
 // fig5HistJSONGolden is the SHA-256 of the histogram-mode fig5 result's
-// JSON at seed 7, captured while LogHistogram still binned every
-// observation through math.Log10: the rendered CDF and yield tables must
-// not move when the binning changes implementation.
-const fig5HistJSONGolden = "5db853d5393295b2e731883a5b60b1120a1dfb47656056ef115a6947a7ab5377"
+// JSON at seed 7, captured when the engine began to compute the one- and
+// two-fault strata exactly and to sample only dies of three or more
+// faults: the rendered CDF and yield tables must not move when the
+// engine or the binning changes implementation.
+const fig5HistJSONGolden = "5b2d4e3198e600f3028c5241ab984d4e76e0a0287723553060b1c386c222df4e"
 
 func TestFig5HistogramJSONGolden(t *testing.T) {
 	seed := int64(7)

@@ -40,10 +40,10 @@ type ParetoRow struct {
 	RelArea    float64
 }
 
-// ParetoEnv evaluates every arm's quality (Fig. 5 machinery) and
+// Pareto evaluates every arm's quality (Fig. 5 machinery) and
 // hardware cost (Fig. 6 machinery) on a common scale: bit-identical rows
 // when the context stays live, ctx.Err() when cancelled mid-campaign.
-func ParetoEnv(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
+func Pareto(env mc.Env, p ParetoParams) ([]ParetoRow, error) {
 	// The hardware model is sized from the same rows, so bad CDF params
 	// must be refused before it panics on them.
 	if err := p.CDF.Validate(); err != nil {
@@ -126,7 +126,7 @@ func (e paretoExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.quick() && p.CDF.Trun > 1e4 {
 		p.CDF.Trun = 1e4
 	}
-	rows, err := ParetoEnv(r.env(ctx, e.Name(), ""), p)
+	rows, err := Pareto(r.env(ctx, e.Name(), ""), p)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 func TestParetoFrontier(t *testing.T) {
 	p := DefaultParetoParams()
 	p.CDF.Trun = 1e4 // test-scale
-	rows, err := ParetoEnv(mc.Env{}, p)
+	rows, err := Pareto(mc.Env{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,12 +143,12 @@ func TestRegistrySmokeAllExperiments(t *testing.T) {
 }
 
 // TestRegistryMatchesDirectFig5 pins the registry adapter against the
-// engine entry point Fig5Env: bit-identical tables at any worker count
+// engine entry point Fig5: bit-identical tables at any worker count
 // and under the Runner's seed override.
 func TestRegistryMatchesDirectFig5(t *testing.T) {
 	p := DefaultFig5Params()
 	p.CDF.Trun = 5e3
-	direct, err := Fig5Env(mc.Env{}, p)
+	direct, err := Fig5(mc.Env{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRegistryMatchesDirectFig5(t *testing.T) {
 	seed := int64(42)
 	q := p
 	q.CDF.Seed = seed
-	wantSeeded, err := Fig5Env(mc.Env{}, q)
+	wantSeeded, err := Fig5(mc.Env{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}

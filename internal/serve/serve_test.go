@@ -191,6 +191,37 @@ func TestServeConcurrentCampaignsWithWorker(t *testing.T) {
 	}
 }
 
+// TestServeFig5WithoutMonteCarloDies: a Fig. 5 sweep capped at one or
+// two faults is all exact strata, so the campaign plans no shard. Served
+// with a worker attached, it returns the bytes of a local run, and no
+// shard runs remotely or locally.
+func TestServeFig5WithoutMonteCarloDies(t *testing.T) {
+	srv := startServer(t, testConfig(t))
+	startWorker(t, srv)
+	c := dial(t, srv, serve.Options{})
+	seed := int64(7)
+	for _, params := range []string{`{"CDF":{"MaxFailures":1}}`, `{"CDF":{"MaxFailures":2}}`} {
+		f := submitAndWait(t, c, serve.Campaign{Experiment: "fig5", Quick: true, Seed: &seed, Params: []byte(params)})
+		if f.Err != "" {
+			t.Fatalf("%s: job failed: %s", params, f.Err)
+		}
+		res, err := exp.Run(context.Background(), "fig5", &exp.Runner{Quick: true, Seed: &seed, Params: []byte(params)})
+		if err != nil {
+			t.Fatalf("%s: local run: %v", params, err)
+		}
+		want, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.Result, want) {
+			t.Errorf("%s: served result differs from local run", params)
+		}
+	}
+	if st := srv.PoolStats(); st.RemoteShards+st.LocalShards != 0 {
+		t.Errorf("campaigns without Monte-Carlo dies ran shards: %+v", st)
+	}
+}
+
 // startWorker attaches one sweep worker with test-scale clocks to the
 // server's pool until test cleanup, and waits for it to join.
 func startWorker(t testing.TB, srv *serve.Server) {

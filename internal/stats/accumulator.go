@@ -7,9 +7,9 @@ import "math"
 // equally weighted ones through AddBatch; per-shard accumulators combine
 // through Merge (in shard order, so the combined result is independent
 // of how many workers produced the shards), and the distribution is read
-// back through P / Quantile / Points. A shard's accumulators, one per
-// arm, also take a run of observations that index a per-campaign Table
-// all at once, through Accumulators.AddTable.
+// back through P / Quantile / Points. The Fig. 5 engine adds a block of
+// Monte-Carlo dies, and each exact stratum of the prior, to every arm
+// through AddBatch, a run of observations at one weight.
 //
 // Two implementations exist:
 //

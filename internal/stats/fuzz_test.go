@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"slices"
 	"testing"
 
 	"faultmem/internal/wire"
@@ -116,16 +115,12 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// FuzzBatchAdd checks the batch adds against addOne, the one-at-a-time
+// FuzzBatchAdd checks the batch add against addOne, the one-at-a-time
 // rule. The input's first three bytes pick a histogram geometry (a zero
 // first byte picks the Fig. 5 engine's), the next eight a weight, and
-// the rest observations, eight bytes each; the observation bytes double
-// as AddTable's indices into a one-arm table of the first 64
-// observations, one in nine or so past them. For a WeightedCDF and a
-// LogHistogram, AddBatch of the observations and AddTable of the indices
-// must each panic exactly when the one-at-a-time adds do and leave the
-// same binary form; an index past the table panics before anything
-// changes, and NewTable refuses observations that hold a NaN.
+// the rest observations, eight bytes each. For a WeightedCDF and a
+// LogHistogram, AddBatch of the observations must panic exactly when the
+// one-at-a-time adds do and leave the same binary form.
 func FuzzBatchAdd(f *testing.F) {
 	seed := func(geom [3]byte, w float64, xs ...float64) []byte {
 		b := wire.AppendFloat64(geom[:], w)
@@ -153,64 +148,27 @@ func FuzzBatchAdd(f *testing.F) {
 		for k := range xs {
 			xs[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*k:]))
 		}
-		vals := xs[:min(len(xs), 64)]
-		idx := make([]uint16, len(rest))
-		for k, v := range rest {
-			idx[k] = uint16(int(v) % (len(vals) + 1 + len(vals)/8))
-		}
-		var tab *Table
-		nan := slices.ContainsFunc(vals, math.IsNaN)
-		if p := panicOf(func() { tab = NewTable([][]float64{vals}, newHist()) }); (p != nil) != (nan || len(vals) == 0) {
-			t.Fatalf("NewTable of %d values, NaN %t, panicked with %v", len(vals), nan, p)
-		}
-		var s TableScratch
-		// The one-at-a-time form of each batch add checks the weight
-		// first, even for an empty batch; a table add then checks every
-		// index before it adds any.
-		checkWeight := func() {
-			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				panic("invalid weight")
-			}
-		}
 		for _, newAcc := range []func() Accumulator{
 			func() Accumulator { return &WeightedCDF{} },
 			func() Accumulator { return newHist() },
 		} {
-			for _, c := range []struct {
-				name  string
-				batch func(Accumulator)
-				one   func(Accumulator)
-			}{
-				{"AddBatch", func(a Accumulator) { a.AddBatch(xs, w) }, func(a Accumulator) {
-					checkWeight()
-					for _, x := range xs {
-						addOne(a, x, w)
-					}
-				}},
-				{"AddTable", func(a Accumulator) { Accumulators{a}.AddTable(tab, idx, w, &s) }, func(a Accumulator) {
-					checkWeight()
-					for _, i := range idx {
-						if int(i) >= len(vals) {
-							panic("index out of range")
-						}
-					}
-					for _, i := range idx {
-						addOne(a, vals[i], w)
-					}
-				}},
-			} {
-				if tab == nil && c.name == "AddTable" {
-					continue
+			want, got := newAcc(), newAcc()
+			// The one-at-a-time form checks the weight first, even for
+			// an empty batch.
+			wantPanic := panicOf(func() {
+				if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+					panic("invalid weight")
 				}
-				want, got := newAcc(), newAcc()
-				wantPanic := panicOf(func() { c.one(want) }) != nil
-				gotPanic := panicOf(func() { c.batch(got) }) != nil
-				if gotPanic != wantPanic {
-					t.Fatalf("%T %s: panicked %t, one at a time %t", want, c.name, gotPanic, wantPanic)
+				for _, x := range xs {
+					addOne(want, x, w)
 				}
-				if !bytes.Equal(encoded(t, got), encoded(t, want)) {
-					t.Fatalf("%T %s: state differs from the one-at-a-time adds'", want, c.name)
-				}
+			}) != nil
+			gotPanic := panicOf(func() { got.AddBatch(xs, w) }) != nil
+			if gotPanic != wantPanic {
+				t.Fatalf("%T AddBatch: panicked %t, one at a time %t", want, gotPanic, wantPanic)
+			}
+			if !bytes.Equal(encoded(t, got), encoded(t, want)) {
+				t.Fatalf("%T AddBatch: state differs from the one-at-a-time adds'", want)
 			}
 		}
 	})

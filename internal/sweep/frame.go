@@ -48,8 +48,10 @@ const (
 	// ProtocolVersion is bumped on any incompatible frame or payload
 	// change; a coordinator rejects other versions at the frame layer.
 	// Version 4 has no worker sessions: Hello carries the shared secret
-	// alone and Welcome the shard lease.
-	ProtocolVersion = 4
+	// alone and Welcome the shard lease. Version 5 changes what a Fig. 5
+	// shard holds (only dies of three or more faults, in other spans)
+	// but not its form, so only the version tells a mixed build apart.
+	ProtocolVersion = 5
 	headerSize      = 12
 	// MaxFramePayload bounds a single frame. A shard result is at most a
 	// few hundred KB of accumulator state at paper-scale budgets; 64 MB

@@ -55,10 +55,14 @@ func ParseAccumMode(s string) (AccumMode, error) {
 }
 
 // HistAutoSamples is the planned-sample count at which AccumAuto stops
-// retaining exact observations and switches to the log-histogram. Below
-// it the exact store's footprint is at most ~16 MB per arm; above it the
-// histogram's fixed few-KB-per-arm footprint wins and its one-bin CDF
-// resolution (~3% in MSE) is far below the Monte-Carlo noise.
+// retaining exact observations and switches to the log-histogram. It
+// counts every die of the Eq. (4) plan, the one- and two-fault dies the
+// engine computes exactly included, so the switch sits where it did when
+// the engine sampled them: Trun = 1e7 plans 4.8M dies and runs on the
+// histogram although it draws only about 289k. Below the switch the
+// exact store holds at most ~16 MB per arm; above it the histogram's
+// fixed few-KB-per-arm footprint wins and its one-bin CDF resolution
+// (~3% in MSE) is far below the Monte-Carlo noise.
 const HistAutoSamples = 1 << 20
 
 // The histogram's log10-MSE domain. The smallest positive MSE any 32-bit
@@ -141,7 +145,8 @@ const maxCDFRows = 1 << 20
 // exact store, which keeps 16 bytes per sample and arm, reserved up front
 // in the shard stores and again in the merged one: 64 MiB per arm and
 // copy at the cap, four times the budget at which AccumAuto already
-// switches to the histogram. Larger budgets must use the histogram.
+// switches to the histogram. Like HistAutoSamples it counts the whole
+// plan. Larger budgets must use the histogram.
 const maxExactSamples = 1 << 22
 
 // Validate reports why p cannot drive the Fig. 5 engine. Every field it
@@ -169,13 +174,15 @@ func (p CDFParams) Validate() error {
 	return nil
 }
 
-// CDFResult is the outcome of one scheme's Monte-Carlo sweep.
+// CDFResult is the outcome of one scheme's sweep.
 type CDFResult struct {
 	Scheme string
 	// CDF is the distribution of the MSE conditioned on N >= 1 failures
-	// (weights follow Pr(N=n), matching Eq. 5's sum from i=1). It is an
-	// exact stats.WeightedCDF or an O(1)-memory stats.LogHistogram,
-	// depending on the params' accumulator mode and budget.
+	// (weights follow Pr(N=n), matching Eq. 5's sum from i=1): the one-
+	// and two-fault strata as exact weighted entries, one per outcome,
+	// and the Monte-Carlo dies of every larger count. It is an exact
+	// stats.WeightedCDF or an O(1)-memory stats.LogHistogram, depending
+	// on the params' accumulator mode and budget.
 	CDF stats.Accumulator
 	// Histogram reports whether CDF is the log-histogram accumulator
 	// rather than the exact observation store.
@@ -183,7 +190,11 @@ type CDFResult struct {
 	// PZeroFailures is Pr(N=0), the prior mass of fault-free dies (whose
 	// MSE is exactly 0).
 	PZeroFailures float64
-	// Samples is the number of Monte-Carlo memories evaluated.
+	// ExactMass is the prior mass CDF holds exactly rather than by
+	// sampling: Pr(N=1) + Pr(N=2), of the counts swept.
+	ExactMass float64
+	// Samples is the number of Monte-Carlo memories evaluated: the dies
+	// of three or more faults.
 	Samples int
 	// MaxFailuresSwept is the largest failure count simulated.
 	MaxFailuresSwept int
@@ -193,6 +204,7 @@ type CDFResult struct {
 type countPlan struct {
 	n   int     // failure count
 	k   int     // Monte-Carlo samples assigned to it
+	w   float64 // its prior mass Pr(N=n)
 	per float64 // weight per sample: Pr(N=n)/k
 }
 
@@ -225,7 +237,7 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int, err error) {
 		if p.MaxPerCount > 0 && k > p.MaxPerCount {
 			k = p.MaxPerCount
 		}
-		plans = append(plans, countPlan{n: n, k: k, per: w / float64(k)})
+		plans = append(plans, countPlan{n: n, k: k, w: w, per: w / float64(k)})
 		total += k
 		if total > maxCDFSamples {
 			return nil, 0, 0, fmt.Errorf("yield: Trun = %g plans more than %d samples", p.Trun, maxCDFSamples)
@@ -234,41 +246,44 @@ func (p CDFParams) plan() (plans []countPlan, total, nmax int, err error) {
 	return plans, total, nmax, nil
 }
 
-// MSECDFAllEnv runs the Fig. 5 Monte Carlo for every scheme at once on
-// the parallel engine: for every failure count n = 1..Nmax it draws
-// samples(n) ~ Pr(N=n)*Trun random fault maps (Eq. 4 prior, uniform fault
-// placement), computes each scheme's post-mitigation MSE of Eq. (6), and
-// accumulates the weighted CDF of Eq. (5). The arms share common random
-// numbers: each fault map is drawn once (per-row bitmasks, no
-// allocations) and scored by all schemes, so fault-map generation is
-// paid once instead of once per arm and between-arm comparisons such as
-// ReductionAtYield see the same samples on both sides (variance
-// reduction by positive correlation).
+// MSECDFAllEnv runs the Fig. 5 experiment for every scheme at once on
+// the parallel engine: for every failure count n = 1..Nmax of the Eq. (4)
+// prior it weighs each scheme's post-mitigation MSE of Eq. (6) over the
+// dies of n faults (uniform fault placement), and accumulates the
+// weighted CDF of Eq. (5).
 //
-// The sample budget is split into p.Shards deterministic RNG streams
+// The one- and two-fault strata, 94% of the dies at Fig. 5's Pcell, are
+// computed exactly: their outcomes are finite, and armCosts holds every
+// arm's MSE of each. After the shard merge every arm takes them as
+// weighted entries (armCosts.addExact), the same for any worker count. Only
+// the dies of three or more faults are Monte Carlo: samples(n) ~
+// Pr(N=n)*Trun random fault maps each, of weight Pr(N=n)/samples(n).
+// The arms share common random numbers: each fault map is drawn once
+// (per-row bitmasks, no allocations) and scored by all schemes, so
+// between-arm comparisons such as ReductionAtYield see the same samples
+// on both sides (variance reduction by positive correlation).
+//
+// The sampled dies are split into p.Shards deterministic RNG streams
 // executed by p.Workers goroutines; shard outputs merge in shard order,
-// so every result is bit-identical for any worker count. A campaign
-// whose context is cancelled or deadlined mid-flight returns ctx.Err()
-// without results. Cancellation is polled between shards by the engine
-// and at every block boundary inside each shard, so even single-shard
-// budgets return promptly. The environment's OnShard callback sees each
-// completed shard.
+// so every result is bit-identical for any worker count. A plan with no
+// die of three or more faults (MaxFailures 1 or 2) runs no shard. A
+// campaign whose context is cancelled or deadlined mid-flight returns
+// ctx.Err() without results. Cancellation is polled between shards by
+// the engine and at every block boundary inside each shard, so even
+// single-shard budgets return promptly. The environment's OnShard
+// callback sees each completed shard.
 //
-// Bad params, an exact-store budget above maxExactSamples, and shard
-// results from env.Exec that do not hold one accumulator of the
+// The accumulator choice (AccumAuto's HistAutoSamples switch) and the
+// exact store's cap count the whole plan, the exact strata's dies
+// included. Bad params, an exact-store budget above maxExactSamples, and
+// shard results from env.Exec that do not hold one accumulator of the
 // campaign's kind and geometry per scheme are reported as errors.
 //
 // Each shard scores its dies a block at a time (shardRun): up to
-// blockDies consecutive dies of one failure count, and so of one weight.
-// A block of one- or two-fault dies draws each die's cells, keeps it as
-// an index into a per-campaign table of every arm's MSE (armCosts), and
-// adds the block to all arms at once through Accumulators.AddTable; any
-// other block draws each die into the row sampler, scores it under every
-// scheme in one pass over its faulty rows, and hands each arm its block
-// of MSEs through AddBatch. Every accumulator ends bit-identical to one
-// Add per (die, arm) of RowSampler.MSE's value, in die order, and the
-// random stream is the one RowSampler.Draw would consume. A shard's
-// working memory (sampler, block buffers, the table adds' counts) comes
+// blockDies consecutive dies of one failure count, and so of one weight,
+// each drawn into the row sampler and scored under every scheme in one
+// pass over its faulty rows, every arm then taking its block of MSEs in
+// one AddBatch. A shard's working memory (sampler, block buffers) comes
 // from a per-campaign pool, so only its accumulators, its result, are
 // allocated per shard.
 func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error) {
@@ -282,7 +297,18 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 	if err != nil {
 		return nil, err
 	}
-	spans := mc.Split(total, p.Shards)
+	// The plan is ordered by count: the exact strata lead it, and the
+	// rest are the Monte-Carlo dies.
+	k := 0
+	for k < len(plans) && plans[k].n <= exactFaults {
+		k++
+	}
+	exact, sampled := plans[:k], plans[k:]
+	dies := 0
+	for _, pl := range sampled {
+		dies += pl.k
+	}
+	spans := mc.Split(dies, p.Shards)
 	cancel := env.Done()
 
 	// Accumulator factory: exact retention for small budgets (and as the
@@ -293,11 +319,7 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		return nil, fmt.Errorf("yield: %d planned samples exceed the exact store's cap of %d; use the histogram accumulator",
 			total, maxExactSamples)
 	}
-	var hist *stats.LogHistogram
-	if useHist {
-		hist = stats.NewLogHistogram(p.Bins, mseLogMin, mseLogMax)
-	}
-	costs := campaignCosts(schemes, p.Rows, p.Width, hist)
+	costs := campaignCosts(schemes, p.Rows, p.Width)
 	pool := &scratchPool{rows: p.Rows, width: p.Width, arms: len(schemes)}
 	newAcc := func(reserve int) stats.Accumulator {
 		if useHist {
@@ -318,12 +340,12 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 		defer pool.put(scratch)
 		run := shardRun{costs, accs, scratch}
 		// Locate the span's first (count, sample) pair, then stream
-		// through the count-major global order a block at a time. A
-		// block ends at blockDies, at the end of its count and at the
-		// end of the span, so it holds one count and one weight.
+		// through the count-major order of the sampled dies a block at
+		// a time. A block ends at blockDies, at the end of its count and
+		// at the end of the span, so it holds one count and one weight.
 		idx, off := 0, span.Start
-		for idx < len(plans) && off >= plans[idx].k {
-			off -= plans[idx].k
+		for idx < len(sampled) && off >= sampled[idx].k {
+			off -= sampled[idx].k
 			idx++
 		}
 		for g := span.Start; g < span.End; {
@@ -334,15 +356,15 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 				return accs
 			default:
 			}
-			for off >= plans[idx].k {
+			for off >= sampled[idx].k {
 				off = 0
 				idx++
 			}
-			pl := plans[idx]
-			dies := min(blockDies, pl.k-off, span.End-g)
-			run.block(rng, pl.n, dies, pl.per)
-			g += dies
-			off += dies
+			pl := sampled[idx]
+			size := min(blockDies, pl.k-off, span.End-g)
+			run.block(rng, pl.n, size, pl.per)
+			g += size
+			off += size
 		}
 		return accs
 	})
@@ -351,7 +373,7 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 	}
 	merged := make([]stats.Accumulator, len(schemes))
 	for j := range merged {
-		merged[j] = newAcc(total)
+		merged[j] = newAcc(dies + exactEntries(p.Width))
 	}
 	for i, shard := range outs {
 		if err := checkShard(i, shard, merged); err != nil {
@@ -360,17 +382,23 @@ func MSECDFAllEnv(env mc.Env, p CDFParams, schemes []Scheme) ([]CDFResult, error
 	}
 
 	p0 := stats.BinomialPMF(p.Cells(), p.Pcell, 0)
+	exactMass := 0.0
+	for _, pl := range exact {
+		exactMass += pl.w
+	}
 	results := make([]CDFResult, len(schemes))
 	for j, s := range schemes {
 		for _, shard := range outs {
 			merged[j].Merge(shard[j])
 		}
+		costs.addExact(merged[j], j, exact)
 		results[j] = CDFResult{
 			Scheme:           s.Name(),
 			CDF:              merged[j],
 			Histogram:        useHist,
 			PZeroFailures:    p0,
-			Samples:          total,
+			ExactMass:        exactMass,
+			Samples:          dies,
 			MaxFailuresSwept: nmax,
 		}
 	}
@@ -404,10 +432,9 @@ func checkShard(i int, accs, merged []stats.Accumulator) error {
 }
 
 // blockDies is the most dies a shard scores in one block. A block's
-// adds (one AddTable for all arms, or one AddBatch per arm) spread the
-// per-call costs (loading and storing the running sums, the interface
-// calls) over up to this many dies. The shard loop polls for
-// cancellation once per block.
+// adds (one AddBatch per arm) spread the per-call costs (loading and
+// storing the running sums, the interface calls) over up to this many
+// dies. The shard loop polls for cancellation once per block.
 const blockDies = 256
 
 // shardRun is one running shard: the campaign's costs, the shard's
@@ -419,17 +446,13 @@ type shardRun struct {
 }
 
 // shardScratch is a running shard's working memory. Once taken from the
-// pool it allocates nothing more (beyond sizing the table adds' counts
-// on their first use): the sampler reuses its masks and the block
-// buffers are sized up front.
+// pool it allocates nothing more: the sampler reuses its masks and the
+// block buffers are sized up front.
 type shardScratch struct {
 	sampler *RowSampler
-	// ids holds a one- or two-fault block's table indices, one per die.
-	ids []uint16
-	// die is one multi-fault die's MSE per arm; mse holds the block's,
-	// arm-major: mse[j*blockDies+i] is arm j's MSE of die i.
+	// die is one die's MSE per arm; mse holds the block's, arm-major:
+	// mse[j*blockDies+i] is arm j's MSE of die i.
 	die, mse []float64
-	table    stats.TableScratch
 }
 
 // scratchPool is a campaign's shard working memory: get hands a shard a
@@ -454,14 +477,12 @@ func (p *scratchPool) get() *shardScratch {
 	p.mu.Unlock()
 	return &shardScratch{
 		sampler: NewRowSampler(p.rows, p.width),
-		ids:     make([]uint16, blockDies),
 		die:     make([]float64, p.arms),
 		mse:     make([]float64, p.arms*blockDies),
 	}
 }
 
-// put returns s clean: its sampler reset (every table add already leaves
-// its counts zero).
+// put returns s clean: its sampler reset.
 func (p *scratchPool) put(s *shardScratch) {
 	s.sampler.Reset()
 	p.mu.Lock()
@@ -469,33 +490,11 @@ func (p *scratchPool) put(s *shardScratch) {
 	p.mu.Unlock()
 }
 
-// block draws dies dies (1..blockDies) of n faults each and adds every
-// arm's MSEs, at weight per, to that arm's accumulator. Each draw makes
-// the rng.Intn(cells) calls RowSampler.Draw(rng, n) would: a die of one
-// fault is one cell, kept as its column; a die of two is a cell, then a
-// second one redrawn until it differs, kept as pairIndex. Every other die
-// is drawn by the sampler and scored by mseAll.
+// block draws dies dies (1..blockDies) of n faults each into the
+// sampler, scores each under every arm in one pass over its faulty rows
+// (mseAll), and adds every arm's MSEs, at weight per, to that arm's
+// accumulator in one AddBatch.
 func (s *shardRun) block(rng *rand.Rand, n, dies int, per float64) {
-	cells, width := s.sampler.cells, s.costs.width
-	switch ids := s.ids[:dies]; n {
-	case 1:
-		for i := range ids {
-			ids[i] = uint16(uint32(rng.Intn(cells)) % uint32(width))
-		}
-		s.accs.AddTable(s.costs.one, ids, per, &s.table)
-		return
-	case 2:
-		for i := range ids {
-			c1 := rng.Intn(cells)
-			c2 := rng.Intn(cells)
-			for c2 == c1 {
-				c2 = rng.Intn(cells)
-			}
-			ids[i] = s.costs.pairIndex(c1, c2)
-		}
-		s.accs.AddTable(s.costs.two, ids, per, &s.table)
-		return
-	}
 	for i := 0; i < dies; i++ {
 		s.sampler.Draw(rng, n)
 		s.costs.mseAll(s.sampler, s.die)

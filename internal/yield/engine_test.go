@@ -21,8 +21,11 @@ func fig5Schemes() []Scheme {
 	}
 }
 
-// kernelPaths runs f once on each path a table add can take, as a
-// subtest: "avx" when the CPU has AVX, then "go".
+// kernelPaths runs f once on each mat kernel path the process can take,
+// as a subtest: "avx" when the CPU has AVX, then "go". A served or
+// coordinated campaign merges shards from workers on either path, so the
+// engine's output, and its freedom from allocation, must not depend on
+// the path, whether or not a kernel on it is ever keyed to UseAVX.
 func kernelPaths(t *testing.T, f func(*testing.T)) {
 	saved := mat.UseAVX
 	defer func() { mat.UseAVX = saved }()
@@ -110,12 +113,11 @@ func TestMSECDFAllShardCountChangesStreamsOnly(t *testing.T) {
 func TestHotPathZeroAllocs(t *testing.T) {
 	// Once a shard holds warm working memory from the campaign's pool,
 	// scoring its dies must not allocate, in both accumulator modes and
-	// on both table-add paths: the engine's blocks of one- and two-fault
-	// dies (cell draws, table adds to every arm) and of dies of three or
-	// more (sampler draws, all-arm row costs, batch adds), and the
-	// per-call path the layer probes time (Draw, RowSampler.MSE, one Add
-	// per arm). This is the regression gate for the allocation-free
-	// engine and its histogram extension.
+	// on every kernel path: the engine's blocks of three or more faults
+	// (sampler draws, all-arm row costs, batch adds), and the per-call
+	// path the layer probes time (Draw, RowSampler.MSE, one Add per arm).
+	// This is the regression gate for the allocation-free engine and its
+	// histogram extension.
 	schemes := fig5Schemes()
 	const rounds = 200
 	for _, mode := range []string{"exact", "hist"} {
@@ -128,10 +130,6 @@ func TestHotPathZeroAllocs(t *testing.T) {
 }
 
 func testHotPathZeroAllocs(t *testing.T, mode string, schemes []Scheme, rounds int) {
-	var hist *stats.LogHistogram
-	if mode == "hist" {
-		hist = stats.NewLogHistogram(0, -8, 20)
-	}
 	accs := make(stats.Accumulators, len(schemes))
 	for j := range accs {
 		if mode == "hist" {
@@ -145,16 +143,15 @@ func testHotPathZeroAllocs(t *testing.T, mode string, schemes []Scheme, rounds i
 		}
 	}
 	pool := &scratchPool{rows: 4096, width: 32, arms: len(schemes)}
-	run := shardRun{newArmCosts(schemes, 4096, 32, hist), accs, pool.get()}
+	run := shardRun{newArmCosts(schemes, 4096, 32), accs, pool.get()}
 	rng := stats.NewRand(1)
-	// A scratch's table counts grow to each table on its first add.
-	for n := 1; n <= 6; n++ {
+	for n := 3; n <= 8; n++ {
 		run.block(rng, n, blockDies, 1e-6)
 	}
-	n := 1
+	n := 3
 	avg := testing.AllocsPerRun(rounds, func() {
 		run.block(rng, n, blockDies, 1e-6)
-		n = n%6 + 1 // cycle realistic failure counts, 1 and 2 included
+		n = n%6 + 3 // cycle the sampled failure counts 3..8
 	})
 	if avg != 0 {
 		t.Fatalf("%s mode: a block of %d dies allocates %.1f times", mode, blockDies, avg)
@@ -182,13 +179,25 @@ func testHotPathZeroAllocs(t *testing.T, mode string, schemes []Scheme, rounds i
 
 // referenceAccumulators runs the die-at-a-time engine MSECDFAllEnv ran
 // before it scored dies in blocks — per die RowSampler.Draw, then
-// armCosts.mseAll, then one Add per arm — on the same mc shards and seeds,
-// and merges the shards in order into one accumulator per arm.
+// armCosts.mseAll, then one Add per arm — over the plan's counts of
+// three or more faults, on the same mc shards and seeds, merges the
+// shards in order into one accumulator per arm, and adds the exact
+// strata to each, one Add per entry.
 func referenceAccumulators(t *testing.T, p CDFParams, schemes []Scheme) []stats.Accumulator {
 	t.Helper()
-	plans, total, _, err := p.plan()
+	plans, _, _, err := p.plan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var exact, sampled []countPlan
+	total := 0
+	for _, pl := range plans {
+		if pl.n <= 2 {
+			exact = append(exact, pl)
+			continue
+		}
+		sampled = append(sampled, pl)
+		total += pl.k
 	}
 	newAcc := func() stats.Accumulator {
 		if p.Accum == AccumHist {
@@ -197,7 +206,7 @@ func referenceAccumulators(t *testing.T, p CDFParams, schemes []Scheme) []stats.
 		return &stats.WeightedCDF{}
 	}
 	spans := mc.Split(total, p.Shards)
-	costs := newArmCosts(schemes, p.Rows, p.Width, nil)
+	costs := newArmCosts(schemes, p.Rows, p.Width)
 	outs, err := mc.RunEnv(mc.Env{}, 1, len(spans), p.Seed, func(shard int, rng *rand.Rand) []stats.Accumulator {
 		span := spans[shard]
 		accs := make([]stats.Accumulator, len(schemes))
@@ -207,19 +216,19 @@ func referenceAccumulators(t *testing.T, p CDFParams, schemes []Scheme) []stats.
 		sampler := NewRowSampler(p.Rows, p.Width)
 		mse := make([]float64, len(schemes))
 		idx, off := 0, span.Start
-		for idx < len(plans) && off >= plans[idx].k {
-			off -= plans[idx].k
+		for idx < len(sampled) && off >= sampled[idx].k {
+			off -= sampled[idx].k
 			idx++
 		}
 		for g := span.Start; g < span.End; g++ {
-			for off >= plans[idx].k {
+			for off >= sampled[idx].k {
 				off = 0
 				idx++
 			}
-			sampler.Draw(rng, plans[idx].n)
+			sampler.Draw(rng, sampled[idx].n)
 			costs.mseAll(sampler, mse)
 			for j, acc := range accs {
-				acc.Add(mse[j], plans[idx].per)
+				acc.Add(mse[j], sampled[idx].per)
 			}
 			off++
 		}
@@ -234,8 +243,19 @@ func referenceAccumulators(t *testing.T, p CDFParams, schemes []Scheme) []stats.
 		for _, shard := range outs {
 			merged[j].Merge(shard[j])
 		}
+		costs.addExact(oneAtATime{merged[j]}, j, exact)
 	}
 	return merged
+}
+
+// oneAtATime is an Accumulator whose AddBatch is one Add per
+// observation.
+type oneAtATime struct{ stats.Accumulator }
+
+func (a oneAtATime) AddBatch(xs []float64, w float64) {
+	for _, x := range xs {
+		a.Add(x, w)
+	}
 }
 
 // binaryForm is an accumulator's wire encoding: every bin, sum, count and
@@ -250,16 +270,15 @@ func binaryForm(t *testing.T, a stats.Accumulator) []byte {
 }
 
 func TestBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
-	// Scoring dies in blocks (table adds for one- and two-fault blocks,
-	// batch adds for the rest) must leave every arm's accumulator byte
-	// for byte where the die-at-a-time loop leaves it: on the Fig. 5
-	// geometry, an odd row count, a narrow and a 64-bit word, and a 4x8
-	// array where two-fault dies often share a row and redraw a
-	// duplicate cell; in both accumulator modes, on both table-add
-	// kernel paths (nine arms take two lane passes); and at shard counts
-	// whose span edges cut blocks inside a count. A MaxPerCount that
-	// caps several counts moves the count edges off the prior's own
-	// layout.
+	// Scoring dies in blocks must leave every arm's accumulator byte for
+	// byte where the die-at-a-time loop over the dies of three or more
+	// faults, plus the exact strata added one entry at a time, leaves
+	// it: on the Fig. 5 geometry, an odd row count, a narrow and a
+	// 64-bit word, and a 4x8 array where dies often redraw a duplicate
+	// cell; in both accumulator modes; on every kernel path; and at
+	// shard counts whose span edges cut blocks inside a count. A
+	// MaxPerCount that caps several sampled counts moves the count edges
+	// off the prior's own layout.
 	kernelPaths(t, testBlockEngineMatchesDieAtATimeLoop)
 }
 
@@ -271,11 +290,11 @@ func testBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
 		maxPer      int
 		schemes     []Scheme
 	}{
-		{4096, 32, 5e-6, 5e4, 1000, wide},
-		{37, 32, 2e-3, 2e4, 1500, wide},
-		{16, 16, 1e-2, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 16, NFM: 2})}},
-		{8, 64, 5e-3, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, PriorityECC{}, NewShuffledConfig(core.Config{Width: 64, NFM: 3})}},
-		{4, 8, 5e-2, 2e4, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 8, NFM: 1}), NewShuffledConfig(core.Config{Width: 8, NFM: 2})}},
+		{4096, 32, 5e-6, 5e5, 1000, wide},
+		{37, 32, 2e-3, 2e5, 1500, wide},
+		{16, 16, 1e-2, 2e5, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 16, NFM: 2})}},
+		{8, 64, 5e-3, 2e5, 1200, []Scheme{Unprotected{}, FullECC{}, PriorityECC{}, NewShuffledConfig(core.Config{Width: 64, NFM: 3})}},
+		{4, 8, 5e-2, 2e5, 1200, []Scheme{Unprotected{}, FullECC{}, NewShuffledConfig(core.Config{Width: 8, NFM: 1}), NewShuffledConfig(core.Config{Width: 8, NFM: 2})}},
 	}
 	for _, g := range geoms {
 		for _, accum := range []AccumMode{AccumExact, AccumHist} {
@@ -288,14 +307,17 @@ func testBlockEngineMatchesDieAtATimeLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				capped := 0
+				capped, sampled := 0, 0
 				for _, pl := range plans {
-					if pl.k == g.maxPer {
-						capped++
+					if pl.n >= 3 {
+						sampled++
+						if pl.k == g.maxPer {
+							capped++
+						}
 					}
 				}
-				if capped < 2 || plans[0].n != 1 || len(plans) < 4 {
-					t.Fatalf("%dx%d: plan %v does not cap several counts from n = 1", g.rows, g.width, plans)
+				if capped < 2 || plans[0].n != 1 || sampled < 3 {
+					t.Fatalf("%dx%d: plan %v does not cap several sampled counts", g.rows, g.width, plans)
 				}
 				want := referenceAccumulators(t, p, g.schemes)
 				got := msecdfAll(t, p, g.schemes)
@@ -318,27 +340,24 @@ type oddScheme struct {
 }
 
 func TestCampaignCostsSharedOnlyWhenEqual(t *testing.T) {
-	// Replays of one campaign share its costs; a change in the schemes,
-	// the array or the histogram geometry builds new ones, and schemes of
-	// foreign types are never shared.
-	hist := func(bins int) *stats.LogHistogram { return stats.NewLogHistogram(bins, mseLogMin, mseLogMax) }
-	a := campaignCosts(fig5Schemes(), 64, 32, hist(0))
-	if b := campaignCosts(fig5Schemes(), 64, 32, hist(0)); b != a {
+	// Replays of one campaign share its costs; a change in the schemes or
+	// the array builds new ones, and schemes of foreign types are never
+	// shared.
+	a := campaignCosts(fig5Schemes(), 64, 32)
+	if b := campaignCosts(fig5Schemes(), 64, 32); b != a {
 		t.Fatal("equal arguments built new costs")
 	}
 	for name, other := range map[string]func() *armCosts{
-		"rows":     func() *armCosts { return campaignCosts(fig5Schemes(), 65, 32, hist(0)) },
-		"width":    func() *armCosts { return campaignCosts(fig5Schemes(), 64, 16, hist(0)) },
-		"geometry": func() *armCosts { return campaignCosts(fig5Schemes(), 64, 32, hist(7)) },
-		"exact":    func() *armCosts { return campaignCosts(fig5Schemes(), 64, 32, nil) },
-		"schemes":  func() *armCosts { return campaignCosts(fig5Schemes()[1:], 64, 32, hist(0)) },
+		"rows":    func() *armCosts { return campaignCosts(fig5Schemes(), 65, 32) },
+		"width":   func() *armCosts { return campaignCosts(fig5Schemes(), 64, 16) },
+		"schemes": func() *armCosts { return campaignCosts(fig5Schemes()[1:], 64, 32) },
 	} {
 		if other() == a {
 			t.Fatalf("costs shared across a change of %s", name)
 		}
 	}
 	odd := []Scheme{oddScheme{tag: []int{1}}}
-	if campaignCosts(odd, 64, 32, nil) == campaignCosts(odd, 64, 32, nil) {
+	if campaignCosts(odd, 64, 32) == campaignCosts(odd, 64, 32) {
 		t.Fatal("costs of a foreign scheme were shared")
 	}
 }
@@ -355,7 +374,7 @@ func TestArmCostsMatchRowSamplerMSEBitwise(t *testing.T) {
 		schemes     []Scheme
 	}{{4096, 32, wide}, {64, 32, wide}, {37, 32, wide}, {16, 16, narrow}} {
 		schemes := geom.schemes
-		costs := newArmCosts(schemes, geom.rows, geom.width, nil)
+		costs := newArmCosts(schemes, geom.rows, geom.width)
 		sampler := NewRowSampler(geom.rows, geom.width)
 		rng := stats.NewRand(int64(geom.rows))
 		mse := make([]float64, len(schemes))
@@ -500,12 +519,13 @@ func TestHistogramModeFlatMemoryAtPaperBudget(t *testing.T) {
 
 	for _, r := range results {
 		if !r.Histogram {
-			t.Fatalf("%s: auto mode did not select the histogram at Trun=1e7 (%d samples)",
+			t.Fatalf("%s: auto mode did not select the histogram at Trun=1e7 (%d Monte-Carlo dies)",
 				r.Scheme, r.Samples)
 		}
 		lh := r.CDF.(*stats.LogHistogram)
-		if got := int(lh.Count()); got != r.Samples {
-			t.Fatalf("%s: histogram streamed %d of %d samples", r.Scheme, got, r.Samples)
+		if got, want := int(lh.Count()), r.Samples+exactEntries(p.Width); got != want {
+			t.Fatalf("%s: histogram streamed %d observations, want %d Monte-Carlo dies and %d exact entries",
+				r.Scheme, got, r.Samples, exactEntries(p.Width))
 		}
 		// Retained state is bounded by the bin geometry, not the budget:
 		// the 100x-larger run reports the same fixed capacity as the
@@ -602,5 +622,82 @@ func BenchmarkMSECDFAllFig5Serial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = msecdfAll(b, p, schemes)
+	}
+}
+
+func TestExactStrataEdgeCases(t *testing.T) {
+	// The exact strata hold up at the edges of the plan and the array,
+	// each within the band of the exact oracle: a sweep capped at one or
+	// two faults leaves no Monte-Carlo die, so the exact CDF comes back
+	// and no shard runs; a single row has no pair of faults on two rows
+	// (its two-row weight is 0); a one-bit word has no pair on one row;
+	// a single cell holds at most one fault; and Pcell 0 leaves an empty
+	// CDF, every die fault-free.
+	narrow := []Scheme{Unprotected{}, FullECC{}, PriorityECC{Protected: 31}}
+	fig5 := DefaultCDFParams()
+	fig5.Accum = AccumExact
+	cases := []struct {
+		name    string
+		p       CDFParams
+		schemes []Scheme
+		mcDies  bool
+	}{
+		{"MaxFailures 1", func() CDFParams { p := fig5; p.MaxFailures = 1; return p }(), fig5Schemes(), false},
+		{"MaxFailures 2", func() CDFParams { p := fig5; p.MaxFailures = 2; return p }(), fig5Schemes(), false},
+		{"Rows 1", CDFParams{Rows: 1, Width: 8, Pcell: 0.15, Trun: 2e5, MaxPerCount: 50_000, Seed: 3}, smallArraySchemes(), true},
+		{"Width 1", CDFParams{Rows: 16, Width: 1, Pcell: 0.08, Trun: 2e5, MaxPerCount: 50_000, Seed: 4}, narrow, true},
+		{"1x1", CDFParams{Rows: 1, Width: 1, Pcell: 0.3, Trun: 2e5, Seed: 5}, narrow, false},
+		{"Pcell 0", func() CDFParams { p := fig5; p.Pcell = 0; return p }(), fig5Schemes(), false},
+	}
+	for _, c := range cases {
+		o := exactOf(t, c.p, c.schemes)
+		shards := 0
+		env := mc.Env{OnShard: func(int, int) { shards++ }}
+		rs, err := MSECDFAllEnv(env, c.p, c.schemes)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		plans, _, _, err := c.p.plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The exact store holds the dies and one entry per outcome of
+		// the exact strata: W for one fault, W² for two on two rows when
+		// there are two rows, W(W-1) for two on one row.
+		exactMass, entries := 0.0, 0
+		for _, pl := range plans {
+			switch pl.n {
+			case 1:
+				exactMass += pl.w
+				entries += c.p.Width
+			case 2:
+				exactMass += pl.w
+				entries += c.p.Width * (c.p.Width - 1)
+				if c.p.Rows > 1 {
+					entries += c.p.Width * c.p.Width
+				}
+			}
+		}
+		band := samplingBand(t, c.p, rs[0]) + o.dropped
+		for j, r := range rs {
+			if r.ExactMass != exactMass {
+				t.Errorf("%s %s: exact mass %v, want %v", c.name, r.Scheme, r.ExactMass, exactMass)
+			}
+			if n := r.CDF.(*stats.WeightedCDF).Len(); n != r.Samples+entries {
+				t.Errorf("%s %s: %d observations, want %d dies and %d exact entries", c.name, r.Scheme, n, r.Samples, entries)
+			}
+			if (r.Samples > 0) != c.mcDies || (shards > 0) != c.mcDies {
+				t.Errorf("%s %s: %d Monte-Carlo dies in %d shards", c.name, r.Scheme, r.Samples, shards)
+			}
+			checkWithinBand(t, c.name, r, o.arms[j], band)
+		}
+		if c.p.Pcell == 0 {
+			for _, r := range rs {
+				if r.CDF.TotalWeight() != 0 || r.YieldAtMSE(0) != 1 || r.MSEAtYield(1) != 0 {
+					t.Errorf("Pcell 0 %s: mass %v, yield at MSE 0 %v, MSE at yield 1 %v",
+						r.Scheme, r.CDF.TotalWeight(), r.YieldAtMSE(0), r.MSEAtYield(1))
+				}
+			}
+		}
 	}
 }

@@ -12,11 +12,12 @@ import (
 )
 
 // fig5HistGolden is the digest (histDigest) of a histogram-mode Fig. 5
-// run at fig5HistGoldenParams, captured while LogHistogram still binned
-// every observation through math.Log10. The worker-count tests only
-// compare runs with each other, so a binning change that moved
-// observations consistently would pass them; this pins the absolute bits.
-const fig5HistGolden = "6b67689894aca579f5534654953fbe9c3a20c843b79b204c0e6b6043703bb4b7"
+// run at fig5HistGoldenParams, captured when the engine began to compute
+// the one- and two-fault strata exactly and to sample only dies of three
+// or more faults. The worker-count tests only compare runs with each
+// other, so a change that moved observations consistently would pass
+// them; this pins the absolute bits.
+const fig5HistGolden = "5dd3a5560109fc1a0a5548b79126db6faded6c4d37c5e91ad20b0cb9d1404693"
 
 func fig5HistGoldenParams() CDFParams {
 	p := DefaultCDFParams()

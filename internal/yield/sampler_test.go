@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"slices"
 	"testing"
 
 	"faultmem/internal/fault"
@@ -138,5 +139,49 @@ func TestShuffledRowMSEWithoutMemo(t *testing.T) {
 	}
 	if fast.RowMSE(0b1010010) != slow.RowMSE(0b1010010) {
 		t.Fatal("multi-fault mask disagrees")
+	}
+}
+
+func TestDrawStreamMatchesIntn(t *testing.T) {
+	// From equal seeds the sampler draws rng.Intn(cells)'s sequence of
+	// cells, and Draw places them as a loop of Intn calls with duplicate
+	// redraws does: on arrays of a power-of-two cell count (4096x32,
+	// 4x8), of others (37x32, 3x8) and of a single cell.
+	for _, g := range []struct{ rows, width int }{{4096, 32}, {37, 32}, {4, 8}, {3, 8}, {1, 1}} {
+		s := NewRowSampler(g.rows, g.width)
+		cells := g.rows * g.width
+		got, want := stats.NewRand(int64(cells)), stats.NewRand(int64(cells))
+		for i := range 10000 {
+			if c, w := s.cell(got), want.Intn(cells); c != w {
+				t.Fatalf("%dx%d draw %d: cell %d, Intn %d", g.rows, g.width, i, c, w)
+			}
+		}
+		ref := make([]uint64, g.rows)
+		for i := range 2000 {
+			n := 1 + i%min(cells, 9)
+			s.Draw(got, n)
+			clear(ref)
+			var order []int
+			for placed := 0; placed < n; {
+				c := want.Intn(cells)
+				row, bit := c/g.width, uint64(1)<<(c%g.width)
+				if ref[row]&bit != 0 {
+					continue
+				}
+				if ref[row] == 0 {
+					order = append(order, row)
+				}
+				ref[row] |= bit
+				placed++
+			}
+			if !slices.Equal(s.Rows(), order) {
+				t.Fatalf("%dx%d die %d: rows %v, Intn loop %v", g.rows, g.width, i, s.Rows(), order)
+			}
+			for _, r := range order {
+				if s.Mask(r) != ref[r] {
+					t.Fatalf("%dx%d die %d row %d: mask %#x, Intn loop %#x", g.rows, g.width, i, r, s.Mask(r), ref[r])
+				}
+			}
+		}
 	}
 }
