@@ -30,7 +30,7 @@ func BenchmarkFig2CellFailure(b *testing.B) {
 	var rows []exp.Fig2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows, err = exp.Fig2Ctx(context.Background(), p); err != nil {
+		if rows, err = exp.Fig2(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,12 @@
 // Command recovery walks through the detect-and-recover layer: list the
 // trial-level recovery policies, run the "recovery" campaign (one
-// workload through all eight protection arms, once per policy, on
+// workload through all eight protection arms under each policy, on
 // paired random numbers), and read the quality grids and per-policy
 // recovery counters. The campaign's point: SECDED detection is already
 // paid for — acting on the detected-uncorrectable (DUE) flags with
 // bounded re-reads or a small safe-memory restore budget buys back most
 // of the quality the dies lose, while the codeless arms (which cannot
-// detect) are untouched by every policy.
+// detect) are untouched by every policy, so the campaign runs them once.
 //
 //	go run ./examples/recovery
 package main

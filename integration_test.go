@@ -127,8 +127,8 @@ func TestIntegrationRedundancyVsShuffling(t *testing.T) {
 func TestIntegrationExpDeterminism(t *testing.T) {
 	ctx := context.Background()
 	fig2 := exp.Fig2Params{VMin: 0.7, VMax: 0.8, Step: 0.05, ISDirections: 500, MemoryBytes: 16384, Seed: 4}
-	a, errA := exp.Fig2Ctx(ctx, fig2)
-	b, errB := exp.Fig2Ctx(ctx, fig2)
+	a, errA := exp.Fig2(ctx, fig2)
+	b, errB := exp.Fig2(ctx, fig2)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}

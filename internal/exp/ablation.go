@@ -70,13 +70,13 @@ type MultiFaultParams struct {
 // DefaultMultiFaultParams matches the CLI's historical defaults.
 func DefaultMultiFaultParams() MultiFaultParams { return MultiFaultParams{Seed: 5, Trials: 5000} }
 
-// AblationMultiFaultEnv runs the policy comparison: for each nFM and
+// AblationMultiFault runs the policy comparison: for each nFM and
 // faults-per-row count, Monte-Carlo rows with k distinct faulty columns
 // are scored under both policies. Every (nFM, k) point is one shard of
 // the mc engine — its own deterministic RNG stream, evaluated in
 // parallel, assembled in sweep order — so the rows are identical while
 // the context stays live, ctx.Err() when cancelled mid-study.
-func AblationMultiFaultEnv(env mc.Env, p MultiFaultParams) ([]AblationMultiFaultRow, error) {
+func AblationMultiFault(env mc.Env, p MultiFaultParams) ([]AblationMultiFaultRow, error) {
 	if p.Trials < 1 {
 		return nil, fmt.Errorf("exp: ablate-multifault params: Trials = %d, want >= 1", p.Trials)
 	}
@@ -224,7 +224,7 @@ func DefaultTransientParams() TransientParams {
 	return TransientParams{Seed: 5, Rows: 1024, Pcell: 1e-4, Rates: []float64{0, 1e-5, 1e-4}, Reads: 8}
 }
 
-// AblationTransientEnv runs the functional soft-error study: memories
+// AblationTransient runs the functional soft-error study: memories
 // carry a persistent fault map at Pcell plus per-read transient flips at
 // each rate; all-zero data is written and re-read, and the observed flip
 // pattern is scored like Eq. (6). Bit-shuffling mitigates only the
@@ -232,7 +232,7 @@ func DefaultTransientParams() TransientParams {
 // strike), while SECDED corrects any single error per word regardless of
 // origin — the boundary of the paper's approach. The rows are identical
 // while the context stays live, ctx.Err() when cancelled mid-study.
-func AblationTransientEnv(env mc.Env, p TransientParams) ([]AblationTransientRow, error) {
+func AblationTransient(env mc.Env, p TransientParams) ([]AblationTransientRow, error) {
 	seed, rows, pcell, rates, readsPerCell := p.Seed, p.Rows, p.Pcell, p.Rates, p.Reads
 	if rows < 1 || readsPerCell < 1 {
 		return nil, fmt.Errorf("exp: ablate-transient params: Rows = %d, Reads = %d; want both >= 1", rows, readsPerCell)
@@ -347,7 +347,7 @@ func (e multiFaultExperiment) Run(ctx context.Context, r *Runner) (*Result, erro
 	if r.quick() && p.Trials > 1000 {
 		p.Trials = 1000
 	}
-	rows, err := AblationMultiFaultEnv(r.env(ctx, e.Name(), ""), p)
+	rows, err := AblationMultiFault(r.env(ctx, e.Name(), ""), p)
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +396,7 @@ func (e transientExperiment) Run(ctx context.Context, r *Runner) (*Result, error
 	if r.quick() && p.Rows > 256 {
 		p.Rows = 256
 	}
-	rows, err := AblationTransientEnv(r.env(ctx, e.Name(), ""), p)
+	rows, err := AblationTransient(r.env(ctx, e.Name(), ""), p)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblationMultiFaultInvariants(t *testing.T) {
-	rows, err := AblationMultiFaultEnv(mc.Env{}, MultiFaultParams{Seed: 3, Trials: 2000})
+	rows, err := AblationMultiFault(mc.Env{}, MultiFaultParams{Seed: 3, Trials: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAblationLUTTableRenders(t *testing.T) {
 
 func TestAblationTransientBoundary(t *testing.T) {
 	rates := []float64{0, 1e-4}
-	rows, err := AblationTransientEnv(mc.Env{}, TransientParams{Seed: 7, Rows: 512, Pcell: 2e-3, Rates: rates, Reads: 4})
+	rows, err := AblationTransient(mc.Env{}, TransientParams{Seed: 7, Rows: 512, Pcell: 2e-3, Rates: rates, Reads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAblationTransientPureSoftErrors(t *testing.T) {
 	// Without persistent faults, SECDED corrects essentially every soft
 	// error (multi-flip words are ~1e-6 rare) while shuffling provides no
 	// mitigation at all — the clean statement of the boundary.
-	rows, err := AblationTransientEnv(mc.Env{}, TransientParams{Seed: 11, Rows: 512, Rates: []float64{1e-4}, Reads: 8})
+	rows, err := AblationTransient(mc.Env{}, TransientParams{Seed: 11, Rows: 512, Rates: []float64{1e-4}, Reads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,17 @@ func (repairedArm) Build(rows int, fm fault.Map) (mem.Word32, error) {
 	return m, err
 }
 
+// oracleArm is a buildable memory the oracle tests cover: a protection
+// arm or the repaired baseline, which has no scheme ID.
+type oracleArm interface {
+	fmt.Stringer
+	Build(rows int, fm fault.Map) (mem.Word32, error)
+}
+
 // oracleArms returns every protection arm plus the repaired baseline:
 // every memory the batch-versus-scalar oracle tests cover.
-func oracleArms() []workload.Arm {
-	var arms []workload.Arm
+func oracleArms() []oracleArm {
+	var arms []oracleArm
 	for _, p := range AllProtections() {
 		arms = append(arms, p)
 	}
@@ -80,7 +87,7 @@ func writeImage(m mem.Word32, addr int, words []uint32) {
 
 // twinMemories builds two identical memories of one arm over the same
 // fault map.
-func twinMemories(t *testing.T, arm workload.Arm, rows int, fm fault.Map) (scalar, batch mem.Word32) {
+func twinMemories(t *testing.T, arm oracleArm, rows int, fm fault.Map) (scalar, batch mem.Word32) {
 	t.Helper()
 	a, err := arm.Build(rows, fm)
 	if err != nil {
@@ -96,7 +103,7 @@ func twinMemories(t *testing.T, arm workload.Arm, rows int, fm fault.Map) (scala
 // checkTwinsAgree compares the observable state the batch paths promise
 // to preserve: every readable word, decode statistics, and the raw
 // array access counters.
-func checkTwinsAgree(t *testing.T, arm workload.Arm, scalar, batch mem.Word32, what string) {
+func checkTwinsAgree(t *testing.T, arm oracleArm, scalar, batch mem.Word32, what string) {
 	t.Helper()
 	for addr := 0; addr < scalar.Words(); addr++ {
 		if s, b := scalar.Read(addr), batch.Read(addr); s != b {
@@ -130,7 +137,7 @@ func checkTwinsAgree(t *testing.T, arm workload.Arm, scalar, batch mem.Word32, w
 // [addr, addr+n) hold both FM-LUT entries that are 0, which take no
 // rotation on the bulk paths, and non-zero ones, which do, so an
 // oracle test over them covers both. Other arms pass.
-func checkRotationCoverage(t *testing.T, arm workload.Arm, m mem.Word32, addr, n int) {
+func checkRotationCoverage(t *testing.T, arm oracleArm, m mem.Word32, addr, n int) {
 	t.Helper()
 	s, ok := m.(*core.Shuffled)
 	if !ok {

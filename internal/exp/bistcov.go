@@ -37,13 +37,13 @@ type BISTCoverageRow struct {
 	VictimCoverage float64 // fraction of coupling victims located
 }
 
-// BISTCoverageCtx measures detection coverage per algorithm, polling
+// BISTCoverage measures detection coverage per algorithm, polling
 // ctx between Monte-Carlo trials: static faults must always be found
 // (all algorithms read both backgrounds everywhere); coupling-fault
 // coverage separates the cheap tests from the thorough ones, since
 // detection requires a read of the victim between the aggressor's
 // disturbing write and the victim's next rewrite.
-func BISTCoverageCtx(ctx context.Context, p BISTCoverageParams) ([]BISTCoverageRow, error) {
+func BISTCoverage(ctx context.Context, p BISTCoverageParams) ([]BISTCoverageRow, error) {
 	// Every trial places StaticFaults distinct cells and Couplings
 	// distinct victims, each with an aggressor elsewhere in the array.
 	if p.Rows < 1 || p.Width < 1 || p.Width > 64 {
@@ -130,7 +130,7 @@ func (e bistcovExperiment) Run(ctx context.Context, r *Runner) (*Result, error) 
 	if r.quick() && p.Trials > 10 {
 		p.Trials = 10
 	}
-	rows, err := BISTCoverageCtx(ctx, p)
+	rows, err := BISTCoverage(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 func TestBISTCoverageHierarchy(t *testing.T) {
 	p := DefaultBISTCoverageParams()
 	p.Trials = 25
-	rows, err := BISTCoverageCtx(context.Background(), p)
+	rows, err := BISTCoverage(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestEnergyStudyWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []EnergyRow {
 		q := p
 		q.Workers = workers
-		rows, err := EnergyStudyEnv(mc.Env{}, q)
+		rows, err := EnergyStudy(mc.Env{}, q)
 		if err != nil {
 			t.Fatal(err)
 		}

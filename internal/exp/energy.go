@@ -92,12 +92,12 @@ func (a energyArm) qualifies(s *yield.RowSampler, budget redund.Budget, target f
 	return ok
 }
 
-// EnergyStudyEnv sweeps VDD for every arm and returns the minimum
+// EnergyStudy sweeps VDD for every arm and returns the minimum
 // viable voltage and read energy per scheme: bit-identical rows when the
 // context stays live, ctx.Err() when it is cancelled or deadlined
 // mid-sweep. The environment's OnShard counts completed voltage points
 // (the sweep's outer unit of work).
-func EnergyStudyEnv(env mc.Env, p EnergyParams) ([]EnergyRow, error) {
+func EnergyStudy(env mc.Env, p EnergyParams) ([]EnergyRow, error) {
 	if p.Rows < 1 || p.Dies < 1 || !(p.Step > 0) || !(p.VMax >= p.VMin) {
 		return nil, fmt.Errorf("exp: energy params: Rows = %d, Dies = %d, VMin = %g, VMax = %g, Step = %g; want Rows >= 1, Dies >= 1, VMin <= VMax and Step > 0",
 			p.Rows, p.Dies, p.VMin, p.VMax, p.Step)
@@ -256,7 +256,7 @@ func (e energyExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.quick() && p.Dies > 120 {
 		p.Dies = 120
 	}
-	rows, err := EnergyStudyEnv(r.env(ctx, e.Name(), ""), p)
+	rows, err := EnergyStudy(r.env(ctx, e.Name(), ""), p)
 	if err != nil {
 		return nil, err
 	}

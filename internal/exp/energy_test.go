@@ -13,7 +13,7 @@ import (
 func TestEnergyStudyOrdering(t *testing.T) {
 	p := DefaultEnergyParams()
 	p.Dies = 120 // keep the test fast; orderings are robust
-	rows, err := EnergyStudyEnv(mc.Env{}, p)
+	rows, err := EnergyStudy(mc.Env{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestEnergyStudyOrdering(t *testing.T) {
 func TestEnergyStudyDeterministic(t *testing.T) {
 	p := DefaultEnergyParams()
 	p.Dies = 60
-	a, err := EnergyStudyEnv(mc.Env{}, p)
+	a, err := EnergyStudy(mc.Env{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EnergyStudyEnv(mc.Env{}, p)
+	b, err := EnergyStudy(mc.Env{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRedundancyStudyEconomics(t *testing.T) {
 	p := DefaultRedundancyParams()
 	p.Dies = 60
 	p.VDDs = []float64{0.80, 0.72, 0.66}
-	rows, err := RedundancyStudyCtx(context.Background(), p)
+	rows, err := RedundancyStudy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRedundancyStudyMonotoneInBudget(t *testing.T) {
 		{SpareRows: 4, SpareCols: 4},
 		{SpareRows: 16, SpareCols: 16},
 	}
-	rows, err := RedundancyStudyCtx(context.Background(), p)
+	rows, err := RedundancyStudy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

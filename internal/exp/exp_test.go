@@ -89,7 +89,7 @@ func TestTableRendering(t *testing.T) {
 func TestFig2ShapeAndAnchors(t *testing.T) {
 	p := DefaultFig2Params()
 	p.ISDirections = 4000 // keep the test quick
-	rows, err := Fig2Ctx(context.Background(), p)
+	rows, err := Fig2(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

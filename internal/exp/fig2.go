@@ -38,11 +38,11 @@ type Fig2Row struct {
 	ExpectFailures float64
 }
 
-// Fig2Ctx runs the sweep from VMax down to VMin, polling ctx between
+// Fig2 runs the sweep from VMax down to VMin, polling ctx between
 // sweep points (each point pays one importance-sampling estimate): the
 // rows are deterministic in p while the context stays live, ctx.Err()
 // otherwise.
-func Fig2Ctx(ctx context.Context, p Fig2Params) ([]Fig2Row, error) {
+func Fig2(ctx context.Context, p Fig2Params) ([]Fig2Row, error) {
 	if !(p.Step > 0) || !(p.VMax >= p.VMin) {
 		return nil, fmt.Errorf("exp: fig2 params: VMin = %g, VMax = %g, Step = %g; want VMin <= VMax and Step > 0", p.VMin, p.VMax, p.Step)
 	}
@@ -88,7 +88,7 @@ func (e fig2Experiment) Run(ctx context.Context, r *Runner) (*Result, error) {
 	if r.quick() && p.ISDirections > 4000 {
 		p.ISDirections = 4000
 	}
-	rows, err := Fig2Ctx(ctx, p)
+	rows, err := Fig2(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,8 @@ import (
 
 // qualityRuns plans the named quality campaign (fig7, workloads or
 // recovery) under r and runs its stages: the raw per-arm samples its
-// tables are rendered from.
+// tables are rendered from (for recovery, every policy's eight arms,
+// the codeless ones borrowed from the first policy).
 func qualityRuns(name string, r *Runner) ([]qualityRun, error) {
 	var stages []qualityStage
 	var err error
@@ -28,7 +29,8 @@ func qualityRuns(name string, r *Runner) ([]qualityRun, error) {
 	case "workloads":
 		_, stages, err = workloadsExperiment{}.plan(r)
 	case "recovery":
-		_, stages, err = recoveryExperiment{}.plan(r)
+		_, runs, err := recoveryExperiment{}.runs(context.Background(), r)
+		return runs, err
 	default:
 		return nil, fmt.Errorf("%s is not a quality campaign", name)
 	}

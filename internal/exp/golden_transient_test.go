@@ -11,13 +11,15 @@ import (
 )
 
 // The soft-error stream is pinned here: these digests were captured
-// when soft errors came to be drawn by a countdown of geometric gaps
-// between flips and the die's fault count by an exact Binomial draw,
-// and any change to which bits flip, in which read, moves them. Each
-// recovery golden covers all three policies (so retries re-read with
-// fresh flips and saferestore writes back), per-arm qualities and the
-// recovery counters; the ablation golden covers a caller that hands
-// SetTransient a *rand.Rand.
+// when each arm came to draw its soft errors from its own stream, keyed
+// by the trial and the arm's scheme, by a countdown of geometric gaps
+// between flips (the die's fault count by an exact Binomial draw), and
+// any change to which bits flip, in which read, moves them. Each
+// recovery golden covers all three policies as the campaign reports
+// them (so retries re-read with fresh flips and saferestore writes
+// back, and the codeless rows the later policies borrow from the first
+// are pinned too), per-arm qualities and the recovery counters; the
+// ablation golden covers a caller that hands SetTransient a *rand.Rand.
 
 // transientGoldenParams is the small soft-error geometry: a 512-word
 // macro at a soft-error rate high enough that every trial sees flips.
@@ -38,21 +40,22 @@ func transientGoldenParams(workloadName string, workers int) RecoveryParams {
 
 var transientGolden = []struct {
 	workload string
-	// samples is the SHA-256 of every stage's clean metric, per-arm
-	// quality bits and recovery counters (worker-count independent).
+	// samples is the SHA-256 of every policy's clean metric, and its
+	// eight arms' quality bits and recovery counters
+	// (worker-count independent).
 	samples string
 	// result is the SHA-256 of the Result JSON at Workers = 2.
 	result string
 }{
 	{
 		workload: "cgrestart",
-		samples:  "3497567a8b6cce53af9c082e40fa5bc501914a0041d070b7493df3f848fd7ee4",
-		result:   "a7fd1c5f8fdadac8dd987125ca3538456269ff56d73baadb9cd985f3a0575ad0",
+		samples:  "c41179bd47355d2538667833bdd4964f0a63ff217b401d171f99bbd659cf223a",
+		result:   "6595e181077648647bcdee0a53704bbcfb469c811ed6df007ac081f0647b4215",
 	},
 	{
 		workload: "cgsolve",
-		samples:  "24a3775d9360a1d7891a719dc7b97db133f63b5728c045209271afc0a2b057b8",
-		result:   "f7416af0930843000253125e4442d90f1b076f8d6e21215860be097ce05936a8",
+		samples:  "789e56d5156b51fc59aeca9974f8bde1482a474c7e790b9ae828e5c71fe9e880",
+		result:   "6fcb665ee9d5bfb0871ee219404ca6f50e04c0a67f614012fa914a77525ed69f",
 	},
 }
 
@@ -114,6 +117,11 @@ func TestTransientStreamGolden(t *testing.T) {
 			}
 			if len(runs) != 3 {
 				t.Fatalf("%s: %d policy runs, want 3", g.workload, len(runs))
+			}
+			for _, run := range runs {
+				if len(run.arms) != len(AllProtections()) {
+					t.Fatalf("%s %s: %d arms, want all eight", g.workload, run.stage.name, len(run.arms))
+				}
 			}
 			// The retry stage must see soft errors that a re-read clears,
 			// or the golden would not pin the soft-error stream at all.

@@ -67,6 +67,12 @@ func (p Protection) NFM() int {
 	return 0
 }
 
+// Detects reports whether the arm's decoder flags detected-uncorrectable
+// errors (DUEs): the two SECDED arms, P-ECC and ECC. A recovery policy
+// acts only on flagged words, so the codeless arms behave the same under
+// every policy.
+func (p Protection) Detects() bool { return p == ProtPECC || p == ProtECC }
+
 // Build constructs the functional memory of this arm over rows words
 // with the given data-geometry fault map.
 func (p Protection) Build(rows int, fm fault.Map) (mem.Word32, error) {

@@ -3,15 +3,18 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"faultmem/internal/memstore"
 	"faultmem/internal/workload"
 )
 
 // RecoveryParams configures the detect-and-recover campaign: one
-// workload run through all eight protection arms once per recovery
+// workload run through all eight protection arms under each recovery
 // policy, on common random numbers — the same (seed, trial) stream
-// drives every policy's dies and soft errors, so quality deltas between
-// policies are paired, not sampled.
+// drives every policy's dies, and each arm's own (seed, trial, arm)
+// stream its soft errors, so quality deltas between policies are
+// paired, not sampled.
 type RecoveryParams struct {
 	// Workload is the canonical workload name (default "cgsolve").
 	Workload string
@@ -102,10 +105,14 @@ func (recoveryExperiment) Description() string {
 }
 func (recoveryExperiment) DefaultParams() any { return DefaultRecoveryParams() }
 
-// plan resolves the effective params and one quality stage per policy:
-// the one workload through all eight protection arms. Every stage sees
-// the identical die and soft-error sequence (common random numbers), so
-// a policy can only move a trial's quality through recovery itself.
+// plan resolves the effective params and one quality stage per policy.
+// The first stage runs the workload through all eight protection arms;
+// every later stage runs only the arms that can flag a DUE (P-ECC and
+// ECC), since a policy acts on flagged words alone and a codeless arm
+// is the same under every policy (withCodelessArms borrows it). Every
+// stage sees the identical dies, and every arm its own soft-error
+// stream (common random numbers), so a policy can only move a trial's
+// quality through recovery itself.
 func (e recoveryExperiment) plan(r *Runner) (RecoveryParams, []qualityStage, error) {
 	p, err := runnerParams[RecoveryParams](r, e)
 	if err != nil {
@@ -143,13 +150,24 @@ func (e recoveryExperiment) plan(r *Runner) (RecoveryParams, []qualityStage, err
 		Checkpoint:       p.Checkpoint,
 		Restarts:         p.Restarts,
 	}
+	all := AllProtections()
+	var detecting []Protection
+	for _, a := range all {
+		if a.Detects() {
+			detecting = append(detecting, a)
+		}
+	}
 	stages := make([]qualityStage, len(kinds))
 	for i, k := range kinds {
+		arms := all
+		if i > 0 {
+			arms = detecting
+		}
 		stages[i] = qualityStage{
 			name:      k.String(),
 			id:        id,
 			wp:        wp,
-			arms:      AllProtections(),
+			arms:      arms,
 			rows:      p.Rows,
 			pcell:     p.Pcell,
 			trials:    p.Trials,
@@ -162,12 +180,58 @@ func (e recoveryExperiment) plan(r *Runner) (RecoveryParams, []qualityStage, err
 	return p, stages, nil
 }
 
-func (e recoveryExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+// runs plans the campaign and runs its stages, one per policy, then
+// completes the later policies' runs with the first run's codeless arms
+// (withCodelessArms): every run it returns covers all eight arms, in
+// the first stage's order.
+func (e recoveryExperiment) runs(ctx context.Context, r *Runner) (RecoveryParams, []qualityRun, error) {
 	p, stages, err := e.plan(r)
 	if err != nil {
-		return nil, err
+		return p, nil, err
 	}
 	runs, err := r.runQuality(ctx, e.Name(), "policies", stages)
+	if err != nil {
+		return p, nil, err
+	}
+	return p, withCodelessArms(runs), nil
+}
+
+// withCodelessArms fills the codeless rows of every later policy run
+// from the first run: their samples, and their recovery counters, which
+// are all zero. A codeless arm flags nothing for a policy to act on, and
+// draws its soft errors from its own stream, so its sample is the same
+// under every policy; the later stages compute only the detecting arms.
+// This reads the first run's samples after the engine runs; no engine
+// run reads another's, so a stage-only run (RunStage), which holds one
+// run, borrows nothing.
+func withCodelessArms(runs []qualityRun) []qualityRun {
+	first := runs[0]
+	out := make([]qualityRun, len(runs))
+	out[0] = first
+	for i, run := range runs[1:] {
+		full := run
+		full.arms = make([]QualityArm, len(first.arms))
+		if run.recovery != nil {
+			full.recovery = make([]memstore.RecoveryStats, len(first.arms))
+		}
+		for ai, a := range first.arms {
+			if !a.Scheme.Detects() {
+				full.arms[ai] = a
+				continue
+			}
+			j := slices.IndexFunc(run.arms, func(b QualityArm) bool { return b.Scheme == a.Scheme })
+			full.arms[ai] = run.arms[j]
+			if run.recovery != nil {
+				full.recovery[ai] = run.recovery[j]
+			}
+		}
+		out[i+1] = full
+	}
+	return out
+}
+
+func (e recoveryExperiment) Run(ctx context.Context, r *Runner) (*Result, error) {
+	p, runs, err := e.runs(ctx, r)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package exp
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"faultmem/internal/memstore"
 	"faultmem/internal/workload"
 )
 
@@ -193,5 +195,149 @@ func TestRecoveryExperimentRegistry(t *testing.T) {
 	policies := len(workload.PolicyNames())
 	if cols := len(res.Tables[0].Header); cols != 1+policies {
 		t.Fatalf("mean grid has %d columns, want %d", cols, 1+policies)
+	}
+}
+
+// policyStageRun runs one stage of the recovery campaign under p: the
+// named policy through the given arms, in that order, on its own.
+func policyStageRun(t *testing.T, p RecoveryParams, policy string, arms []Protection) qualityRun {
+	t.Helper()
+	p.Policies = []string{policy}
+	_, stages, err := recoveryExperiment{}.plan(&Runner{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stages[0]
+	s.arms = arms
+	runs, err := (*Runner)(nil).runQuality(context.Background(), "recovery", "", []qualityStage{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs[0]
+}
+
+// armResult returns the named arm's sample and recovery counters in a
+// run (zero counters when its policy is none).
+func armResult(t *testing.T, run qualityRun, arm Protection) ([]float64, memstore.RecoveryStats) {
+	t.Helper()
+	for i, a := range run.arms {
+		if a.Scheme == arm {
+			var st memstore.RecoveryStats
+			if run.recovery != nil {
+				st = run.recovery[i]
+			}
+			return a.Qualities, st
+		}
+	}
+	t.Fatalf("policy %s has no arm %v", run.stage.name, arm)
+	return nil, memstore.RecoveryStats{}
+}
+
+// sameArm fails the test unless an arm's sample bits and counters in
+// got equal those in want.
+func sameArm(t *testing.T, what string, arm Protection, got, want qualityRun) {
+	t.Helper()
+	gq, gs := armResult(t, got, arm)
+	wq, ws := armResult(t, want, arm)
+	if len(gq) != len(wq) {
+		t.Fatalf("%s %v: %d qualities, want %d", what, arm, len(gq), len(wq))
+	}
+	for i := range wq {
+		if math.Float64bits(gq[i]) != math.Float64bits(wq[i]) {
+			t.Fatalf("%s %v: quality %d is %v, want %v", what, arm, i, gq[i], wq[i])
+		}
+	}
+	if gs != ws {
+		t.Fatalf("%s %v: counters %+v, want %+v", what, arm, gs, ws)
+	}
+}
+
+// TestArmSoftErrorsIndependentOfArmList pins that each arm draws its
+// soft errors from its own stream, keyed by the arm and not by its place
+// in the stage's list: under every policy, an arm alone, among all eight
+// and in the reversed list has the same qualities and counters.
+func TestArmSoftErrorsIndependentOfArmList(t *testing.T) {
+	all := AllProtections()
+	reversed := slices.Clone(all)
+	slices.Reverse(reversed)
+	for _, wl := range []string{"cgsolve", "cgrestart"} {
+		p := transientGoldenParams(wl, 2)
+		for _, policy := range workload.PolicyNames() {
+			full := policyStageRun(t, p, policy, all)
+			rev := policyStageRun(t, p, policy, reversed)
+			for _, arm := range all {
+				what := wl + " " + policy
+				sameArm(t, what+" reversed", arm, rev, full)
+				sameArm(t, what+" alone", arm, policyStageRun(t, p, policy, []Protection{arm}), full)
+			}
+		}
+	}
+}
+
+// TestCodelessArmsSameUnderEveryPolicy pins why the campaign computes the
+// codeless arms once: with all eight arms under every policy, each arm
+// that cannot flag a DUE has the same sample under every policy and
+// counts nothing, while the detecting arms do recover something.
+func TestCodelessArmsSameUnderEveryPolicy(t *testing.T) {
+	for _, wl := range []string{"cgsolve", "cgrestart"} {
+		p := transientGoldenParams(wl, 2)
+		var runs []qualityRun
+		for _, policy := range workload.PolicyNames() {
+			runs = append(runs, policyStageRun(t, p, policy, AllProtections()))
+		}
+		for _, run := range runs[1:] {
+			for _, arm := range AllProtections() {
+				_, st := armResult(t, run, arm)
+				if arm.Detects() {
+					if st.Flagged == 0 {
+						t.Fatalf("%s %s: %v flagged nothing; the test exercises no recovery", wl, run.stage.name, arm)
+					}
+					continue
+				}
+				if st != (memstore.RecoveryStats{}) {
+					t.Errorf("%s %s: codeless %v counted %+v", wl, run.stage.name, arm, st)
+				}
+				sameArm(t, wl+" "+run.stage.name, arm, run, runs[0])
+			}
+		}
+	}
+}
+
+// TestRecoveryCampaignMatchesFullArmStages pins the campaign's assembly:
+// every policy column it reports, detecting arms computed by a
+// two-arm stage and codeless arms borrowed from the first policy, equals
+// a stage that runs all eight arms under that policy — also when the
+// first policy is not none.
+func TestRecoveryCampaignMatchesFullArmStages(t *testing.T) {
+	for _, wl := range []string{"cgsolve", "cgrestart"} {
+		for _, order := range [][]string{workload.PolicyNames(), {"saferestore", "none", "retry"}} {
+			p := transientGoldenParams(wl, 2)
+			p.Policies = order
+			runs, err := qualityRuns("recovery", &Runner{Params: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != len(order) {
+				t.Fatalf("%s: %d runs, want %d", wl, len(runs), len(order))
+			}
+			for i, run := range runs {
+				if run.stage.name != order[i] {
+					t.Fatalf("%s: run %d is %s, want %s", wl, i, run.stage.name, order[i])
+				}
+				if i > 0 && len(run.stage.arms) != 2 {
+					t.Errorf("%s %s: later stage computes %d arms, want P-ECC and ECC", wl, order[i], len(run.stage.arms))
+				}
+				if len(run.arms) != len(AllProtections()) {
+					t.Fatalf("%s %s: %d arms reported, want all eight", wl, order[i], len(run.arms))
+				}
+				full := policyStageRun(t, p, order[i], AllProtections())
+				for ai, arm := range AllProtections() {
+					if run.arms[ai].Scheme != arm {
+						t.Fatalf("%s %s: arm %d is %v, want %v", wl, order[i], ai, run.arms[ai].Scheme, arm)
+					}
+					sameArm(t, wl+" "+order[i], arm, run, full)
+				}
+			}
+		}
 	}
 }

@@ -51,9 +51,9 @@ type RedundancyRow struct {
 	RepairRate    []float64 // fraction of dies repairable per budget
 }
 
-// RedundancyStudyCtx runs the Monte Carlo, polling ctx between
+// RedundancyStudy runs the Monte Carlo, polling ctx between
 // operating points.
-func RedundancyStudyCtx(ctx context.Context, p RedundancyParams) ([]RedundancyRow, error) {
+func RedundancyStudy(ctx context.Context, p RedundancyParams) ([]RedundancyRow, error) {
 	if p.Rows < 1 || p.Dies < 1 {
 		return nil, fmt.Errorf("exp: redundancy params: Rows = %d, Dies = %d; want both >= 1", p.Rows, p.Dies)
 	}
@@ -111,7 +111,7 @@ func (e redundancyExperiment) Run(ctx context.Context, r *Runner) (*Result, erro
 	if r.quick() && p.Dies > 100 {
 		p.Dies = 100
 	}
-	rows, err := RedundancyStudyCtx(ctx, p)
+	rows, err := RedundancyStudy(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -118,11 +118,15 @@ func stageTag(experiment, stage string) string {
 // calls it per stage and skips the stage, preparation included, when it
 // answers true.
 // That is sound because each stage is its own engine run over its own
-// params and seed and no stage reads another stage's results: skipping
-// stages 0..k-1 cannot change a bit of stage k. An experiment that
-// breaks this contract must not call skips; a sweep worker then sees
-// the other stages' engine runs and fails the job, and the coordinator
-// computes that tag locally.
+// params and seed and no engine run reads another stage's results:
+// skipping stages 0..k-1 cannot change a bit of stage k. recovery's
+// result assembly does read the first stage's samples (it fills the
+// codeless rows of the later policies from them, withCodelessArms), but
+// only after every engine run, and a stage-only run's result is
+// discarded. An experiment whose engine runs break this contract must
+// not call skips; a sweep worker then sees the other stages' engine
+// runs and fails the job, and the coordinator computes that tag
+// locally.
 func (r *Runner) skips(experiment, stage string) bool {
 	return r != nil && r.stage != "" && r.stage != stageTag(experiment, stage)
 }

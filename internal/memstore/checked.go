@@ -7,7 +7,8 @@ import (
 // RecoveryStats counts what a Recovery saw and did across checked round
 // trips. All fields are monotone counters so shard-level values merge
 // by addition (worker-count determinism: the per-trial increments are
-// fixed by the trial's RNG stream, and addition is order-free).
+// fixed by the trial's and the arm's RNG streams, and addition is
+// order-free).
 type RecoveryStats struct {
 	// Flagged counts words read back with a detected-uncorrectable flag.
 	Flagged uint64

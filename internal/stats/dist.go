@@ -152,10 +152,15 @@ func NormalQuantile(p, mu, sigma float64) float64 {
 		panic("stats: quantile level must be in (0,1)")
 	}
 	z := acklam(p)
-	// One Halley refinement against the exact CDF.
+	// One Halley refinement against the exact CDF. Far in the tails
+	// Exp(z*z/2) overflows to +Inf while the CDF error underflows, and
+	// the step is NaN or infinite; it is skipped there, leaving Acklam's
+	// approximation.
 	e := 0.5*math.Erfc(-z/math.Sqrt2) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(z*z/2)
-	z = z - u/(1+z*u/2)
+	if step := u / (1 + z*u/2); !math.IsNaN(step) && !math.IsInf(step, 0) {
+		z -= step
+	}
 	return mu + sigma*z
 }
 

@@ -140,6 +140,29 @@ func TestNormalCDFQuantileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNormalQuantileExtremeTails pins the quantile at the extreme
+// levels sram.CriticalVDD clamps to. At the smallest subnormal the
+// Halley step overflows (Exp(z*z/2) is +Inf) and must be skipped, not
+// turned into NaN; at 1 - 2^-53 the level is the last float below 1.
+// The true quantiles are about -38.47 and 8.21.
+func TestNormalQuantileExtremeTails(t *testing.T) {
+	for _, c := range []struct {
+		p      float64
+		lo, hi float64
+	}{
+		{math.SmallestNonzeroFloat64, -39, -37},
+		{1 - 0x1p-53, 8, 8.5},
+	} {
+		x := NormalQuantile(c.p, 0, 1)
+		if !(x >= c.lo && x <= c.hi) {
+			t.Errorf("NormalQuantile(%g) = %v, want a finite value in [%g, %g]", c.p, x, c.lo, c.hi)
+		}
+		if y := NormalQuantile(c.p, 1, 2); y != 1+2*x {
+			t.Errorf("NormalQuantile(%g, 1, 2) = %v, want %v", c.p, y, 1+2*x)
+		}
+	}
+}
+
 func TestNormalCDFKnownValues(t *testing.T) {
 	if got := NormalCDF(0, 0, 1); math.Abs(got-0.5) > 1e-15 {
 		t.Errorf("Phi(0) = %g", got)

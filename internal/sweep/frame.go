@@ -51,7 +51,10 @@ const (
 	// alone and Welcome the shard lease. Version 5 changes what a Fig. 5
 	// shard holds (only dies of three or more faults, in other spans)
 	// but not its form, so only the version tells a mixed build apart.
-	ProtocolVersion = 5
+	// Version 6 does the same for a quality shard under soft errors:
+	// each arm draws its flips from its own stream, and a recovery
+	// campaign's later policy stages hold only P-ECC and ECC.
+	ProtocolVersion = 6
 	headerSize      = 12
 	// MaxFramePayload bounds a single frame. A shard result is at most a
 	// few hundred KB of accumulator state at paper-scale budgets; 64 MB

@@ -115,8 +115,8 @@ func BenchmarkRecoveryTrial(b *testing.B) {
 }
 
 // TestTransientTrialAllocs pins the warm soft-error trial's allocations
-// at the fault map draw's 5: the runner reseeds its one source and
-// rand.Rand every trial, so the trial's stream allocates nothing.
+// at the fault map draw's 5: the runner reseeds its trial rand.Rand and
+// every arm's source each trial, so the streams allocate nothing.
 func TestTransientTrialAllocs(t *testing.T) {
 	prots := exp.AllProtections()
 	arms := make([]workload.Arm, len(prots))

@@ -11,6 +11,7 @@ import (
 	"faultmem/internal/memstore"
 	"faultmem/internal/sram"
 	"faultmem/internal/stats"
+	"faultmem/internal/yield"
 )
 
 // eccWithDoubleFault builds a SECDED memory with an uncorrectable
@@ -210,7 +211,8 @@ func TestRetryPolicyRecoversTransientTrialExactly(t *testing.T) {
 // exp package (which would cycle).
 type eccArm struct{}
 
-func (eccArm) String() string { return "ECC" }
+func (eccArm) String() string     { return "ECC" }
+func (eccArm) ID() yield.SchemeID { return yield.SchemeECC }
 func (eccArm) Build(rows int, fm fault.Map) (mem.Word32, error) {
 	return mem.NewECC(rows, fm, nil)
 }

@@ -28,8 +28,10 @@ type Config struct {
 	Policy RecoveryPolicy
 	// TransientRate enables per-read soft errors at this per-bit rate on
 	// arms that expose their bit-cell array (all eight protection arms);
-	// 0 disables. The flips draw from the trial's RNG stream, so results
-	// stay bit-identical at any worker count.
+	// 0 disables. Each arm's flips draw from its own stream, derived from
+	// the trial's seed and the arm's ID, so results stay bit-identical at
+	// any worker count and an arm's flips do not depend on which other
+	// arms run, or in what order.
 	TransientRate float64
 }
 
@@ -47,11 +49,13 @@ type TrialRunner struct {
 	mems  []mem.Word32
 	recs  []memstore.Recovery // per-arm recovery state; nil under PolicyNone
 	ws    Workspace
-	// src is the trial's stream, reseeded every trial, and rng draws
-	// from it: soft errors draw straight from src, everything else
-	// through rng, one stream either way.
-	src rand.Source
+	// rng is the trial's stream, reseeded every trial: the die's fault
+	// count and fault map draw from it.
 	rng *rand.Rand
+	// armSrc is the soft-error stream of the arm being run, reseeded for
+	// every arm of every trial; the arms run one at a time, so they
+	// share it.
+	armSrc rand.Source
 }
 
 // arrayAccessor is the facet of a memory that exposes its bit-cell
@@ -66,13 +70,13 @@ type arrayAccessor interface {
 // fault-dependent work (writes, reads, decode).
 func NewTrialRunner(inst Instance, cfg Config) *TrialRunner {
 	r := &TrialRunner{
-		cfg:   cfg,
-		inst:  inst,
-		cells: cfg.Rows * mem.DataWidth,
-		mems:  make([]mem.Word32, len(cfg.Arms)),
-		src:   rand.NewSource(0),
+		cfg:    cfg,
+		inst:   inst,
+		cells:  cfg.Rows * mem.DataWidth,
+		mems:   make([]mem.Word32, len(cfg.Arms)),
+		rng:    rand.New(rand.NewSource(0)),
+		armSrc: rand.NewSource(0),
 	}
-	r.rng = rand.New(r.src)
 	if cfg.Policy.Active() {
 		r.recs = make([]memstore.Recovery, len(cfg.Arms))
 		for i := range r.recs {
@@ -105,10 +109,17 @@ func (r *TrialRunner) RecoveryStats() []memstore.RecoveryStats {
 // failure — fault-free dies have quality 1 by construction and are
 // excluded from the CDF, matching Fig. 7's curves — and the same fault
 // map drives every arm (common random numbers).
+//
+// Under soft errors, each arm draws its flips from its own stream,
+// seeded from stats.DeriveSeed(trial seed, arm ID), never from its
+// position in the arm list: an arm's qualities and recovery counters are
+// the same whether it runs alone, with other arms or in another order,
+// so a stage may run any subset of the arms.
 func (r *TrialRunner) RunTrial(seedBase int64, trial int, out []float64) ([]float64, error) {
 	// The stats.Derive(seedBase, trial) stream, on the runner's source.
+	seed := stats.DeriveSeed(seedBase, int64(trial))
 	rng := r.rng
-	rng.Seed(stats.DeriveSeed(seedBase, int64(trial)))
+	rng.Seed(seed)
 	n := 0
 	for n == 0 {
 		n = stats.SampleBinomial(rng, r.cells, r.cfg.Pcell)
@@ -128,9 +139,8 @@ func (r *TrialRunner) RunTrial(seedBase int64, trial int, out []float64) ([]floa
 		}
 		if r.cfg.TransientRate > 0 {
 			if aa, ok := m.(arrayAccessor); ok {
-				// Soft errors draw from the trial's stream: the arms run in
-				// fixed order, so the draws are deterministic per trial.
-				aa.Array().SetTransient(r.cfg.TransientRate, r.src)
+				r.armSrc.Seed(stats.DeriveSeed(seed, int64(arm.ID())))
+				aa.Array().SetTransient(r.cfg.TransientRate, r.armSrc)
 			}
 		}
 		if r.recs != nil {
@@ -141,7 +151,7 @@ func (r *TrialRunner) RunTrial(seedBase int64, trial int, out []float64) ([]floa
 			r.ws.Recovery = nil
 		}
 		r.ws.Mem = m
-		q, err := r.inst.RunTrial(&r.ws, rng)
+		q, err := r.inst.RunTrial(&r.ws, nil)
 		if err != nil {
 			return out, fmt.Errorf("workload: %s trial %d arm %v: %w", r.cfg.Name, trial, arm, err)
 		}

@@ -21,6 +21,7 @@ import (
 	"faultmem/internal/memstore"
 	"faultmem/internal/ml"
 	"faultmem/internal/wire"
+	"faultmem/internal/yield"
 )
 
 // Params configures instance preparation. One flat struct serves every
@@ -72,8 +73,9 @@ type Instance interface {
 	// TrialRunner with the trial's fault map) and returns the normalized
 	// quality in [0, 1], where 1 is fault-free behaviour. An error is a
 	// programming error — never fault-induced — and aborts the shard.
-	// rng is the trial's RNG stream, positioned after the engine's fault
-	// draws; deterministic workloads ignore it.
+	// The TrialRunner passes a nil rng: an arm's trial must not read the
+	// trial's stream, or one arm's draws would move another's. Every
+	// workload ignores it.
 	RunTrial(ws *Workspace, rng *rand.Rand) (quality float64, err error)
 	// Metric names the quality metric before normalization.
 	Metric() string
@@ -120,9 +122,11 @@ func (ws *Workspace) TripDataset() (*mat.Dense, []float64) {
 
 // Arm is a buildable protection scheme. exp.Protection satisfies it;
 // the indirection keeps this package free of an import cycle with the
-// experiment layer.
+// experiment layer. ID names the scheme, and keys the arm's own
+// soft-error stream (see TrialRunner.RunTrial).
 type Arm interface {
 	fmt.Stringer
+	ID() yield.SchemeID
 	Build(rows int, fm fault.Map) (mem.Word32, error)
 }
 
